@@ -38,6 +38,7 @@ from altpath.graph import (
     INF,
     PROPOSITIONAL_HUB,
     bfs_from_support,
+    bounded_build_and_search,
     build_graph,
     check_alternating_path,
     multi_support_intersection,
@@ -541,7 +542,7 @@ def cmd_stats(cfg: RunConfig) -> int:
             raise ValueError("--bound is needed to print the size budget")
         spec = cfg.supports[0] if cfg.supports else None
         support = resolve_support(cs, spec, fmt)
-        dmap = bfs_from_support(build_graph(cs, _graph_mode(cfg)), support)
+        dmap = bounded_build_and_search(cs, support, cfg.bound, _graph_mode(cfg))
         payload["support"] = len(support)
         payload["relevant"] = len(dmap.relevant_ids(cfg.bound))
         payload["budget"] = _growth_budget(len(support), b, k, cfg.bound)

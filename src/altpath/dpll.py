@@ -235,6 +235,10 @@ def support_radius(cs: ClauseSet, support_ids,
     set are already unsatisfiable; INF when no level is (then everything
     reachable from the support set is satisfiable)."""
     dmap = bfs_from_support(build_graph(cs, PROPOSITIONAL_HUB), support_ids)
+    return _radius(cs, dmap, config)
+
+
+def _radius(cs: ClauseSet, dmap: DistanceMap, config: SolverConfig | None) -> float:
     finite = sorted({int(d) for d in dmap.clause_distance.values() if d < INF})
     cfg = config or SolverConfig(unit_policy="all")
     for n in finite:  # levels between two finite distances add no clauses
@@ -249,7 +253,7 @@ def support_neighborhood(cs: ClauseSet, support_ids,
     """Clauses within the support radius; every reachable clause when the
     radius is infinite."""
     dmap = bfs_from_support(build_graph(cs, PROPOSITIONAL_HUB), support_ids)
-    radius = support_radius(cs, support_ids, config)
+    radius = _radius(cs, dmap, config)
     cap = dmap.max_finite_distance() if radius == INF else radius
     if cap == INF:  # support set empty of reachable clauses entirely
         return cs.subset([])

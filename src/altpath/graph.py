@@ -15,6 +15,13 @@ literal to the out-nodes of the other literals of its clause, which is what
 enforces the leave-differs-from-enter rule.  In ``propositional_hub`` mode
 (variable-free sets only) the quadratic bundle of linking edges per atom is
 replaced by two shared hub nodes, so edge count stays linear in occurrences.
+
+Partners are found through one index shared by the full build, the bounded
+search and purity filtering.  Ground literals complement-unify exactly when
+their atoms are equal, so ground occurrences are bucketed by atom and two
+ground occurrences are matched by that equality alone, with no unifier and
+no ``UnifCache`` entry.  Only pairs with a non-ground side go through
+``UnifCache.check``.
 """
 
 from __future__ import annotations
@@ -34,7 +41,11 @@ MODES = (FIRST_ORDER, PROPOSITIONAL_HUB)
 
 class UnifCache(dict):
     """Memo of complementary-unifiability checks, keyed by unordered literal
-    pair.  Pass one instance across graph builds to share the work."""
+    pair.  Pass one instance across graph builds to share the work.
+
+    Pairs of two ground literals never reach the cache: the partner index
+    matches them by atom equality.
+    """
 
     def check(self, l1: Literal, l2: Literal) -> bool:
         if literal_key(l2) < literal_key(l1):
@@ -117,41 +128,78 @@ def _sign_index(occurrences) -> dict[tuple[str, bool], list[int]]:
     return index
 
 
+class _Partners:
+    """Complementary partners of each literal occurrence.
+
+    Ground occurrences sit in atom buckets, ``atoms[(pred, sign)][args]``,
+    whose insertion order is that of first occurrence; non-ground ones are
+    listed per ``(pred, sign)`` in ``open``.  A ground occurrence's partners
+    are the opposite bucket of its atom plus the non-ground occurrences that
+    pass ``UnifCache.check``; a non-ground occurrence checks every
+    opposite-sign occurrence of its predicate.  Partner lists come out in
+    ascending occurrence id.  A returned bucket is shared: do not mutate it.
+    """
+
+    def __init__(self, occurrences: list[tuple[int, Literal]], cache: UnifCache | None = None):
+        self.occs = occurrences
+        self.cache = cache if cache is not None else UnifCache()
+        self.atoms: dict[tuple[str, bool], dict[tuple, list[int]]] = {}
+        self.open: dict[tuple[str, bool], list[int]] = {}
+        self.ground: list[bool] = []
+        for i, (_, lit) in enumerate(occurrences):
+            key = (lit.pred, lit.positive)
+            ground = lit.is_ground()
+            self.ground.append(ground)
+            if ground:
+                self.atoms.setdefault(key, {}).setdefault(lit.args, []).append(i)
+            else:
+                self.open.setdefault(key, []).append(i)
+        # only a non-ground occurrence scans every opposite-sign occurrence
+        self.signs = _sign_index(occurrences) if self.open else {}
+
+    def bucket(self, lit: Literal) -> list[int]:
+        """Ground occurrences of the complement of a ground literal."""
+        return self.atoms.get((lit.pred, not lit.positive), {}).get(lit.args, [])
+
+    def of(self, i: int) -> list[int]:
+        occs, check = self.occs, self.cache.check
+        lit = occs[i][1]
+        key = (lit.pred, not lit.positive)
+        if not self.ground[i]:
+            return [j for j in self.signs.get(key, ()) if check(lit, occs[j][1])]
+        same = self.bucket(lit)
+        loose = [j for j in self.open.get(key, ()) if check(lit, occs[j][1])]
+        return sorted(same + loose) if loose else same
+
+
 def build_graph(cs: ClauseSet, mode: str = FIRST_ORDER, cache: UnifCache | None = None) -> RelevanceGraph:
     """Materialize the full graph for a clause set."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == PROPOSITIONAL_HUB and not cs.is_ground():
         raise ValueError("propositional_hub mode requires a variable-free clause set")
-    cache = cache if cache is not None else UnifCache()
     occs = _occurrence_list(cs)
     adjacency: list[list[int]] = [[] for _ in range(2 * len(occs))]
     graph = RelevanceGraph(cs, mode, occs, adjacency)
-    index = _sign_index(occs)
+    partners = _Partners(occs, cache)
 
     if mode == FIRST_ORDER:
-        for i, (_, lit) in enumerate(occs):
-            for j in index.get((lit.pred, not lit.positive), ()):
-                if cache.check(lit, occs[j][1]):
-                    adjacency[graph.out_node(i)].append(graph.in_node(j))
+        for i in range(len(occs)):
+            adjacency[2 * i + 1] = [2 * j for j in partners.of(i)]
     else:
         # ground atoms with m positive and n negative occurrences: a shared
         # hub pair costs 2(m+n) edges against 2mn for direct pairing, so each
         # atom gets whichever wiring is smaller (ties go to direct, which
         # needs no extra nodes)
-        for (pred, positive), members in index.items():
+        for (pred, positive), pos_atoms in partners.atoms.items():
             if not positive:
                 continue
-            negatives = index.get((pred, False), ())
-            if not negatives:
+            neg_atoms = partners.atoms.get((pred, False))
+            if not neg_atoms:
                 continue
-            by_atom: dict[tuple, tuple[list[int], list[int]]] = {}
-            for i in members:
-                by_atom.setdefault(occs[i][1].args, ([], []))[0].append(i)
-            for j in negatives:
-                by_atom.setdefault(occs[j][1].args, ([], []))[1].append(j)
-            for args, (pos, neg) in by_atom.items():
-                if not pos or not neg:
+            for args, pos in pos_atoms.items():
+                neg = neg_atoms.get(args)
+                if not neg:
                     continue
                 if len(pos) * len(neg) <= len(pos) + len(neg):
                     for i in pos:
@@ -173,6 +221,8 @@ def build_graph(cs: ClauseSet, mode: str = FIRST_ORDER, cache: UnifCache | None 
                 for j in neg:
                     adjacency[hub_pos].append(graph.in_node(j))
                     adjacency[graph.out_node(j)].append(hub_neg)
+    # the index is done with; free it before the switching edges add to the peak
+    del partners
 
     for occ_ids in graph.clause_occs().values():
         for i in occ_ids:
@@ -442,17 +492,16 @@ def bounded_build_and_search(cs: ClauseSet, support_ids, k: int,
     set.  Distances beyond k are reported as INF.  The returned map records
     how many nodes were touched in ``nodes_materialized``.
     """
-    if k < 1:
-        raise ValueError("relevance level must be >= 1")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == PROPOSITIONAL_HUB and not cs.is_ground():
         raise ValueError("propositional_hub mode requires a variable-free clause set")
     support = _check_support(cs, support_ids)
-    cache = cache if cache is not None else UnifCache()
+    if k < 1:
+        raise ValueError("relevance level must be >= 1")
     occs = _occurrence_list(cs)
     graph = RelevanceGraph(cs, mode, occs, [])  # adjacency left empty: lazy
-    index = _sign_index(occs)
+    partners = _Partners(occs, cache)
     occs_by_clause: dict[int, list[int]] = {}
     for i, (cid, _) in enumerate(occs):
         occs_by_clause.setdefault(cid, []).append(i)
@@ -463,25 +512,21 @@ def bounded_build_and_search(cs: ClauseSet, support_ids, k: int,
 
     def successors(node: int):
         if node >= hub_base:  # hub for a signed literal: feed complements
-            hub_lit = hub_lits[node - hub_base]
-            for j in index.get((hub_lit.pred, not hub_lit.positive), ()):
-                if occs[j][1].args == hub_lit.args:
-                    yield graph.in_node(j)
+            for j in partners.bucket(hub_lits[node - hub_base]):
+                yield graph.in_node(j)
             return
         occ = node // 2
         cid, lit = occs[occ]
         if node % 2 == 1:  # out-node
             if mode == PROPOSITIONAL_HUB:
-                partners = index.get((lit.pred, not lit.positive), ())
-                if any(occs[j][1].args == lit.args for j in partners):
+                if partners.bucket(lit):
                     if lit not in hub_of:
                         hub_of[lit] = hub_base + len(hub_of)
                         hub_lits.append(lit)
                     yield hub_of[lit]
             else:
-                for j in index.get((lit.pred, not lit.positive), ()):
-                    if cache.check(lit, occs[j][1]):
-                        yield graph.in_node(j)
+                for j in partners.of(occ):
+                    yield graph.in_node(j)
         else:  # in-node: switch to the clause's other literals
             for j in occs_by_clause[cid]:
                 if j != occ:
@@ -534,17 +579,11 @@ def purity_filter(cs: ClauseSet, cache: UnifCache | None = None) -> ClauseSet:
     Ids of surviving clauses are preserved.  The result is the greatest
     fixpoint: every literal of every surviving clause has a live partner.
     """
-    cache = cache if cache is not None else UnifCache()
     occs = _occurrence_list(cs)
-    index = _sign_index(occs)
-    partners: list[list[int]] = []
-    for i, (_, lit) in enumerate(occs):
-        mine = [
-            j
-            for j in index.get((lit.pred, not lit.positive), ())
-            if cache.check(lit, occs[j][1])
-        ]
-        partners.append(mine)
+    index = _Partners(occs, cache)
+    # the partner relation is symmetric, so partners[i] also lists the
+    # occurrences that lose a partner when occurrence i dies
+    partners = [index.of(i) for i in range(len(occs))]
     partner_count = [len(p) for p in partners]
     occs_by_clause: dict[int, list[int]] = {}
     for i, (cid, _) in enumerate(occs):
@@ -557,10 +596,6 @@ def purity_filter(cs: ClauseSet, cache: UnifCache | None = None) -> ClauseSet:
         if any(partner_count[i] == 0 for i in occs_by_clause.get(cid, []))
     )
     dead: set[int] = set()
-    reverse: dict[int, list[int]] = {}
-    for i, plist in enumerate(partners):
-        for j in plist:
-            reverse.setdefault(j, []).append(i)
     while worklist:
         cid = worklist.popleft()
         if cid in dead:
@@ -568,7 +603,7 @@ def purity_filter(cs: ClauseSet, cache: UnifCache | None = None) -> ClauseSet:
         dead.add(cid)
         alive.discard(cid)
         for i in occs_by_clause.get(cid, []):
-            for watcher in reverse.get(i, []):
+            for watcher in partners[i]:
                 partner_count[watcher] -= 1
                 wcid = occs[watcher][0]
                 if (

@@ -1,13 +1,17 @@
 """End-to-end checks of the command-line surface, run in-process."""
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+import altpath.cli
 from altpath.cli import EXIT_SAT, EXIT_UNSAT, EXIT_UNKNOWN, main
-from altpath.parsing import parse_dimacs, parse_tptp
+from altpath.generators import random_3sat
+from altpath.graph import bfs_from_support, build_graph
+from altpath.parsing import parse_dimacs, parse_tptp, print_dimacs
 
 TREE = """\
 cnf(goal, negated_conjecture, (~p)).
@@ -292,6 +296,27 @@ def test_stats_json(tree, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["clauses"] == 11
     assert payload["k"] == 4
+
+
+def _full_search(cs, support, k, mode):
+    return bfs_from_support(build_graph(cs, mode), support)
+
+
+@pytest.mark.parametrize("hub", [[], ["--hub"]], ids=["first_order", "hub"])
+def test_stats_bound_matches_full_search(tmp_path, capsys, monkeypatch, hub):
+    cs = random_3sat(random.Random(9), 40, 170)
+    path = tmp_path / "r.cnf"
+    path.write_text(print_dimacs(cs))
+    support = "ids:3,77"
+    far = int(_full_search(cs, [3, 77], None, "first_order").max_finite_distance())
+    for n in range(1, far + 3):
+        argv = ["stats", str(path), "--bound", str(n), "--support", support, "--json"] + hub
+        assert main(argv) == 0
+        bounded = capsys.readouterr().out
+        with monkeypatch.context() as m:
+            m.setattr(altpath.cli, "bounded_build_and_search", _full_search)
+            assert main(argv) == 0
+        assert bounded == capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

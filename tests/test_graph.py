@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from altpath.clauses import App, ClauseSet, Literal, Var
-from altpath.generators import fan_fixture, random_first_order, random_ground
+import altpath.graph
+from altpath.clauses import App, ClauseSet, Literal, Var, complementary_unifiable
+from altpath.generators import fan_fixture, random_3sat, random_first_order, random_ground
 from altpath.graph import (
     FIRST_ORDER,
     INF,
@@ -325,3 +326,158 @@ def test_graph_node_display():
     hub = build_graph(fan_fixture(2, 3), PROPOSITIONAL_HUB)
     names = {str(hub.node(i)) for i in range(hub.node_count)}
     assert "<1>" in names and "<~1>" in names
+
+
+# ---------------------------------------------------------------------------
+# Partner index against a pairwise reference
+
+
+def reference_adjacency(cs: ClauseSet, mode: str) -> list[list[int]]:
+    """The wiring built from complementary_unifiable on every opposite-sign
+    pair: linking edges in ascending occurrence order, hub pairs allocated
+    per predicate (in order of its first positive occurrence) and per atom
+    (in order of the atom's first positive occurrence), then switching edges."""
+    occs = [(c.id, l) for c in cs.clauses for l in c.literals]
+    link = [
+        [j for j, (_, m) in enumerate(occs) if m.positive != l.positive
+         and complementary_unifiable(l, m)]
+        for _, l in occs
+    ]
+    adj: list[list[int]] = [[] for _ in range(2 * len(occs))]
+    if mode == FIRST_ORDER:
+        for i, js in enumerate(link):
+            adj[2 * i + 1] = [2 * j for j in js]
+    else:
+        first_positive: dict[str, dict[tuple, None]] = {}
+        for _, l in occs:
+            if l.positive:
+                first_positive.setdefault(l.pred, {}).setdefault(l.args, None)
+        for pred, atoms in first_positive.items():
+            for args in atoms:
+                pos = [i for i, (_, l) in enumerate(occs) if l == Literal(True, pred, args)]
+                neg = link[pos[0]]
+                if not neg:
+                    continue
+                if len(pos) * len(neg) <= len(pos) + len(neg):
+                    for i in pos:
+                        for j in neg:
+                            adj[2 * i + 1].append(2 * j)
+                            adj[2 * j + 1].append(2 * i)
+                    continue
+                hub_pos, hub_neg = len(adj), len(adj) + 1
+                adj += [[], []]
+                for i in pos:
+                    adj[2 * i + 1].append(hub_pos)
+                    adj[hub_neg].append(2 * i)
+                for j in neg:
+                    adj[hub_pos].append(2 * j)
+                    adj[2 * j + 1].append(hub_neg)
+    for c in cs.clauses:
+        mine = [i for i, (cid, _) in enumerate(occs) if cid == c.id]
+        for i in mine:
+            adj[2 * i] += [2 * j + 1 for j in mine if j != i]
+    return adj
+
+
+def reference_purity(cs: ClauseSet) -> list[int]:
+    alive = cs.ids()
+    while True:
+        lits = [l for cid in alive for l in cs.by_id(cid).literals]
+        keep = [
+            cid for cid in alive
+            if all(any(complementary_unifiable(l, m) for m in lits)
+                   for l in cs.by_id(cid).literals)
+        ]
+        if keep == alive:
+            return alive
+        alive = keep
+
+
+def _ground_term(rng: random.Random, depth: int) -> App:
+    if depth <= 0 or rng.random() < 0.4:
+        return App(rng.choice(("a", "b")))
+    if rng.random() < 0.7:
+        return App("f", (_ground_term(rng, depth - 1),))
+    return App("g", (_ground_term(rng, depth - 1), _ground_term(rng, depth - 1)))
+
+
+def ground_tptp_set(rng: random.Random, n_clauses: int) -> ClauseSet:
+    groups = []
+    for _ in range(n_clauses):
+        lits = []
+        for _ in range(rng.randint(1, 3)):
+            pred = rng.choice(("p", "q", "r"))
+            arity = 2 if pred == "r" else 1
+            args = tuple(_ground_term(rng, rng.randint(0, 1)) for _ in range(arity))
+            lits.append(Literal(rng.random() < 0.5, pred, args))
+        groups.append(lits)
+    return ClauseSet.from_groups(groups)
+
+
+def mixed_set(rng: random.Random, n_clauses: int) -> ClauseSet:
+    """Ground TPTP clauses with first-order ones mixed in, among them
+    p(a) against ~p(X) and variables restricted to a top symbol."""
+    ground = ground_tptp_set(rng, n_clauses).clauses
+    loose = random_first_order(rng, n_clauses // 2).clauses
+    x = Var("X")
+    fixed = [
+        [Literal(True, "p", (App("a"),))],
+        [Literal(False, "p", (x,)), Literal(True, "q", (x,))],
+        [Literal(False, "q", (Var("Y", frozenset({"f"})),))],
+        [Literal(True, "q", (App("f", (App("b"),)),)), Literal(False, "p", (App("a"),))],
+    ]
+    groups = [c.literals for c in ground + loose] + fixed
+    rng.shuffle(groups)
+    return ClauseSet.from_groups(groups)
+
+
+def _families():
+    for seed in range(4):
+        rng = random.Random(700 + seed)
+        yield f"3sat{seed}", random_3sat(rng, 12, 40), True
+        yield f"ground{seed}", random_ground(rng, n_atoms=5, n_clauses=18), True
+        yield f"tptp{seed}", ground_tptp_set(rng, 40), True
+        yield f"fo{seed}", random_first_order(rng, n_clauses=14), False
+        yield f"mixed{seed}", mixed_set(rng, 12), False
+
+
+FAMILIES = list(_families())
+
+
+@pytest.mark.parametrize("name,cs,ground", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_partner_index_matches_pairwise_reference(name, cs, ground):
+    assert cs.is_ground() == ground
+    modes = (FIRST_ORDER, PROPOSITIONAL_HUB) if ground else (FIRST_ORDER,)
+    for mode in modes:
+        graph = build_graph(cs, mode)
+        want = reference_adjacency(cs, mode)
+        assert len(graph.adjacency) == len(want)
+        for node, (got, ref) in enumerate(zip(graph.adjacency, want)):
+            assert got == ref, f"{mode} node {node}"
+        support = cs.ids()[:2]
+        full = bfs_from_support(graph, support)
+        far = int(full.max_finite_distance())
+        for k in range(1, far + 2):
+            part = bounded_build_and_search(cs, support, k, mode)
+            assert part.clause_distance == {
+                cid: d if d <= k else INF for cid, d in full.clause_distance.items()
+            }
+    assert purity_filter(cs).ids() == reference_purity(cs)
+
+
+def test_ground_sets_never_call_the_unifier(monkeypatch):
+    def boom(l1, l2):
+        raise AssertionError(f"unifier called on {l1} and {l2}")
+
+    monkeypatch.setattr(altpath.graph, "complementary_unifiable", boom)
+    for _, cs, ground in FAMILIES:
+        if not ground:
+            continue
+        support = cs.ids()[:1]
+        for mode in (FIRST_ORDER, PROPOSITIONAL_HUB):
+            bfs_from_support(build_graph(cs, mode), support)
+            bounded_build_and_search(cs, support, 4, mode)
+        purity_filter(cs)
+    mixed = next(cs for name, cs, _ in FAMILIES if name.startswith("mixed"))
+    with pytest.raises(AssertionError, match="unifier called"):
+        build_graph(mixed)
