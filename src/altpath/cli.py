@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import random
 import re
@@ -301,7 +302,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     budget = None
     if cfg.count_calls and result.neighborhood is not None:
         k = result.neighborhood["atoms"]
-        budget = 2**k
+        budget = _sized(k * math.log10(2), lambda: 2**k)
         lines.append(f"c calls={stats.calls} k={k} budget={budget}")
     lines.append(_VERDICT_LINE[result.verdict])
     if result.verdict == "sat":
@@ -518,13 +519,34 @@ def _occurrence_bound(cs: ClauseSet) -> int:
     return max(counts.values(), default=0)
 
 
-def _growth_budget(n_support: int, b: int, k: int, n: int) -> int:
+def _sized(log10: float, exact) -> int | str:
+    """The integer ``exact()`` whose base-10 logarithm is ``log10``, when its
+    decimal form fits the interpreter's int-to-str digit limit; otherwise
+    "M.MMMe+E" from the logarithm alone, so the huge integer is never built.
+    With the limit switched off the CPython default of 4300 digits applies."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if log10 <= limit:
+        value = exact()
+        if value < 10 ** limit:
+            return value
+    exponent = math.floor(log10)
+    mantissa = round(10 ** (log10 - exponent), 3)
+    if mantissa >= 10:
+        mantissa, exponent = mantissa / 10, exponent + 1
+    return f"{mantissa:.3f}e+{exponent}"
+
+
+def _growth_budget(n_support: int, b: int, k: int, n: int) -> int | str:
     """Worst-case size of the level-n neighborhood when every predicate
     occurs with a given sign in at most b clauses and clauses have at most
-    k literals."""
+    k literals (see ``_sized`` for budgets too long to print)."""
     if n <= 1:
         return n_support
-    return 2 * n_support * b ** (n - 1) * k * (k - 1) ** (n - 2)
+    factors = ((2 * n_support * k, 1), (b, n - 1), (k - 1, n - 2))
+    if any(base == 0 and power for base, power in factors):
+        return 0
+    log10 = sum(power * math.log10(base) for base, power in factors if power)
+    return _sized(log10, lambda: 2 * n_support * b ** (n - 1) * k * (k - 1) ** (n - 2))
 
 
 def cmd_stats(cfg: RunConfig) -> int:
@@ -770,6 +792,10 @@ def main(argv=None) -> int:
     except KeyError as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply (maximum recursion depth exceeded)",
+              file=sys.stderr)
         return 2
 
 

@@ -8,11 +8,17 @@ occurrences (the leading literal).  When no stepping atom occurs in the
 remaining clauses the branch is done as far as the support set can tell;
 ``trusted`` mode calls that satisfiable outright, which is sound whenever the
 input minus the support clauses is satisfiable on its own, while ``fallback``
-mode hands the leftovers to the plain solver and stays unconditionally
+mode hands the leftovers to a plain sub-solve and stays unconditionally
 correct.
 
+Both solvers, and the fallback sub-solve, run one search engine: a
+depth-first splitting search over integer clauses with an explicit stack of
+pending branches and a trail of assigned literals, so input size never turns
+into Python recursion depth.  Plain solving is the engine with a single
+bucket holding every atom.
+
 Restricting the splits this way bounds the work.  On an unsatisfiable input
-whose non-support part is satisfiable, the number of recursive calls stays
+whose non-support part is satisfiable, the number of search nodes stays
 below 2**k, where k counts the distinct atoms of the smallest unsatisfiable
 relevance neighborhood of the support set, however many atoms the whole set
 has.  The bound needs unit propagation over stepping atoms (the default
@@ -26,9 +32,11 @@ relies on; distance computations in the graph module are not affected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
-from altpath.clauses import Clause, ClauseSet, Literal, literal_key
+from altpath.clauses import ClauseSet, Literal, literal_key
 from altpath.graph import (
     INF,
     PROPOSITIONAL_HUB,
@@ -38,7 +46,6 @@ from altpath.graph import (
 )
 
 UNIT_POLICIES = ("off", "relevant_only", "all")
-HEURISTICS = ("max_occurrence", "atom_order")
 MODES = ("fallback", "trusted")
 
 
@@ -50,14 +57,13 @@ class SolverConfig:
     unit clause, "relevant_only" propagates only units over atoms of the
     restricted stepping sequence (plain ``dpll`` has no stepping sequence
     and treats it like "all").
-    heuristic: how to pick among the atoms of the first nonempty bucket.
-    positive_first: branch order within a split.
-    max_calls: abort with verdict "unknown" past this many recursive calls.
+    max_calls: abort with verdict "unknown" past this many search nodes.
+
+    Splits pick the most frequent atom of the first live bucket, the
+    smallest index on ties, and try it true first.
     """
 
     unit_policy: str = "relevant_only"
-    heuristic: str = "max_occurrence"
-    positive_first: bool = True
     max_calls: int | None = None
 
     def __post_init__(self) -> None:
@@ -65,18 +71,14 @@ class SolverConfig:
             raise ValueError(
                 f"unit_policy must be one of {UNIT_POLICIES}, got {self.unit_policy!r}"
             )
-        if self.heuristic not in HEURISTICS:
-            raise ValueError(
-                f"heuristic must be one of {HEURISTICS}, got {self.heuristic!r}"
-            )
 
 
 @dataclass
 class SolveStats:
-    calls: int = 0           # recursive calls of the primary engine
+    calls: int = 0           # search nodes entered by the primary search
     splits: int = 0
     unit_props: int = 0
-    fallback_calls: int = 0  # calls spent in plain sub-solves under dpll_rel
+    fallback_calls: int = 0  # search nodes of the plain sub-solves under dpll_rel
 
 
 @dataclass
@@ -98,42 +100,6 @@ class SolveResult:
         )
 
 
-def count_calls(result: SolveResult) -> int:
-    """Recursive invocations of the primary engine during the run."""
-    return result.stats.calls
-
-
-class _CallLimit(Exception):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# Clause-level assignment, ids kept
-
-
-def cofactor(cs: ClauseSet, assigned: Literal) -> ClauseSet:
-    """The clause set after making one literal true: clauses containing it
-    drop out, its complement is deleted elsewhere.  Ids are preserved; a
-    clause reduced to nothing stays as the empty clause."""
-    complement = assigned.negated()
-    clauses: list[Clause] = []
-    for c in cs.clauses:
-        if assigned in c.literals:
-            continue
-        if complement in c.literals:
-            clauses.append(Clause(c.id, tuple(l for l in c.literals if l != complement)))
-        else:
-            clauses.append(c)
-    keep = {c.id for c in clauses}
-    return ClauseSet(
-        clauses,
-        {i: r for i, r in cs.roles.items() if i in keep},
-        {i: n for i, n in cs.names.items() if i in keep},
-        dict(cs.predicates),
-        dict(cs.functions),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Stepping sequences
 
@@ -143,34 +109,13 @@ class SteppingSequence:
     """Atoms grouped by the distance of their closest clause from the
     support set.  An atom stands for both the literal and its complement
     (their distances agree by definition).  Bucket positions are meaningful
-    and survive restriction; atoms of unreachable clauses appear in no
-    bucket."""
+    and survive restriction to the atoms still occurring during search;
+    atoms of unreachable clauses appear in no bucket."""
 
     buckets: tuple[tuple[Literal, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return sum(len(b) for b in self.buckets)
-
     def atoms(self) -> list[Literal]:
         return [a for b in self.buckets for a in b]
-
-    def first_nonempty(self) -> int | None:
-        for i, b in enumerate(self.buckets):
-            if b:
-                return i
-        return None
-
-    def restrict(self, remaining: ClauseSet) -> "SteppingSequence":
-        """Intersect every bucket with the atoms occurring in the given
-        clause set, keeping bucket positions."""
-        keep = set(remaining.atoms())
-        return SteppingSequence(
-            tuple(tuple(a for a in b if a in keep) for b in self.buckets)
-        )
-
-    def truncate(self, m: int) -> "SteppingSequence":
-        return SteppingSequence(self.buckets[:m])
 
     def __str__(self) -> str:
         rows = []
@@ -203,26 +148,6 @@ def stepping_sequence(cs: ClauseSet, support_ids,
     for atom, d in best.items():
         buckets[int(d) - 1].append(atom)
     return SteppingSequence(tuple(tuple(sorted(b, key=literal_key)) for b in buckets))
-
-
-def leading_literal(stepr: SteppingSequence, remaining: ClauseSet,
-                    heuristic: str = "max_occurrence") -> Literal:
-    """An atom from the first nonempty bucket; the heuristic only
-    arbitrates inside that bucket.  Callers choose the polarity."""
-    if heuristic not in HEURISTICS:
-        raise ValueError(f"heuristic must be one of {HEURISTICS}, got {heuristic!r}")
-    first = stepr.first_nonempty()
-    if first is None:
-        raise ValueError("empty stepping sequence has no leading literal")
-    bucket = stepr.buckets[first]
-    if heuristic == "atom_order":
-        return bucket[0]
-    counts: dict[Literal, int] = {a: 0 for a in bucket}
-    for c in remaining.clauses:
-        for lit in c.literals:
-            if lit.atom in counts:
-                counts[lit.atom] += 1
-    return min(bucket, key=lambda a: (-counts[a], literal_key(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +201,7 @@ def neighborhood_counts(neighborhood: ClauseSet) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Integer core shared by both solvers.  Atom i of ClauseSet.atoms() becomes
+# Search engine shared by both solvers.  Atom i of ClauseSet.atoms() becomes
 # index i+1; clauses become tuples of signed indices; tautologies are
 # deleted.
 
@@ -306,145 +231,105 @@ def _assign(clauses: list[tuple[int, ...]], lit: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _pick(clauses, cfg: SolverConfig, candidates=None) -> int:
-    if cfg.heuristic == "atom_order":
-        return min(candidates) if candidates is not None else \
-            min(abs(l) for cl in clauses for l in cl)
-    counts: dict[int, int] = {}
-    for cl in clauses:
-        for l in cl:
-            v = abs(l)
-            counts[v] = counts.get(v, 0) + 1
-    pool = counts if candidates is None else {v: counts.get(v, 0) for v in candidates}
-    # max count, then smallest index, keeps runs reproducible
-    return min(pool, key=lambda v: (-pool[v], v))
-
-
-def _bump(stats: SolveStats, cfg: SolverConfig) -> None:
-    stats.calls += 1
-    if cfg.max_calls is not None and stats.calls > cfg.max_calls:
-        raise _CallLimit
-
-
-def _dpll_ints(clauses, assignment: dict[int, bool], cfg: SolverConfig,
-               stats: SolveStats) -> bool:
-    _bump(stats, cfg)
-    made: list[int] = []
-
-    def undo() -> None:
-        for v in made:
-            del assignment[v]
-
+def _search(clauses: list[tuple[int, ...]], bucket_of: dict[int, int],
+            trusted: bool, cfg: SolverConfig, stats: SolveStats,
+            trail: list[int]) -> str:
+    """Depth-first splitting search that branches only on atoms of
+    ``bucket_of`` (atom index -> stepping bucket).  Each node propagates
+    units, then splits on the leading atom: true first, its false branch
+    kept on an explicit stack of pending branches.  Literals made true are
+    appended to ``trail``, which holds the model on "sat" and is restored
+    otherwise.  A node whose clauses hold no bucket atom is accepted when
+    ``trusted``, else its leftovers get a plain sub-solve (one bucket of
+    all their atoms, which never reaches this case again) with its own
+    counters and call budget.  Returns "sat", "unsat" or "unknown"."""
+    base = len(trail)
+    units_on = cfg.unit_policy != "off"
+    all_units = cfg.unit_policy == "all"
+    pending: list[tuple[list[tuple[int, ...]], int, int, int]] = []
+    prev_size = len(bucket_of) + 1
+    node = clauses
     while True:
-        if any(not cl for cl in clauses):
-            undo()
-            return False
-        if not clauses:
-            return True
-        unit = next((cl[0] for cl in clauses if len(cl) == 1), None) \
-            if cfg.unit_policy != "off" else None
-        if unit is None:
-            break
-        assignment[abs(unit)] = unit > 0
-        made.append(abs(unit))
-        stats.unit_props += 1
-        clauses = _assign(clauses, unit)
+        stats.calls += 1
+        if cfg.max_calls is not None and stats.calls > cfg.max_calls:
+            return "unknown"
+        ok = None
+        while True:
+            if () in node:  # an empty clause
+                ok = False
+                break
+            if not node:
+                ok = True
+                break
+            # a unit's atom occurs, so bucket membership is exactly the
+            # relevant_only test
+            unit = next((cl[0] for cl in node if len(cl) == 1
+                         and (all_units or abs(cl[0]) in bucket_of)), None) \
+                if units_on else None
+            if unit is None:
+                break
+            trail.append(unit)
+            stats.unit_props += 1
+            node = _assign(node, unit)
+        if ok is None:
+            counts = Counter(map(abs, chain.from_iterable(node)))
+            live = [v for v in counts if v in bucket_of]
+            if live:
+                assert len(live) < prev_size, "restricted sequence must shrink per call"
+                # first live bucket, then max count, then smallest index
+                first = min(map(bucket_of.__getitem__, live))
+                lead = [v for v in live if bucket_of[v] == first]
+                top = max(map(counts.__getitem__, lead))
+                var = min(v for v in lead if counts[v] == top)
+                stats.splits += 1
+                pending.append((node, -var, len(trail), len(live)))
+                prev_size = len(live)
+                trail.append(var)
+                node = _assign(node, var)
+                continue
+            if trusted:
+                ok = True  # partial model: leftovers never touch stepping atoms
+            else:
+                sub = SolveStats()
+                verdict = _search(node, dict.fromkeys(counts, 0), False,
+                                  replace(cfg, unit_policy="all" if units_on else "off"),
+                                  sub, trail)
+                if verdict == "unknown":
+                    return verdict
+                stats.fallback_calls += sub.calls
+                stats.splits += sub.splits
+                stats.unit_props += sub.unit_props
+                ok = verdict == "sat"
+        if ok:
+            return "sat"
+        if not pending:
+            del trail[base:]
+            return "unsat"
+        node, lit, mark, prev_size = pending.pop()
+        del trail[mark:]
+        trail.append(lit)
+        node = _assign(node, lit)
 
-    var = _pick(clauses, cfg)
-    stats.splits += 1
-    for positive in ((True, False) if cfg.positive_first else (False, True)):
-        lit = var if positive else -var
-        assignment[var] = positive
-        if _dpll_ints(_assign(clauses, lit), assignment, cfg, stats):
-            return True
-        del assignment[var]
-    undo()
-    return False
+
+def _solve(atoms: list[Literal], clauses: list[tuple[int, ...]],
+           bucket_of: dict[int, int], trusted: bool, cfg: SolverConfig,
+           counts: dict[str, int] | None = None) -> SolveResult:
+    stats = SolveStats()
+    trail: list[int] = []
+    verdict = _search(clauses, bucket_of, trusted, cfg, stats, trail)
+    model = {atoms[abs(l) - 1]: l > 0 for l in trail} if verdict == "sat" else {}
+    return SolveResult(verdict, model, stats, counts)
 
 
 def dpll(cs: ClauseSet, config: SolverConfig | None = None) -> SolveResult:
     """Plain splitting solver, unrestricted branching."""
-    cfg = config or SolverConfig()
     atoms, clauses = _encode(cs)
-    stats = SolveStats()
-    assignment: dict[int, bool] = {}
-    try:
-        sat = _dpll_ints(clauses, assignment, cfg, stats)
-    except _CallLimit:
-        return SolveResult("unknown", {}, stats)
-    model = {atoms[v - 1]: val for v, val in assignment.items()} if sat else {}
-    return SolveResult("sat" if sat else "unsat", model, stats)
+    return _solve(atoms, clauses, dict.fromkeys(range(1, len(atoms) + 1), 0), False,
+                  config or SolverConfig())
 
 
 # ---------------------------------------------------------------------------
 # Relevance-restricted solving
-
-
-def _rel_rec(clauses, assignment: dict[int, bool], step_order: list[int],
-             bucket_of: dict[int, int], trusted: bool, cfg: SolverConfig,
-             stats: SolveStats, prev_size: int) -> bool:
-    _bump(stats, cfg)
-    made: list[int] = []
-    seen_size: int | None = None
-
-    def undo() -> None:
-        for v in made:
-            del assignment[v]
-
-    while True:
-        if any(not cl for cl in clauses):
-            undo()
-            return False
-        if not clauses:
-            return True
-        occurring = {abs(l) for cl in clauses for l in cl}
-        stepr = [v for v in step_order if v in occurring]
-        if seen_size is None:
-            seen_size = len(stepr)
-            assert seen_size < prev_size, "restricted sequence must shrink per call"
-        unit = None
-        if cfg.unit_policy == "all":
-            unit = next((cl[0] for cl in clauses if len(cl) == 1), None)
-        elif cfg.unit_policy == "relevant_only":
-            live = set(stepr)
-            unit = next(
-                (cl[0] for cl in clauses if len(cl) == 1 and abs(cl[0]) in live),
-                None,
-            )
-        if unit is None:
-            break
-        assignment[abs(unit)] = unit > 0
-        made.append(abs(unit))
-        stats.unit_props += 1
-        clauses = _assign(clauses, unit)
-
-    if not stepr:
-        if trusted:
-            return True  # partial model: leftovers never touch stepping atoms
-        sub = SolveStats()
-        sub_cfg = SolverConfig("all" if cfg.unit_policy != "off" else "off",
-                               cfg.heuristic, cfg.positive_first, cfg.max_calls)
-        ok = _dpll_ints(clauses, assignment, sub_cfg, sub)
-        stats.fallback_calls += sub.calls
-        stats.splits += sub.splits
-        stats.unit_props += sub.unit_props
-        if not ok:
-            undo()
-        return ok
-
-    first = bucket_of[stepr[0]]
-    candidates = [v for v in stepr if bucket_of[v] == first]
-    var = _pick(clauses, cfg, candidates)
-    stats.splits += 1
-    for positive in ((True, False) if cfg.positive_first else (False, True)):
-        lit = var if positive else -var
-        assignment[var] = positive
-        if _rel_rec(_assign(clauses, lit), assignment, step_order, bucket_of,
-                    trusted, cfg, stats, len(stepr)):
-            return True
-        del assignment[var]
-    undo()
-    return False
 
 
 def dpll_rel(cs: ClauseSet, support_ids=None, config: SolverConfig | None = None,
@@ -457,11 +342,10 @@ def dpll_rel(cs: ClauseSet, support_ids=None, config: SolverConfig | None = None
     contain no stepping atom is accepted as satisfiable without inspection;
     the verdict is then only reliable when the input minus the support
     clauses is satisfiable.  The default "fallback" mode sends such
-    leftovers through the plain solver and the verdict is unconditional.
+    leftovers through a plain sub-solve and the verdict is unconditional.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    cfg = config or SolverConfig()
     if step is None:
         if support_ids is None:
             raise ValueError("need either support_ids or a stepping sequence")
@@ -476,24 +360,11 @@ def dpll_rel(cs: ClauseSet, support_ids=None, config: SolverConfig | None = None
         counts = None
     atoms, clauses = _encode(cs)
     index = {atom: i + 1 for i, atom in enumerate(atoms)}
-    step_order: list[int] = []
-    bucket_of: dict[int, int] = {}
-    for b, bucket in enumerate(step.buckets):
-        for atom in bucket:
-            v = index.get(atom)
-            if v is None:  # atom only occurs in tautologies, nothing to split
-                continue
-            step_order.append(v)
-            bucket_of[v] = b
-    stats = SolveStats()
-    assignment: dict[int, bool] = {}
-    try:
-        sat = _rel_rec(clauses, assignment, step_order, bucket_of,
-                       mode == "trusted", cfg, stats, len(step_order) + 1)
-    except _CallLimit:
-        return SolveResult("unknown", {}, stats, counts)
-    model = {atoms[v - 1]: val for v, val in assignment.items()} if sat else {}
-    return SolveResult("sat" if sat else "unsat", model, stats, counts)
+    # atoms that only occur in tautologies have no index: nothing to split
+    bucket_of = {index[atom]: b for b, bucket in enumerate(step.buckets)
+                 for atom in bucket if atom in index}
+    return _solve(atoms, clauses, bucket_of, mode == "trusted", config or SolverConfig(),
+                  counts)
 
 
 def partial_model_covers(cs: ClauseSet, result: SolveResult,

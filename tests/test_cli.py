@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import altpath.cli
-from altpath.cli import EXIT_SAT, EXIT_UNSAT, EXIT_UNKNOWN, main
+from altpath.cli import EXIT_SAT, EXIT_UNSAT, EXIT_UNKNOWN, _growth_budget, main
+from altpath.clauses import Literal
+from altpath.dpll import SolveResult, partial_model_covers, stepping_sequence
 from altpath.generators import random_3sat
 from altpath.graph import bfs_from_support, build_graph
 from altpath.parsing import parse_dimacs, parse_tptp, print_dimacs
@@ -298,6 +300,31 @@ def test_stats_json(tree, capsys):
     assert payload["k"] == 4
 
 
+def test_growth_budget_exact_while_it_prints():
+    assert _growth_budget(1, 6, 3, 2000) == 6 * 6**1999 * 2**1998
+    assert _growth_budget(1, 6, 1, 3) == 0
+    # past the int-to-str digit limit: mantissa and exponent from logarithms
+    mantissa, exponent = _growth_budget(1, 6, 3, 5000).split("e+")
+    exact = 6 * 6**4999 * 2**4998
+    assert 10 ** int(exponent) <= exact < 10 ** (int(exponent) + 1)
+    assert abs(exact // 10 ** (int(exponent) - 3) - round(float(mantissa) * 1000)) <= 1
+
+
+@pytest.fixture(scope="module")
+def big_easy(tmp_path_factory):
+    # 1500 random 3-clauses over 3000 atoms: easy, but a solver that
+    # recursed once per decision would go about a thousand frames deep
+    path = tmp_path_factory.mktemp("big") / "g.cnf"
+    assert main(["gen", "3sat", "--vars", "3000", "--clauses", "1500", "--seed", "1",
+                 "-o", str(path)]) == 0
+    return str(path)
+
+
+def test_stats_budget_past_the_digit_limit(big_easy, capsys):
+    assert main(["stats", big_easy, "--bound", "5000", "--support", "ids:1"]) == 0
+    assert "size budget at 5000: 2.015e+5395" in capsys.readouterr().out
+
+
 def _full_search(cs, support, k, mode):
     return bfs_from_support(build_graph(cs, mode), support)
 
@@ -410,3 +437,52 @@ def test_module_invocation_round_trip(tree):
     )
     assert proc.returncode == 0
     assert "support radius: 4" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# no input ends in a traceback or in solver recursion
+
+_LOW_RECURSION_LIMIT = (
+    "import sys; sys.setrecursionlimit(200); "
+    "from altpath.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def _run_cli(argv, code=None):
+    head = ["-c", code] if code else ["-m", "altpath.cli"]
+    return subprocess.run([sys.executable, *head, *argv], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("extra", [[], ["--trusted"], ["--no-relevance"]],
+                         ids=["fallback", "trusted", "plain"])
+def test_large_easy_set_solves_at_a_low_recursion_limit(big_easy, extra):
+    proc = _run_cli(["solve", big_easy, "--support", "ids:1", "--json"] + extra,
+                    _LOW_RECURSION_LIMIT)
+    assert proc.returncode == EXIT_SAT, proc.stderr
+    model = {Literal(True, a): v for a, v in json.loads(proc.stdout)["model"].items()}
+    result = SolveResult("sat", model)
+    with open(big_easy) as fh:
+        cs = parse_dimacs(fh.read())
+    if extra == ["--trusted"]:
+        # a trusted model leaves the clauses the support set cannot reach
+        assert partial_model_covers(cs, result, stepping_sequence(cs, [1]))
+    else:
+        assert result.satisfies(cs)
+
+
+@pytest.mark.parametrize("command, code", [("radius", 0), ("deepen", EXIT_SAT)])
+def test_large_easy_set_levels_at_a_low_recursion_limit(big_easy, command, code):
+    proc = _run_cli([command, big_easy, "--support", "ids:1"], _LOW_RECURSION_LIMIT)
+    assert proc.returncode == code, proc.stderr
+
+
+def test_deeply_nested_term_exits_2_without_traceback(tmp_path):
+    term = "a"
+    for _ in range(3000):
+        term = f"f({term})"
+    path = tmp_path / "deep.p"
+    path.write_text(f"cnf(c1, axiom, (p({term}))).\ncnf(c2, negated_conjecture, (~p(X))).\n")
+    proc = _run_cli(["filter", str(path), "-n", "2", "--support", "ids:1"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1

@@ -6,11 +6,9 @@ from altpath.clauses import ClauseSet, Literal
 from altpath.dpll import (
     SolveResult,
     SolverConfig,
-    cofactor,
-    count_calls,
+    SteppingSequence,
     dpll,
     dpll_rel,
-    leading_literal,
     neighborhood_counts,
     partial_model_covers,
     stepping_sequence,
@@ -18,45 +16,13 @@ from altpath.dpll import (
     support_radius,
 )
 from altpath.graph import INF
-from tests.test_graph import ground_set, lit
+from tests.test_graph import ground_set
 
 from oracles import clause_set_sat
 
 
 def atom(name: str) -> Literal:
     return Literal(True, name)
-
-
-# ---------------------------------------------------------------------------
-# cofactor
-
-
-def test_cofactor_deletes_and_strips():
-    cs = ground_set("p q", "~p r")
-    out = cofactor(cs, lit("p"))
-    assert out.ids() == [2]
-    assert str(out.by_id(2)) == "r"
-
-
-def test_cofactor_absent_literal_is_identity():
-    cs = ground_set("p q", "~p r")
-    once = cofactor(cs, lit("p"))
-    again = cofactor(once, lit("~p"))
-    assert str(once) == str(again)
-
-
-def test_cofactor_keeps_empty_clause():
-    cs = ground_set("~p", "q")
-    out = cofactor(cs, lit("p"))
-    assert out.by_id(1).is_empty
-    assert out.ids() == [1, 2]
-
-
-def test_cofactor_preserves_roles():
-    cs = ClauseSet.from_groups([[lit("p"), lit("q")], [lit("~q")]])
-    cs.roles[2] = "negated_conjecture"
-    out = cofactor(cs, lit("p"))
-    assert out.roles == {2: "negated_conjecture"}
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +101,8 @@ def test_dpll_config_variants_agree(seed):
 
     cs = random_ground(rng, n_atoms=5, n_clauses=14)
     verdicts = {
-        dpll(cs, SolverConfig(unit_policy=u, heuristic=h, positive_first=p)).verdict
-        for u in ("off", "all")
-        for h in ("max_occurrence", "atom_order")
-        for p in (True, False)
+        dpll(cs, SolverConfig(unit_policy=u)).verdict
+        for u in ("off", "relevant_only", "all")
     }
     assert len(verdicts) == 1
 
@@ -146,8 +110,6 @@ def test_dpll_config_variants_agree(seed):
 def test_config_validation():
     with pytest.raises(ValueError, match="unit_policy"):
         SolverConfig(unit_policy="sometimes")
-    with pytest.raises(ValueError, match="heuristic"):
-        SolverConfig(heuristic="random")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +120,6 @@ def test_stepping_sequence_chain():
     cs = ground_set("p", "~p q", "~q")
     step = stepping_sequence(cs, [1])
     assert step.buckets == ((atom("p"),), (atom("q"),))
-    assert step.size == 2
 
 
 def test_stepping_sequence_support_everything():
@@ -174,43 +135,47 @@ def test_stepping_sequence_skips_unreachable_atoms():
     assert step.atoms() == [atom("p"), atom("q")]
 
 
+def _split_order(cs: ClauseSet, step: SteppingSequence) -> dict[Literal, bool]:
+    # without units, trusted mode assigns nothing but its splits, true first,
+    # so the model shows which atoms were split and in which order
+    res = dpll_rel(cs, step=step, config=SolverConfig(unit_policy="off"), mode="trusted")
+    assert res.verdict == "sat"
+    return res.model
+
+
 def test_restrict_by_clause_set():
-    cs = ground_set("p", "~p q", "~q")
-    step = stepping_sequence(cs, [1])
-    assert step.restrict(cs).buckets == step.buckets
-    empty = ClauseSet.from_groups([])
-    assert step.restrict(empty).size == 0
-    shrunk = step.restrict(cofactor(cs, lit("p")))
-    assert shrunk.buckets == ((), (atom("q"),))
-    assert shrunk.first_nonempty() == 1
-    assert shrunk.size == 1
+    # once p is true, bucket 0 has no live atom left and the split moves to
+    # bucket 1 (q) although r, deeper down, occurs more often
+    step = SteppingSequence(((atom("p"),), (atom("q"),), (atom("r"),)))
+    cs = ground_set("p q", "~p q r", "~p ~q r", "~p r")
+    assert list(_split_order(cs, step).items()) == [
+        (atom("p"), True), (atom("q"), True), (atom("r"), True)]
 
 
 def test_leading_literal_first_nonempty_bucket():
-    from altpath.dpll import SteppingSequence
-
+    # splitting on r first would satisfy both clauses at once
     step = SteppingSequence(((), (atom("q"),), (atom("r"),)))
     cs = ground_set("q r", "r")
-    assert leading_literal(step, cs) == atom("q")
+    assert _split_order(cs, step) == {atom("q"): True, atom("r"): True}
 
 
 def test_leading_literal_max_occurrence_and_ties():
-    from altpath.dpll import SteppingSequence
-
     step = SteppingSequence(((atom("a"), atom("b")),))
-    cs = ground_set("a b", "~b c", "b c", "~c a")
-    # b occurs 3 times, a twice
-    assert leading_literal(step, cs) == atom("b")
+    # b occurs 3 times, a twice: b alone satisfies everything
+    cs = ground_set("a b", "b ~a", "b x")
+    assert _split_order(cs, step) == {atom("b"): True}
+    # a tie goes to the smaller index, then ~b is forced by backtracking
     tied = ground_set("a b", "~a ~b")
-    assert leading_literal(step, tied) == atom("a")
-    assert leading_literal(step, cs, heuristic="atom_order") == atom("a")
+    assert list(_split_order(tied, step).items()) == [(atom("a"), True), (atom("b"), False)]
 
 
-def test_leading_literal_empty_errors():
-    from altpath.dpll import SteppingSequence
-
-    with pytest.raises(ValueError, match="empty stepping sequence"):
-        leading_literal(SteppingSequence(()), ClauseSet.from_groups([]))
+def test_empty_stepping_sequence_has_no_leading_literal():
+    cs = ground_set("p", "~p")
+    trusted = dpll_rel(cs, step=SteppingSequence(()), mode="trusted")
+    assert trusted.verdict == "sat" and trusted.model == {}
+    assert (trusted.stats.calls, trusted.stats.splits) == (1, 0)
+    fallback = dpll_rel(cs, step=SteppingSequence(()))
+    assert fallback.verdict == "unsat" and fallback.stats.fallback_calls == 1
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +256,7 @@ def test_dpll_rel_mode_validation():
 def test_count_calls_and_neighborhood_counts():
     cs = ground_set("p", "~p")
     res = dpll_rel(cs, [1])
-    assert count_calls(res) == res.stats.calls >= 1
+    assert res.stats.calls >= 1
     assert res.neighborhood == {"occurrences": 2, "literals": 2, "atoms": 1}
 
 
@@ -393,3 +358,81 @@ def test_satisfies_reports_partial_gaps():
     bad = SolveResult("sat", {atom("p"): False})
     assert good.satisfies(cs)
     assert not bad.satisfies(cs)
+
+
+# ---------------------------------------------------------------------------
+# golden solver statistics
+#
+# Verdict, call/split/unit/fallback counts and the sorted model of every run
+# below were recorded once and are pinned as one digest per family.  The
+# counts carry the 2**k call-bound meaning, so any engine change must leave
+# them untouched.  Without unit propagation the search can visit 2**n
+# nodes, so those runs take a 2000-call budget in place of none.
+
+
+def _pigeonhole(pigeons: int) -> ClauseSet:
+    holes = pigeons - 1
+    rows = [" ".join(f"x{p}_{h}" for h in range(holes)) for p in range(pigeons)]
+    rows += [f"~x{p}_{h} ~x{q}_{h}" for h in range(holes)
+             for p in range(pigeons) for q in range(p + 1, pigeons)]
+    return ground_set(*rows)
+
+
+def _detached_tail(seed: int) -> ClauseSet:
+    # a small contradiction at the support clause plus a satisfiable chain
+    # that no alternating path from the support reaches
+    rng = random.Random(seed)
+    core = ["p", "~p q", "~p ~q r", "~r ~q"]
+    n = rng.randint(20, 40)
+    tail = [f"{rng.choice(('', '~'))}t{i} {rng.choice(('', '~'))}t{i + 1}"
+            for i in range(1, n)]
+    return ground_set(*core, *tail)
+
+
+def _golden_corpus() -> dict[str, list[tuple[ClauseSet, list[int]]]]:
+    from altpath.generators import horn_tree, random_3sat
+
+    sat3 = [random_3sat(random.Random(9000 + n), n, round(4.3 * n))
+            for n in (20, 25, 30, 35, 40, 45)]
+    return {
+        "3sat": [(cs, [cs.ids()[0]]) for cs in sat3],
+        "pigeonhole": [(_pigeonhole(p), [1]) for p in (4, 5, 6)],
+        "horn": [(horn_tree(d, b), [1]) for d, b in ((3, 2), (4, 2), (2, 3), (6, 1))],
+        "tail": [(_detached_tail(s), [1]) for s in range(4)],
+        "valid": _valid_unsat_instances(8, seed=17),
+    }
+
+
+def _golden_rows(instances) -> list:
+    rows = []
+    for cs, support in instances:
+        for solver in ("dpll", "fallback", "trusted"):
+            for policy in ("off", "relevant_only", "all"):
+                for cap in ((2000, 7) if policy == "off" else (None, 7)):
+                    cfg = SolverConfig(unit_policy=policy, max_calls=cap)
+                    res = dpll(cs, cfg) if solver == "dpll" else \
+                        dpll_rel(cs, support, cfg, mode=solver)
+                    s = res.stats
+                    model = sorted((str(a), v) for a, v in res.model.items())
+                    rows.append([solver, policy, cap, res.verdict, s.calls, s.splits,
+                                 s.unit_props, s.fallback_calls, model])
+    return rows
+
+
+GOLDEN_DIGESTS = {
+    "3sat": "71b97476bbaf1e54",
+    "horn": "fe479004aae2f1f3",
+    "pigeonhole": "8617afe6e640aaeb",
+    "tail": "1a5a7292497d927b",
+    "valid": "a5071ec6d4b5f982",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_DIGESTS))
+def test_golden_solver_stats(family):
+    import hashlib
+    import json
+
+    rows = _golden_rows(_golden_corpus()[family])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    assert digest == GOLDEN_DIGESTS[family]
