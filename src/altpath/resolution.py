@@ -8,7 +8,10 @@ only, and only against supported clauses: a resolvent that repeats an
 unsupported input clause is kept, because unlike the input it may act as the
 supported parent of later steps.  Tautology resolvents are discarded and
 tautology inputs never enter the search; both are sound for refutation
-finding.
+finding.  Partners come from an index of the kept clauses by signed
+literal and are visited in kept order, as a scan of every kept clause
+would meet them, so which duplicate is kept first never depends on the
+index.
 
 Refutations are emitted as explicit resolution sequences: the supported
 input clauses first in id order, then the derivation DAG bottom-up with
@@ -26,12 +29,12 @@ depth against the set-of-support search on goal-tree shaped problems.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from altpath.clauses import Clause, ClauseSet, Literal, literal_key
 from altpath.graph import (
     FIRST_ORDER,
-    INF,
     AlternatingPath,
     DistanceMap,
     bfs_from_support,
@@ -116,11 +119,13 @@ class ResolutionSequence:
 
     def input_ids(self) -> list[int]:
         """Ids of the input clauses, in sequence order, repeats dropped."""
-        seen: list[int] = []
+        ids: list[int] = []
+        seen: set[int] = set()
         for e in self.entries:
             if e.is_input and e.clause.id not in seen:
-                seen.append(e.clause.id)
-        return seen
+                seen.add(e.clause.id)
+                ids.append(e.clause.id)
+        return ids
 
     def proof_depth(self) -> int:
         """Derivation depth of the last clause: inputs count zero, a
@@ -246,13 +251,15 @@ class SosResult:
 
     status is "refuted" (sequence set, ends in the empty clause),
     "saturated" (no new clauses; levels counts the productive levels), or
-    "limit" (clause or level budget exhausted).
+    "limit" (clause or level budget exhausted).  per_level holds the
+    clauses derived at each of the levels, summing to derived_count.
     """
 
     status: str
     sequence: ResolutionSequence | None
     levels: int
     derived_count: int
+    per_level: tuple[int, ...]
 
 
 def _encode_inputs(cs: ClauseSet):
@@ -291,60 +298,82 @@ def sos_refute(
 
     atoms, rows = _encode_inputs(cs)
     records: list[_Rec] = []
+    # signed literal -> ascending ids of the records holding it
+    occurs: dict[int, list[int]] = {}
     seen: dict[frozenset[int], int] = {}
     frontier: list[int] = []
-    for cid, fs in rows:
-        rec = _Rec(fs, cid, None, None, 0, cid in support)
+
+    def keep(rec: _Rec) -> int:
+        idx = len(records)
         records.append(rec)
-        idx = len(records) - 1
-        if rec.supported:
+        for v in rec.fs:
+            occurs.setdefault(v, []).append(idx)
+        return idx
+
+    for cid, fs in rows:
+        idx = keep(_Rec(fs, cid, None, None, 0, cid in support))
+        if records[idx].supported:
             frontier.append(idx)
             seen.setdefault(fs, idx)
         if not fs:
-            return SosResult(REFUTED, _emit_sequence(cs, atoms, records, idx, support), 0, 0)
+            return SosResult(
+                REFUTED, _emit_sequence(cs, atoms, records, idx, support), 0, 0, ()
+            )
 
+    n_inputs = len(records)
     derived = 0
-    level = 0
-    while frontier and level < max_levels:
-        level += 1
+    per_level: list[int] = []
+    while frontier and len(per_level) < max_levels:
+        per_level.append(0)
+        level = len(per_level)
         new_frontier: list[int] = []
         for f_idx in frontier:
             f = records[f_idx]
-            partners = list(range(f_idx))
-            if level == 1:
-                # inputs are not ordered supported-first, so pair forward too
-                partners += [
-                    g for g in range(f_idx + 1, len(rows)) if not records[g].supported
-                ]
-            for g_idx in partners:
+            # complementary partners below f_idx, and at level 1 the
+            # unsupported inputs after it (inputs are not ordered
+            # supported-first), visited by record id and then by the
+            # position of the literal in f
+            pairs: list[tuple[int, int, int]] = []
+            for pos, v in enumerate(f.fs):
+                ids = occurs.get(-v)
+                if not ids:
+                    continue
+                cut = bisect_left(ids, f_idx)
+                pairs += [(g_idx, pos, v) for g_idx in ids[:cut]]
+                if level == 1:
+                    pairs += [
+                        (g_idx, pos, v)
+                        for g_idx in ids[cut : bisect_left(ids, n_inputs)]
+                        if not records[g_idx].supported
+                    ]
+            pairs.sort()
+            for g_idx, _, v in pairs:
                 g = records[g_idx]
-                for v in f.fs:
-                    if -v not in g.fs:
-                        continue
-                    fs_r = (f.fs - {v}) | (g.fs - {-v})
-                    if any(-u in fs_r for u in fs_r):
-                        continue  # tautology
-                    if fs_r in seen:
-                        continue
-                    rec = _Rec(fs_r, None, (f_idx, g_idx), abs(v), level, True)
-                    records.append(rec)
-                    idx = len(records) - 1
-                    seen[fs_r] = idx
-                    derived += 1
-                    if not fs_r:
-                        return SosResult(
-                            REFUTED,
-                            _emit_sequence(cs, atoms, records, idx, support),
-                            level,
-                            derived,
-                        )
-                    new_frontier.append(idx)
-                    if derived >= max_clauses:
-                        return SosResult(LIMIT, None, level, derived)
+                fs_r = (f.fs - {v}) | (g.fs - {-v})
+                if any(-u in fs_r for u in fs_r):
+                    continue  # tautology
+                if fs_r in seen:
+                    continue
+                idx = keep(_Rec(fs_r, None, (f_idx, g_idx), abs(v), level, True))
+                seen[fs_r] = idx
+                derived += 1
+                per_level[-1] += 1
+                if not fs_r:
+                    return SosResult(
+                        REFUTED,
+                        _emit_sequence(cs, atoms, records, idx, support),
+                        level,
+                        derived,
+                        tuple(per_level),
+                    )
+                new_frontier.append(idx)
+                if derived >= max_clauses:
+                    return SosResult(LIMIT, None, level, derived, tuple(per_level))
         if not new_frontier:
-            return SosResult(SATURATED, None, level - 1, derived)
+            per_level.pop()
+            return SosResult(SATURATED, None, level - 1, derived, tuple(per_level))
         frontier = new_frontier
-    return SosResult(LIMIT, None, level, derived)
+    return SosResult(LIMIT, None, len(per_level), derived, tuple(per_level))
 
 
 def _emit_sequence(
@@ -386,12 +415,20 @@ def _emit_sequence(
         if records[idx].cid in support:
             add_input(idx)
 
-    def emit(idx: int) -> None:
+    # post-order over the derivation DAG with an explicit stack: a frame
+    # (idx, step) looks at parent `step` of records[idx] for steps 0 and 1
+    # and emits the clause itself at step 2
+    stack = [] if records[root].parents is None else [(root, 0)]
+    while stack:
+        idx, step = stack.pop()
         rec = records[idx]
-        a, b = rec.parents
-        for p in (a, b):
+        if step < 2:
+            stack.append((idx, step + 1))
+            p = rec.parents[step]
             if records[p].parents is not None and p not in pos:
-                emit(p)
+                stack.append((p, 0))
+            continue
+        a, b = rec.parents
         for p in (a, b):
             if p not in pos:
                 add_input(p)
@@ -405,11 +442,8 @@ def _emit_sequence(
         )
         pos[idx] = len(entries)
 
-    if records[root].parents is None:
-        if root not in pos:
-            add_input(root)
-    else:
-        emit(root)
+    if root not in pos and records[root].parents is None:
+        add_input(root)
     return ResolutionSequence(tuple(entries))
 
 
@@ -459,20 +493,16 @@ def linear_sequence_from_path(
 # Positive hyper-resolution for Horn sets
 
 
-def _check_horn(cs: ClauseSet) -> None:
-    if not cs.is_ground():
-        raise ValueError("hyper-resolution forward chaining requires a variable-free set")
-    for c in cs.clauses:
-        if sum(1 for l in c.literals if l.positive) > 1:
-            raise ValueError(f"clause c{c.id} has two positive literals; the set is not Horn")
-
-
 def hyper_resolution_levels(cs: ClauseSet) -> int | None:
     """Levels of positive hyper-resolution until the empty clause on a
     ground Horn set, or None when forward chaining reaches a fixpoint
     without contradiction.  Facts present as input units are level 0.
     """
-    _check_horn(cs)
+    if not cs.is_ground():
+        raise ValueError("hyper-resolution forward chaining requires a variable-free set")
+    for c in cs.clauses:
+        if sum(1 for l in c.literals if l.positive) > 1:
+            raise ValueError(f"clause c{c.id} has two positive literals; the set is not Horn")
     facts: set[Literal] = set()
     rules: list[tuple[frozenset[Literal], Literal | None]] = []
     for c in cs.clauses:
@@ -497,77 +527,3 @@ def hyper_resolution_levels(cs: ClauseSet) -> int | None:
         if not new:
             return None
         facts |= new
-
-
-@dataclass
-class HyperDepthReport:
-    """Comparison of set-of-support search depth against positive
-    hyper-resolution levels on the same Horn set."""
-
-    clause_count: int
-    support_size: int
-    sos_status: str
-    sos_resolutions: int | None
-    sos_depth: int | None
-    hyper_levels: int | None
-    max_input_distance: float | None
-
-    def text(self) -> str:
-        lines = [f"clauses: {self.clause_count}  support clauses: {self.support_size}"]
-        if self.sos_status == REFUTED:
-            lines.append(
-                f"set-of-support search: refuted, {self.sos_resolutions} resolutions, "
-                f"proof depth {self.sos_depth}"
-            )
-        else:
-            lines.append(f"set-of-support search: {self.sos_status}")
-        if self.hyper_levels is None:
-            lines.append("positive hyper-resolution: no contradiction")
-        else:
-            lines.append(
-                f"positive hyper-resolution: contradiction at level {self.hyper_levels}"
-            )
-        if self.max_input_distance is not None:
-            d = self.max_input_distance
-            lines.append(
-                "deepest input clause distance from support: "
-                f"{'inf' if d == INF else int(d)}"
-            )
-        if self.sos_status == REFUTED and self.hyper_levels is not None:
-            lines.append(
-                f"depth contrast: {self.hyper_levels} hyper-resolution levels vs "
-                f"{self.sos_depth} set-of-support proof depth"
-            )
-        return "\n".join(lines)
-
-
-def hyper_depth_demo(
-    cs: ClauseSet,
-    support_ids,
-    max_clauses: int = MAX_KEPT_CLAUSES,
-    max_levels: int = MAX_LEVELS,
-) -> HyperDepthReport:
-    """Run both engines on a Horn set with an all-negative support set and
-    report the depth contrast between them."""
-    _check_horn(cs)
-    support = frozenset(support_ids)
-    for cid in support:
-        if any(l.positive for l in cs.by_id(cid).literals):
-            raise ValueError(f"support clause c{cid} is not all-negative")
-    sos = sos_refute(cs, support, max_clauses=max_clauses, max_levels=max_levels)
-    resolutions = depth = None
-    max_dist: float | None = None
-    if sos.status == REFUTED:
-        resolutions = sos.sequence.resolution_count
-        depth = sos.sequence.proof_depth()
-        dmap = bfs_from_support(build_graph(cs, FIRST_ORDER), support)
-        max_dist = max(dmap.distance(cid) for cid in sos.sequence.input_ids())
-    return HyperDepthReport(
-        clause_count=len(cs),
-        support_size=len(support),
-        sos_status=sos.status,
-        sos_resolutions=resolutions,
-        sos_depth=depth,
-        hyper_levels=hyper_resolution_levels(cs),
-        max_input_distance=max_dist,
-    )

@@ -17,7 +17,6 @@ from altpath.resolution import (
     ResolutionSequence,
     SequenceEntry,
     format_sequence,
-    hyper_depth_demo,
     hyper_resolution_levels,
     linear_sequence_from_path,
     resolve,
@@ -276,6 +275,30 @@ def test_sos_keeps_resolvent_that_repeats_unsupported_input():
     assert sorted(res.sequence.input_ids()) == [1, 2, 4]
 
 
+def test_sos_counts_derived_clauses_per_level():
+    res = sos_refute(goal_tree_11(), [1])
+    assert res.per_level == (1, 3, 9, 16, 24, 27, 23, 15, 6, 1)
+    assert sum(res.per_level) == res.derived_count == 125
+    # c2 and c3 each resolve with c1, giving q r and p r s; level 2 keeps
+    # r s from q r and c3 and drops the same clause from p r s and c2
+    res = sos_refute(ground_set("p q r", "~p", "~q s"), [2, 3])
+    assert res.status == SATURATED
+    assert res.levels == 2
+    assert res.per_level == (2, 1)
+    assert res.derived_count == 3
+
+
+def test_sos_refutes_a_long_implication_chain():
+    # one resolvent per level; the emitted derivation is 1501 deep
+    n = 1500
+    cs = ground_set("~p0", *(f"p{i} ~p{i + 1}" for i in range(n)), f"p{n}")
+    res = sos_refute(cs, [1], max_levels=5000)
+    assert res.status == REFUTED
+    assert res.per_level == (1,) * (n + 1)
+    validate_sequence(res.sequence, cs, [1])
+    assert res.sequence.proof_depth() == n + 1
+
+
 def test_sos_handles_empty_input_clause():
     cs = ClauseSet.from_clauses([Clause(1, ()), Clause(2, (lit("p"),))])
     res = sos_refute(cs, [2])
@@ -342,6 +365,65 @@ def test_used_inputs_contain_a_tightly_connected_unsat_core():
         for cid in core_ids:
             dmap = bfs_from_support(graph, [cid])
             assert all(dmap.distance(d) <= bound for d in core_ids)
+
+
+# ---------------------------------------------------------------------------
+# golden set-of-support results
+#
+# Status, levels, derived count and the emitted sequence text of every run
+# below were recorded once and are pinned as one digest per family.  The
+# order in which partners are visited decides which resolvent is kept first,
+# so any change to the saturation loop that reorders them shows here.
+
+
+def _golden_sos_corpus():
+    from altpath.generators import random_3sat
+    from tests.test_dpll import _pigeonhole, _valid_unsat_instances
+
+    rng = random.Random(31)
+    sat = []
+    while len(sat) < 30:
+        cs = random_ground(rng, n_atoms=rng.randint(4, 7), n_clauses=rng.randint(4, 12))
+        if clause_set_sat(cs):
+            sat.append((cs, [cs.ids()[0]], {}))
+    sat += [(random_3sat(random.Random(n), n, 2 * n), [1], {"max_clauses": 3000})
+            for n in (20, 30)]
+    php = []
+    for p in (3, 4, 5):
+        cs = _pigeonhole(p)
+        php += [(cs, [1], {"max_clauses": 3000}), (cs, [len(cs)], {"max_clauses": 3000})]
+    return {
+        "horn": [(horn_tree(d, b), [1], {}) for d, b in ((2, 2), (3, 2), (2, 3), (6, 1))]
+        + [(horn_tree(4, 2), [1], {"max_clauses": 2000}),
+           (horn_tree(4, 2), [1], {"max_levels": 6})],
+        "unsat": [(cs, sup, {}) for cs, sup in _valid_unsat_instances(30, seed=23)],
+        "sat": sat,
+        "pigeonhole": php,
+        "repeat": [(ground_set("p", "~p q", "q", "~q"), [1], {})],
+    }
+
+
+GOLDEN_SOS_DIGESTS = {
+    "horn": "ebb6175d0f9b35f6",
+    "pigeonhole": "782c3af1707d4dbb",
+    "repeat": "a7b76a7d0fddb23e",
+    "sat": "58e9f0bdb63c9c1f",
+    "unsat": "dd8fe53b3d8616d4",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_SOS_DIGESTS))
+def test_golden_sos_results(family):
+    import hashlib
+    import json
+
+    rows = []
+    for cs, support, limits in _golden_sos_corpus()[family]:
+        res = sos_refute(cs, support, **limits)
+        text = format_sequence(res.sequence) if res.sequence else None
+        rows.append([res.status, res.levels, res.derived_count, text])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    assert digest == GOLDEN_SOS_DIGESTS[family]
 
 
 # ---------------------------------------------------------------------------
@@ -460,34 +542,30 @@ def test_hyper_rejects_non_horn():
         hyper_resolution_levels(ground_set("p q"))
 
 
+def _max_input_distance(cs, seq, support):
+    dmap = bfs_from_support(build_graph(cs, FIRST_ORDER), support)
+    return max(dmap.distance(cid) for cid in seq.input_ids())
+
+
 def test_demo_goal_tree_contrast():
-    rep = hyper_depth_demo(goal_tree_11(), [1])
-    assert rep.sos_status == REFUTED
-    assert rep.sos_resolutions == 10
-    assert rep.sos_depth == 10
-    assert rep.hyper_levels == 3
-    assert rep.max_input_distance == 4
-    text = rep.text()
-    assert "10 resolutions" in text
-    assert "contradiction at level 3" in text
-    assert "distance from support: 4" in text
-    assert "depth contrast" in text
+    cs = goal_tree_11()
+    res = sos_refute(cs, [1])
+    assert res.status == REFUTED
+    assert res.sequence.resolution_count == 10
+    assert res.sequence.proof_depth() == 10
+    assert hyper_resolution_levels(cs) == 3
+    assert _max_input_distance(cs, res.sequence, [1]) == 4
 
 
 def test_demo_unit_contradiction_has_depth_one_both_ways():
-    rep = hyper_depth_demo(ground_set("p", "~p"), [2])
-    assert rep.sos_depth == 1
-    assert rep.hyper_levels == 1
-
-
-def test_demo_rejects_positive_support():
-    with pytest.raises(ValueError, match="all-negative"):
-        hyper_depth_demo(goal_tree_11(), [6])
+    cs = ground_set("p", "~p")
+    assert sos_refute(cs, [2]).sequence.proof_depth() == 1
+    assert hyper_resolution_levels(cs) == 1
 
 
 def test_demo_rejects_non_horn():
     with pytest.raises(ValueError, match="not Horn"):
-        hyper_depth_demo(ground_set("p q", "~p"), [2])
+        hyper_resolution_levels(ground_set("p q", "~p"))
 
 
 @pytest.mark.parametrize("depth,branching", [(2, 2), (3, 2), (2, 3)])
@@ -495,18 +573,18 @@ def test_goal_tree_family_depth_contrast(depth, branching):
     # set-of-support proof depth tracks the node count of the subgoal tree,
     # hyper-resolution levels track only its height
     cs = horn_tree(depth, branching)
-    rep = hyper_depth_demo(cs, [1])
+    res = sos_refute(cs, [1])
     nodes = sum(branching**d for d in range(depth + 1))
-    assert rep.sos_status == REFUTED
-    assert rep.sos_resolutions == nodes
-    assert rep.sos_depth == nodes
-    assert rep.hyper_levels == depth + 1
-    assert rep.max_input_distance == depth + 2
+    assert res.status == REFUTED
+    assert res.sequence.resolution_count == nodes
+    assert res.sequence.proof_depth() == nodes
+    assert hyper_resolution_levels(cs) == depth + 1
+    assert _max_input_distance(cs, res.sequence, [1]) == depth + 2
 
 
 def test_deep_tree_hits_the_limit_while_hyper_finishes():
-    rep = hyper_depth_demo(horn_tree(4, 2), [1], max_levels=6)
-    assert rep.sos_status == LIMIT
-    assert rep.sos_resolutions is None
-    assert rep.hyper_levels == 5
-    assert "set-of-support search: limit" in rep.text()
+    cs = horn_tree(4, 2)
+    res = sos_refute(cs, [1], max_levels=6)
+    assert res.status == LIMIT
+    assert res.sequence is None
+    assert hyper_resolution_levels(cs) == 5
