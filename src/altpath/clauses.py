@@ -103,88 +103,92 @@ def apply_term(t: Term, subst: Substitution) -> Term:
 
 # ---------------------------------------------------------------------------
 # Unification
+#
+# One core serves both the plain unifier and the complementary check.  Each
+# term is read in a numbered binding environment (its side), and bindings
+# are keyed by (side, variable name), so two literals are unified renamed
+# apart without copying either (structure sharing, Boyer & Moore 1972).
+# Variables made fresh by merging two restrictions live on side 0.
+
+# (side, variable name) -> (term, side the term is read in)
+_Bindings = dict[tuple[int, str], tuple[Term, int]]
 
 _fresh = itertools.count()
 
 
-def _walk(t: Term, bind: Substitution) -> Term:
+def _walk(t: Term, s: int, bind: _Bindings) -> tuple[Term, int]:
     while isinstance(t, Var):
-        nxt = bind.get(t.name)
+        nxt = bind.get((s, t.name))
         if nxt is None:
-            return t
-        t = nxt
-    return t
+            break
+        t, s = nxt
+    return t, s
 
 
-def _occurs(name: str, t: Term, bind: Substitution) -> bool:
-    t = _walk(t, bind)
+def _occurs(name: str, side: int, t: Term, s: int, bind: _Bindings) -> bool:
+    t, s = _walk(t, s, bind)
     if isinstance(t, Var):
-        return t.name == name
-    return any(_occurs(name, a, bind) for a in t.args)
+        return t.name == name and s == side
+    return any(_occurs(name, side, a, s, bind) for a in t.args)
 
 
-def _bind_var(x: Var, t: Term, bind: Substitution) -> Substitution | None:
+def _bind_var(x: Var, xs: int, t: Term, ts: int, bind: _Bindings) -> bool:
     # t is already walked and is not the same variable as x
     if isinstance(t, App):
         if x.allowed is not None and t.functor not in x.allowed:
-            return None
-        if _occurs(x.name, t, bind):
-            return None
-        bind[x.name] = t
-        return bind
+            return False
+        if _occurs(x.name, xs, t, ts, bind):
+            return False
+        bind[xs, x.name] = (t, ts)
+        return True
     # variable-to-variable: merge top-symbol restrictions when present
     if x.allowed is None:
-        bind[x.name] = t
-        return bind
-    if t.allowed is None:
-        bind[t.name] = x
-        return bind
-    merged = x.allowed & t.allowed
-    if not merged:
-        return None
-    if merged == t.allowed:
-        bind[x.name] = t
-    elif merged == x.allowed:
-        bind[t.name] = x
+        bind[xs, x.name] = (t, ts)
+    elif t.allowed is None:
+        bind[ts, t.name] = (x, xs)
     else:
-        z = Var(f"_u{next(_fresh)}", merged)
-        bind[x.name] = z
-        bind[t.name] = z
-    return bind
+        merged = x.allowed & t.allowed
+        if not merged:
+            return False
+        if merged == t.allowed:
+            bind[xs, x.name] = (t, ts)
+        elif merged == x.allowed:
+            bind[ts, t.name] = (x, xs)
+        else:
+            z = (Var(f"_u{next(_fresh)}", merged), 0)
+            bind[xs, x.name] = z
+            bind[ts, t.name] = z
+    return True
 
 
-def _unify(t1: Term, t2: Term, bind: Substitution) -> Substitution | None:
-    t1 = _walk(t1, bind)
-    t2 = _walk(t2, bind)
-    if isinstance(t1, Var) and isinstance(t2, Var) and t1.name == t2.name:
-        return bind
+def _unify(t1: Term, s1: int, t2: Term, s2: int, bind: _Bindings) -> bool:
+    t1, s1 = _walk(t1, s1, bind)
+    t2, s2 = _walk(t2, s2, bind)
     if isinstance(t1, Var):
-        return _bind_var(t1, t2, bind)
+        if isinstance(t2, Var) and t1.name == t2.name and s1 == s2:
+            return True
+        return _bind_var(t1, s1, t2, s2, bind)
     if isinstance(t2, Var):
-        return _bind_var(t2, t1, bind)
+        return _bind_var(t2, s2, t1, s1, bind)
     if t1.functor != t2.functor or len(t1.args) != len(t2.args):
-        return None
+        return False
     for a, b in zip(t1.args, t2.args):
-        result = _unify(a, b, bind)
-        if result is None:
-            return None
-        bind = result
-    return bind
+        if not _unify(a, s1, b, s2, bind):
+            return False
+    return True
 
 
-def _resolve(t: Term, bind: Substitution) -> Term:
-    t = _walk(t, bind)
-    if isinstance(t, Var):
+def _resolve(t: Term, s: int, bind: _Bindings) -> Term:
+    t, s = _walk(t, s, bind)
+    if isinstance(t, Var) or not t.args:
         return t
-    if not t.args:
-        return t
-    return App(t.functor, tuple(_resolve(a, bind) for a in t.args))
+    return App(t.functor, tuple(_resolve(a, s, bind) for a in t.args))
 
 
-def _finish(bind: Substitution) -> Substitution:
+def _finish(bind: _Bindings) -> Substitution:
     out: Substitution = {}
-    for name in bind:
-        resolved = _resolve(Var(name), bind)
+    for s, name in bind:
+        resolved = _resolve(Var(name), s, bind)
         if isinstance(resolved, Var) and resolved.name == name:
             continue
         out[name] = resolved
@@ -198,18 +202,16 @@ def unify(t1: Term, t2: Term) -> Substitution | None:
     idempotent.  Variables with top-symbol restrictions unify only when the
     restrictions are compatible.
     """
-    bind = _unify(t1, t2, {})
-    return None if bind is None else _finish(bind)
+    return unify_seq((t1,), (t2,))
 
 
 def unify_seq(ts1: tuple[Term, ...], ts2: tuple[Term, ...]) -> Substitution | None:
     """Simultaneous unifier of two equal-length term tuples, or None."""
     if len(ts1) != len(ts2):
         return None
-    bind: Substitution | None = {}
+    bind: _Bindings = {}
     for a, b in zip(ts1, ts2):
-        bind = _unify(a, b, bind)
-        if bind is None:
+        if not _unify(a, 0, b, 0, bind):
             return None
     return _finish(bind)
 
@@ -252,11 +254,6 @@ class Literal:
         return body if self.positive else "~" + body
 
 
-def negate(lit: Literal) -> Literal:
-    """Complement of a literal; double negation never arises."""
-    return lit.negated()
-
-
 def literal_key(lit: Literal):
     """Canonical order: sign first (positive before negative), then atom."""
     return (
@@ -273,38 +270,23 @@ def unify_atoms(l1: Literal, l2: Literal) -> Substitution | None:
     return unify_seq(l1.args, l2.args)
 
 
-def rename_literal(lit: Literal, mapping: dict[str, str]) -> Literal:
-    def ren(t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(mapping.get(t.name, t.name), t.allowed)
-        return App(t.functor, tuple(ren(a) for a in t.args))
-
-    return Literal(lit.positive, lit.pred, tuple(ren(a) for a in lit.args))
-
-
-def literal_vars(lit: Literal) -> list[Var]:
-    acc: list[Var] = []
-    for a in lit.args:
-        term_vars(a, acc)
-    return acc
-
-
 def complementary_unifiable(l1: Literal, l2: Literal) -> bool:
-    """True iff the two literals have opposite signs and, after renaming the
-    occurrences apart, their atoms unify.
+    """True iff the two literals have opposite signs and, renamed apart,
+    their atoms unify.
 
-    Each side is renamed independently, so two occurrences of the same clause
-    (or the same literal) are treated as variable-disjoint copies.
+    Each side reads its variables in its own binding environment, so two
+    occurrences of the same clause (or the same literal) are treated as
+    variable-disjoint copies without copying either.
     """
     if l1.positive == l2.positive:
         return False
     if l1.pred != l2.pred or len(l1.args) != len(l2.args):
         return False
-    m1 = {v.name: v.name + "#1" for v in literal_vars(l1)}
-    m2 = {v.name: v.name + "#2" for v in literal_vars(l2)}
-    r1 = rename_literal(l1, m1)
-    r2 = rename_literal(l2, m2)
-    return unify_seq(r1.args, r2.args) is not None
+    bind: _Bindings = {}
+    for a, b in zip(l1.args, l2.args):
+        if not _unify(a, 1, b, 2, bind):
+            return False
+    return True
 
 
 def apply_literal(lit: Literal, subst: Substitution) -> Literal:

@@ -17,11 +17,12 @@ enforces the leave-differs-from-enter rule.  In ``propositional_hub`` mode
 replaced by two shared hub nodes, so edge count stays linear in occurrences.
 
 Partners are found through one index shared by the full build, the bounded
-search and purity filtering.  Ground literals complement-unify exactly when
-their atoms are equal, so ground occurrences are bucketed by atom and two
-ground occurrences are matched by that equality alone, with no unifier and
-no ``UnifCache`` entry.  Only pairs with a non-ground side go through
-``UnifCache.check``.
+search and purity filtering.  The partner relation depends only on the two
+literals, so the index works on distinct literals: each one's partners are
+found once and shared by all its occurrences, and each distinct pair is
+decided at most once.  Ground literals complement-unify exactly when their
+atoms are equal, so two ground literals are matched by that equality alone;
+only pairs with a non-ground side reach the unifier.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from altpath.clauses import Clause, ClauseSet, Literal, complementary_unifiable, literal_key
+from altpath.clauses import ClauseSet, Literal, complementary_unifiable
 
 INF = float("inf")
 
@@ -37,39 +38,6 @@ FIRST_ORDER = "first_order"
 PROPOSITIONAL_HUB = "propositional_hub"
 
 MODES = (FIRST_ORDER, PROPOSITIONAL_HUB)
-
-
-class UnifCache(dict):
-    """Memo of complementary-unifiability checks, keyed by unordered literal
-    pair.  Pass one instance across graph builds to share the work.
-
-    Pairs of two ground literals never reach the cache: the partner index
-    matches them by atom equality.
-    """
-
-    def check(self, l1: Literal, l2: Literal) -> bool:
-        if literal_key(l2) < literal_key(l1):
-            l1, l2 = l2, l1
-        key = (l1, l2)
-        hit = self.get(key)
-        if hit is None:
-            hit = complementary_unifiable(l1, l2)
-            self[key] = hit
-        return hit
-
-
-@dataclass(frozen=True)
-class GraphNode:
-    """Display form of a graph node."""
-
-    kind: str  # "in" | "out" | "hub"
-    literal: Literal
-    clause_id: int | None
-
-    def __str__(self) -> str:
-        if self.kind == "hub":
-            return f"<{self.literal}>"
-        return f"<{self.literal}, c{self.clause_id}, {self.kind}>"
 
 
 @dataclass
@@ -101,15 +69,6 @@ class RelevanceGraph:
     def out_node(self, occ: int) -> int:
         return 2 * occ + 1
 
-    def node(self, idx: int) -> GraphNode:
-        if idx < 2 * len(self.occurrences):
-            cid, lit = self.occurrences[idx // 2]
-            return GraphNode("in" if idx % 2 == 0 else "out", lit, cid)
-        for lit, hub in self.hub_ids.items():
-            if hub == idx:
-                return GraphNode("hub", lit, None)
-        raise IndexError(f"no node {idx}")
-
     def clause_occs(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
         for i, (cid, _) in enumerate(self.occurrences):
@@ -121,58 +80,86 @@ def _occurrence_list(cs: ClauseSet) -> list[tuple[int, Literal]]:
     return [(c.id, lit) for c in cs.clauses for lit in c.literals]
 
 
-def _sign_index(occurrences) -> dict[tuple[str, bool], list[int]]:
-    index: dict[tuple[str, bool], list[int]] = {}
-    for i, (_, lit) in enumerate(occurrences):
-        index.setdefault((lit.pred, lit.positive), []).append(i)
-    return index
-
-
 class _Partners:
     """Complementary partners of each literal occurrence.
 
-    Ground occurrences sit in atom buckets, ``atoms[(pred, sign)][args]``,
-    whose insertion order is that of first occurrence; non-ground ones are
-    listed per ``(pred, sign)`` in ``open``.  A ground occurrence's partners
-    are the opposite bucket of its atom plus the non-ground occurrences that
-    pass ``UnifCache.check``; a non-ground occurrence checks every
-    opposite-sign occurrence of its predicate.  Partner lists come out in
-    ascending occurrence id.  A returned bucket is shared: do not mutate it.
+    Distinct literals are numbered in order of first occurrence, and
+    ``occs_of[l]`` lists the occurrences of literal ``l`` in ascending order.
+    Ground literals sit in atom buckets, ``atoms[(pred, sign)][args]``, which
+    are their occurrence lists.  Every literal is also listed per
+    ``(pred, sign)`` in ``lits_by_key``, and the non-ground ones in ``open``.
+    A ground literal's partners are the opposite bucket of its atom plus the
+    occurrences of the opposite non-ground literals it unifies with; a
+    non-ground literal checks every opposite literal of its predicate.  The
+    list is built once per distinct literal, in ascending occurrence id, and
+    shared by all its occurrences: do not mutate it.  Each unordered pair of
+    distinct literals reaches ``complementary_unifiable`` at most once.
     """
 
-    def __init__(self, occurrences: list[tuple[int, Literal]], cache: UnifCache | None = None):
-        self.occs = occurrences
-        self.cache = cache if cache is not None else UnifCache()
+    def __init__(self, occurrences: list[tuple[int, Literal]]):
+        self.lits: list[Literal] = []
+        self.lit_of: list[int] = []
+        self.occs_of: list[list[int]] = []
+        self.ground: list[bool] = []
         self.atoms: dict[tuple[str, bool], dict[tuple, list[int]]] = {}
         self.open: dict[tuple[str, bool], list[int]] = {}
-        self.ground: list[bool] = []
+        self.lits_by_key: dict[tuple[str, bool], list[int]] = {}
+        ids: dict[Literal, int] = {}
         for i, (_, lit) in enumerate(occurrences):
-            key = (lit.pred, lit.positive)
-            ground = lit.is_ground()
-            self.ground.append(ground)
-            if ground:
-                self.atoms.setdefault(key, {}).setdefault(lit.args, []).append(i)
-            else:
-                self.open.setdefault(key, []).append(i)
-        # only a non-ground occurrence scans every opposite-sign occurrence
-        self.signs = _sign_index(occurrences) if self.open else {}
+            lid = ids.get(lit)
+            if lid is None:
+                lid = ids[lit] = len(self.lits)
+                key = (lit.pred, lit.positive)
+                ground = lit.is_ground()
+                self.lits.append(lit)
+                self.occs_of.append([])
+                self.ground.append(ground)
+                if ground:
+                    self.atoms.setdefault(key, {})[lit.args] = self.occs_of[lid]
+                else:
+                    self.open.setdefault(key, []).append(lid)
+                self.lits_by_key.setdefault(key, []).append(lid)
+            self.lit_of.append(lid)
+            self.occs_of[lid].append(i)
+        self.partners: list[list[int] | None] = [None] * len(self.lits)
+        self.unifies: dict[tuple[int, int], bool] = {}
 
     def bucket(self, lit: Literal) -> list[int]:
         """Ground occurrences of the complement of a ground literal."""
         return self.atoms.get((lit.pred, not lit.positive), {}).get(lit.args, [])
 
     def of(self, i: int) -> list[int]:
-        occs, check = self.occs, self.cache.check
-        lit = occs[i][1]
+        lid = self.lit_of[i]
+        found = self.partners[lid]
+        if found is not None:
+            return found
+        lit = self.lits[lid]
         key = (lit.pred, not lit.positive)
-        if not self.ground[i]:
-            return [j for j in self.signs.get(key, ()) if check(lit, occs[j][1])]
-        same = self.bucket(lit)
-        loose = [j for j in self.open.get(key, ()) if check(lit, occs[j][1])]
-        return sorted(same + loose) if loose else same
+        if self.ground[lid]:
+            runs = [self.bucket(lit)]
+            candidates = self.open.get(key, ())
+        else:
+            runs = []
+            candidates = self.lits_by_key.get(key, ())
+        lits, unifies = self.lits, self.unifies
+        for m in candidates:
+            pair = (lid, m) if lid < m else (m, lid)
+            hit = unifies.get(pair)
+            if hit is None:
+                hit = unifies[pair] = complementary_unifiable(lits[pair[0]], lits[pair[1]])
+            if hit:
+                runs.append(self.occs_of[m])
+        runs = [run for run in runs if run]
+        if len(runs) == 1:
+            found = runs[0]
+        else:
+            # occurrence lists of distinct literals are disjoint ascending runs
+            found = sorted(occ for run in runs for occ in run)
+        self.partners[lid] = found
+        return found
 
 
-def build_graph(cs: ClauseSet, mode: str = FIRST_ORDER, cache: UnifCache | None = None) -> RelevanceGraph:
+def build_graph(cs: ClauseSet, mode: str = FIRST_ORDER) -> RelevanceGraph:
     """Materialize the full graph for a clause set."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -181,7 +168,7 @@ def build_graph(cs: ClauseSet, mode: str = FIRST_ORDER, cache: UnifCache | None 
     occs = _occurrence_list(cs)
     adjacency: list[list[int]] = [[] for _ in range(2 * len(occs))]
     graph = RelevanceGraph(cs, mode, occs, adjacency)
-    partners = _Partners(occs, cache)
+    partners = _Partners(occs)
 
     if mode == FIRST_ORDER:
         for i in range(len(occs)):
@@ -482,8 +469,7 @@ def relevant_set(cs: ClauseSet, support_ids, n: int, mode: str = FIRST_ORDER,
 
 
 def bounded_build_and_search(cs: ClauseSet, support_ids, k: int,
-                             mode: str = FIRST_ORDER,
-                             cache: UnifCache | None = None) -> DistanceMap:
+                             mode: str = FIRST_ORDER) -> DistanceMap:
     """Distances up to level k without materializing the whole graph.
 
     Unification tests run lazily as the frontier expands, and nothing is
@@ -501,7 +487,7 @@ def bounded_build_and_search(cs: ClauseSet, support_ids, k: int,
         raise ValueError("relevance level must be >= 1")
     occs = _occurrence_list(cs)
     graph = RelevanceGraph(cs, mode, occs, [])  # adjacency left empty: lazy
-    partners = _Partners(occs, cache)
+    partners = _Partners(occs)
     occs_by_clause: dict[int, list[int]] = {}
     for i, (cid, _) in enumerate(occs):
         occs_by_clause.setdefault(cid, []).append(i)
@@ -572,7 +558,7 @@ def bounded_build_and_search(cs: ClauseSet, support_ids, k: int,
 # Purity
 
 
-def purity_filter(cs: ClauseSet, cache: UnifCache | None = None) -> ClauseSet:
+def purity_filter(cs: ClauseSet) -> ClauseSet:
     """Repeatedly delete clauses containing a literal with no
     complementary-unifiable partner among the remaining clauses.
 
@@ -580,7 +566,7 @@ def purity_filter(cs: ClauseSet, cache: UnifCache | None = None) -> ClauseSet:
     fixpoint: every literal of every surviving clause has a live partner.
     """
     occs = _occurrence_list(cs)
-    index = _Partners(occs, cache)
+    index = _Partners(occs)
     # the partner relation is symmetric, so partners[i] also lists the
     # occurrences that lose a partner when occurrence i dies
     partners = [index.of(i) for i in range(len(occs))]

@@ -320,6 +320,8 @@ def sos_refute(
                 REFUTED, _emit_sequence(cs, atoms, records, idx, support), 0, 0, ()
             )
 
+    if not frontier:  # every support clause is a tautology
+        return SosResult(SATURATED, None, 0, 0, ())
     n_inputs = len(records)
     derived = 0
     per_level: list[int] = []
@@ -348,10 +350,13 @@ def sos_refute(
                     ]
             pairs.sort()
             for g_idx, _, v in pairs:
-                g = records[g_idx]
-                fs_r = (f.fs - {v}) | (g.fs - {-v})
-                if any(-u in fs_r for u in fs_r):
+                rest = f.fs - {v}
+                other = records[g_idx].fs - {-v}
+                # kept records are never tautologies, so a clash can only
+                # pair a literal of one parent with one of the other
+                if any(-u in rest for u in other):
                     continue  # tautology
+                fs_r = rest | other
                 if fs_r in seen:
                     continue
                 idx = keep(_Rec(fs_r, None, (f_idx, g_idx), abs(v), level, True))

@@ -18,8 +18,8 @@ from altpath.clauses import (
     Term,
     Var,
     apply_term,
-    complementary_unifiable,
     term_vars,
+    unify_seq,
 )
 
 INF = float("inf")
@@ -59,6 +59,28 @@ def minimal_unsat_subsets(cs: ClauseSet) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# Complementary unifiability by renaming apart
+
+
+def _rename_term(t: Term, suffix: str) -> Term:
+    if isinstance(t, Var):
+        return Var(t.name + suffix, t.allowed)
+    return App(t.functor, tuple(_rename_term(a, suffix) for a in t.args))
+
+
+def renamed_apart_unifiable(l1: Literal, l2: Literal) -> bool:
+    """True iff the literals have opposite signs and their atoms unify after
+    copying each with its variables renamed apart."""
+    if l1.positive == l2.positive:
+        return False
+    if l1.pred != l2.pred or len(l1.args) != len(l2.args):
+        return False
+    r1 = tuple(_rename_term(a, "#1") for a in l1.args)
+    r2 = tuple(_rename_term(a, "#2") for a in l2.args)
+    return unify_seq(r1, r2) is not None
+
+
+# ---------------------------------------------------------------------------
 # Shortest alternating paths, from the definition
 
 # A path is a sequence of clauses where consecutive clauses are linked by a
@@ -87,7 +109,7 @@ def brute_distances(cs: ClauseSet, support_ids) -> dict[int, float]:
             if entry is not None and exit_lit == entry:
                 continue
             for did, target in occs:
-                if not complementary_unifiable(exit_lit, target):
+                if not renamed_apart_unifiable(exit_lit, target):
                     continue
                 state = (did, target)
                 if state not in dist:
@@ -116,7 +138,7 @@ def enumerate_path_distances(cs: ClauseSet, support_ids, max_len: int) -> dict[i
             if entry is not None and exit_lit == entry:
                 continue
             for did, target in occs:
-                if complementary_unifiable(exit_lit, target):
+                if renamed_apart_unifiable(exit_lit, target):
                     if length + 1 < best[did]:
                         best[did] = length + 1
                     extend(did, target, length + 1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,12 +18,17 @@ from altpath.clauses import (
     apply_term,
     complementary_unifiable,
     literal_key,
-    negate,
     term_vars,
     unify,
     unify_atoms,
 )
-from oracles import enumerate_unifiers, factors_through, herbrand_terms, match_term
+from oracles import (
+    enumerate_unifiers,
+    factors_through,
+    herbrand_terms,
+    match_term,
+    renamed_apart_unifiable,
+)
 
 
 def lit(s: str, *args, sign=True) -> Literal:
@@ -46,13 +53,13 @@ def g(*args):
 
 def test_negate_is_an_involution():
     p = lit("p", x, f(a))
-    assert negate(p) != p
-    assert negate(negate(p)) == p
+    assert p.negated() != p
+    assert p.negated().negated() == p
 
 
 def test_negate_swaps_sign_only():
     p = lit("p", a)
-    assert negate(p) == Literal(False, "p", (a,))
+    assert p.negated() == Literal(False, "p", (a,))
 
 
 def test_atom_drops_sign():
@@ -177,6 +184,65 @@ def test_complementary_is_symmetric(t1, t2, s1, s2):
     l1 = Literal(s1, "p", (t1,))
     l2 = Literal(s2, "p", (t2,))
     assert complementary_unifiable(l1, l2) == complementary_unifiable(l2, l1)
+
+
+def test_complementary_occurs_check_across_sides():
+    assert not complementary_unifiable(lit("p", x, f(x)), lit("p", y, y, sign=False))
+
+
+def test_complementary_repeated_variable_needs_equal_images():
+    assert not complementary_unifiable(lit("p", x, x), lit("p", a, b, sign=False))
+    assert complementary_unifiable(lit("p", x, x), lit("p", a, a, sign=False))
+
+
+def test_complementary_disjoint_restrictions_fail():
+    r1 = Var("X", frozenset({"a", "f"}))
+    r2 = Var("Y", frozenset({"b", "g"}))
+    assert not complementary_unifiable(lit("p", r1), lit("p", r2, sign=False))
+    # the same name on both sides is two variables, and still disjoint
+    r3 = Var("X", frozenset({"b"}))
+    assert not complementary_unifiable(lit("p", r1), lit("p", r3, sign=False))
+
+
+_RESTRICTIONS = (None, None, {"a"}, {"b"}, {"a", "f"}, {"f", "g"}, {"b", "g"})
+
+
+def _seeded_literal(rng: random.Random, positive: bool, arity: int) -> Literal:
+    # a variable name carries one restriction throughout its literal
+    allowed = {}
+    for name in ("X", "Y", "Z"):
+        pick = rng.choice(_RESTRICTIONS)
+        allowed[name] = None if pick is None else frozenset(pick)
+
+    def term(depth: int):
+        if depth <= 0 or rng.random() < 0.5:
+            if rng.random() < 0.6:
+                name = rng.choice(("X", "Y", "Z"))
+                return Var(name, allowed[name])
+            return App(rng.choice(("a", "b")))
+        if rng.random() < 0.6:
+            return f(term(depth - 1))
+        return g(term(depth - 1), term(depth - 1))
+
+    return Literal(positive, "p", tuple(term(3) for _ in range(arity)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_complementary_matches_renaming_oracle(seed):
+    """Seeded pairs with nested terms, variable names shared across the two
+    sides, repeated variables and restricted variables."""
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(400):
+        arity = rng.randint(1, 3)
+        l1 = _seeded_literal(rng, True, arity)
+        l2 = _seeded_literal(rng, False, arity)
+        for one, two in ((l1, l2), (l2, l1)):
+            want = renamed_apart_unifiable(one, two)
+            assert complementary_unifiable(one, two) == want, (str(one), str(two))
+        hits += want
+    # both answers occur often enough for the comparison to mean something
+    assert 40 < hits < 360
 
 
 def test_apply_literal():

@@ -1,16 +1,22 @@
+import hashlib
 import random
 
 import pytest
 
 import altpath.graph
 from altpath.clauses import App, ClauseSet, Literal, Var, complementary_unifiable
-from altpath.generators import fan_fixture, random_3sat, random_first_order, random_ground
+from altpath.generators import (
+    bounded_occurrence,
+    fan_fixture,
+    random_3sat,
+    random_first_order,
+    random_ground,
+)
 from altpath.graph import (
     FIRST_ORDER,
     INF,
     PROPOSITIONAL_HUB,
     AlternatingPath,
-    UnifCache,
     bfs_from_support,
     bounded_build_and_search,
     build_graph,
@@ -21,6 +27,7 @@ from altpath.graph import (
     relevance_distance,
     relevant_set,
 )
+from altpath.splitting import binary_split_plan, split_clause
 
 from oracles import brute_distances
 
@@ -310,24 +317,6 @@ def test_distance_csv_format():
     assert dmap.to_csv() == "clause_id,distance\n1,1\n2,2\n3,inf\n"
 
 
-def test_unif_cache_is_shared_and_symmetric():
-    cache = UnifCache()
-    a = Literal(True, "p", (Var("X"),))
-    b = Literal(False, "p", (App("a"),))
-    assert cache.check(a, b) and cache.check(b, a)
-    assert len(cache) == 1
-
-
-def test_graph_node_display():
-    cs = ground_set("p", "~p")
-    graph = build_graph(cs)
-    assert str(graph.node(0)) == "<p, c1, in>"
-    assert str(graph.node(1)) == "<p, c1, out>"
-    hub = build_graph(fan_fixture(2, 3), PROPOSITIONAL_HUB)
-    names = {str(hub.node(i)) for i in range(hub.node_count)}
-    assert "<1>" in names and "<~1>" in names
-
-
 # ---------------------------------------------------------------------------
 # Partner index against a pairwise reference
 
@@ -481,3 +470,118 @@ def test_ground_sets_never_call_the_unifier(monkeypatch):
     mixed = next(cs for name, cs, _ in FAMILIES if name.startswith("mixed"))
     with pytest.raises(AssertionError, match="unifier called"):
         build_graph(mixed)
+
+
+def test_one_unifier_call_per_distinct_pair(monkeypatch):
+    calls = []
+
+    def counted(l1, l2):
+        calls.append((l1, l2))
+        return complementary_unifiable(l1, l2)
+
+    monkeypatch.setattr(altpath.graph, "complementary_unifiable", counted)
+    cs = _one_predicate_pool_set(random.Random(5), 40)
+    distinct = list(dict.fromkeys(l for c in cs.clauses for l in c.literals))
+    occurrences = sum(len(c) for c in cs.clauses)
+    assert len(distinct) < occurrences  # literals do repeat across clauses
+    pairs = [
+        (l, m)
+        for i, l in enumerate(distinct)
+        for m in distinct[i + 1:]
+        if l.pred == m.pred and l.positive != m.positive
+        and not (l.is_ground() and m.is_ground())
+    ]
+    graph = build_graph(cs)
+    assert len(calls) == len(pairs)
+    assert {frozenset(p) for p in calls} == {frozenset(p) for p in pairs}
+    assert graph.adjacency == reference_adjacency(cs, FIRST_ORDER)
+
+
+# ---------------------------------------------------------------------------
+# Golden first-order graphs
+
+
+def _one_predicate_pool_set(rng: random.Random, n_clauses: int) -> ClauseSet:
+    """Clauses drawn from a small pool of ground and non-ground p/1 and
+    r/2 literals, so one literal recurs across clauses; two restricted
+    variables with overlapping and disjoint symbol sets are in the pool."""
+    x, y = Var("X"), Var("Y")
+    a, b = App("a"), App("b")
+    pool = [
+        Literal(s, "p", (t,))
+        for s in (True, False)
+        for t in (a, b, App("f", (a,)), x, App("f", (x,)), App("g", (x, y)),
+                  App("g", (x, x)), Var("X", frozenset({"a", "f"})),
+                  Var("Y", frozenset({"f", "g"})), Var("Z", frozenset({"b"})))
+    ]
+    pool += [
+        Literal(s, "r", args)
+        for s in (True, False)
+        for args in ((x, x), (a, y), (App("f", (y,)), y), (a, b))
+    ]
+    groups = [rng.sample(pool, rng.randint(1, 3)) for _ in range(n_clauses)]
+    return ClauseSet.from_groups(groups)
+
+
+def _split_set(rng: random.Random) -> ClauseSet:
+    """A random first-order set with two clauses split in binary, which
+    leaves restricted variables in the replacement clauses."""
+    cs = random_first_order(rng, n_clauses=24)
+    for _ in range(2):
+        open_ids = [c.id for c in cs.clauses if c.variables()]
+        cid = rng.choice(open_ids)
+        var = cs.by_id(cid).variables()[0]
+        cs = split_clause(cs, binary_split_plan(cs, cid, var))
+    return cs
+
+
+def _golden_families():
+    for seed in range(3):
+        rng = random.Random(900 + seed)
+        yield f"fo{seed}", random_first_order(rng, n_clauses=30)
+        yield f"bounded{seed}", bounded_occurrence(rng, 4, 3, 4, 30, first_order=True)
+        yield f"pool{seed}", _one_predicate_pool_set(rng, 30)
+        yield f"split{seed}", _split_set(rng)
+
+
+def _golden_digest(cs: ClauseSet, rng: random.Random) -> str:
+    graph = build_graph(cs)
+    support = rng.sample(cs.ids(), 2)
+    full = bfs_from_support(graph, support)
+    finite = [cid for cid in cs.ids() if full.distance(cid) < INF]
+    far = max(finite, key=full.distance)
+    payload = (
+        graph.adjacency,
+        support,
+        list(full.clause_distance.items()),
+        [list(bounded_build_and_search(cs, support, k).clause_distance.items())
+         for k in (2, 3, 4)],
+        purity_filter(cs).ids(),
+        str(full.witness(far)),
+    )
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+GOLDEN_FIRST_ORDER = {
+    "fo0": "de1098162d00a981f34208a8bd6708df6eaf6e1067ae05cfef3a5f3a78db64e9",
+    "fo1": "8aadfdad0d171f6ec42fdfaf99fa945ac4769558867807df283080839fae2c13",
+    "fo2": "539fc8d5950cab6a2c639fa0f999b32a4bc61e1ef3e8d302b3804b069f1144f5",
+    "bounded0": "066f679d33b1d420aae2bf6aa02f374befa50df6690abe75c65e25f429fceb30",
+    "bounded1": "444a24cca748a5692d9e768c4600fbcf48bc96b3feebfaff74d6fa2f766183ad",
+    "bounded2": "791659cd81ec67aa24815e8ee7d012e7e4bd5eec95b4836248831e62a21f07aa",
+    "pool0": "eb1993323a7a5ae3603a8f6a51d92ad981a8368a227999a6a300f6a77cf722a0",
+    "pool1": "5a45af9645ea0694dd9e8657f062ff001783b78768c34c09976d287961f7bbcf",
+    "pool2": "1c1fb8b7163f5b2c8b4fd4169035b40a11743d81c9f1293253a543f0278546ad",
+    "split0": "3bde355694c8c343e4ee1d0cf7c93d93f015b5ac99c8afa35a5f0aa4a125b2a3",
+    "split1": "f8bd3afe9779772e23043ff62ae79b36cab071657ae9535d3c96db88bfe2ee59",
+    "split2": "a3d00ed11d73405f9aa7a6ab948a5bc4e54254c31b231d4f00801fb50a9b9f31",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FIRST_ORDER))
+def test_golden_first_order_graph(name):
+    """Adjacency, full and bounded distances, purity and a witness path on
+    seeded first-order families, pinned as one digest per set."""
+    families = dict(_golden_families())
+    rng = random.Random(name)
+    assert _golden_digest(families[name], rng) == GOLDEN_FIRST_ORDER[name]

@@ -288,6 +288,16 @@ def test_sos_counts_derived_clauses_per_level():
     assert res.derived_count == 3
 
 
+def test_sos_with_only_tautological_support_is_saturated():
+    # the support clause is dropped as a tautology, so nothing is supported
+    # and the search stops at once: a fixpoint, not a budget
+    res = sos_refute(ground_set("p ~p", "~q", "q"), [1])
+    assert res.status == SATURATED
+    assert res.levels == 0
+    assert res.derived_count == 0
+    assert res.per_level == ()
+
+
 def test_sos_refutes_a_long_implication_chain():
     # one resolvent per level; the emitted derivation is 1501 deep
     n = 1500
@@ -407,7 +417,7 @@ GOLDEN_SOS_DIGESTS = {
     "horn": "ebb6175d0f9b35f6",
     "pigeonhole": "782c3af1707d4dbb",
     "repeat": "a7b76a7d0fddb23e",
-    "sat": "58e9f0bdb63c9c1f",
+    "sat": "a61ddb770bc96909",
     "unsat": "dd8fe53b3d8616d4",
 }
 
