@@ -70,22 +70,6 @@ def term_vars(t: Term, acc: list[Var] | None = None) -> list[Var]:
     return acc
 
 
-def term_functions(t: Term, acc: dict[str, int] | None = None) -> dict[str, int]:
-    """Function symbols of ``t`` with arities; raises ArityError on conflict."""
-    if acc is None:
-        acc = {}
-    if isinstance(t, App):
-        seen = acc.get(t.functor)
-        if seen is not None and seen != len(t.args):
-            raise ArityError(
-                f"function symbol {t.functor!r} used at arity {seen} and {len(t.args)}"
-            )
-        acc[t.functor] = len(t.args)
-        for a in t.args:
-            term_functions(a, acc)
-    return acc
-
-
 def term_depth(t: Term) -> int:
     """Depth of a term; constants and variables have depth 1."""
     if isinstance(t, Var) or not t.args:
@@ -255,12 +239,30 @@ class Literal:
 
 
 def literal_key(lit: Literal):
-    """Canonical order: sign first (positive before negative), then atom."""
-    return (
-        0 if lit.positive else 1,
-        _symbol_key(lit.pred),
-        tuple(str(a) for a in lit.args),
-    )
+    """Canonical order: sign first (positive before negative), then atom.
+
+    A literal made by ``keyed_literal`` (the readers make theirs so) carries
+    its key; any other literal computes it on each call.
+    """
+    key = getattr(lit, "_key", None)
+    if key is None:
+        key = (0 if lit.positive else 1, _symbol_key(lit.pred), tuple(str(a) for a in lit.args))
+    return key
+
+
+def keyed_literal(positive: bool, pred: str, args: tuple[Term, ...] = (),
+                  arg_texts: tuple[str, ...] | None = None) -> Literal:
+    """``Literal(positive, pred, args)`` carrying its canonical key.
+
+    The key is kept outside the dataclass fields, so equality, hash and repr
+    do not see it.  ``arg_texts`` is the printed form of each argument, for
+    a caller that has already read it; by default it is built with ``str``.
+    """
+    lit = Literal(positive, pred, args)
+    if arg_texts is None:
+        arg_texts = tuple(str(a) for a in args)
+    object.__setattr__(lit, "_key", (0 if positive else 1, _symbol_key(pred), arg_texts))
+    return lit
 
 
 def unify_atoms(l1: Literal, l2: Literal) -> Substitution | None:
@@ -399,17 +401,41 @@ class ClauseSet:
         return cs
 
     def _check_symbols(self) -> None:
+        # Symbols are registered in order of first occurrence.  A literal or
+        # term object already walked cannot conflict again, so the terms of
+        # shared (interned) objects are walked once; every object is held by
+        # a clause of the set, so ids stay unique for the duration of the walk.
+        walked: set[int] = set()
+        predicates, functions = self.predicates, self.functions
         for clause in self.clauses:
             for lit in clause.literals:
-                seen = self.predicates.get(lit.pred)
-                if seen is not None and seen != len(lit.args):
-                    raise ArityError(
-                        f"predicate {lit.pred!r} used at arity {seen} and "
-                        f"{len(lit.args)} (clause {clause.id})"
-                    )
-                self.predicates[lit.pred] = len(lit.args)
-                for a in lit.args:
-                    term_functions(a, self.functions)
+                args = lit.args
+                seen = predicates.get(lit.pred)
+                if seen != len(args):
+                    if seen is not None:
+                        raise ArityError(
+                            f"predicate {lit.pred!r} used at arity {seen} and "
+                            f"{len(args)} (clause {clause.id})"
+                        )
+                    predicates[lit.pred] = len(args)
+                if not args or id(lit) in walked:
+                    continue
+                walked.add(id(lit))
+                todo = list(reversed(args))
+                while todo:
+                    t = todo.pop()
+                    if isinstance(t, Var) or id(t) in walked:
+                        continue
+                    walked.add(id(t))
+                    seen = functions.get(t.functor)
+                    if seen != len(t.args):
+                        if seen is not None:
+                            raise ArityError(
+                                f"function symbol {t.functor!r} used at arity {seen} and "
+                                f"{len(t.args)}"
+                            )
+                        functions[t.functor] = len(t.args)
+                    todo.extend(reversed(t.args))
 
     def __len__(self) -> int:
         return len(self.clauses)

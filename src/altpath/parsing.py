@@ -11,7 +11,7 @@ import os
 import re
 from dataclasses import dataclass
 
-from altpath.clauses import App, Clause, ClauseSet, Literal, Term, Var
+from altpath.clauses import App, ClauseSet, Literal, Term, Var, keyed_literal
 
 
 class ParseError(ValueError):
@@ -40,14 +40,66 @@ def _decode(data: str | bytes) -> str:
     return data
 
 
+_PROBLEM_LINE = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)")
+
+
 def parse_dimacs(data: str | bytes, source: str | None = None) -> ClauseSet:
-    """Parse DIMACS CNF.  Atoms are named by their variable index."""
+    """Parse DIMACS CNF.  Atoms are named by their variable index.
+
+    Well-formed input is read in one pass over its integers; anything else
+    is read again line by line, which locates the error.  Each distinct
+    literal is one ``Literal`` object.
+    """
     text = _decode(data)
+    groups = _dimacs_fast(text)
+    if groups is None:
+        groups = _dimacs_lines(text, source)
+    return ClauseSet.from_groups(groups)
+
+
+def _dimacs_fast(text: str) -> list[list[Literal]] | None:
+    """Clause groups of well-formed DIMACS, or None to defer to the line reader."""
+    lines = text.splitlines()
+    for start, raw in enumerate(lines):
+        line = raw.strip()
+        if line and not line.startswith("c"):
+            break
+    else:
+        return None
+    m = _PROBLEM_LINE.fullmatch(line)
+    if m is None:
+        return None
+    n_vars, declared = int(m.group(1)), int(m.group(2))
+    body = "\n".join(lines[start + 1:])
+    if "c" in body:
+        body = "\n".join(l for l in lines[start + 1:] if not l.lstrip().startswith("c"))
+    # int() also takes '+1' and '1_0'; any '-0' prefix may be a negative zero
+    if "+" in body or "_" in body or "-0" in body:
+        return None
+    try:
+        ints = list(map(int, body.split()))
+    except ValueError:
+        return None
+    if ints and (ints[-1] != 0 or max(ints) > n_vars or -min(ints) > n_vars):
+        return None
+    lit_of = {v: keyed_literal(v > 0, str(abs(v))) for v in set(ints) if v}
+    groups: list[list[Literal]] = []
+    begin = 0
+    for end in [i for i, v in enumerate(ints) if not v]:
+        groups.append([lit_of[v] for v in ints[begin:end]])
+        begin = end + 1
+    if len(groups) != declared:
+        return None
+    return groups
+
+
+def _dimacs_lines(text: str, source: str | None) -> list[list[Literal]]:
     n_vars: int | None = None
     declared_clauses: int | None = None
     groups: list[list[Literal]] = []
     current: list[Literal] = []
     open_line: int | None = None
+    lit_of: dict[int, Literal] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -55,7 +107,7 @@ def parse_dimacs(data: str | bytes, source: str | None = None) -> ClauseSet:
         if line.startswith("p"):
             if n_vars is not None:
                 raise ParseError("duplicate problem line", lineno, source)
-            m = re.fullmatch(r"p\s+cnf\s+(\d+)\s+(\d+)", line)
+            m = _PROBLEM_LINE.fullmatch(line)
             if not m:
                 raise ParseError(f"malformed problem line {line!r}", lineno, source)
             n_vars, declared_clauses = int(m.group(1)), int(m.group(2))
@@ -66,7 +118,7 @@ def parse_dimacs(data: str | bytes, source: str | None = None) -> ClauseSet:
             if not re.fullmatch(r"-?\d+", tok):
                 raise ParseError(f"invalid token {tok!r}", lineno, source)
             val = int(tok)
-            if tok in ("-0",):
+            if val == 0 and tok.startswith("-"):
                 raise ParseError("literal index 0 in clause body", lineno, source)
             if val == 0:
                 groups.append(current)
@@ -81,7 +133,10 @@ def parse_dimacs(data: str | bytes, source: str | None = None) -> ClauseSet:
                 )
             if not current:
                 open_line = lineno
-            current.append(Literal(val > 0, str(abs(val))))
+            lit = lit_of.get(val)
+            if lit is None:
+                lit = lit_of[val] = keyed_literal(val > 0, str(abs(val)))
+            current.append(lit)
     if current:
         raise ParseError("unterminated clause at end of input", open_line, source)
     if declared_clauses is not None and declared_clauses != len(groups):
@@ -90,7 +145,7 @@ def parse_dimacs(data: str | bytes, source: str | None = None) -> ClauseSet:
             None,
             source,
         )
-    return ClauseSet.from_groups(groups)
+    return groups
 
 
 def print_dimacs(cs: ClauseSet) -> str:
@@ -117,9 +172,10 @@ def print_dimacs(cs: ClauseSet) -> str:
 
 SUPPORTED_ROLES = ("axiom", "hypothesis", "negated_conjecture")
 
+_WS = r"\s+|%[^\n]*|/\*.*?\*/"  # whitespace and comments
 _TOKEN = re.compile(
-    r"""
-    (?P<ws>\s+|%[^\n]*|/\*.*?\*/)
+    rf"""
+    (?P<ws>{_WS})
   | (?P<lower>[a-z][A-Za-z0-9_]*)
   | (?P<upper>[A-Z_][A-Za-z0-9_]*)
   | (?P<dfalse>\$false)
@@ -156,12 +212,14 @@ def _tokenize(text: str, source: str | None) -> list[_Tok]:
 
 class _TptpParser:
     def __init__(self, text: str, source: str | None, include_base: str | None,
-                 seen_files: set[str] | None = None):
+                 seen_files: set[str] | None = None,
+                 interned: dict[Literal, Literal] | None = None):
         self.toks = _tokenize(text, source)
         self.pos = 0
         self.source = source
         self.include_base = include_base
         self.seen_files = seen_files if seen_files is not None else set()
+        self.interned = interned if interned is not None else {}
         self.groups: list[tuple[str, str, list[Literal]]] = []
 
     def error(self, message: str) -> ParseError:
@@ -214,13 +272,20 @@ class _TptpParser:
         self.seen_files.add(full)
         with open(full, "r", encoding="utf-8") as handle:
             text = handle.read()
-        sub = _TptpParser(text, full, self.include_base, self.seen_files)
+        sub = _TptpParser(text, full, self.include_base, self.seen_files, self.interned)
         self.groups.extend(sub.parse())
 
     def _annotated(self) -> None:
         self.take("cnf")
         self.take("(")
-        name = self.take().text
+        name_tok = self.take()
+        if name_tok.kind not in ("lower", "quoted"):
+            raise ParseError(
+                f"expected a formula name (lower word or 'quoted'), got {name_tok.text!r}",
+                name_tok.line,
+                self.source,
+            )
+        name = name_tok.text
         self.take(",")
         role_tok = self.take()
         role = role_tok.text
@@ -276,7 +341,11 @@ class _TptpParser:
         args: tuple[Term, ...] = ()
         if self.peek() is not None and self.peek().text == "(":
             args = self._args()
-        return [Literal(positive, pred, args)]
+        lit = Literal(positive, pred, args)
+        known = self.interned.get(lit)
+        if known is None:
+            known = self.interned[lit] = keyed_literal(positive, pred, args)
+        return [known]
 
     def _args(self) -> tuple[Term, ...]:
         self.take("(")
@@ -302,6 +371,148 @@ class _TptpParser:
         return App(functor)
 
 
+class _NotFast(Exception):
+    """The fast TPTP reader met something it does not take."""
+
+
+# One well-formed ``cnf(name, role, body).`` statement with plain whitespace
+# between its tokens.  The body holds no '.', so it ends at the last ')'
+# before the statement's full stop; _FastTptp checks it token by token.
+_CNF = re.compile(
+    r"cnf\s*\(\s*([a-z][A-Za-z0-9_]*|'[^']*')\s*,"
+    r"\s*(axiom|hypothesis|negated_conjecture)\s*,([^.]*)\)\s*\."
+)
+# Whitespace and comments, consumed exactly as the tokenizer consumes them.
+_SKIP = re.compile(rf"(?:{_WS})*", re.DOTALL)
+_FAST_LITERAL = re.compile(
+    r"\s*(~?)\s*(?:(\$false)|([a-z][A-Za-z0-9_]*)\s*(?:\((.*)\))?)\s*", re.DOTALL
+)
+_ARG_TOKEN = re.compile(r"[A-Za-z0-9_]+|\S")
+
+
+class _FastTptp:
+    """Reads well-formed CNF-subset TPTP with one regex per statement.
+
+    Literal and argument texts are memoised, and every term and literal is
+    interned: one object per distinct value, for this parse only.  Anything
+    outside the plain statement shape (includes, comments inside a
+    statement, syntax errors) raises ``_NotFast`` and the caller re-reads
+    the input with ``_TptpParser``, which reports the error.
+    """
+
+    def __init__(self):
+        self.literal_of: dict[str, Literal | None] = {}
+        # argument text -> (terms, printed text of each term)
+        self.args_of: dict[str, tuple[tuple[Term, ...], tuple[str, ...]]] = {}
+        # keyed by a leaf's text or by the ids of interned parts, so no
+        # term is ever hashed
+        self.terms: dict[str | tuple, Term] = {}
+        self.literals: dict[tuple, Literal] = {}
+
+    def parse(self, text: str) -> list[tuple[str, str, list[Literal]]]:
+        triples = []
+        literal_of = self.literal_of
+        skip, statement = _SKIP.match, _CNF.match
+        pos, end = skip(text).end(), len(text)
+        while pos < end:
+            m = statement(text, pos)
+            if m is None:
+                raise _NotFast
+            name, role, body = m.groups()
+            body = body.strip()
+            # a leading parenthesis always wraps the whole disjunction
+            if body.startswith("("):
+                if not body.endswith(")"):
+                    raise _NotFast
+                body = body[1:-1]
+            lits = []
+            for part in body.split("|"):
+                try:
+                    lit = literal_of[part]
+                except KeyError:
+                    lit = literal_of[part] = self._literal(part)
+                if lit is not None:
+                    lits.append(lit)
+            triples.append((name, role, lits))
+            pos = skip(text, m.end()).end()
+        return triples
+
+    def _literal(self, text: str) -> Literal | None:
+        m = _FAST_LITERAL.fullmatch(text)
+        if m is None:
+            raise _NotFast
+        negated, dfalse, pred, args_text = m.groups()
+        if dfalse:
+            if negated:
+                raise _NotFast
+            return None  # $false contributes no literal: the empty clause
+        args: tuple[Term, ...] = ()
+        texts: tuple[str, ...] = ()
+        if args_text is not None:
+            parsed = self.args_of.get(args_text)
+            if parsed is None:
+                parsed = self.args_of[args_text] = self._args(args_text)
+            args, texts = parsed
+        key = (not negated, pred, *map(id, args))
+        lit = self.literals.get(key)
+        if lit is None:
+            lit = self.literals[key] = keyed_literal(not negated, pred, args, texts)
+        return lit
+
+    def _args(self, text: str) -> tuple[tuple[Term, ...], tuple[str, ...]]:
+        """The comma-separated terms of ``text`` and the printed text of
+        each, read without recursion."""
+        toks = _ARG_TOKEN.findall(text)
+        terms = self.terms
+        open_apps: list[tuple[str, list[Term]]] = []
+        args: list[Term] = []
+        texts: list[str] = []
+        i, n, begin = 0, len(toks), 0
+        while True:
+            # a term
+            if i == n:
+                raise _NotFast
+            tok = toks[i]
+            first = tok[0]
+            if "a" <= first <= "z":
+                if i + 1 < n and toks[i + 1] == "(":
+                    open_apps.append((tok, args))
+                    args = []
+                    i += 2
+                    continue
+            elif not ("A" <= first <= "Z" or first == "_"):
+                raise _NotFast
+            # variables and constants are keyed by their text alone
+            t = terms.get(tok)
+            if t is None:
+                t = terms[tok] = App(tok) if "a" <= first <= "z" else Var(tok)
+            args.append(t)
+            i += 1
+            # then ',' before the next term, or ')' closing applications
+            while True:
+                if i == n:
+                    if open_apps:
+                        raise _NotFast
+                    texts.append("".join(toks[begin:]))
+                    return tuple(args), tuple(texts)
+                tok = toks[i]
+                i += 1
+                if tok == ",":
+                    if not open_apps:
+                        texts.append("".join(toks[begin:i - 1]))
+                        begin = i
+                    break
+                if tok != ")" or not open_apps:
+                    raise _NotFast
+                functor, outer = open_apps.pop()
+                key = (functor, *map(id, args))
+                t = terms.get(key)
+                if t is None:
+                    t = terms[key] = App(functor, tuple(args))
+                outer.append(t)
+                args = outer
+
+
 def parse_tptp(
     data: str | bytes,
     source: str | None = None,
@@ -311,10 +522,15 @@ def parse_tptp(
 
     Include paths resolve against ``include_base`` (falling back to the
     current directory).  Arity consistency is enforced across the whole set.
+    Well-formed input without includes is read by a fast statement reader;
+    anything else is read again by the tokenizing parser, which locates the
+    error.  Each distinct literal is one ``Literal`` object.
     """
     text = _decode(data)
-    parser = _TptpParser(text, source, include_base)
-    triples = parser.parse()
+    try:
+        triples = _FastTptp().parse(text)
+    except _NotFast:
+        triples = _TptpParser(text, source, include_base).parse()
     groups = [lits for (_, _, lits) in triples]
     names = {i + 1: name for i, (name, _, _) in enumerate(triples)}
     roles = {i + 1: role for i, (_, role, _) in enumerate(triples)}

@@ -62,6 +62,20 @@ def test_dimacs_negative_zero_rejected():
     assert "0" in str(err.value)
 
 
+@pytest.mark.parametrize("token", ["-00", "-000", "-0000000"])
+def test_dimacs_negative_zero_with_more_digits_rejected(token):
+    # not a clause terminator: '1 -00' would otherwise close a clause early
+    with pytest.raises(ParseError) as err:
+        parse_dimacs(f"p cnf 2 2\n1 {token}\n2 0\n")
+    assert "literal index 0 in clause body" in str(err.value)
+    assert "line 2" in str(err.value)
+
+
+def test_dimacs_leading_zero_literal_accepted():
+    cs = parse_dimacs("p cnf 5 1\n-05 1 0\n")
+    assert cs.by_id(1).literals == (Literal(True, "1"), Literal(False, "5"))
+
+
 def test_dimacs_unterminated_clause():
     with pytest.raises(ParseError):
         parse_dimacs("p cnf 2 1\n1 2\n")
@@ -159,6 +173,26 @@ def test_tptp_arity_conflict():
 def test_tptp_function_arity_conflict():
     with pytest.raises((ParseError, ValueError)):
         parse_tptp("cnf(c1, axiom, p(f(a))). cnf(c2, axiom, q(f(a, b))).")
+
+
+@pytest.mark.parametrize("name", ["(", "~", "X", "_x", "$false", ","])
+def test_tptp_formula_name_must_be_a_word(name):
+    with pytest.raises(ParseError) as err:
+        parse_tptp(f"cnf(c1, axiom, p).\ncnf({name}, axiom, q).\n")
+    assert "line 2" in str(err.value)
+    assert "formula name" in str(err.value)
+
+
+def test_tptp_formula_name_error_is_located_on_the_name():
+    with pytest.raises(ParseError) as err:
+        parse_tptp("cnf(\n\n  X, axiom, p).")
+    assert "line 3" in str(err.value) and "'X'" in str(err.value)
+
+
+def test_tptp_quoted_formula_name():
+    cs = parse_tptp("cnf('name with. dot', axiom, p). cnf(c2, axiom, ~p).")
+    assert cs.names == {1: "'name with. dot'", 2: "c2"}
+    assert parse_tptp(print_tptp(cs)).names == cs.names
 
 
 def test_tptp_syntax_error_has_line():
