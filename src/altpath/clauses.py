@@ -432,7 +432,7 @@ class ClauseSet:
                         if seen is not None:
                             raise ArityError(
                                 f"function symbol {t.functor!r} used at arity {seen} and "
-                                f"{len(t.args)}"
+                                f"{len(t.args)} (clause {clause.id})"
                             )
                         functions[t.functor] = len(t.args)
                     todo.extend(reversed(t.args))

@@ -797,6 +797,10 @@ def main(argv=None) -> int:
         print("error: input nested too deeply (maximum recursion depth exceeded)",
               file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory (input or search too large for this process)",
+              file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

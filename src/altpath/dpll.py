@@ -13,9 +13,17 @@ correct.
 
 Both solvers, and the fallback sub-solve, run one search engine: a
 depth-first splitting search over integer clauses with an explicit stack of
-pending branches and a trail of assigned literals, so input size never turns
-into Python recursion depth.  Plain solving is the engine with a single
-bucket holding every atom.
+pending branches, so input size never turns into Python recursion depth.
+Plain solving is the engine with a single bucket holding every atom.  The
+engine builds one mutable state per solve and never copies clauses: an
+occurrence list per signed literal; per clause the literal that satisfied
+it and its count of unassigned literals; per atom its count of occurrences
+in unsatisfied clauses; and a trail of assigned literals, undone one by one
+on backtrack (occurrence-driven propagation as in Chaff, trail-based undo as
+in MiniSat).  A node thus costs what its assignments touch.  Splits are read
+from per-bucket heaps of atoms by count, units from a heap of clause ids,
+so the choices are exactly those of a full rescan: first live bucket, most
+frequent atom, smallest index; lowest unit clause first.
 
 Restricting the splits this way bounds the work.  On an unsatisfiable input
 whose non-support part is satisfiable, the number of search nodes stays
@@ -32,9 +40,8 @@ relies on; distance computations in the graph module are not affected.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field, replace
-from itertools import chain
+from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from altpath.clauses import ClauseSet, Literal, literal_key
 from altpath.graph import (
@@ -207,116 +214,243 @@ def neighborhood_counts(neighborhood: ClauseSet) -> dict[str, int]:
 
 
 def _encode(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
-    if not cs.is_ground():
-        raise ValueError("satisfiability solving requires a variable-free clause set")
-    atoms = cs.atoms()
-    index = {atom: i + 1 for i, atom in enumerate(atoms)}
-    clauses = [
-        tuple((1 if lit.positive else -1) * index[lit.atom] for lit in c.literals)
-        for c in cs.clauses
-        if not c.is_tautology()
-    ]
-    return atoms, clauses
-
-
-def _assign(clauses: list[tuple[int, ...]], lit: int) -> list[tuple[int, ...]]:
-    out = []
-    for cl in clauses:
-        if lit in cl:
-            continue
-        if -lit in cl:
-            out.append(tuple(x for x in cl if x != -lit))
-        else:
-            out.append(cl)
-    return out
-
-
-def _search(clauses: list[tuple[int, ...]], bucket_of: dict[int, int],
-            trusted: bool, cfg: SolverConfig, stats: SolveStats,
-            trail: list[int]) -> str:
-    """Depth-first splitting search that branches only on atoms of
-    ``bucket_of`` (atom index -> stepping bucket).  Each node propagates
-    units, then splits on the leading atom: true first, its false branch
-    kept on an explicit stack of pending branches.  Literals made true are
-    appended to ``trail``, which holds the model on "sat" and is restored
-    otherwise.  A node whose clauses hold no bucket atom is accepted when
-    ``trusted``, else its leftovers get a plain sub-solve (one bucket of
-    all their atoms, which never reaches this case again) with its own
-    counters and call budget.  Returns "sat", "unsat" or "unknown"."""
-    base = len(trail)
-    units_on = cfg.unit_policy != "off"
-    all_units = cfg.unit_policy == "all"
-    pending: list[tuple[list[tuple[int, ...]], int, int, int]] = []
-    prev_size = len(bucket_of) + 1
-    node = clauses
-    while True:
-        stats.calls += 1
-        if cfg.max_calls is not None and stats.calls > cfg.max_calls:
-            return "unknown"
-        ok = None
-        while True:
-            if () in node:  # an empty clause
-                ok = False
-                break
-            if not node:
-                ok = True
-                break
-            # a unit's atom occurs, so bucket membership is exactly the
-            # relevant_only test
-            unit = next((cl[0] for cl in node if len(cl) == 1
-                         and (all_units or abs(cl[0]) in bucket_of)), None) \
-                if units_on else None
-            if unit is None:
-                break
-            trail.append(unit)
-            stats.unit_props += 1
-            node = _assign(node, unit)
-        if ok is None:
-            counts = Counter(map(abs, chain.from_iterable(node)))
-            live = [v for v in counts if v in bucket_of]
-            if live:
-                assert len(live) < prev_size, "restricted sequence must shrink per call"
-                # first live bucket, then max count, then smallest index
-                first = min(map(bucket_of.__getitem__, live))
-                lead = [v for v in live if bucket_of[v] == first]
-                top = max(map(counts.__getitem__, lead))
-                var = min(v for v in lead if counts[v] == top)
-                stats.splits += 1
-                pending.append((node, -var, len(trail), len(live)))
-                prev_size = len(live)
-                trail.append(var)
-                node = _assign(node, var)
-                continue
-            if trusted:
-                ok = True  # partial model: leftovers never touch stepping atoms
-            else:
-                sub = SolveStats()
-                verdict = _search(node, dict.fromkeys(counts, 0), False,
-                                  replace(cfg, unit_policy="all" if units_on else "off"),
-                                  sub, trail)
-                if verdict == "unknown":
-                    return verdict
-                stats.fallback_calls += sub.calls
-                stats.splits += sub.splits
-                stats.unit_props += sub.unit_props
-                ok = verdict == "sat"
-        if ok:
-            return "sat"
-        if not pending:
-            del trail[base:]
-            return "unsat"
-        node, lit, mark, prev_size = pending.pop()
-        del trail[mark:]
-        trail.append(lit)
-        node = _assign(node, lit)
+    # one pass numbers atoms by first occurrence; one sort then renumbers
+    # them in canonical order (a literal's key minus its sign is its atom's)
+    first: dict[tuple, int] = {}
+    seen: list[Literal] = []
+    rows = []
+    for c in cs.clauses:
+        row = []
+        for lit in c.literals:
+            i = first.get((lit.pred, lit.args))
+            if i is None:
+                if lit.args and not lit.is_ground():
+                    raise ValueError("satisfiability solving requires a variable-free clause set")
+                i = first[lit.pred, lit.args] = len(seen) + 1
+                seen.append(lit)
+            row.append(i if lit.positive else -i)
+        rows.append(row)
+    order = sorted(range(len(seen)), key=lambda i: literal_key(seen[i])[1:])
+    rank = [0] * (2 * len(seen) + 1)  # indexed by signed literal
+    for r, i in enumerate(order, 1):
+        rank[i + 1], rank[-i - 1] = r, -r
+    clauses = [tuple(map(rank.__getitem__, row)) for row in rows
+               if len(row) < 2 or len(set(map(abs, row))) == len(row)]
+    return [seen[i].atom for i in order], clauses
 
 
 def _solve(atoms: list[Literal], clauses: list[tuple[int, ...]],
            bucket_of: dict[int, int], trusted: bool, cfg: SolverConfig,
            counts: dict[str, int] | None = None) -> SolveResult:
-    stats = SolveStats()
+    """Depth-first splitting search that branches only on atoms of
+    ``bucket_of`` (atom index -> stepping bucket), over one mutable state
+    built here and undone literal by literal on backtrack.
+
+    Each node propagates units, lowest clause first, then splits on the
+    leading atom: the first bucket with a live atom, its most frequent
+    atom, the smallest index on ties, true first; the false branch is kept
+    on an explicit stack of pending branches.  A node whose unsatisfied
+    clauses hold no bucket atom is accepted when ``trusted``, else it gets
+    a plain sub-solve on the same state (one bucket of every still
+    occurring atom, which never reaches this case again) with its own
+    counters and call budget."""
+    n, m = len(atoms), len(clauses)
+    span = n + 1  # an atom a at count k sits in its bucket's heap as a - k * span
+    occ: list[list[int]] = [[] for _ in range(2 * n + 1)]  # indexed by signed literal
+    for c, cl in enumerate(clauses):
+        for x in cl:
+            occ[x].append(c)
+    cats = [tuple(map(abs, cl)) for cl in clauses]
+    sat = [0] * m                   # the literal that satisfied a clause, or 0
+    free = list(map(len, clauses))  # unassigned literals, kept for unsatisfied clauses
+    # occurrences of each unassigned atom in the unsatisfied clauses
+    cnt = [len(occ[a]) + len(occ[-a]) for a in range(n + 1)]
+    assigned = [False] * (2 * n + 1)  # indexed by signed literal
     trail: list[int] = []
-    verdict = _search(clauses, bucket_of, trusted, cfg, stats, trail)
+    unsat_left, empty = m, free.count(0)
+    units_on = cfg.unit_policy != "off"
+    # lazy min-heap of clause ids that may be unit; units outside the
+    # stepping buckets are parked until a sub-solve takes every unit
+    units = [c for c in range(m) if free[c] == 1] if units_on else []
+    parked: set[int] = set()
+    # per bucket, a lazy heap of its atoms by count and the number of them
+    # still occurring; atoms whose count moved wait in touched until a split
+    bkt = [-1] * (n + 1)
+    heaps: list[list[int]] = [[] for _ in range(max(bucket_of.values(), default=-1) + 1)]
+    live = [0] * len(heaps)
+    touched: list[int] = []
+    for a, b in bucket_of.items():
+        bkt[a] = b
+        if cnt[a]:
+            heaps[b].append(a - cnt[a] * span)
+            live[b] += 1
+    for h in heaps:
+        heapify(h)
+
+    def assign(lit: int) -> None:
+        nonlocal unsat_left, empty
+        v = lit if lit > 0 else -lit
+        assigned[lit] = assigned[-lit] = True
+        trail.append(lit)
+        if cnt[v]:
+            cnt[v] = 0
+            if bkt[v] >= 0:
+                live[bkt[v]] -= 1
+        for c in occ[lit]:
+            if not sat[c]:
+                sat[c] = lit
+                unsat_left -= 1
+                for a in cats[c]:
+                    if not assigned[a]:
+                        k = cnt[a] - 1
+                        cnt[a] = k
+                        if k:
+                            touched.append(a)
+                        elif bkt[a] >= 0:
+                            live[bkt[a]] -= 1
+        for c in occ[-lit]:
+            if not sat[c]:
+                f = free[c] - 1
+                free[c] = f
+                if not f:
+                    empty += 1
+                elif f == 1 and units_on:
+                    heappush(units, c)
+
+    def undo(mark: int) -> None:
+        nonlocal unsat_left, empty
+        while len(trail) > mark:
+            lit = trail.pop()
+            v = lit if lit > 0 else -lit
+            kv = 0
+            for c in occ[-lit]:
+                if not sat[c]:
+                    kv += 1
+                    f = free[c] + 1
+                    free[c] = f
+                    if f == 1:
+                        empty -= 1
+                        if units_on:
+                            heappush(units, c)
+            for c in occ[lit]:
+                if sat[c] == lit:
+                    sat[c] = 0
+                    unsat_left += 1
+                    kv += 1
+                    f = 1
+                    for a in cats[c]:
+                        if not assigned[a]:
+                            f += 1
+                            k = cnt[a] + 1
+                            cnt[a] = k
+                            touched.append(a)
+                            if k == 1 and bkt[a] >= 0:
+                                live[bkt[a]] += 1
+                    free[c] = f
+                    if f == 1 and units_on:
+                        heappush(units, c)
+            assigned[lit] = assigned[-lit] = False
+            cnt[v] = kv
+            if kv:
+                touched.append(v)
+                if bkt[v] >= 0:
+                    live[bkt[v]] += 1
+
+    def flush() -> None:
+        for a in set(touched):
+            if cnt[a] and bkt[a] >= 0:
+                heappush(heaps[bkt[a]], a - cnt[a] * span)
+        touched.clear()
+        for b, h in enumerate(heaps):
+            if len(h) > 4 * live[b] + 64:  # mostly stale: rebuild from its atoms
+                h[:] = [a - cnt[a] * span for a in {e % span for e in h} if cnt[a]]
+                heapify(h)
+
+    def search(trusted: bool, all_units: bool, stats: SolveStats, prev_size: int) -> str:
+        nonlocal bkt, heaps, live
+        base = len(trail)
+        pending: list[tuple[int, int, int]] = []
+        while True:
+            stats.calls += 1
+            if cfg.max_calls is not None and stats.calls > cfg.max_calls:
+                return "unknown"
+            ok = None
+            while True:
+                if empty:
+                    ok = False
+                    break
+                if not unsat_left:
+                    ok = True
+                    break
+                unit = 0
+                while units:
+                    c = heappop(units)
+                    if sat[c] or free[c] != 1:
+                        continue
+                    for unit in clauses[c]:
+                        if not assigned[unit]:
+                            break
+                    if all_units or bkt[abs(unit)] >= 0:
+                        break
+                    parked.add(c)
+                    unit = 0
+                if not unit:
+                    break
+                stats.unit_props += 1
+                assign(unit)
+            if ok is None and any(live):
+                size = sum(live)
+                assert size < prev_size, "restricted sequence must shrink per call"
+                flush()
+                b = 0
+                while not live[b]:
+                    b += 1
+                h = heaps[b]
+                var = h[0] % span
+                while cnt[var] * span != var - h[0]:  # a stale count
+                    heappop(h)
+                    var = h[0] % span
+                stats.splits += 1
+                pending.append((-var, len(trail), size))
+                prev_size = size
+                assign(var)
+                continue
+            if ok is None:
+                if trusted:
+                    ok = True  # partial model: leftovers never touch stepping atoms
+                else:
+                    sub = SolveStats()
+                    flush()  # the heaps hold every count the sub-solve hands back
+                    saved = bkt, heaps, live
+                    top = [a - k * span for a, k in enumerate(cnt) if k]
+                    heapify(top)
+                    bkt, heaps, live = [0] * (n + 1), [top], [len(top)]
+                    units.extend(parked)
+                    parked.clear()
+                    heapify(units)
+                    verdict = search(False, True, sub, len(top) + 1)
+                    bkt, heaps, live = saved
+                    if verdict == "unknown":
+                        return verdict
+                    stats.fallback_calls += sub.calls
+                    stats.splits += sub.splits
+                    stats.unit_props += sub.unit_props
+                    ok = verdict == "sat"
+            if ok:
+                return "sat"
+            if not pending:
+                if base:  # a caller goes on from the state it handed over
+                    undo(base)
+                return "unsat"
+            lit, mark, prev_size = pending.pop()
+            undo(mark)
+            assign(lit)
+
+    stats = SolveStats()
+    try:
+        verdict = search(trusted, cfg.unit_policy == "all", stats, len(bucket_of) + 1)
+    finally:
+        del search  # it refers to itself; without the cycle the state is freed at once
     model = {atoms[abs(l) - 1]: l > 0 for l in trail} if verdict == "sat" else {}
     return SolveResult(verdict, model, stats, counts)
 

@@ -2,13 +2,14 @@
 
 Everything here is deliberately naive: exhaustive enumeration and direct
 definitions, no shared data structures with the code under test beyond the
-basic term/literal types.
+basic term/literal types and the solver's config and result records.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
+from dataclasses import replace
 
 from altpath.clauses import (
     App,
@@ -21,6 +22,7 @@ from altpath.clauses import (
     term_vars,
     unify_seq,
 )
+from altpath.dpll import SolveResult, SolverConfig, SolveStats, SteppingSequence
 
 INF = float("inf")
 
@@ -217,3 +219,123 @@ def factors_through(sigma: Substitution, theta: Substitution, names) -> bool:
         if bind is None:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Copy-based splitting search
+#
+# The solver engine before occurrence lists and an undo trail: every node
+# copies the remaining clause list, recounts every literal and scans for
+# units.  Its verdict, counters and trail order are the reference for the
+# incremental engine of altpath.dpll.
+
+
+def _reference_encode(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
+    atoms = cs.atoms()
+    index = {atom: i + 1 for i, atom in enumerate(atoms)}
+    clauses = [
+        tuple((1 if lit.positive else -1) * index[lit.atom] for lit in c.literals)
+        for c in cs.clauses
+        if not c.is_tautology()
+    ]
+    return atoms, clauses
+
+
+def _assign(clauses: list[tuple[int, ...]], lit: int) -> list[tuple[int, ...]]:
+    out = []
+    for cl in clauses:
+        if lit in cl:
+            continue
+        if -lit in cl:
+            out.append(tuple(x for x in cl if x != -lit))
+        else:
+            out.append(cl)
+    return out
+
+
+def _search(clauses: list[tuple[int, ...]], bucket_of: dict[int, int],
+            trusted: bool, cfg: SolverConfig, stats: SolveStats,
+            trail: list[int]) -> str:
+    base = len(trail)
+    units_on = cfg.unit_policy != "off"
+    all_units = cfg.unit_policy == "all"
+    pending: list[tuple[list[tuple[int, ...]], int, int, int]] = []
+    prev_size = len(bucket_of) + 1
+    node = clauses
+    while True:
+        stats.calls += 1
+        if cfg.max_calls is not None and stats.calls > cfg.max_calls:
+            return "unknown"
+        ok = None
+        while True:
+            if () in node:
+                ok = False
+                break
+            if not node:
+                ok = True
+                break
+            unit = next((cl[0] for cl in node if len(cl) == 1
+                         and (all_units or abs(cl[0]) in bucket_of)), None) \
+                if units_on else None
+            if unit is None:
+                break
+            trail.append(unit)
+            stats.unit_props += 1
+            node = _assign(node, unit)
+        if ok is None:
+            counts = Counter(map(abs, itertools.chain.from_iterable(node)))
+            live = [v for v in counts if v in bucket_of]
+            if live:
+                assert len(live) < prev_size, "restricted sequence must shrink per call"
+                first = min(map(bucket_of.__getitem__, live))
+                lead = [v for v in live if bucket_of[v] == first]
+                top = max(map(counts.__getitem__, lead))
+                var = min(v for v in lead if counts[v] == top)
+                stats.splits += 1
+                pending.append((node, -var, len(trail), len(live)))
+                prev_size = len(live)
+                trail.append(var)
+                node = _assign(node, var)
+                continue
+            if trusted:
+                ok = True
+            else:
+                sub = SolveStats()
+                verdict = _search(node, dict.fromkeys(counts, 0), False,
+                                  replace(cfg, unit_policy="all" if units_on else "off"),
+                                  sub, trail)
+                if verdict == "unknown":
+                    return verdict
+                stats.fallback_calls += sub.calls
+                stats.splits += sub.splits
+                stats.unit_props += sub.unit_props
+                ok = verdict == "sat"
+        if ok:
+            return "sat"
+        if not pending:
+            del trail[base:]
+            return "unsat"
+        node, lit, mark, prev_size = pending.pop()
+        del trail[mark:]
+        trail.append(lit)
+        node = _assign(node, lit)
+
+
+def reference_solve(cs: ClauseSet, config: SolverConfig | None = None,
+                    step: SteppingSequence | None = None,
+                    trusted: bool = False) -> SolveResult:
+    """``dpll(cs, config)`` when ``step`` is None, else ``dpll_rel(cs,
+    step=step, config=config)`` in trusted or fallback mode, by the
+    copy-based search.  The model lists atoms in trail order."""
+    atoms, clauses = _reference_encode(cs)
+    if step is None:
+        bucket_of = dict.fromkeys(range(1, len(atoms) + 1), 0)
+    else:
+        index = {atom: i + 1 for i, atom in enumerate(atoms)}
+        bucket_of = {index[atom]: b for b, bucket in enumerate(step.buckets)
+                     for atom in bucket if atom in index}
+    stats = SolveStats()
+    trail: list[int] = []
+    verdict = _search(clauses, bucket_of, trusted, config or SolverConfig(), stats, trail)
+    model = {atoms[abs(l) - 1]: l > 0 for l in trail} if verdict == "sat" else {}
+    return SolveResult(verdict, model, stats)

@@ -486,3 +486,17 @@ def test_deeply_nested_term_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_out_of_memory_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    # the command raises as if an allocation failed; nothing is allocated
+    def exhausted(cfg):
+        raise MemoryError()
+
+    monkeypatch.setattr(altpath.cli, "cmd_solve", exhausted)
+    path = tmp_path / "p.cnf"
+    path.write_text("p cnf 1 1\n1 0\n")
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -18,7 +18,7 @@ from altpath.dpll import (
 from altpath.graph import INF
 from tests.test_graph import ground_set
 
-from oracles import clause_set_sat
+from oracles import clause_set_sat, reference_solve
 
 
 def atom(name: str) -> Literal:
@@ -436,3 +436,123 @@ def test_golden_solver_stats(family):
     rows = _golden_rows(_golden_corpus()[family])
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
     assert digest == GOLDEN_DIGESTS[family]
+
+
+# ---------------------------------------------------------------------------
+# differential test against the copy-based reference engine
+#
+# The incremental engine must reproduce the reference node for node: the
+# same verdict, counters and trail (the model lists atoms in the order they
+# were assigned), under every unit policy, with and without a call budget,
+# for plain, fallback and trusted solving.
+
+_DIFF_CONFIGS = [SolverConfig(unit_policy=policy, max_calls=cap)
+                 for policy in ("off", "relevant_only", "all")
+                 for cap in (None, 1, 3, 9, 40)]
+
+
+def _same_as_reference(cs: ClauseSet, step: SteppingSequence | None = None,
+                       mode: str = "fallback") -> list[tuple[SolverConfig, SolveResult]]:
+    runs = []
+    for cfg in _DIFF_CONFIGS:
+        if step is None:
+            got = dpll(cs, cfg)
+        else:
+            got = dpll_rel(cs, step=step, config=cfg, mode=mode)
+        want = reference_solve(cs, cfg, step, trusted=mode == "trusted")
+        assert (got.verdict, got.stats, list(got.model.items())) == \
+            (want.verdict, want.stats, list(want.model.items())), (str(cs), step, mode, cfg)
+        runs.append((cfg, got))
+    return runs
+
+
+def _all_solvers(cs: ClauseSet, support: list[int], rng: random.Random):
+    """Plain, fallback and trusted runs, on the support's stepping sequence
+    and on a random one with empty buckets and an atom the set lacks."""
+    runs = _same_as_reference(cs)
+    pool = cs.atoms() + [atom("absent")]
+    rng.shuffle(pool)
+    buckets: list[list[Literal]] = [[] for _ in range(rng.randint(1, 4))]
+    for a in pool[:rng.randint(0, len(pool))]:
+        rng.choice(buckets).append(a)
+    for step in (stepping_sequence(cs, support),
+                 SteppingSequence(tuple(tuple(b) for b in buckets))):
+        for mode in ("fallback", "trusted"):
+            runs += _same_as_reference(cs, step, mode)
+    return runs
+
+
+def _random_rows(rng: random.Random, names: list[str], n_clauses: int) -> list[str]:
+    # units, duplicates, the odd empty clause and tautology among them
+    rows: list[str] = []
+    for _ in range(n_clauses):
+        r = rng.random()
+        if r < 0.03:
+            rows.append("")
+        elif r < 0.13 and rows:
+            rows.append(rng.choice(rows))
+        else:
+            width = rng.choice((1, 2, 2, 3, 3, 3, 4))
+            rows.append(" ".join(rng.choice(("", "~")) + rng.choice(names)
+                                 for _ in range(width)))
+    return rows
+
+
+def test_engine_matches_reference_on_random_sets():
+    rng = random.Random(3100)
+    runs = []
+    for _ in range(72):
+        names = [f"a{i}" for i in range(rng.randint(2, 7))]
+        cs = ground_set(*_random_rows(rng, names, rng.randint(3, 18)))
+        runs += _all_solvers(cs, rng.sample(cs.ids(), rng.randint(1, 2)), rng)
+    assert {res.verdict for _, res in runs} == {"sat", "unsat", "unknown"}
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3), (4, 1), (3, 3)])
+def test_engine_matches_reference_on_horn_trees(shape):
+    from altpath.generators import horn_tree
+
+    rng = random.Random(10 * shape[0] + shape[1])
+    tree = horn_tree(*shape)
+    groups = [c.literals for c in tree.clauses]
+    for _ in range(3):
+        rows = list(groups)
+        if rng.random() < 0.5:  # drop a leaf fact: satisfiable
+            rows.remove(rng.choice([g for g in rows if len(g) == 1 and g[0].positive]))
+        rng.shuffle(rows)
+        cs = ClauseSet.from_groups(rows)
+        goal = next(c.id for c in cs.clauses if c.literals == (Literal(False, "g0"),))
+        _all_solvers(cs, [goal], rng)
+
+
+def test_engine_matches_reference_on_fallback_leaves():
+    # a core around the support plus a detached part with its own units:
+    # under relevant_only those units wait for the fallback sub-solve,
+    # which must take them lowest clause first, interleaved with the core's
+    rng = random.Random(3300)
+    runs = []
+    for _ in range(32):
+        core = _random_rows(rng, ["p", "q", "r"], rng.randint(2, 5))
+        detached = _random_rows(rng, [f"x{i}" for i in range(5)], rng.randint(4, 12))
+        detached += [rng.choice(("", "~")) + f"x{rng.randrange(5)}"
+                     for _ in range(rng.randint(1, 3))]
+        rows = [(row, True) for row in core] + [(row, False) for row in detached]
+        rng.shuffle(rows)
+        cs = ground_set(*(row for row, _ in rows))
+        support = [cid for cid, (row, in_core) in zip(cs.ids(), rows) if in_core and row][:1]
+        runs += _all_solvers(cs, support or [cs.ids()[0]], rng)
+    assert any(res.stats.fallback_calls for _, res in runs)
+    assert any(cfg.unit_policy == "relevant_only" and res.stats.fallback_calls
+               and res.verdict == "sat"
+               and any(a.pred.startswith("x") for a in res.model)
+               for cfg, res in runs)
+
+
+def test_engine_matches_reference_when_a_subsolve_hits_the_cap():
+    # the support part is satisfiable after one split; the detached
+    # pigeonhole part then costs the sub-solve more than the budget
+    core = ground_set("p q", "~p q")
+    cs = ClauseSet.from_groups([c.literals for c in core.clauses + _pigeonhole(4).clauses])
+    runs = _same_as_reference(cs, stepping_sequence(cs, [1]))
+    assert any(res.verdict == "unknown" and res.stats.calls <= cfg.max_calls
+               for cfg, res in runs)

@@ -175,6 +175,26 @@ def test_tptp_function_arity_conflict():
         parse_tptp("cnf(c1, axiom, p(f(a))). cnf(c2, axiom, q(f(a, b))).")
 
 
+@pytest.mark.parametrize("fast", [True, False])
+def test_tptp_function_arity_conflict_names_its_clause(fast, monkeypatch):
+    # the same message whether the statement reader or the tokenizer read it
+    from altpath import parsing
+
+    if not fast:
+        def refuse(self, text):
+            raise parsing._NotFast
+
+        monkeypatch.setattr(parsing._FastTptp, "parse", refuse)
+    text = "cnf(c1, axiom, q(f(a))).\ncnf(c2, axiom, q(f(a, b)))."
+    with pytest.raises(ParseError) as err:
+        parse_tptp(text, source="x.p")
+    assert str(err.value) == "x.p: function symbol 'f' used at arity 1 and 2 (clause 2)"
+    # a symbol first seen nested, then clashing at the top of a later clause
+    with pytest.raises(ParseError, match=r"'g' used at arity 2 and 0 \(clause 3\)"):
+        parse_tptp("cnf(a, axiom, p(h(g(b, c)))).\ncnf(b, axiom, p(b)).\n"
+                   "cnf(c, axiom, p(g)).", source="y.p")
+
+
 @pytest.mark.parametrize("name", ["(", "~", "X", "_x", "$false", ","])
 def test_tptp_formula_name_must_be_a_word(name):
     with pytest.raises(ParseError) as err:
