@@ -228,6 +228,8 @@ class Literal:
         return self if self.positive else Literal(True, self.pred, self.args)
 
     def is_ground(self) -> bool:
+        if not self.args:
+            return True
         return not any(term_vars(a) for a in self.args)
 
     def __str__(self) -> str:
@@ -263,13 +265,6 @@ def keyed_literal(positive: bool, pred: str, args: tuple[Term, ...] = (),
         arg_texts = tuple(str(a) for a in args)
     object.__setattr__(lit, "_key", (0 if positive else 1, _symbol_key(pred), arg_texts))
     return lit
-
-
-def unify_atoms(l1: Literal, l2: Literal) -> Substitution | None:
-    """Unifier of the atoms of two literals, ignoring sign.  None on clash."""
-    if l1.pred != l2.pred or len(l1.args) != len(l2.args):
-        return None
-    return unify_seq(l1.args, l2.args)
 
 
 def complementary_unifiable(l1: Literal, l2: Literal) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -39,7 +40,6 @@ from altpath.graph import (
     INF,
     PROPOSITIONAL_HUB,
     bfs_from_support,
-    bounded_build_and_search,
     build_graph,
     check_alternating_path,
     multi_support_intersection,
@@ -564,7 +564,7 @@ def cmd_stats(cfg: RunConfig) -> int:
             raise ValueError("--bound is needed to print the size budget")
         spec = cfg.supports[0] if cfg.supports else None
         support = resolve_support(cs, spec, fmt)
-        dmap = bounded_build_and_search(cs, support, cfg.bound, _graph_mode(cfg))
+        dmap = bfs_from_support(build_graph(cs, _graph_mode(cfg)), support, bound=cfg.bound)
         payload["support"] = len(support)
         payload["relevant"] = len(dmap.relevant_ids(cfg.bound))
         payload["budget"] = _growth_budget(len(support), b, k, cfg.bound)
@@ -666,14 +666,18 @@ def _add_common(p: argparse.ArgumentParser, input_required: bool = True) -> None
                    metavar="SPEC",
                    help="support spec: role:<r>, pos, neg, ids:<list>, file:<path>")
     p.add_argument("--hub", action="store_true",
-                   help="shared-literal graph (ground input only)")
+                   help="count edges with shared hub nodes (variable-free input "
+                        "only); distances and witnesses do not change")
     p.add_argument("--include-base", dest="include_base",
                    help="directory for TPTP includes (default: $TPTP)")
     p.add_argument("--json", dest="json_out", action="store_true",
                    help="machine-readable summary on stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; ``main`` dispatches on the command
+    name, so each call finds the ``cmd_*`` function under that name."""
     parser = argparse.ArgumentParser(
         prog="altpath",
         description="Relevance filtering, solving and diagnostics over clause sets.",
@@ -688,7 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="intersect the neighborhoods of several --support specs")
     p.add_argument("-o", "--output", help="write clauses here instead of stdout")
     p.add_argument("--csv", help="write a clause_id,distance table here")
-    p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("solve", help="relevance-restricted DPLL on ground input")
     _add_common(p)
@@ -701,7 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-calls", dest="max_calls", type=int)
     p.add_argument("--count-calls", dest="count_calls", action="store_true",
                    help="print the call count against the 2^k budget")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("deepen", help="grow neighborhood levels until one refutes")
     _add_common(p)
@@ -712,29 +714,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", dest="max_rounds", type=int, default=16)
     p.add_argument("--prover", help="external prover command, {file} is the TPTP path")
     p.add_argument("--prover-timeout", dest="prover_timeout", type=float, default=5.0)
-    p.set_defaults(func=cmd_deepen)
 
     p = sub.add_parser("distance", help="relevance distance between clause pairs")
     _add_common(p)
     p.add_argument("--pair", dest="pairs", nargs=2, type=int, action="append",
                    default=[], metavar=("FROM", "TO"))
-    p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("path", help="shortest connection witness to a clause")
     _add_common(p)
     p.add_argument("--to", dest="to_id", type=int, help="target clause id")
-    p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("radius", help="smallest refuting neighborhood level")
     _add_common(p)
     p.add_argument("--unit-policy", dest="unit_policy", choices=UNIT_POLICIES,
                    default="all")
-    p.set_defaults(func=cmd_radius)
 
     p = sub.add_parser("stats", help="occurrence bound b, width k and size budgets")
     _add_common(p)
     p.add_argument("-n", "--bound", type=int, help="level for the size budget")
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("split", help="replace a clause by symbol-wise instances")
     _add_common(p)
@@ -745,7 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extra-constant", dest="extra_constant",
                    help="allow this fresh constant when the set has none")
     p.add_argument("-o", "--output", help="write the result here instead of stdout")
-    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("gen", help="seeded benchmark families")
     p.add_argument("family", choices=("3sat", "horn-tree", "bounded"))
@@ -759,7 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preds", type=int, default=12)
     p.add_argument("--first-order", dest="first_order", action="store_true")
     p.add_argument("-o", "--output", help="write the instance here instead of stdout")
-    p.set_defaults(func=cmd_gen)
 
     return parser
 
@@ -779,10 +774,9 @@ def _config(ns: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        return ns.func(_config(ns))
+        return globals()[f"cmd_{ns.command}"](_config(ns))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

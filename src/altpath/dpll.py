@@ -46,7 +46,6 @@ from heapq import heapify, heappop, heappush
 from altpath.clauses import ClauseSet, Literal, literal_key
 from altpath.graph import (
     INF,
-    PROPOSITIONAL_HUB,
     DistanceMap,
     bfs_from_support,
     build_graph,
@@ -138,7 +137,7 @@ def stepping_sequence(cs: ClauseSet, support_ids,
     if not cs.is_ground():
         raise ValueError("stepping sequences are defined for variable-free sets")
     if dmap is None:
-        dmap = bfs_from_support(build_graph(cs, PROPOSITIONAL_HUB), support_ids)
+        dmap = bfs_from_support(build_graph(cs), support_ids)
     best: dict[Literal, float] = {}
     for c in cs.clauses:
         d = dmap.clause_distance[c.id]
@@ -166,11 +165,13 @@ def support_radius(cs: ClauseSet, support_ids,
     """The smallest n for which the distance-n clauses around the support
     set are already unsatisfiable; INF when no level is (then everything
     reachable from the support set is satisfiable)."""
-    dmap = bfs_from_support(build_graph(cs, PROPOSITIONAL_HUB), support_ids)
+    dmap = bfs_from_support(build_graph(cs), support_ids)
     return _radius(cs, dmap, config)
 
 
 def _radius(cs: ClauseSet, dmap: DistanceMap, config: SolverConfig | None) -> float:
+    if not cs.is_ground():
+        raise ValueError("the support radius is defined for variable-free sets")
     finite = sorted({int(d) for d in dmap.clause_distance.values() if d < INF})
     cfg = config or SolverConfig(unit_policy="all")
     for n in finite:  # levels between two finite distances add no clauses
@@ -184,7 +185,7 @@ def support_neighborhood(cs: ClauseSet, support_ids,
                          config: SolverConfig | None = None) -> ClauseSet:
     """Clauses within the support radius; every reachable clause when the
     radius is infinite."""
-    dmap = bfs_from_support(build_graph(cs, PROPOSITIONAL_HUB), support_ids)
+    dmap = bfs_from_support(build_graph(cs), support_ids)
     radius = _radius(cs, dmap, config)
     cap = dmap.max_finite_distance() if radius == INF else radius
     if cap == INF:  # support set empty of reachable clauses entirely
@@ -486,7 +487,7 @@ def dpll_rel(cs: ClauseSet, support_ids=None, config: SolverConfig | None = None
         support = frozenset(support_ids)
         if not support:
             raise ValueError("dpll_rel needs a nonempty support set")
-        dmap = bfs_from_support(build_graph(cs, PROPOSITIONAL_HUB), support)
+        dmap = bfs_from_support(build_graph(cs), support)
         step = stepping_sequence(cs, support, dmap)
         reachable = cs.subset([cid for cid, d in dmap.clause_distance.items() if d < INF])
         counts = neighborhood_counts(reachable)

@@ -12,12 +12,19 @@ The search runs over a derived graph with one in-node and one out-node per
 literal occurrence.  Linking edges join out-nodes to in-nodes of
 complementary-unifiable occurrences; switching edges join the in-node of a
 literal to the out-nodes of the other literals of its clause, which is what
-enforces the leave-differs-from-enter rule.  In ``propositional_hub`` mode
-(variable-free sets only) the quadratic bundle of linking edges per atom is
-replaced by two shared hub nodes, so edge count stays linear in occurrences.
+enforces the leave-differs-from-enter rule.  The search reads both kinds of
+edge straight from the partner index and the per-clause occurrence lists,
+so it never materializes the graph and runs the same in every mode.
 
-Partners are found through one index shared by the full build, the bounded
-search and purity filtering.  The partner relation depends only on the two
+The mode only decides how ``RelevanceGraph.adjacency`` wires the edges when
+someone asks for them (edge and node counts).  In ``propositional_hub`` mode
+(variable-free sets only) the quadratic bundle of linking edges of an atom
+is replaced by two shared hub nodes where that saves edges, so the edge
+count stays linear in occurrences.  Distances and witnesses do not depend
+on the mode.
+
+Partners are found through one index shared by the search, the edge wiring
+and purity filtering.  The partner relation depends only on the two
 literals, so the index works on distinct literals: each one's partners are
 found once and shared by all its occurrences, and each distinct pair is
 decided at most once.  Ground literals complement-unify exactly when their
@@ -28,7 +35,8 @@ only pairs with a non-ground side reach the unifier.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from altpath.clauses import ClauseSet, Literal, complementary_unifiable
 
@@ -40,20 +48,26 @@ PROPOSITIONAL_HUB = "propositional_hub"
 MODES = (FIRST_ORDER, PROPOSITIONAL_HUB)
 
 
-@dataclass
 class RelevanceGraph:
     """The derived search graph for one clause set and one mode.
 
     Node layout: occurrence i owns in-node 2i and out-node 2i+1; hub nodes
-    (hub mode only) follow.  Adjacency lists are in construction order, which
-    is the canonical clause/literal order, so traversals are deterministic.
+    (hub mode only) follow.  Occurrences are numbered in the canonical
+    clause/literal order, and ``occs_by_clause`` maps each clause id to the
+    range of its occurrences.  ``adjacency`` is wired on first use; the
+    search does not need it.
     """
 
-    clause_set: ClauseSet
-    mode: str
-    occurrences: list[tuple[int, Literal]]
-    adjacency: list[list[int]]
-    hub_ids: dict[Literal, int] = field(default_factory=dict)
+    def __init__(self, cs: ClauseSet, mode: str = FIRST_ORDER):
+        self.clause_set = cs
+        self.mode = mode
+        self.occurrences = [(c.id, lit) for c in cs.clauses for lit in c.literals]
+        self.occs_by_clause: dict[int, range] = {}
+        start = 0
+        for c in cs.clauses:
+            self.occs_by_clause[c.id] = range(start, start + len(c.literals))
+            start += len(c.literals)
+        self.partners = _Partners(self.occurrences)
 
     @property
     def node_count(self) -> int:
@@ -69,15 +83,53 @@ class RelevanceGraph:
     def out_node(self, occ: int) -> int:
         return 2 * occ + 1
 
-    def clause_occs(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for i, (cid, _) in enumerate(self.occurrences):
-            out.setdefault(cid, []).append(i)
-        return out
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """Adjacency lists in construction order, which is the canonical
+        clause/literal order."""
+        occs, partners = self.occurrences, self.partners
+        adjacency: list[list[int]] = [[] for _ in range(2 * len(occs))]
+        if self.mode == FIRST_ORDER:
+            for i in range(len(occs)):
+                adjacency[2 * i + 1] = [2 * j for j in partners.of(i)]
+        else:
+            # ground atoms with m positive and n negative occurrences: a shared
+            # hub pair costs 2(m+n) edges against 2mn for direct pairing, so each
+            # atom gets whichever wiring is smaller (ties go to direct, which
+            # needs no extra nodes)
+            for (pred, positive), pos_atoms in partners.atoms.items():
+                if not positive:
+                    continue
+                neg_atoms = partners.atoms.get((pred, False))
+                if not neg_atoms:
+                    continue
+                for args, pos in pos_atoms.items():
+                    neg = neg_atoms.get(args)
+                    if not neg:
+                        continue
+                    if len(pos) * len(neg) <= len(pos) + len(neg):
+                        for i in pos:
+                            for j in neg:
+                                adjacency[self.out_node(i)].append(self.in_node(j))
+                                adjacency[self.out_node(j)].append(self.in_node(i))
+                        continue
+                    hub_pos = len(adjacency)
+                    adjacency.append([])
+                    hub_neg = len(adjacency)
+                    adjacency.append([])
+                    for i in pos:
+                        adjacency[self.out_node(i)].append(hub_pos)
+                        adjacency[hub_neg].append(self.in_node(i))
+                    for j in neg:
+                        adjacency[hub_pos].append(self.in_node(j))
+                        adjacency[self.out_node(j)].append(hub_neg)
 
-
-def _occurrence_list(cs: ClauseSet) -> list[tuple[int, Literal]]:
-    return [(c.id, lit) for c in cs.clauses for lit in c.literals]
+        for occ_ids in self.occs_by_clause.values():
+            for i in occ_ids:
+                for j in occ_ids:
+                    if i != j:
+                        adjacency[self.in_node(i)].append(self.out_node(j))
+        return adjacency
 
 
 class _Partners:
@@ -160,63 +212,13 @@ class _Partners:
 
 
 def build_graph(cs: ClauseSet, mode: str = FIRST_ORDER) -> RelevanceGraph:
-    """Materialize the full graph for a clause set."""
+    """The graph of a clause set: its occurrences and partner index.  The
+    edges are wired only when ``adjacency`` is first read."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == PROPOSITIONAL_HUB and not cs.is_ground():
         raise ValueError("propositional_hub mode requires a variable-free clause set")
-    occs = _occurrence_list(cs)
-    adjacency: list[list[int]] = [[] for _ in range(2 * len(occs))]
-    graph = RelevanceGraph(cs, mode, occs, adjacency)
-    partners = _Partners(occs)
-
-    if mode == FIRST_ORDER:
-        for i in range(len(occs)):
-            adjacency[2 * i + 1] = [2 * j for j in partners.of(i)]
-    else:
-        # ground atoms with m positive and n negative occurrences: a shared
-        # hub pair costs 2(m+n) edges against 2mn for direct pairing, so each
-        # atom gets whichever wiring is smaller (ties go to direct, which
-        # needs no extra nodes)
-        for (pred, positive), pos_atoms in partners.atoms.items():
-            if not positive:
-                continue
-            neg_atoms = partners.atoms.get((pred, False))
-            if not neg_atoms:
-                continue
-            for args, pos in pos_atoms.items():
-                neg = neg_atoms.get(args)
-                if not neg:
-                    continue
-                if len(pos) * len(neg) <= len(pos) + len(neg):
-                    for i in pos:
-                        for j in neg:
-                            adjacency[graph.out_node(i)].append(graph.in_node(j))
-                            adjacency[graph.out_node(j)].append(graph.in_node(i))
-                    continue
-                pos_lit = Literal(True, pred, args)
-                neg_lit = Literal(False, pred, args)
-                hub_pos = len(adjacency)
-                adjacency.append([])
-                hub_neg = len(adjacency)
-                adjacency.append([])
-                graph.hub_ids[pos_lit] = hub_pos
-                graph.hub_ids[neg_lit] = hub_neg
-                for i in pos:
-                    adjacency[graph.out_node(i)].append(hub_pos)
-                    adjacency[hub_neg].append(graph.in_node(i))
-                for j in neg:
-                    adjacency[hub_pos].append(graph.in_node(j))
-                    adjacency[graph.out_node(j)].append(hub_neg)
-    # the index is done with; free it before the switching edges add to the peak
-    del partners
-
-    for occ_ids in graph.clause_occs().values():
-        for i in occ_ids:
-            for j in occ_ids:
-                if i != j:
-                    adjacency[graph.in_node(i)].append(graph.out_node(j))
-    return graph
+    return RelevanceGraph(cs, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +313,6 @@ class DistanceMap:
     node_distance: dict[int, int]
     node_parent: dict[int, int]
     bound: int | None = None
-    nodes_materialized: int | None = None
 
     def distance(self, cid: int) -> float:
         try:
@@ -339,9 +340,7 @@ class DistanceMap:
             return AlternatingPath((cid,), ())
         graph = self.graph
         best: int | None = None
-        for i, (occ_cid, _) in enumerate(graph.occurrences):
-            if occ_cid != cid:
-                continue
+        for i in graph.occs_by_clause[cid]:
             node = graph.in_node(i)
             if node in self.node_distance:
                 if best is None or self.node_distance[node] < self.node_distance[best]:
@@ -355,8 +354,6 @@ class DistanceMap:
         links: list[tuple[Literal, Literal]] = []
         pending_exit: Literal | None = None
         for node in chain:
-            if node >= 2 * len(graph.occurrences):
-                continue  # hub node
             occ_cid, lit = graph.occurrences[node // 2]
             if node % 2 == 1:  # out-node
                 if not clause_ids:
@@ -387,55 +384,78 @@ def _check_support(cs: ClauseSet, support_ids) -> frozenset[int]:
 
 def _clause_distances(graph: RelevanceGraph, support: frozenset[int],
                       node_distance: dict[int, int]) -> dict[int, float]:
-    best_in: dict[int, int] = {}
-    for i, (cid, _) in enumerate(graph.occurrences):
-        node = graph.in_node(i)
-        if node in node_distance:
-            d = node_distance[node]
-            if cid not in best_in or d < best_in[cid]:
-                best_in[cid] = d
-    out: dict[int, float] = {}
-    for c in graph.clause_set.clauses:
-        if c.id in support:
-            out[c.id] = 1
-        elif c.id in best_in:
-            # the in-node level counts clauses entered after the support
-            # clause, so the connection contains one more clause than that
-            out[c.id] = 1 + best_in[c.id]
-        else:
-            out[c.id] = INF
-    return out
+    entered: dict[int, float] = {}
+    for node, d in node_distance.items():
+        if not node & 1:
+            cid = graph.occurrences[node >> 1][0]
+            if d < entered.get(cid, INF):
+                entered[cid] = d
+    # the in-node level counts clauses entered after the support clause, so
+    # the connection contains one more clause than that
+    return {c.id: 1 if c.id in support else 1 + entered.get(c.id, INF)
+            for c in graph.clause_set.clauses}
 
 
-def bfs_from_support(graph: RelevanceGraph, support_ids) -> DistanceMap:
-    """Distances of every clause from the support set.
+def bfs_from_support(graph: RelevanceGraph, support_ids,
+                     bound: int | None = None) -> DistanceMap:
+    """Distances of every clause from the support set, or of those within
+    ``bound`` when one is given.
 
     0/1-weighted search from the support clauses' out-nodes: an edge into an
-    in-node costs one step (a clause is entered), edges within a clause or
-    through a hub cost nothing.  A node's distance is therefore the number of
-    clauses entered, independent of how each hop happens to be wired.
+    in-node costs one step (a clause is entered), a switch within a clause
+    costs nothing, so a node's distance is the number of clauses entered.
+    Successors come from the partner index and the clause's occurrences, so
+    no edge is formed outside the part of the graph the search reaches.
+
+    Nodes are popped in nondecreasing distance, and all occurrences of a
+    literal share one partner list, so only the first out-node popped per
+    distinct literal is expanded: the others could only tie.  With a bound
+    k, nothing is expanded past nodes k-1 clause entries deep, and distances
+    beyond k are reported as INF.
     """
     support = _check_support(graph.clause_set, support_ids)
-    occ_nodes = 2 * len(graph.occurrences)
+    if bound is not None and bound < 1:
+        raise ValueError("relevance level must be >= 1")
+    stop = INF if bound is None else bound - 1
+    occurrences, by_clause = graph.occurrences, graph.occs_by_clause
+    partners = graph.partners
+    lit_of = partners.lit_of
+    expanded: set[int] = set()  # distinct literals whose partners were entered
     node_distance: dict[int, int] = {}
     node_parent: dict[int, int] = {}
     queue: deque[int] = deque()
-    for i, (cid, _) in enumerate(graph.occurrences):
-        if cid in support:
-            node = graph.out_node(i)
-            node_distance[node] = 0
-            queue.append(node)
+    for c in graph.clause_set.clauses:
+        if c.id in support:
+            for i in by_clause[c.id]:
+                node = graph.out_node(i)
+                node_distance[node] = 0
+                queue.append(node)
     while queue:
         node = queue.popleft()
         d = node_distance[node]
-        for succ in graph.adjacency[node]:
-            w = 1 if succ < occ_nodes and succ % 2 == 0 else 0
-            if succ not in node_distance or d + w < node_distance[succ]:
-                node_distance[succ] = d + w
-                node_parent[succ] = node
-                if w:
+        if d >= stop:
+            # in-nodes this deep belong to level-k clauses and anything
+            # reached from here would lie beyond the bound
+            continue
+        occ = node >> 1
+        if node & 1:  # out-node: enter the clauses of the literal's partners
+            lid = lit_of[occ]
+            if lid in expanded:
+                continue
+            expanded.add(lid)
+            d += 1
+            for j in partners.of(occ):
+                succ = 2 * j
+                if succ not in node_distance or d < node_distance[succ]:
+                    node_distance[succ] = d
+                    node_parent[succ] = node
                     queue.append(succ)
-                else:
+        else:  # in-node: switch to the clause's other literals
+            for j in by_clause[occurrences[occ][0]]:
+                succ = 2 * j + 1
+                if j != occ and (succ not in node_distance or d < node_distance[succ]):
+                    node_distance[succ] = d
+                    node_parent[succ] = node
                     queue.appendleft(succ)
     return DistanceMap(
         graph,
@@ -443,115 +463,8 @@ def bfs_from_support(graph: RelevanceGraph, support_ids) -> DistanceMap:
         _clause_distances(graph, support, node_distance),
         node_distance,
         node_parent,
+        bound=bound,
     )
-
-
-def relevance_distance(cs: ClauseSet, from_id: int, to_id: int,
-                       mode: str = FIRST_ORDER) -> float:
-    """Shortest connection length between two clauses (1 when identical)."""
-    graph = build_graph(cs, mode)
-    return bfs_from_support(graph, [from_id]).distance(to_id)
-
-
-def relevant_set(cs: ClauseSet, support_ids, n: int, mode: str = FIRST_ORDER,
-                 dmap: DistanceMap | None = None) -> ClauseSet:
-    """The sub-collection of clauses within relevance distance n of the
-    support set (ids preserved)."""
-    if n < 1:
-        raise ValueError("relevance level must be >= 1")
-    if dmap is None:
-        dmap = bfs_from_support(build_graph(cs, mode), support_ids)
-    return cs.subset(dmap.relevant_ids(n))
-
-
-# ---------------------------------------------------------------------------
-# Bounded construction
-
-
-def bounded_build_and_search(cs: ClauseSet, support_ids, k: int,
-                             mode: str = FIRST_ORDER) -> DistanceMap:
-    """Distances up to level k without materializing the whole graph.
-
-    Unification tests run lazily as the frontier expands, and nothing is
-    expanded past nodes that already sit k-1 clause entries deep, so the
-    cost scales with the size of the neighborhood rather than the clause
-    set.  Distances beyond k are reported as INF.  The returned map records
-    how many nodes were touched in ``nodes_materialized``.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == PROPOSITIONAL_HUB and not cs.is_ground():
-        raise ValueError("propositional_hub mode requires a variable-free clause set")
-    support = _check_support(cs, support_ids)
-    if k < 1:
-        raise ValueError("relevance level must be >= 1")
-    occs = _occurrence_list(cs)
-    graph = RelevanceGraph(cs, mode, occs, [])  # adjacency left empty: lazy
-    partners = _Partners(occs)
-    occs_by_clause: dict[int, list[int]] = {}
-    for i, (cid, _) in enumerate(occs):
-        occs_by_clause.setdefault(cid, []).append(i)
-
-    hub_base = 2 * len(occs)
-    hub_of: dict[Literal, int] = graph.hub_ids
-    hub_lits: list[Literal] = []
-
-    def successors(node: int):
-        if node >= hub_base:  # hub for a signed literal: feed complements
-            for j in partners.bucket(hub_lits[node - hub_base]):
-                yield graph.in_node(j)
-            return
-        occ = node // 2
-        cid, lit = occs[occ]
-        if node % 2 == 1:  # out-node
-            if mode == PROPOSITIONAL_HUB:
-                if partners.bucket(lit):
-                    if lit not in hub_of:
-                        hub_of[lit] = hub_base + len(hub_of)
-                        hub_lits.append(lit)
-                    yield hub_of[lit]
-            else:
-                for j in partners.of(occ):
-                    yield graph.in_node(j)
-        else:  # in-node: switch to the clause's other literals
-            for j in occs_by_clause[cid]:
-                if j != occ:
-                    yield graph.out_node(j)
-
-    node_distance: dict[int, int] = {}
-    node_parent: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for i, (cid, _) in enumerate(occs):
-        if cid in support:
-            node = graph.out_node(i)
-            node_distance[node] = 0
-            queue.append(node)
-    while queue:
-        node = queue.popleft()
-        d = node_distance[node]
-        if d >= k - 1:
-            # in-nodes this deep belong to level-k clauses and anything
-            # reached from here would lie beyond the bound
-            continue
-        for succ in successors(node):
-            w = 1 if succ < hub_base and succ % 2 == 0 else 0
-            if succ not in node_distance or d + w < node_distance[succ]:
-                node_distance[succ] = d + w
-                node_parent[succ] = node
-                if w:
-                    queue.append(succ)
-                else:
-                    queue.appendleft(succ)
-    dmap = DistanceMap(
-        graph,
-        support,
-        _clause_distances(graph, support, node_distance),
-        node_distance,
-        node_parent,
-        bound=k,
-        nodes_materialized=len(node_distance),
-    )
-    return dmap
 
 
 # ---------------------------------------------------------------------------
@@ -565,21 +478,18 @@ def purity_filter(cs: ClauseSet) -> ClauseSet:
     Ids of surviving clauses are preserved.  The result is the greatest
     fixpoint: every literal of every surviving clause has a live partner.
     """
-    occs = _occurrence_list(cs)
-    index = _Partners(occs)
+    graph = RelevanceGraph(cs)
+    occs, occs_by_clause = graph.occurrences, graph.occs_by_clause
     # the partner relation is symmetric, so partners[i] also lists the
     # occurrences that lose a partner when occurrence i dies
-    partners = [index.of(i) for i in range(len(occs))]
+    partners = [graph.partners.of(i) for i in range(len(occs))]
     partner_count = [len(p) for p in partners]
-    occs_by_clause: dict[int, list[int]] = {}
-    for i, (cid, _) in enumerate(occs):
-        occs_by_clause.setdefault(cid, []).append(i)
 
     alive = {c.id for c in cs.clauses}
     worklist = deque(
         cid
         for cid in alive
-        if any(partner_count[i] == 0 for i in occs_by_clause.get(cid, []))
+        if any(partner_count[i] == 0 for i in occs_by_clause[cid])
     )
     dead: set[int] = set()
     while worklist:
@@ -588,7 +498,7 @@ def purity_filter(cs: ClauseSet) -> ClauseSet:
             continue
         dead.add(cid)
         alive.discard(cid)
-        for i in occs_by_clause.get(cid, []):
+        for i in occs_by_clause[cid]:
             for watcher in partners[i]:
                 partner_count[watcher] -= 1
                 wcid = occs[watcher][0]

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: exhaustive enumeration and direct
 definitions, no shared data structures with the code under test beyond the
-basic term/literal types and the solver's config and result records.
+basic term/literal types, the solver's config and result records, and the
+graph's edge lists (themselves checked against a pairwise reference).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from altpath.clauses import (
     unify_seq,
 )
 from altpath.dpll import SolveResult, SolverConfig, SolveStats, SteppingSequence
+from altpath.graph import AlternatingPath, RelevanceGraph
 
 INF = float("inf")
 
@@ -148,6 +150,92 @@ def enumerate_path_distances(cs: ClauseSet, support_ids, max_len: int) -> dict[i
     for cid in support:
         extend(cid, None, 1)
     return best
+
+
+# ---------------------------------------------------------------------------
+# 0-1 BFS over the materialized graph
+#
+# The search as it ran before it read the partner index directly: every
+# node's successors come from ``graph.adjacency``, hub nodes included, and
+# every pop re-expands.
+
+
+def reference_bfs(graph: RelevanceGraph, support_ids, bound: int | None = None
+                  ) -> tuple[dict[int, float], dict[int, int], dict[int, int]]:
+    """(clause distances, node distances, node parents) from the support
+    set, with nothing expanded past depth bound-1 when a bound is given."""
+    support = frozenset(support_ids)
+    occ_nodes = 2 * len(graph.occurrences)
+    node_distance: dict[int, int] = {}
+    node_parent: dict[int, int] = {}
+    queue: deque[int] = deque()
+    for i, (cid, _) in enumerate(graph.occurrences):
+        if cid in support:
+            node_distance[2 * i + 1] = 0
+            queue.append(2 * i + 1)
+    while queue:
+        node = queue.popleft()
+        d = node_distance[node]
+        if bound is not None and d >= bound - 1:
+            continue
+        for succ in graph.adjacency[node]:
+            w = 1 if succ < occ_nodes and succ % 2 == 0 else 0
+            if succ not in node_distance or d + w < node_distance[succ]:
+                node_distance[succ] = d + w
+                node_parent[succ] = node
+                if w:
+                    queue.append(succ)
+                else:
+                    queue.appendleft(succ)
+    best_in: dict[int, int] = {}
+    for i, (cid, _) in enumerate(graph.occurrences):
+        if 2 * i in node_distance:
+            d = node_distance[2 * i]
+            if cid not in best_in or d < best_in[cid]:
+                best_in[cid] = d
+    clause_distance: dict[int, float] = {}
+    for c in graph.clause_set.clauses:
+        if c.id in support:
+            clause_distance[c.id] = 1
+        elif c.id in best_in:
+            clause_distance[c.id] = 1 + best_in[c.id]
+        else:
+            clause_distance[c.id] = INF
+    return clause_distance, node_distance, node_parent
+
+
+def reference_witness(graph: RelevanceGraph, support_ids, node_distance: dict[int, int],
+                      node_parent: dict[int, int], cid: int) -> AlternatingPath:
+    """The connection read off ``reference_bfs``'s parents for a reached
+    clause: back from its closest in-node, skipping hub nodes."""
+    if cid in support_ids:
+        return AlternatingPath((cid,), ())
+    best: int | None = None
+    for i, (occ_cid, _) in enumerate(graph.occurrences):
+        node = 2 * i
+        if occ_cid == cid and node in node_distance:
+            if best is None or node_distance[node] < node_distance[best]:
+                best = node
+    chain = [best]
+    while chain[-1] in node_parent:
+        chain.append(node_parent[chain[-1]])
+    chain.reverse()
+    clause_ids: list[int] = []
+    links: list[tuple[Literal, Literal]] = []
+    pending_exit: Literal | None = None
+    for node in chain:
+        if node >= 2 * len(graph.occurrences):
+            continue  # hub node
+        occ_cid, lit = graph.occurrences[node // 2]
+        if node % 2 == 1:
+            if not clause_ids:
+                clause_ids.append(occ_cid)
+            pending_exit = lit
+        else:
+            links.append((pending_exit, lit))
+            clause_ids.append(occ_cid)
+            pending_exit = None
+    return AlternatingPath(tuple(clause_ids), tuple(links))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from altpath.clauses import (
     literal_key,
     term_vars,
     unify,
-    unify_atoms,
 )
 from oracles import (
     enumerate_unifiers,
@@ -351,6 +350,9 @@ def test_clause_set_atoms_sorted():
     assert [l.pred for l in cs.atoms()] == ["p", "q"]
 
 
-def test_unify_atoms_ignores_sign():
-    assert unify_atoms(lit("p", x), lit("p", a, sign=False)) == {"X": a}
-    assert unify_atoms(lit("p", x), lit("q", a)) is None
+def test_atom_unification_ignores_sign():
+    def atom(l: Literal) -> App:
+        return App(l.pred, l.args)
+
+    assert unify(atom(lit("p", x)), atom(lit("p", a, sign=False))) == {"X": a}
+    assert unify(atom(lit("p", x)), atom(lit("q", a))) is None

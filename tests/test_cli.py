@@ -325,25 +325,18 @@ def test_stats_budget_past_the_digit_limit(big_easy, capsys):
     assert "size budget at 5000: 2.015e+5395" in capsys.readouterr().out
 
 
-def _full_search(cs, support, k, mode):
-    return bfs_from_support(build_graph(cs, mode), support)
-
-
 @pytest.mark.parametrize("hub", [[], ["--hub"]], ids=["first_order", "hub"])
-def test_stats_bound_matches_full_search(tmp_path, capsys, monkeypatch, hub):
+def test_stats_bound_matches_full_search(tmp_path, capsys, hub):
     cs = random_3sat(random.Random(9), 40, 170)
     path = tmp_path / "r.cnf"
     path.write_text(print_dimacs(cs))
     support = "ids:3,77"
-    far = int(_full_search(cs, [3, 77], None, "first_order").max_finite_distance())
+    full = bfs_from_support(build_graph(cs), [3, 77])
+    far = int(full.max_finite_distance())
     for n in range(1, far + 3):
         argv = ["stats", str(path), "--bound", str(n), "--support", support, "--json"] + hub
         assert main(argv) == 0
-        bounded = capsys.readouterr().out
-        with monkeypatch.context() as m:
-            m.setattr(altpath.cli, "bounded_build_and_search", _full_search)
-            assert main(argv) == 0
-        assert bounded == capsys.readouterr().out
+        assert json.loads(capsys.readouterr().out)["relevant"] == len(full.relevant_ids(n))
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +479,18 @@ def test_deeply_nested_term_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_successive_calls_do_not_share_list_options(tree, capsys):
+    assert altpath.cli.build_parser() is altpath.cli.build_parser()
+    assert main(["distance", tree, "--pair", "1", "2", "--json"]) == 0
+    assert main(["distance", tree, "--pair", "2", "3", "--json"]) == 0
+    assert main(["filter", tree, "-n", "1", "--support", "ids:1", "--json"]) == 0
+    assert main(["filter", tree, "-n", "1", "--support", "ids:2", "--json"]) == 0
+    first, second, third, fourth = map(json.loads, capsys.readouterr().out.splitlines())
+    assert [(r["from"], r["to"]) for r in first] == [(1, 2)]
+    assert [(r["from"], r["to"]) for r in second] == [(2, 3)]
+    assert third["support"] == [1] and fourth["support"] == [2]
 
 
 def test_out_of_memory_exits_2_without_traceback(tmp_path, capsys, monkeypatch):

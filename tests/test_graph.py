@@ -18,18 +18,15 @@ from altpath.graph import (
     PROPOSITIONAL_HUB,
     AlternatingPath,
     bfs_from_support,
-    bounded_build_and_search,
     build_graph,
     check_alternating_path,
     is_alternating_path,
     multi_support_intersection,
     purity_filter,
-    relevance_distance,
-    relevant_set,
 )
 from altpath.splitting import binary_split_plan, split_clause
 
-from oracles import brute_distances
+from oracles import brute_distances, reference_bfs, reference_witness
 
 
 def lit(s: str) -> Literal:
@@ -158,8 +155,6 @@ def test_hub_mode_refuses_variables():
     cs = ClauseSet.from_groups([[Literal(True, "p", (Var("X"),))]])
     with pytest.raises(ValueError, match="variable-free"):
         build_graph(cs, PROPOSITIONAL_HUB)
-    with pytest.raises(ValueError, match="variable-free"):
-        bounded_build_and_search(cs, [1], 2, PROPOSITIONAL_HUB)
 
 
 def test_hub_mode_edge_budget_on_fan():
@@ -176,7 +171,7 @@ def test_hubs_created_only_where_they_save_edges():
     # polarity, nothing to link at all
     cs = ground_set("p q", "p ~q", "~p", "~p", "~p r")
     hub = build_graph(cs, PROPOSITIONAL_HUB)
-    assert {str(l) for l in hub.hub_ids} == {"p", "~p"}
+    assert hub.node_count - 2 * len(hub.occurrences) == 2  # one hub pair, for p
     assert hub.edge_count == 6 + 2 * (2 + 3) + 2
     assert hub.edge_count <= build_graph(cs, FIRST_ORDER).edge_count
 
@@ -185,7 +180,7 @@ def test_sparse_sets_fall_back_to_direct_wiring():
     # every atom has one occurrence per sign: hubs would cost twice as much
     cs = ground_set("p q", "~p", "~q r", "~r")
     hub = build_graph(cs, PROPOSITIONAL_HUB)
-    assert not hub.hub_ids
+    assert hub.node_count - 2 * len(hub.occurrences) == 0
     assert hub.edge_count == build_graph(cs, FIRST_ORDER).edge_count
 
 
@@ -195,7 +190,8 @@ def test_distance_is_symmetric(seed):
     cs = random_ground(rng, n_atoms=4, n_clauses=8, max_width=2)
     ids = cs.ids()
     c, d = rng.sample(ids, 2)
-    assert relevance_distance(cs, c, d) == relevance_distance(cs, d, c)
+    graph = build_graph(cs)
+    assert bfs_from_support(graph, [c]).distance(d) == bfs_from_support(graph, [d]).distance(c)
 
 
 def test_witness_paths_are_valid_shortest_connections():
@@ -223,11 +219,11 @@ def test_relevant_set_levels():
     dmap = bfs_from_support(build_graph(cs), [1])
     assert dmap.relevant_ids(1) == [1]
     assert dmap.relevant_ids(2) == [1, 2]
-    sub = relevant_set(cs, [1], 3)
+    sub = cs.subset(dmap.relevant_ids(3))
     assert sub.ids() == [1, 2, 3]
     assert sub.by_id(2) == cs.by_id(2)
     with pytest.raises(ValueError):
-        relevant_set(cs, [1], 0)
+        dmap.relevant_ids(0)
 
 
 def test_bounded_search_matches_truncated_full_search():
@@ -237,7 +233,7 @@ def test_bounded_search_matches_truncated_full_search():
         support = [cs.clauses[0].id]
         full = bfs_from_support(build_graph(cs), support)
         for k in (1, 2, 3, 5):
-            part = bounded_build_and_search(cs, support, k)
+            part = bfs_from_support(build_graph(cs), support, bound=k)
             for cid in cs.ids():
                 want = full.distance(cid)
                 assert part.distance(cid) == (want if want <= k else INF)
@@ -248,7 +244,7 @@ def test_bounded_search_matches_truncated_full_search():
 
 def test_bounded_search_hub_mode():
     cs = ground_set("p", "~p q", "~q r", "~r s", "~s")
-    part = bounded_build_and_search(cs, [1], 3, PROPOSITIONAL_HUB)
+    part = bfs_from_support(build_graph(cs, PROPOSITIONAL_HUB), [1], bound=3)
     assert part.relevant_ids(3) == [1, 2, 3]
     assert part.distance(4) == INF
 
@@ -259,17 +255,17 @@ def test_bounded_search_touches_a_sliver_of_a_long_chain():
     for i in range(1, n):
         groups.append([Literal(False, f"x{i}"), Literal(True, f"x{i + 1}")])
     cs = ClauseSet.from_groups(groups)
-    part = bounded_build_and_search(cs, [1], 4)
+    part = bfs_from_support(build_graph(cs), [1], bound=4)
     assert part.relevant_ids(4) == [1, 2, 3, 4]
-    assert part.nodes_materialized < 20
+    assert len(part.node_distance) < 20
 
 
 def test_level_one_is_support_only():
     cs = ground_set("p", "~p q", "~q")
-    part = bounded_build_and_search(cs, [1], 1)
+    part = bfs_from_support(build_graph(cs), [1], bound=1)
     assert part.relevant_ids(1) == [1]
     assert part.distance(2) == INF
-    assert part.nodes_materialized == 1
+    assert len(part.node_distance) == 1
 
 
 def test_purity_filter_cascades_to_empty():
@@ -447,7 +443,7 @@ def test_partner_index_matches_pairwise_reference(name, cs, ground):
         full = bfs_from_support(graph, support)
         far = int(full.max_finite_distance())
         for k in range(1, far + 2):
-            part = bounded_build_and_search(cs, support, k, mode)
+            part = bfs_from_support(graph, support, bound=k)
             assert part.clause_distance == {
                 cid: d if d <= k else INF for cid, d in full.clause_distance.items()
             }
@@ -464,12 +460,14 @@ def test_ground_sets_never_call_the_unifier(monkeypatch):
             continue
         support = cs.ids()[:1]
         for mode in (FIRST_ORDER, PROPOSITIONAL_HUB):
-            bfs_from_support(build_graph(cs, mode), support)
-            bounded_build_and_search(cs, support, 4, mode)
+            graph = build_graph(cs, mode)
+            graph.adjacency
+            bfs_from_support(graph, support)
+            bfs_from_support(build_graph(cs, mode), support, bound=4)
         purity_filter(cs)
     mixed = next(cs for name, cs, _ in FAMILIES if name.startswith("mixed"))
     with pytest.raises(AssertionError, match="unifier called"):
-        build_graph(mixed)
+        build_graph(mixed).adjacency
 
 
 def test_one_unifier_call_per_distinct_pair(monkeypatch):
@@ -492,6 +490,8 @@ def test_one_unifier_call_per_distinct_pair(monkeypatch):
         and not (l.is_ground() and m.is_ground())
     ]
     graph = build_graph(cs)
+    assert calls == []  # nothing is unified before the edges are read
+    graph.adjacency
     assert len(calls) == len(pairs)
     assert {frozenset(p) for p in calls} == {frozenset(p) for p in pairs}
     assert graph.adjacency == reference_adjacency(cs, FIRST_ORDER)
@@ -554,7 +554,7 @@ def _golden_digest(cs: ClauseSet, rng: random.Random) -> str:
         graph.adjacency,
         support,
         list(full.clause_distance.items()),
-        [list(bounded_build_and_search(cs, support, k).clause_distance.items())
+        [list(bfs_from_support(graph, support, bound=k).clause_distance.items())
          for k in (2, 3, 4)],
         purity_filter(cs).ids(),
         str(full.witness(far)),
@@ -585,3 +585,42 @@ def test_golden_first_order_graph(name):
     families = dict(_golden_families())
     rng = random.Random(name)
     assert _golden_digest(families[name], rng) == GOLDEN_FIRST_ORDER[name]
+
+
+# ---------------------------------------------------------------------------
+# The search against the 0-1 BFS over the wired graph
+
+
+def _differential_sets():
+    for name, cs, _ in FAMILIES:
+        yield name, cs
+    for name, cs in _golden_families():
+        yield f"golden-{name}", cs
+    for seed in range(3):
+        yield f"3sat170-{seed}", random_3sat(random.Random(1000 + seed), 40, 170)
+
+
+DIFFERENTIAL = list(_differential_sets())
+
+
+@pytest.mark.parametrize("name,cs", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
+def test_search_matches_reference_bfs(name, cs):
+    """Node distances and parents (first-order wiring), clause distances and
+    every witness (both wirings), for the full search and for each bound up
+    to one past the farthest level."""
+    support = random.Random(name).sample(cs.ids(), 2)
+    modes = (FIRST_ORDER, PROPOSITIONAL_HUB) if cs.is_ground() else (FIRST_ORDER,)
+    for mode in modes:
+        graph = build_graph(cs, mode)
+        far = int(bfs_from_support(graph, support).max_finite_distance())
+        for bound in (None, *range(1, far + 2)):
+            got = bfs_from_support(graph, support, bound=bound)
+            want, nodes, parents = reference_bfs(graph, support, bound)
+            assert got.clause_distance == want, (mode, bound)
+            if mode == FIRST_ORDER:
+                assert list(got.node_distance.items()) == list(nodes.items()), bound
+                assert list(got.node_parent.items()) == list(parents.items()), bound
+            for cid, d in want.items():
+                if d < INF:
+                    ref = reference_witness(graph, support, nodes, parents, cid)
+                    assert str(got.witness(cid)) == str(ref), (mode, bound, cid)
