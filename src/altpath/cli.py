@@ -13,7 +13,6 @@ Exit codes follow solver conventions: 10 satisfiable, 20 unsatisfiable,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -24,7 +23,6 @@ import shlex
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from altpath.clauses import ClauseSet, Literal
 from altpath.dpll import (
@@ -63,49 +61,6 @@ from altpath.splitting import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; every subcommand reads the slice it needs."""
-
-    command: str = ""
-    input: str | None = None
-    fmt: str = "auto"
-    supports: tuple[str, ...] = ()
-    bound: int | None = None
-    trusted: bool = False
-    no_relevance: bool = False
-    unit_policy: str = "relevant_only"
-    hub: bool = False
-    purity: bool = False
-    intersect: bool = False
-    output: str | None = None
-    csv: str | None = None
-    json_out: bool = False
-    count_calls: bool = False
-    max_calls: int | None = None
-    slice_calls: int = 256
-    max_rounds: int = 16
-    prover: str | None = None
-    prover_timeout: float = 5.0
-    include_base: str | None = None
-    seed: int = 0
-    pairs: tuple[tuple[int, int], ...] = ()
-    to_id: int | None = None
-    clause_id: int | None = None
-    var: str | None = None
-    binary: bool = False
-    extra_constant: str | None = None
-    family: str | None = None
-    gen_vars: int = 20
-    gen_clauses: int = 80
-    depth: int = 3
-    branching: int = 2
-    b: int = 3
-    k: int = 3
-    preds: int = 12
-    first_order: bool = False
-
-
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_UNKNOWN = 0
@@ -127,7 +82,7 @@ _COUNTING_NOTE = (
 # Input plumbing
 
 
-def _load(cfg: RunConfig) -> tuple[ClauseSet, str]:
+def _load(cfg: argparse.Namespace) -> tuple[ClauseSet, str]:
     if cfg.input is None:
         raise ValueError("an input file is required")
     with open(cfg.input, "rb") as fh:
@@ -158,33 +113,30 @@ def resolve_support(cs: ClauseSet, spec: str | None, fmt: str) -> list[int]:
         ids = [c.id for c in cs.clauses if c.literals and not any(l.positive for l in c.literals)]
     elif spec.startswith("ids:"):
         ids = [int(tok) for tok in spec[4:].split(",") if tok]
-        for cid in ids:
-            if not cs.has_id(cid):
-                raise ValueError(f"support id {cid} not in the clause set")
     elif spec.startswith("file:"):
         with open(spec[5:]) as fh:
             ids = [int(tok) for tok in fh.read().split()]
-        for cid in ids:
-            if not cs.has_id(cid):
-                raise ValueError(f"support id {cid} not in the clause set")
     else:
         raise ValueError(
             f"unknown support spec {spec!r} (use role:<r>, pos, neg, ids:<list> or file:<path>)"
         )
+    for cid in ids:
+        if not cs.has_id(cid):
+            raise ValueError(f"support id {cid} not in the clause set")
     if not ids:
         raise ValueError(f"support spec {spec!r} selects no clauses")
     return ids
 
 
-def _graph_mode(cfg: RunConfig) -> str:
+def _graph_mode(cfg: argparse.Namespace) -> str:
     return PROPOSITIONAL_HUB if cfg.hub else FIRST_ORDER
 
 
-def _solver_config(cfg: RunConfig) -> SolverConfig:
+def _solver_config(cfg: argparse.Namespace) -> SolverConfig:
     return SolverConfig(unit_policy=cfg.unit_policy, max_calls=cfg.max_calls)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     # with --json and no --output the payload is dropped: the JSON line is
     # the whole stdout contract then
     if cfg.output:
@@ -206,7 +158,7 @@ def _show(d: float) -> str:
 # filter
 
 
-def cmd_filter(cfg: RunConfig) -> int:
+def cmd_filter(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
     if cfg.bound is None:
         raise ValueError("filter needs a distance bound (-n)")
@@ -278,7 +230,7 @@ def _model_lines(cs: ClauseSet, model: dict[Literal, bool], fmt: str) -> list[st
     return ["v " + " ".join(str(l) for l in lits)]
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
     if not cs.is_ground():
         raise ValueError(
@@ -366,7 +318,7 @@ def _prover_verdict(template: str, cs: ClauseSet, timeout: float) -> tuple[str, 
         os.unlink(path)
 
 
-def _deepen_stages(cs: ClauseSet, cfg: RunConfig, support: list[int]):
+def _deepen_stages(cs: ClauseSet, cfg: argparse.Namespace, support: list[int]):
     """Level slices in ascending order, ending with the full set if the
     reachable part does not already cover it."""
     dmap = bfs_from_support(build_graph(cs, _graph_mode(cfg)), support)
@@ -377,7 +329,7 @@ def _deepen_stages(cs: ClauseSet, cfg: RunConfig, support: list[int]):
     return stages
 
 
-def _finish_deepen(cfg: RunConfig, label: str | None, verdict: str,
+def _finish_deepen(cfg: argparse.Namespace, label: str | None, verdict: str,
                    pending: list[str], lines: list[str]) -> int:
     if verdict == "unsat":
         lines.append(f"c unsat at level {label}")
@@ -403,7 +355,7 @@ def _finish_deepen(cfg: RunConfig, label: str | None, verdict: str,
     return _VERDICT_CODE[verdict]
 
 
-def cmd_deepen(cfg: RunConfig) -> int:
+def cmd_deepen(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
     spec = cfg.supports[0] if cfg.supports else None
     support = resolve_support(cs, spec, fmt)
@@ -452,7 +404,7 @@ def cmd_deepen(cfg: RunConfig) -> int:
 # diagnostics
 
 
-def cmd_distance(cfg: RunConfig) -> int:
+def cmd_distance(cfg: argparse.Namespace) -> int:
     cs, _ = _load(cfg)
     if not cfg.pairs:
         raise ValueError("distance needs at least one --pair FROM TO")
@@ -473,7 +425,7 @@ def cmd_distance(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_path(cfg: RunConfig) -> int:
+def cmd_path(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
     if cfg.to_id is None:
         raise ValueError("path needs --to CLAUSE_ID")
@@ -497,7 +449,7 @@ def cmd_path(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_radius(cfg: RunConfig) -> int:
+def cmd_radius(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
     if not cs.is_ground():
         raise ValueError("the radius measurement needs a variable-free clause set")
@@ -549,7 +501,7 @@ def _growth_budget(n_support: int, b: int, k: int, n: int) -> int | str:
     return _sized(log10, lambda: 2 * n_support * b ** (n - 1) * k * (k - 1) ** (n - 2))
 
 
-def cmd_stats(cfg: RunConfig) -> int:
+def cmd_stats(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
     b = _occurrence_bound(cs)
     k = max((len(c) for c in cs.clauses), default=0)
@@ -585,7 +537,7 @@ def cmd_stats(cfg: RunConfig) -> int:
 # split
 
 
-def cmd_split(cfg: RunConfig) -> int:
+def cmd_split(cfg: argparse.Namespace) -> int:
     cs, _ = _load(cfg)
     if cs.is_ground():
         raise ValueError("the input is variable-free; there is nothing to split")
@@ -630,7 +582,7 @@ def cmd_split(cfg: RunConfig) -> int:
 # gen
 
 
-def cmd_gen(cfg: RunConfig) -> int:
+def cmd_gen(cfg: argparse.Namespace) -> int:
     rng = random.Random(cfg.seed)
     if cfg.family == "3sat":
         cs = random_3sat(rng, cfg.gen_vars, cfg.gen_clauses)
@@ -728,6 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--unit-policy", dest="unit_policy", choices=UNIT_POLICIES,
                    default="all")
+    p.set_defaults(max_calls=None)
 
     p = sub.add_parser("stats", help="occurrence bound b, width k and size budgets")
     _add_common(p)
@@ -755,28 +708,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preds", type=int, default=12)
     p.add_argument("--first-order", dest="first_order", action="store_true")
     p.add_argument("-o", "--output", help="write the instance here instead of stdout")
+    p.set_defaults(json_out=False)
 
     return parser
-
-
-def _config(ns: argparse.Namespace) -> RunConfig:
-    values = {}
-    for field in dataclasses.fields(RunConfig):
-        if not hasattr(ns, field.name):
-            continue
-        value = getattr(ns, field.name)
-        if field.name == "supports":
-            value = tuple(value)
-        elif field.name == "pairs":
-            value = tuple((int(a), int(b)) for a, b in value)
-        values[field.name] = value
-    return RunConfig(**values)
 
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{ns.command}"](_config(ns))
+        return globals()[f"cmd_{ns.command}"](ns)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

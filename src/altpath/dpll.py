@@ -500,23 +500,3 @@ def dpll_rel(cs: ClauseSet, support_ids=None, config: SolverConfig | None = None
                  for atom in bucket if atom in index}
     return _solve(atoms, clauses, bucket_of, mode == "trusted", config or SolverConfig(),
                   counts)
-
-
-def partial_model_covers(cs: ClauseSet, result: SolveResult,
-                         step: SteppingSequence) -> bool:
-    """Contract of a trusted satisfiable verdict: each clause is either made
-    true by the (possibly partial) model, or what remains of it unassigned
-    lies entirely outside the stepping sequence.  A stepping atom may appear
-    in an unsatisfied clause only with an assignment that falsified it there;
-    that can happen when the clause touches the reachable part through a
-    unit clause, which an alternating path cannot be continued through."""
-    stepping = set(step.atoms())
-    for c in cs.clauses:
-        if c.is_tautology():
-            continue
-        if any(result.model.get(lit.atom) == lit.positive for lit in c.literals):
-            continue
-        remnant = [lit for lit in c.literals if lit.atom not in result.model]
-        if not remnant or any(lit.atom in stepping for lit in remnant):
-            return False
-    return True

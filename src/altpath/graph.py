@@ -16,14 +16,14 @@ enforces the leave-differs-from-enter rule.  The search reads both kinds of
 edge straight from the partner index and the per-clause occurrence lists,
 so it never materializes the graph and runs the same in every mode.
 
-The mode only decides how ``RelevanceGraph.adjacency`` wires the edges when
-someone asks for them (edge and node counts).  In ``propositional_hub`` mode
+The mode only decides how edges are counted, and the counts are read off
+the same index without wiring anything.  In ``propositional_hub`` mode
 (variable-free sets only) the quadratic bundle of linking edges of an atom
-is replaced by two shared hub nodes where that saves edges, so the edge
+is counted as two shared hub nodes where that saves edges, so the edge
 count stays linear in occurrences.  Distances and witnesses do not depend
 on the mode.
 
-Partners are found through one index shared by the search, the edge wiring
+Partners are found through one index shared by the search, the edge counts
 and purity filtering.  The partner relation depends only on the two
 literals, so the index works on distinct literals: each one's partners are
 found once and shared by all its occurrences, and each distinct pair is
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from altpath.clauses import ClauseSet, Literal, complementary_unifiable
 
@@ -51,11 +50,11 @@ MODES = (FIRST_ORDER, PROPOSITIONAL_HUB)
 class RelevanceGraph:
     """The derived search graph for one clause set and one mode.
 
-    Node layout: occurrence i owns in-node 2i and out-node 2i+1; hub nodes
-    (hub mode only) follow.  Occurrences are numbered in the canonical
-    clause/literal order, and ``occs_by_clause`` maps each clause id to the
-    range of its occurrences.  ``adjacency`` is wired on first use; the
-    search does not need it.
+    Node layout: occurrence i owns in-node 2i and out-node 2i+1.
+    Occurrences are numbered in the canonical clause/literal order, and
+    ``occs_by_clause`` maps each clause id to the range of its occurrences.
+    The mode only decides how ``edge_count`` and ``node_count`` count the
+    linking edges; no edge list is ever built.
     """
 
     def __init__(self, cs: ClauseSet, mode: str = FIRST_ORDER):
@@ -71,65 +70,38 @@ class RelevanceGraph:
 
     @property
     def node_count(self) -> int:
-        return len(self.adjacency)
+        return 2 * len(self.occurrences) + self._linking()[1]
 
     @property
     def edge_count(self) -> int:
-        return sum(len(out) for out in self.adjacency)
+        switching = sum(len(r) * (len(r) - 1) for r in self.occs_by_clause.values())
+        return switching + self._linking()[0]
 
-    def in_node(self, occ: int) -> int:
-        return 2 * occ
-
-    def out_node(self, occ: int) -> int:
-        return 2 * occ + 1
-
-    @cached_property
-    def adjacency(self) -> list[list[int]]:
-        """Adjacency lists in construction order, which is the canonical
-        clause/literal order."""
-        occs, partners = self.occurrences, self.partners
-        adjacency: list[list[int]] = [[] for _ in range(2 * len(occs))]
+    def _linking(self) -> tuple[int, int]:
+        """(linking edges, hub nodes) of the mode's wiring, counted from the
+        partner index."""
+        partners = self.partners
         if self.mode == FIRST_ORDER:
-            for i in range(len(occs)):
-                adjacency[2 * i + 1] = [2 * j for j in partners.of(i)]
-        else:
-            # ground atoms with m positive and n negative occurrences: a shared
-            # hub pair costs 2(m+n) edges against 2mn for direct pairing, so each
-            # atom gets whichever wiring is smaller (ties go to direct, which
-            # needs no extra nodes)
-            for (pred, positive), pos_atoms in partners.atoms.items():
-                if not positive:
-                    continue
-                neg_atoms = partners.atoms.get((pred, False))
-                if not neg_atoms:
-                    continue
-                for args, pos in pos_atoms.items():
-                    neg = neg_atoms.get(args)
-                    if not neg:
-                        continue
-                    if len(pos) * len(neg) <= len(pos) + len(neg):
-                        for i in pos:
-                            for j in neg:
-                                adjacency[self.out_node(i)].append(self.in_node(j))
-                                adjacency[self.out_node(j)].append(self.in_node(i))
-                        continue
-                    hub_pos = len(adjacency)
-                    adjacency.append([])
-                    hub_neg = len(adjacency)
-                    adjacency.append([])
-                    for i in pos:
-                        adjacency[self.out_node(i)].append(hub_pos)
-                        adjacency[hub_neg].append(self.in_node(i))
-                    for j in neg:
-                        adjacency[hub_pos].append(self.in_node(j))
-                        adjacency[self.out_node(j)].append(hub_neg)
-
-        for occ_ids in self.occs_by_clause.values():
-            for i in occ_ids:
-                for j in occ_ids:
-                    if i != j:
-                        adjacency[self.in_node(i)].append(self.out_node(j))
-        return adjacency
+            # all occurrences of a literal share one partner list
+            edges = sum(len(partners.of(occs[0])) * len(occs) for occs in partners.occs_of)
+            return edges, 0
+        # ground atoms with m positive and n negative occurrences: a shared
+        # hub pair costs 2(m+n) edges against 2mn for direct pairing, so each
+        # atom gets whichever wiring is smaller (ties go to direct, which
+        # needs no extra nodes)
+        edges = hubs = 0
+        for (pred, positive), pos_atoms in partners.atoms.items():
+            neg_atoms = partners.atoms.get((pred, False)) if positive else None
+            if not neg_atoms:
+                continue
+            for args, pos in pos_atoms.items():
+                m, n = len(pos), len(neg_atoms.get(args, ()))
+                if m * n <= m + n:
+                    edges += 2 * m * n
+                else:
+                    edges += 2 * (m + n)
+                    hubs += 2
+        return edges, hubs
 
 
 class _Partners:
@@ -212,8 +184,7 @@ class _Partners:
 
 
 def build_graph(cs: ClauseSet, mode: str = FIRST_ORDER) -> RelevanceGraph:
-    """The graph of a clause set: its occurrences and partner index.  The
-    edges are wired only when ``adjacency`` is first read."""
+    """The graph of a clause set: its occurrences and partner index."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == PROPOSITIONAL_HUB and not cs.is_ground():
@@ -341,7 +312,7 @@ class DistanceMap:
         graph = self.graph
         best: int | None = None
         for i in graph.occs_by_clause[cid]:
-            node = graph.in_node(i)
+            node = 2 * i
             if node in self.node_distance:
                 if best is None or self.node_distance[node] < self.node_distance[best]:
                     best = node
@@ -427,7 +398,7 @@ def bfs_from_support(graph: RelevanceGraph, support_ids,
     for c in graph.clause_set.clauses:
         if c.id in support:
             for i in by_clause[c.id]:
-                node = graph.out_node(i)
+                node = 2 * i + 1
                 node_distance[node] = 0
                 queue.append(node)
     while queue:

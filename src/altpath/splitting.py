@@ -369,14 +369,3 @@ def ground_instances(
             continue
         out.add(lits)
     return out
-
-
-def instance_sets(
-    cs: ClauseSet, ids, universe: list[Term], max_depth: int | None = None
-) -> set[frozenset[Literal]]:
-    """Union of the clauses' ground instances; the comparison side of the
-    same-instances invariant."""
-    out: set[frozenset[Literal]] = set()
-    for cid in ids:
-        out |= ground_instances(cs.by_id(cid), universe, max_depth)
-    return out

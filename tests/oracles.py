@@ -3,7 +3,7 @@
 Everything here is deliberately naive: exhaustive enumeration and direct
 definitions, no shared data structures with the code under test beyond the
 basic term/literal types, the solver's config and result records, and the
-graph's edge lists (themselves checked against a pairwise reference).
+graph's occurrence numbering.
 """
 
 from __future__ import annotations
@@ -20,11 +20,13 @@ from altpath.clauses import (
     Term,
     Var,
     apply_term,
+    complementary_unifiable,
     term_vars,
     unify_seq,
 )
 from altpath.dpll import SolveResult, SolverConfig, SolveStats, SteppingSequence
-from altpath.graph import AlternatingPath, RelevanceGraph
+from altpath.graph import FIRST_ORDER, AlternatingPath, RelevanceGraph
+from altpath.splitting import ground_instances
 
 INF = float("inf")
 
@@ -153,17 +155,66 @@ def enumerate_path_distances(cs: ClauseSet, support_ids, max_len: int) -> dict[i
 
 
 # ---------------------------------------------------------------------------
-# 0-1 BFS over the materialized graph
+# The wired graph and a 0-1 BFS over it
 #
 # The search as it ran before it read the partner index directly: every
-# node's successors come from ``graph.adjacency``, hub nodes included, and
-# every pop re-expands.
+# node's successors come from ``reference_adjacency``, hub nodes included,
+# and every pop re-expands.
 
 
-def reference_bfs(graph: RelevanceGraph, support_ids, bound: int | None = None
+def reference_adjacency(cs: ClauseSet, mode: str) -> list[list[int]]:
+    """The wiring built from complementary_unifiable on every opposite-sign
+    pair: linking edges in ascending occurrence order, hub pairs allocated
+    per predicate (in order of its first positive occurrence) and per atom
+    (in order of the atom's first positive occurrence), then switching edges."""
+    occs = [(c.id, l) for c in cs.clauses for l in c.literals]
+    link = [
+        [j for j, (_, m) in enumerate(occs) if m.positive != l.positive
+         and complementary_unifiable(l, m)]
+        for _, l in occs
+    ]
+    adj: list[list[int]] = [[] for _ in range(2 * len(occs))]
+    if mode == FIRST_ORDER:
+        for i, js in enumerate(link):
+            adj[2 * i + 1] = [2 * j for j in js]
+    else:
+        first_positive: dict[str, dict[tuple, None]] = {}
+        for _, l in occs:
+            if l.positive:
+                first_positive.setdefault(l.pred, {}).setdefault(l.args, None)
+        for pred, atoms in first_positive.items():
+            for args in atoms:
+                pos = [i for i, (_, l) in enumerate(occs) if l == Literal(True, pred, args)]
+                neg = link[pos[0]]
+                if not neg:
+                    continue
+                if len(pos) * len(neg) <= len(pos) + len(neg):
+                    for i in pos:
+                        for j in neg:
+                            adj[2 * i + 1].append(2 * j)
+                            adj[2 * j + 1].append(2 * i)
+                    continue
+                hub_pos, hub_neg = len(adj), len(adj) + 1
+                adj += [[], []]
+                for i in pos:
+                    adj[2 * i + 1].append(hub_pos)
+                    adj[hub_neg].append(2 * i)
+                for j in neg:
+                    adj[hub_pos].append(2 * j)
+                    adj[2 * j + 1].append(hub_neg)
+    for c in cs.clauses:
+        mine = [i for i, (cid, _) in enumerate(occs) if cid == c.id]
+        for i in mine:
+            adj[2 * i] += [2 * j + 1 for j in mine if j != i]
+    return adj
+
+
+def reference_bfs(graph: RelevanceGraph, adjacency: list[list[int]], support_ids,
+                  bound: int | None = None
                   ) -> tuple[dict[int, float], dict[int, int], dict[int, int]]:
     """(clause distances, node distances, node parents) from the support
-    set, with nothing expanded past depth bound-1 when a bound is given."""
+    set over ``adjacency``, the graph's ``reference_adjacency``, with nothing
+    expanded past depth bound-1 when a bound is given."""
     support = frozenset(support_ids)
     occ_nodes = 2 * len(graph.occurrences)
     node_distance: dict[int, int] = {}
@@ -178,7 +229,7 @@ def reference_bfs(graph: RelevanceGraph, support_ids, bound: int | None = None
         d = node_distance[node]
         if bound is not None and d >= bound - 1:
             continue
-        for succ in graph.adjacency[node]:
+        for succ in adjacency[node]:
             w = 1 if succ < occ_nodes and succ % 2 == 0 else 0
             if succ not in node_distance or d + w < node_distance[succ]:
                 node_distance[succ] = d + w
@@ -309,6 +360,17 @@ def factors_through(sigma: Substitution, theta: Substitution, names) -> bool:
     return True
 
 
+def instance_sets(
+    cs: ClauseSet, ids, universe: list[Term], max_depth: int | None = None
+) -> set[frozenset[Literal]]:
+    """Union of the clauses' ground instances; the comparison side of the
+    same-instances invariant."""
+    out: set[frozenset[Literal]] = set()
+    for cid in ids:
+        out |= ground_instances(cs.by_id(cid), universe, max_depth)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Copy-based splitting search
 #
@@ -427,3 +489,27 @@ def reference_solve(cs: ClauseSet, config: SolverConfig | None = None,
     verdict = _search(clauses, bucket_of, trusted, config or SolverConfig(), stats, trail)
     model = {atoms[abs(l) - 1]: l > 0 for l in trail} if verdict == "sat" else {}
     return SolveResult(verdict, model, stats)
+
+
+# ---------------------------------------------------------------------------
+# Trusted verdicts
+
+
+def partial_model_covers(cs: ClauseSet, result: SolveResult,
+                         step: SteppingSequence) -> bool:
+    """Contract of a trusted satisfiable verdict: each clause is either made
+    true by the (possibly partial) model, or what remains of it unassigned
+    lies entirely outside the stepping sequence.  A stepping atom may appear
+    in an unsatisfied clause only with an assignment that falsified it there;
+    that can happen when the clause touches the reachable part through a
+    unit clause, which an alternating path cannot be continued through."""
+    stepping = set(step.atoms())
+    for c in cs.clauses:
+        if c.is_tautology():
+            continue
+        if any(result.model.get(lit.atom) == lit.positive for lit in c.literals):
+            continue
+        remnant = [lit for lit in c.literals if lit.atom not in result.model]
+        if not remnant or any(lit.atom in stepping for lit in remnant):
+            return False
+    return True

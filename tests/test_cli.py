@@ -10,10 +10,12 @@ import pytest
 import altpath.cli
 from altpath.cli import EXIT_SAT, EXIT_UNSAT, EXIT_UNKNOWN, _growth_budget, main
 from altpath.clauses import Literal
-from altpath.dpll import SolveResult, partial_model_covers, stepping_sequence
+from altpath.dpll import SolveResult, stepping_sequence
 from altpath.generators import random_3sat
 from altpath.graph import bfs_from_support, build_graph
 from altpath.parsing import parse_dimacs, parse_tptp, print_dimacs
+
+from oracles import partial_model_covers
 
 TREE = """\
 cnf(goal, negated_conjecture, (~p)).

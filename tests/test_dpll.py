@@ -10,7 +10,6 @@ from altpath.dpll import (
     dpll,
     dpll_rel,
     neighborhood_counts,
-    partial_model_covers,
     stepping_sequence,
     support_neighborhood,
     support_radius,
@@ -18,7 +17,7 @@ from altpath.dpll import (
 from altpath.graph import INF
 from tests.test_graph import ground_set
 
-from oracles import clause_set_sat, reference_solve
+from oracles import clause_set_sat, partial_model_covers, reference_solve
 
 
 def atom(name: str) -> Literal:

@@ -26,7 +26,7 @@ from altpath.graph import (
 )
 from altpath.splitting import binary_split_plan, split_clause
 
-from oracles import brute_distances, reference_bfs, reference_witness
+from oracles import brute_distances, reference_adjacency, reference_bfs, reference_witness
 
 
 def lit(s: str) -> Literal:
@@ -317,51 +317,15 @@ def test_distance_csv_format():
 # Partner index against a pairwise reference
 
 
-def reference_adjacency(cs: ClauseSet, mode: str) -> list[list[int]]:
-    """The wiring built from complementary_unifiable on every opposite-sign
-    pair: linking edges in ascending occurrence order, hub pairs allocated
-    per predicate (in order of its first positive occurrence) and per atom
-    (in order of the atom's first positive occurrence), then switching edges."""
-    occs = [(c.id, l) for c in cs.clauses for l in c.literals]
-    link = [
-        [j for j, (_, m) in enumerate(occs) if m.positive != l.positive
-         and complementary_unifiable(l, m)]
-        for _, l in occs
-    ]
-    adj: list[list[int]] = [[] for _ in range(2 * len(occs))]
-    if mode == FIRST_ORDER:
-        for i, js in enumerate(link):
-            adj[2 * i + 1] = [2 * j for j in js]
-    else:
-        first_positive: dict[str, dict[tuple, None]] = {}
-        for _, l in occs:
-            if l.positive:
-                first_positive.setdefault(l.pred, {}).setdefault(l.args, None)
-        for pred, atoms in first_positive.items():
-            for args in atoms:
-                pos = [i for i, (_, l) in enumerate(occs) if l == Literal(True, pred, args)]
-                neg = link[pos[0]]
-                if not neg:
-                    continue
-                if len(pos) * len(neg) <= len(pos) + len(neg):
-                    for i in pos:
-                        for j in neg:
-                            adj[2 * i + 1].append(2 * j)
-                            adj[2 * j + 1].append(2 * i)
-                    continue
-                hub_pos, hub_neg = len(adj), len(adj) + 1
-                adj += [[], []]
-                for i in pos:
-                    adj[2 * i + 1].append(hub_pos)
-                    adj[hub_neg].append(2 * i)
-                for j in neg:
-                    adj[hub_pos].append(2 * j)
-                    adj[2 * j + 1].append(hub_neg)
-    for c in cs.clauses:
-        mine = [i for i, (cid, _) in enumerate(occs) if cid == c.id]
-        for i in mine:
-            adj[2 * i] += [2 * j + 1 for j in mine if j != i]
-    return adj
+def assert_counts_match_reference(graph, wired: list[list[int]]) -> None:
+    """Edge and node counts against ``wired``, the reference wiring of the
+    graph's mode, and in first-order mode each partner list against its
+    out-node's edges.  The partner index does not depend on the mode."""
+    if graph.mode == FIRST_ORDER:
+        for i in range(len(graph.occurrences)):
+            assert [2 * j for j in graph.partners.of(i)] == wired[2 * i + 1], f"occurrence {i}"
+    assert graph.edge_count == sum(len(out) for out in wired), graph.mode
+    assert graph.node_count == len(wired), graph.mode
 
 
 def reference_purity(cs: ClauseSet) -> list[int]:
@@ -435,10 +399,7 @@ def test_partner_index_matches_pairwise_reference(name, cs, ground):
     modes = (FIRST_ORDER, PROPOSITIONAL_HUB) if ground else (FIRST_ORDER,)
     for mode in modes:
         graph = build_graph(cs, mode)
-        want = reference_adjacency(cs, mode)
-        assert len(graph.adjacency) == len(want)
-        for node, (got, ref) in enumerate(zip(graph.adjacency, want)):
-            assert got == ref, f"{mode} node {node}"
+        assert_counts_match_reference(graph, reference_adjacency(cs, mode))
         support = cs.ids()[:2]
         full = bfs_from_support(graph, support)
         far = int(full.max_finite_distance())
@@ -461,13 +422,13 @@ def test_ground_sets_never_call_the_unifier(monkeypatch):
         support = cs.ids()[:1]
         for mode in (FIRST_ORDER, PROPOSITIONAL_HUB):
             graph = build_graph(cs, mode)
-            graph.adjacency
+            graph.edge_count
             bfs_from_support(graph, support)
             bfs_from_support(build_graph(cs, mode), support, bound=4)
         purity_filter(cs)
     mixed = next(cs for name, cs, _ in FAMILIES if name.startswith("mixed"))
     with pytest.raises(AssertionError, match="unifier called"):
-        build_graph(mixed).adjacency
+        build_graph(mixed).edge_count
 
 
 def test_one_unifier_call_per_distinct_pair(monkeypatch):
@@ -490,11 +451,11 @@ def test_one_unifier_call_per_distinct_pair(monkeypatch):
         and not (l.is_ground() and m.is_ground())
     ]
     graph = build_graph(cs)
-    assert calls == []  # nothing is unified before the edges are read
-    graph.adjacency
+    assert calls == []  # nothing is unified before the edges are counted
+    graph.edge_count
     assert len(calls) == len(pairs)
     assert {frozenset(p) for p in calls} == {frozenset(p) for p in pairs}
-    assert graph.adjacency == reference_adjacency(cs, FIRST_ORDER)
+    assert_counts_match_reference(graph, reference_adjacency(cs, FIRST_ORDER))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +512,7 @@ def _golden_digest(cs: ClauseSet, rng: random.Random) -> str:
     finite = [cid for cid in cs.ids() if full.distance(cid) < INF]
     far = max(finite, key=full.distance)
     payload = (
-        graph.adjacency,
+        reference_adjacency(cs, FIRST_ORDER),
         support,
         list(full.clause_distance.items()),
         [list(bfs_from_support(graph, support, bound=k).clause_distance.items())
@@ -612,10 +573,12 @@ def test_search_matches_reference_bfs(name, cs):
     modes = (FIRST_ORDER, PROPOSITIONAL_HUB) if cs.is_ground() else (FIRST_ORDER,)
     for mode in modes:
         graph = build_graph(cs, mode)
+        wired = reference_adjacency(cs, mode)
+        assert_counts_match_reference(graph, wired)
         far = int(bfs_from_support(graph, support).max_finite_distance())
         for bound in (None, *range(1, far + 2)):
             got = bfs_from_support(graph, support, bound=bound)
-            want, nodes, parents = reference_bfs(graph, support, bound)
+            want, nodes, parents = reference_bfs(graph, wired, support, bound)
             assert got.clause_distance == want, (mode, bound)
             if mode == FIRST_ORDER:
                 assert list(got.node_distance.items()) == list(nodes.items()), bound

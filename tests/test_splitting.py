@@ -23,10 +23,9 @@ from altpath.splitting import (
     full_split_plan,
     ground_instances,
     herbrand_universe,
-    instance_sets,
     split_clause,
 )
-from oracles import herbrand_terms
+from oracles import herbrand_terms, instance_sets
 
 
 def lit(s: str, *args, sign=True) -> Literal:
