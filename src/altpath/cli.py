@@ -44,7 +44,6 @@ from altpath.graph import (
     purity_filter,
 )
 from altpath.parsing import (
-    ParseError,
     parse_auto,
     parse_dimacs,
     parse_tptp,
@@ -83,8 +82,6 @@ _COUNTING_NOTE = (
 
 
 def _load(cfg: argparse.Namespace) -> tuple[ClauseSet, str]:
-    if cfg.input is None:
-        raise ValueError("an input file is required")
     with open(cfg.input, "rb") as fh:
         data = fh.read()
     base = cfg.include_base or os.environ.get("TPTP")
@@ -609,9 +606,8 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
 # argument wiring
 
 
-def _add_common(p: argparse.ArgumentParser, input_required: bool = True) -> None:
-    if input_required:
-        p.add_argument("input", help="input file (DIMACS or TPTP CNF)")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="input file (DIMACS or TPTP CNF)")
     p.add_argument("--format", dest="fmt", choices=("auto", "dimacs", "tptp"),
                    default="auto", help="input format (default: detect)")
     p.add_argument("--support", dest="supports", action="append", default=[],
@@ -653,7 +649,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plain DPLL without a support set")
     p.add_argument("--unit-policy", dest="unit_policy", choices=UNIT_POLICIES,
                    default="relevant_only")
-    p.add_argument("--max-calls", dest="max_calls", type=int)
+    p.add_argument("--max-calls", dest="max_calls", type=int,
+                   help="cap on search nodes, fallback nodes included; past it "
+                        "the verdict is unknown (exit 0)")
     p.add_argument("--count-calls", dest="count_calls", action="store_true",
                    help="print the call count against the 2^k budget")
 
@@ -717,9 +715,6 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{ns.command}"](ns)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

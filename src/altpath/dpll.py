@@ -8,19 +8,20 @@ occurrences (the leading literal).  When no stepping atom occurs in the
 remaining clauses the branch is done as far as the support set can tell;
 ``trusted`` mode calls that satisfiable outright, which is sound whenever the
 input minus the support clauses is satisfiable on its own, while ``fallback``
-mode hands the leftovers to a plain sub-solve and stays unconditionally
-correct.
+mode goes on below that node in one last bucket holding every other atom
+and stays unconditionally correct.
 
-Both solvers, and the fallback sub-solve, run one search engine: a
-depth-first splitting search over integer clauses with an explicit stack of
-pending branches, so input size never turns into Python recursion depth.
-Plain solving is the engine with a single bucket holding every atom.  The
-engine builds one mutable state per solve and never copies clauses: an
-occurrence list per signed literal; per clause the literal that satisfied
-it and its count of unassigned literals; per atom its count of occurrences
-in unsatisfied clauses; and a trail of assigned literals, undone one by one
-on backtrack (occurrence-driven propagation as in Chaff, trail-based undo as
-in MiniSat).  A node thus costs what its assignments touch.  Splits are read
+Both solvers run one search engine: a depth-first splitting search over
+integer clauses with one explicit stack of pending branches, so input size
+never turns into Python recursion depth.  Plain solving is the engine with
+a single bucket holding every atom.  One ``max_calls`` budget caps every
+search node, those below a fallback node included.  The engine builds one
+mutable state per solve and never copies clauses: an occurrence list per
+signed literal; per clause the literal that satisfied it and its count of
+unassigned literals; per atom its count of occurrences in unsatisfied
+clauses; and a trail of assigned literals, undone one by one on backtrack
+(occurrence-driven propagation as in Chaff, trail-based undo as in
+MiniSat).  A node thus costs what its assignments touch.  Splits are read
 from per-bucket heaps of atoms by count, units from a heap of clause ids,
 so the choices are exactly those of a full rescan: first live bucket, most
 frequent atom, smallest index; lowest unit clause first.
@@ -63,7 +64,8 @@ class SolverConfig:
     unit clause, "relevant_only" propagates only units over atoms of the
     restricted stepping sequence (plain ``dpll`` has no stepping sequence
     and treats it like "all").
-    max_calls: abort with verdict "unknown" past this many search nodes.
+    max_calls: abort with verdict "unknown" past this many search nodes,
+    counting ``calls`` and ``fallback_calls`` together.
 
     Splits pick the most frequent atom of the first live bucket, the
     smallest index on ties, and try it true first.
@@ -81,10 +83,10 @@ class SolverConfig:
 
 @dataclass
 class SolveStats:
-    calls: int = 0           # search nodes entered by the primary search
+    calls: int = 0           # search nodes entered on stepping atoms
     splits: int = 0
     unit_props: int = 0
-    fallback_calls: int = 0  # search nodes of the plain sub-solves under dpll_rel
+    fallback_calls: int = 0  # search nodes entered below a fallback node of dpll_rel
 
 
 @dataclass
@@ -243,18 +245,21 @@ def _encode(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
 def _solve(atoms: list[Literal], clauses: list[tuple[int, ...]],
            bucket_of: dict[int, int], trusted: bool, cfg: SolverConfig,
            counts: dict[str, int] | None = None) -> SolveResult:
-    """Depth-first splitting search that branches only on atoms of
-    ``bucket_of`` (atom index -> stepping bucket), over one mutable state
-    built here and undone literal by literal on backtrack.
+    """Depth-first splitting search that branches on atoms of ``bucket_of``
+    (atom index -> stepping bucket), over one mutable state built here and
+    undone literal by literal on backtrack.  Every other atom sits in one
+    last bucket.
 
     Each node propagates units, lowest clause first, then splits on the
     leading atom: the first bucket with a live atom, its most frequent
     atom, the smallest index on ties, true first; the false branch is kept
-    on an explicit stack of pending branches.  A node whose unsatisfied
-    clauses hold no bucket atom is accepted when ``trusted``, else it gets
-    a plain sub-solve on the same state (one bucket of every still
-    occurring atom, which never reaches this case again) with its own
-    counters and call budget."""
+    on an explicit stack of pending branches.  The last bucket is split on
+    only in the fallback region.  A node whose unsatisfied clauses hold no
+    stepping atom is accepted when ``trusted``; otherwise the search enters
+    that region: the next nodes may split on the last bucket and take every
+    unit, and they count as ``fallback_calls``.  Each pending branch keeps
+    whether it lies in the region, so backtracking out of it leaves it.
+    Nodes of both kinds draw on the one ``max_calls`` budget."""
     n, m = len(atoms), len(clauses)
     span = n + 1  # an atom a at count k sits in its bucket's heap as a - k * span
     occ: list[list[int]] = [[] for _ in range(2 * n + 1)]  # indexed by signed literal
@@ -270,21 +275,23 @@ def _solve(atoms: list[Literal], clauses: list[tuple[int, ...]],
     trail: list[int] = []
     unsat_left, empty = m, free.count(0)
     units_on = cfg.unit_policy != "off"
-    # lazy min-heap of clause ids that may be unit; units outside the
-    # stepping buckets are parked until a sub-solve takes every unit
+    # lazy min-heap of clause ids that may be unit; units over atoms a node
+    # may not split on are parked until the fallback region takes every unit
     units = [c for c in range(m) if free[c] == 1] if units_on else []
     parked: set[int] = set()
     # per bucket, a lazy heap of its atoms by count and the number of them
     # still occurring; atoms whose count moved wait in touched until a split
-    bkt = [-1] * (n + 1)
-    heaps: list[list[int]] = [[] for _ in range(max(bucket_of.values(), default=-1) + 1)]
-    live = [0] * len(heaps)
-    touched: list[int] = []
+    last = max(bucket_of.values(), default=-1) + 1
+    bkt = [last] * (n + 1)
     for a, b in bucket_of.items():
         bkt[a] = b
+    heaps: list[list[int]] = [[] for _ in range(last + 1)]
+    live = [0] * (last + 1)
+    touched: list[int] = []
+    for a in range(1, n + 1):
         if cnt[a]:
-            heaps[b].append(a - cnt[a] * span)
-            live[b] += 1
+            heaps[bkt[a]].append(a - cnt[a] * span)
+            live[bkt[a]] += 1
     for h in heaps:
         heapify(h)
 
@@ -295,8 +302,7 @@ def _solve(atoms: list[Literal], clauses: list[tuple[int, ...]],
         trail.append(lit)
         if cnt[v]:
             cnt[v] = 0
-            if bkt[v] >= 0:
-                live[bkt[v]] -= 1
+            live[bkt[v]] -= 1
         for c in occ[lit]:
             if not sat[c]:
                 sat[c] = lit
@@ -307,7 +313,7 @@ def _solve(atoms: list[Literal], clauses: list[tuple[int, ...]],
                         cnt[a] = k
                         if k:
                             touched.append(a)
-                        elif bkt[a] >= 0:
+                        else:
                             live[bkt[a]] -= 1
         for c in occ[-lit]:
             if not sat[c]:
@@ -345,7 +351,7 @@ def _solve(atoms: list[Literal], clauses: list[tuple[int, ...]],
                             k = cnt[a] + 1
                             cnt[a] = k
                             touched.append(a)
-                            if k == 1 and bkt[a] >= 0:
+                            if k == 1:
                                 live[bkt[a]] += 1
                     free[c] = f
                     if f == 1 and units_on:
@@ -354,12 +360,11 @@ def _solve(atoms: list[Literal], clauses: list[tuple[int, ...]],
             cnt[v] = kv
             if kv:
                 touched.append(v)
-                if bkt[v] >= 0:
-                    live[bkt[v]] += 1
+                live[bkt[v]] += 1
 
     def flush() -> None:
         for a in set(touched):
-            if cnt[a] and bkt[a] >= 0:
+            if cnt[a]:
                 heappush(heaps[bkt[a]], a - cnt[a] * span)
         touched.clear()
         for b, h in enumerate(heaps):
@@ -367,93 +372,78 @@ def _solve(atoms: list[Literal], clauses: list[tuple[int, ...]],
                 h[:] = [a - cnt[a] * span for a in {e % span for e in h} if cnt[a]]
                 heapify(h)
 
-    def search(trusted: bool, all_units: bool, stats: SolveStats, prev_size: int) -> str:
-        nonlocal bkt, heaps, live
-        base = len(trail)
-        pending: list[tuple[int, int, int]] = []
-        while True:
+    stats = SolveStats()
+    all_units = cfg.unit_policy == "all"
+    fallback = False
+    reach = last  # splits, and units under relevant_only, take buckets below this
+    pending: list[tuple[int, int, int, bool]] = []
+    prev_size = len(bucket_of) + 1
+    while True:
+        if fallback:
+            stats.fallback_calls += 1
+        else:
             stats.calls += 1
-            if cfg.max_calls is not None and stats.calls > cfg.max_calls:
-                return "unknown"
-            ok = None
-            while True:
-                if empty:
-                    ok = False
-                    break
-                if not unsat_left:
-                    ok = True
-                    break
-                unit = 0
-                while units:
-                    c = heappop(units)
-                    if sat[c] or free[c] != 1:
-                        continue
-                    for unit in clauses[c]:
-                        if not assigned[unit]:
-                            break
-                    if all_units or bkt[abs(unit)] >= 0:
+        if cfg.max_calls is not None and stats.calls + stats.fallback_calls > cfg.max_calls:
+            return SolveResult("unknown", {}, stats, counts)
+        ok = None
+        while True:
+            if empty:
+                ok = False
+                break
+            if not unsat_left:
+                ok = True
+                break
+            unit = 0
+            while units:
+                c = heappop(units)
+                if sat[c] or free[c] != 1:
+                    continue
+                for unit in clauses[c]:
+                    if not assigned[unit]:
                         break
-                    parked.add(c)
-                    unit = 0
-                if not unit:
+                if all_units or bkt[abs(unit)] < reach:
                     break
-                stats.unit_props += 1
-                assign(unit)
-            if ok is None and any(live):
-                size = sum(live)
+                parked.add(c)
+                unit = 0
+            if not unit:
+                break
+            stats.unit_props += 1
+            assign(unit)
+        if ok is None:
+            b = 0
+            while b < reach and not live[b]:
+                b += 1
+            if b < reach:
+                size = sum(live[b:reach])
                 assert size < prev_size, "restricted sequence must shrink per call"
                 flush()
-                b = 0
-                while not live[b]:
-                    b += 1
                 h = heaps[b]
                 var = h[0] % span
                 while cnt[var] * span != var - h[0]:  # a stale count
                     heappop(h)
                     var = h[0] % span
                 stats.splits += 1
-                pending.append((-var, len(trail), size))
+                pending.append((-var, len(trail), size, fallback))
                 prev_size = size
                 assign(var)
                 continue
-            if ok is None:
-                if trusted:
-                    ok = True  # partial model: leftovers never touch stepping atoms
-                else:
-                    sub = SolveStats()
-                    flush()  # the heaps hold every count the sub-solve hands back
-                    saved = bkt, heaps, live
-                    top = [a - k * span for a, k in enumerate(cnt) if k]
-                    heapify(top)
-                    bkt, heaps, live = [0] * (n + 1), [top], [len(top)]
-                    units.extend(parked)
-                    parked.clear()
-                    heapify(units)
-                    verdict = search(False, True, sub, len(top) + 1)
-                    bkt, heaps, live = saved
-                    if verdict == "unknown":
-                        return verdict
-                    stats.fallback_calls += sub.calls
-                    stats.splits += sub.splits
-                    stats.unit_props += sub.unit_props
-                    ok = verdict == "sat"
-            if ok:
-                return "sat"
-            if not pending:
-                if base:  # a caller goes on from the state it handed over
-                    undo(base)
-                return "unsat"
-            lit, mark, prev_size = pending.pop()
-            undo(mark)
-            assign(lit)
-
-    stats = SolveStats()
-    try:
-        verdict = search(trusted, cfg.unit_policy == "all", stats, len(bucket_of) + 1)
-    finally:
-        del search  # it refers to itself; without the cycle the state is freed at once
-    model = {atoms[abs(l) - 1]: l > 0 for l in trail} if verdict == "sat" else {}
-    return SolveResult(verdict, model, stats, counts)
+            if trusted:
+                ok = True  # partial model: leftovers never touch stepping atoms
+            else:  # no stepping atom left: the last bucket opens
+                fallback, reach, prev_size = True, last + 1, live[last] + 1
+                units.extend(parked)
+                parked.clear()
+                heapify(units)
+                continue
+        if ok:
+            model = {atoms[abs(l) - 1]: l > 0 for l in trail}
+            return SolveResult("sat", model, stats, counts)
+        if not pending:
+            return SolveResult("unsat", {}, stats, counts)
+        lit, mark, prev_size, fallback = pending.pop()
+        reach = last + 1 if fallback else last
+        undo(mark)
+        assign(lit)
 
 
 def dpll(cs: ClauseSet, config: SolverConfig | None = None) -> SolveResult:
@@ -476,8 +466,8 @@ def dpll_rel(cs: ClauseSet, support_ids=None, config: SolverConfig | None = None
     passed directly.  In "trusted" mode a branch whose remaining clauses
     contain no stepping atom is accepted as satisfiable without inspection;
     the verdict is then only reliable when the input minus the support
-    clauses is satisfiable.  The default "fallback" mode sends such
-    leftovers through a plain sub-solve and the verdict is unconditional.
+    clauses is satisfiable.  The default "fallback" mode searches on below
+    such a branch over every atom, and the verdict is unconditional.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

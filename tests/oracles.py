@@ -377,7 +377,9 @@ def instance_sets(
 # The solver engine before occurrence lists and an undo trail: every node
 # copies the remaining clause list, recounts every literal and scans for
 # units.  Its verdict, counters and trail order are the reference for the
-# incremental engine of altpath.dpll.
+# incremental engine of altpath.dpll.  The fallback stays a nested plain
+# solve here, apart from the engine's single loop: it draws on what is left
+# of the one max_calls budget, and its nodes count even when it runs out.
 
 
 def _reference_encode(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
@@ -414,7 +416,7 @@ def _search(clauses: list[tuple[int, ...]], bucket_of: dict[int, int],
     node = clauses
     while True:
         stats.calls += 1
-        if cfg.max_calls is not None and stats.calls > cfg.max_calls:
+        if cfg.max_calls is not None and stats.calls + stats.fallback_calls > cfg.max_calls:
             return "unknown"
         ok = None
         while True:
@@ -450,15 +452,19 @@ def _search(clauses: list[tuple[int, ...]], bucket_of: dict[int, int],
             if trusted:
                 ok = True
             else:
+                # a nested plain solve on what is left of the budget
                 sub = SolveStats()
+                left = None if cfg.max_calls is None else \
+                    cfg.max_calls - stats.calls - stats.fallback_calls
                 verdict = _search(node, dict.fromkeys(counts, 0), False,
-                                  replace(cfg, unit_policy="all" if units_on else "off"),
+                                  replace(cfg, unit_policy="all" if units_on else "off",
+                                          max_calls=left),
                                   sub, trail)
-                if verdict == "unknown":
-                    return verdict
                 stats.fallback_calls += sub.calls
                 stats.splits += sub.splits
                 stats.unit_props += sub.unit_props
+                if verdict == "unknown":
+                    return verdict
                 ok = verdict == "sat"
         if ok:
             return "sat"

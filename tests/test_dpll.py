@@ -555,3 +555,34 @@ def test_engine_matches_reference_when_a_subsolve_hits_the_cap():
     runs = _same_as_reference(cs, stepping_sequence(cs, [1]))
     assert any(res.verdict == "unknown" and res.stats.calls <= cfg.max_calls
                for cfg, res in runs)
+    # one budget for both kinds of node: the node past it ends the search
+    for cfg, res in runs:
+        if res.verdict == "unknown":
+            assert res.stats.calls + res.stats.fallback_calls == cfg.max_calls + 1
+
+
+def test_fallback_nodes_draw_on_the_call_budget():
+    # the support chain leaves the stepping atoms after one node; the
+    # detached pigeonhole part then needs more nodes than the budget
+    core = ground_set("p", "~p q", "~q r s", "~s")
+    cs = ClauseSet.from_groups([c.literals for c in core.clauses + _pigeonhole(6).clauses])
+    res = dpll_rel(cs, [1], SolverConfig(max_calls=30))
+    assert res.verdict == "unknown"
+    assert res.stats.calls + res.stats.fallback_calls == 31
+    assert res.stats.fallback_calls > 0
+
+
+def test_solvers_leave_no_reference_cycles():
+    import gc
+
+    core = ground_set("p q", "~p q")
+    cs = ClauseSet.from_groups([c.literals for c in core.clauses + _pigeonhole(4).clauses])
+    gc.collect()
+    gc.disable()
+    try:
+        results = [dpll(cs), dpll_rel(cs, [1]), dpll_rel(cs, [1], mode="trusted")]
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert results[1].stats.fallback_calls > 0  # the fallback region was entered
+    assert garbage == 0
