@@ -450,6 +450,15 @@ class ClauseSet:
     def has_id(self, cid: int) -> bool:
         return cid in self._index
 
+    def check_support(self, support_ids) -> frozenset[int]:
+        """The support ids as a set; ValueError when one names no clause."""
+        support = frozenset(support_ids)
+        unknown = sorted(support - self._index.keys())
+        if unknown:
+            raise ValueError(f"support id{'s' * (len(unknown) > 1)} "
+                             f"{', '.join(map(str, unknown))} not in the clause set")
+        return support
+
     def subset(self, keep_ids) -> "ClauseSet":
         """The sub-collection with the given ids, original order and ids kept."""
         keep = set(keep_ids)
@@ -470,13 +479,46 @@ class ClauseSet:
 
     def atoms(self) -> list[Literal]:
         """All atoms of the set, in canonical order."""
-        seen: set[Literal] = set()
-        for c in self.clauses:
-            seen.update(lit.atom for lit in c.literals)
-        return sorted(seen, key=literal_key)
+        return encode(self)[0]
 
     def max_id(self) -> int:
         return max((c.id for c in self.clauses), default=0)
 
     def __str__(self) -> str:
         return "\n".join(f"c{c.id}: {c}" for c in self.clauses)
+
+
+# ---------------------------------------------------------------------------
+# Integer encoding
+
+
+def encode(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
+    """The atoms of ``cs`` in canonical order, and per clause, in clause
+    order, the tuple of its literals as signed atom numbers: atom i of the
+    list is number i+1, negated for a negative literal.  Tautologies and
+    empty clauses are kept, and so are atoms with variables."""
+    # one pass numbers atoms by first occurrence; one sort then renumbers
+    # them in canonical order (a literal's key minus its sign is its atom's)
+    first: dict[tuple, int] = {}
+    seen: list[Literal] = []
+    rows = []
+    for c in cs.clauses:
+        row = []
+        for lit in c.literals:
+            i = first.get((lit.pred, lit.args))
+            if i is None:
+                i = first[lit.pred, lit.args] = len(seen) + 1
+                seen.append(lit)
+            row.append(i if lit.positive else -i)
+        rows.append(row)
+    order = sorted(range(len(seen)), key=lambda i: literal_key(seen[i])[1:])
+    rank = [0] * (2 * len(seen) + 1)  # indexed by signed literal
+    for r, i in enumerate(order, 1):
+        rank[i + 1], rank[-i - 1] = r, -r
+    return [seen[i].atom for i in order], [tuple(map(rank.__getitem__, row)) for row in rows]
+
+
+def check_ground(atoms: list[Literal], task: str) -> None:
+    """ValueError unless every atom, as ``encode`` lists them, is variable-free."""
+    if not all(map(Literal.is_ground, atoms)):
+        raise ValueError(f"{task} is defined for variable-free clause sets only")

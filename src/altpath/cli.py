@@ -117,9 +117,7 @@ def resolve_support(cs: ClauseSet, spec: str | None, fmt: str) -> list[int]:
         raise ValueError(
             f"unknown support spec {spec!r} (use role:<r>, pos, neg, ids:<list> or file:<path>)"
         )
-    for cid in ids:
-        if not cs.has_id(cid):
-            raise ValueError(f"support id {cid} not in the clause set")
+    cs.check_support(ids)
     if not ids:
         raise ValueError(f"support spec {spec!r} selects no clauses")
     return ids
@@ -165,6 +163,8 @@ def cmd_filter(cfg: argparse.Namespace) -> int:
     specs = list(cfg.supports) or [None]
     if len(specs) > 1 and not cfg.intersect:
         raise ValueError("several --support specs need --intersect")
+    if len(specs) > 1 and cfg.csv:
+        raise ValueError("--csv needs a single support set")
     supports = [resolve_support(cs, spec, fmt) for spec in specs]
     if cfg.intersect and len(supports) > 1:
         sub = multi_support_intersection(cs, supports, cfg.bound, _graph_mode(cfg))
@@ -174,8 +174,6 @@ def cmd_filter(cfg: argparse.Namespace) -> int:
         sub = cs.subset(dmap.relevant_ids(cfg.bound))
     _emit(cfg, print_format(sub, fmt))
     if cfg.csv:
-        if dmap is None:
-            raise ValueError("--csv needs a single support set")
         with open(cfg.csv, "w") as fh:
             fh.write(dmap.to_csv())
     histogram: dict[str, int] = {}

@@ -34,9 +34,11 @@ has.  The bound needs unit propagation over stepping atoms (the default
 policy): once a single stepping atom remains, the neighborhood clauses have
 shrunk to units over it, and propagation closes the branch without a split.
 
-Both solvers delete tautological clauses up front.  That is satisfiability
-preserving and keeps shrunken clauses two-valued, which the call bound above
-relies on; distance computations in the graph module are not affected.
+Both solvers read the set once, as the signed atom numbers of
+``clauses.encode``, and delete tautological clauses up front.  That is
+satisfiability preserving and keeps shrunken clauses two-valued, which the
+call bound above relies on; distance computations in the graph module are
+not affected.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from altpath.clauses import ClauseSet, Literal, literal_key
+from altpath.clauses import ClauseSet, Literal, check_ground, encode
 from altpath.graph import (
     INF,
     DistanceMap,
@@ -83,7 +85,7 @@ class SolverConfig:
 
 @dataclass
 class SolveStats:
-    calls: int = 0           # search nodes entered on stepping atoms
+    calls: int = 0           # search nodes entered outside the fallback region
     splits: int = 0
     unit_props: int = 0
     fallback_calls: int = 0  # search nodes entered below a fallback node of dpll_rel
@@ -132,30 +134,35 @@ class SteppingSequence:
         return "\n".join(rows) if rows else "(empty stepping sequence)"
 
 
-def stepping_sequence(cs: ClauseSet, support_ids,
-                      dmap: DistanceMap | None = None) -> SteppingSequence:
+def stepping_sequence(cs: ClauseSet, support_ids) -> SteppingSequence:
     """Bucket the atoms of all support-reachable clauses by the distance of
     the closest clause containing the atom in either polarity."""
-    if not cs.is_ground():
-        raise ValueError("stepping sequences are defined for variable-free sets")
-    if dmap is None:
-        dmap = bfs_from_support(build_graph(cs), support_ids)
-    best: dict[Literal, float] = {}
-    for c in cs.clauses:
+    atoms, rows = encode(cs)
+    check_ground(atoms, "a stepping sequence")
+    bucket_of, _ = _buckets(cs, rows, bfs_from_support(build_graph(cs), support_ids))
+    buckets: list[list[Literal]] = [[] for _ in range(max(bucket_of.values(), default=-1) + 1)]
+    for a in sorted(bucket_of):  # atom numbers follow the canonical order
+        buckets[bucket_of[a]].append(atoms[a - 1])
+    return SteppingSequence(tuple(map(tuple, buckets)))
+
+
+def _buckets(cs: ClauseSet, rows: list[tuple[int, ...]],
+             dmap: DistanceMap) -> tuple[dict[int, int], list[tuple[int, ...]]]:
+    """Atom number -> stepping bucket (the distance of its closest clause,
+    minus one) over the encoded rows of ``cs``, and the reachable rows."""
+    bucket_of: dict[int, int] = {}
+    reachable = []
+    for c, row in zip(cs.clauses, rows):
         d = dmap.clause_distance[c.id]
         if d == INF:
             continue
-        for lit in c.literals:
-            atom = lit.atom
-            if atom not in best or d < best[atom]:
-                best[atom] = d
-    if not best:
-        return SteppingSequence(())
-    deepest = int(max(best.values()))
-    buckets: list[list[Literal]] = [[] for _ in range(deepest)]
-    for atom, d in best.items():
-        buckets[int(d) - 1].append(atom)
-    return SteppingSequence(tuple(tuple(sorted(b, key=literal_key)) for b in buckets))
+        reachable.append(row)
+        b = d - 1
+        for x in row:
+            a = x if x > 0 else -x
+            if bucket_of.get(a, INF) > b:
+                bucket_of[a] = b
+    return bucket_of, reachable
 
 
 # ---------------------------------------------------------------------------
@@ -198,57 +205,31 @@ def support_neighborhood(cs: ClauseSet, support_ids,
 def neighborhood_counts(neighborhood: ClauseSet) -> dict[str, int]:
     """The three sizes a clause collection can be measured by: literal
     occurrences, distinct signed literals, distinct atoms."""
-    occurrences = 0
-    signed: set[Literal] = set()
-    for c in neighborhood.clauses:
-        occurrences += len(c.literals)
-        signed.update(c.literals)
+    return _counts(encode(neighborhood)[1])
+
+
+def _counts(rows: list[tuple[int, ...]]) -> dict[str, int]:
+    signed = set().union(*rows)
     return {
-        "occurrences": occurrences,
+        "occurrences": sum(map(len, rows)),
         "literals": len(signed),
-        "atoms": len(neighborhood.atoms()),
+        "atoms": len({abs(x) for x in signed}),
     }
 
 
 # ---------------------------------------------------------------------------
-# Search engine shared by both solvers.  Atom i of ClauseSet.atoms() becomes
-# index i+1; clauses become tuples of signed indices; tautologies are
-# deleted.
+# Search engine shared by both solvers.  It reads the rows of
+# clauses.encode: atom i of its atom list is number i+1, and a clause is a
+# tuple of signed atom numbers.
 
 
-def _encode(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
-    # one pass numbers atoms by first occurrence; one sort then renumbers
-    # them in canonical order (a literal's key minus its sign is its atom's)
-    first: dict[tuple, int] = {}
-    seen: list[Literal] = []
-    rows = []
-    for c in cs.clauses:
-        row = []
-        for lit in c.literals:
-            i = first.get((lit.pred, lit.args))
-            if i is None:
-                if lit.args and not lit.is_ground():
-                    raise ValueError("satisfiability solving requires a variable-free clause set")
-                i = first[lit.pred, lit.args] = len(seen) + 1
-                seen.append(lit)
-            row.append(i if lit.positive else -i)
-        rows.append(row)
-    order = sorted(range(len(seen)), key=lambda i: literal_key(seen[i])[1:])
-    rank = [0] * (2 * len(seen) + 1)  # indexed by signed literal
-    for r, i in enumerate(order, 1):
-        rank[i + 1], rank[-i - 1] = r, -r
-    clauses = [tuple(map(rank.__getitem__, row)) for row in rows
-               if len(row) < 2 or len(set(map(abs, row))) == len(row)]
-    return [seen[i].atom for i in order], clauses
-
-
-def _solve(atoms: list[Literal], clauses: list[tuple[int, ...]],
+def _solve(atoms: list[Literal], rows: list[tuple[int, ...]],
            bucket_of: dict[int, int], trusted: bool, cfg: SolverConfig,
            counts: dict[str, int] | None = None) -> SolveResult:
-    """Depth-first splitting search that branches on atoms of ``bucket_of``
-    (atom index -> stepping bucket), over one mutable state built here and
-    undone literal by literal on backtrack.  Every other atom sits in one
-    last bucket.
+    """Depth-first splitting search over the rows of ``encode`` less their
+    tautologies, that branches on atoms of ``bucket_of`` (atom number ->
+    stepping bucket), over one mutable state built here and undone literal
+    by literal on backtrack.  Every other atom sits in one last bucket.
 
     Each node propagates units, lowest clause first, then splits on the
     leading atom: the first bucket with a live atom, its most frequent
@@ -260,6 +241,7 @@ def _solve(atoms: list[Literal], clauses: list[tuple[int, ...]],
     unit, and they count as ``fallback_calls``.  Each pending branch keeps
     whether it lies in the region, so backtracking out of it leaves it.
     Nodes of both kinds draw on the one ``max_calls`` budget."""
+    clauses = [row for row in rows if len(set(map(abs, row))) == len(row)]
     n, m = len(atoms), len(clauses)
     span = n + 1  # an atom a at count k sits in its bucket's heap as a - k * span
     occ: list[list[int]] = [[] for _ in range(2 * n + 1)]  # indexed by signed literal
@@ -448,8 +430,9 @@ def _solve(atoms: list[Literal], clauses: list[tuple[int, ...]],
 
 def dpll(cs: ClauseSet, config: SolverConfig | None = None) -> SolveResult:
     """Plain splitting solver, unrestricted branching."""
-    atoms, clauses = _encode(cs)
-    return _solve(atoms, clauses, dict.fromkeys(range(1, len(atoms) + 1), 0), False,
+    atoms, rows = encode(cs)
+    check_ground(atoms, "satisfiability solving")
+    return _solve(atoms, rows, dict.fromkeys(range(1, len(atoms) + 1), 0), False,
                   config or SolverConfig())
 
 
@@ -478,15 +461,16 @@ def dpll_rel(cs: ClauseSet, support_ids=None, config: SolverConfig | None = None
         if not support:
             raise ValueError("dpll_rel needs a nonempty support set")
         dmap = bfs_from_support(build_graph(cs), support)
-        step = stepping_sequence(cs, support, dmap)
-        reachable = cs.subset([cid for cid, d in dmap.clause_distance.items() if d < INF])
-        counts = neighborhood_counts(reachable)
+    atoms, rows = encode(cs)
+    check_ground(atoms, "satisfiability solving")
+    if step is None:
+        bucket_of, reachable = _buckets(cs, rows, dmap)
+        counts = _counts(reachable)
     else:
+        index = {atom: i + 1 for i, atom in enumerate(atoms)}
+        # a passed sequence may name atoms the set lacks: nothing to split
+        bucket_of = {index[atom]: b for b, bucket in enumerate(step.buckets)
+                     for atom in bucket if atom in index}
         counts = None
-    atoms, clauses = _encode(cs)
-    index = {atom: i + 1 for i, atom in enumerate(atoms)}
-    # atoms that only occur in tautologies have no index: nothing to split
-    bucket_of = {index[atom]: b for b, bucket in enumerate(step.buckets)
-                 for atom in bucket if atom in index}
-    return _solve(atoms, clauses, bucket_of, mode == "trusted", config or SolverConfig(),
+    return _solve(atoms, rows, bucket_of, mode == "trusted", config or SolverConfig(),
                   counts)

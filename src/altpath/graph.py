@@ -345,14 +345,6 @@ class DistanceMap:
         return "\n".join(lines) + "\n"
 
 
-def _check_support(cs: ClauseSet, support_ids) -> frozenset[int]:
-    support = frozenset(support_ids)
-    unknown = [cid for cid in support if not cs.has_id(cid)]
-    if unknown:
-        raise KeyError(f"support ids not in the clause set: {sorted(unknown)}")
-    return support
-
-
 def _clause_distances(graph: RelevanceGraph, support: frozenset[int],
                       node_distance: dict[int, int]) -> dict[int, float]:
     entered: dict[int, float] = {}
@@ -384,7 +376,7 @@ def bfs_from_support(graph: RelevanceGraph, support_ids,
     k, nothing is expanded past nodes k-1 clause entries deep, and distances
     beyond k are reported as INF.
     """
-    support = _check_support(graph.clause_set, support_ids)
+    support = graph.clause_set.check_support(support_ids)
     if bound is not None and bound < 1:
         raise ValueError("relevance level must be >= 1")
     stop = INF if bound is None else bound - 1
@@ -496,7 +488,7 @@ def multi_support_intersection(cs: ClauseSet, supports, n: int,
     graph = build_graph(cs, mode)
     keep: set[int] | None = None
     for support in supports:
-        support = _check_support(cs, support)
+        support = frozenset(support)  # bfs_from_support checks the ids
         if not support:
             raise ValueError("each support set must be nonempty")
         ids = set(bfs_from_support(graph, support).relevant_ids(n))

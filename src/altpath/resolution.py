@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from altpath.clauses import Clause, ClauseSet, Literal, literal_key
+from altpath.clauses import Clause, ClauseSet, Literal, check_ground, encode
 from altpath.graph import (
     FIRST_ORDER,
     AlternatingPath,
@@ -167,10 +167,7 @@ def validate_sequence(seq: ResolutionSequence, cs: ClauseSet, support_ids) -> No
     follow the definition (clauses equal to a support clause count as
     supported), and that every derived entry has a supported ancestor chain.
     """
-    support = frozenset(support_ids)
-    for cid in support:
-        if not cs.has_id(cid):
-            raise ValueError(f"support id {cid} not in the clause set")
+    support = cs.check_support(support_ids)
     if not seq.entries:
         raise ValueError("empty sequence")
     sprime = _support_literal_sets(cs, support)
@@ -262,19 +259,6 @@ class SosResult:
     per_level: tuple[int, ...]
 
 
-def _encode_inputs(cs: ClauseSet):
-    atoms = sorted({lit.atom for c in cs.clauses for lit in c.literals}, key=literal_key)
-    index = {a: i + 1 for i, a in enumerate(atoms)}
-    rows: list[tuple[int, frozenset[int]]] = []
-    for c in cs.clauses:
-        if c.is_tautology():
-            continue
-        rows.append(
-            (c.id, frozenset(index[l.atom] if l.positive else -index[l.atom] for l in c.literals))
-        )
-    return atoms, rows
-
-
 def sos_refute(
     cs: ClauseSet,
     support_ids,
@@ -287,16 +271,12 @@ def sos_refute(
     Stops at the first empty clause, at a fixpoint, or at the clause/level
     budget; all three are normal outcomes.
     """
-    if not cs.is_ground():
-        raise ValueError("resolution search requires a variable-free clause set")
-    support = frozenset(support_ids)
-    for cid in support:
-        if not cs.has_id(cid):
-            raise ValueError(f"support id {cid} not in the clause set")
+    support = cs.check_support(support_ids)
     if not support:
         raise ValueError("sos_refute needs a nonempty support set")
+    atoms, rows = encode(cs)
+    check_ground(atoms, "resolution search")
 
-    atoms, rows = _encode_inputs(cs)
     records: list[_Rec] = []
     # signed literal -> ascending ids of the records holding it
     occurs: dict[int, list[int]] = {}
@@ -310,8 +290,11 @@ def sos_refute(
             occurs.setdefault(v, []).append(idx)
         return idx
 
-    for cid, fs in rows:
-        idx = keep(_Rec(fs, cid, None, None, 0, cid in support))
+    for c, row in zip(cs.clauses, rows):
+        if len(set(map(abs, row))) < len(row):
+            continue  # a tautology, as the solvers drop them
+        fs = frozenset(row)
+        idx = keep(_Rec(fs, c.id, None, None, 0, c.id in support))
         if records[idx].supported:
             frontier.append(idx)
             seen.setdefault(fs, idx)

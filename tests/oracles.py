@@ -21,6 +21,7 @@ from altpath.clauses import (
     Var,
     apply_term,
     complementary_unifiable,
+    literal_key,
     term_vars,
     unify_seq,
 )
@@ -495,6 +496,44 @@ def reference_solve(cs: ClauseSet, config: SolverConfig | None = None,
     verdict = _search(clauses, bucket_of, trusted, config or SolverConfig(), stats, trail)
     model = {atoms[abs(l) - 1]: l > 0 for l in trail} if verdict == "sat" else {}
     return SolveResult(verdict, model, stats)
+
+
+# ---------------------------------------------------------------------------
+# Stepping sequences and neighborhood sizes, literal by literal
+#
+# The Literal-level versions that altpath.dpll had before it read the
+# integer rows of clauses.encode.
+
+
+def reference_stepping_sequence(cs: ClauseSet,
+                                clause_distance: dict[int, float]) -> SteppingSequence:
+    """Atoms of the reachable clauses bucketed by the distance of their
+    closest clause, each bucket sorted by ``literal_key``."""
+    best: dict[Literal, float] = {}
+    for c in cs.clauses:
+        d = clause_distance[c.id]
+        if d == INF:
+            continue
+        for lit in c.literals:
+            atom = lit.atom
+            if atom not in best or d < best[atom]:
+                best[atom] = d
+    if not best:
+        return SteppingSequence(())
+    buckets: list[list[Literal]] = [[] for _ in range(int(max(best.values())))]
+    for atom, d in best.items():
+        buckets[int(d) - 1].append(atom)
+    return SteppingSequence(tuple(tuple(sorted(b, key=literal_key)) for b in buckets))
+
+
+def reference_neighborhood_counts(cs: ClauseSet) -> dict[str, int]:
+    """Literal occurrences, distinct signed literals and distinct atoms."""
+    occurrences = 0
+    signed: set[Literal] = set()
+    for c in cs.clauses:
+        occurrences += len(c.literals)
+        signed.update(c.literals)
+    return {"occurrences": occurrences, "literals": len(signed), "atoms": len(cs.atoms())}
 
 
 # ---------------------------------------------------------------------------

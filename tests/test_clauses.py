@@ -17,6 +17,7 @@ from altpath.clauses import (
     apply_literal,
     apply_term,
     complementary_unifiable,
+    encode,
     literal_key,
     term_vars,
     unify,
@@ -331,6 +332,27 @@ def test_clause_set_subset_unknown_id():
     cs = ClauseSet.from_groups([[lit("p", a)]])
     with pytest.raises(KeyError):
         cs.subset([7])
+
+
+def test_clause_set_check_support():
+    cs = ClauseSet.from_groups([[lit("p", a)], [lit("q", b)]])
+    assert cs.check_support([2, 1, 2]) == frozenset({1, 2})
+    with pytest.raises(ValueError, match="support id 7 not in the clause set"):
+        cs.check_support([1, 7])
+    with pytest.raises(ValueError, match="support ids 7, 9 not in the clause set"):
+        cs.check_support([9, 7])
+
+
+def test_encode_keeps_clause_order_tautologies_and_empty_clauses():
+    cs = ClauseSet.from_groups([
+        [lit("q", b), lit("p", a, sign=False)],
+        [],
+        [lit("p", a), lit("p", a, sign=False)],
+        [lit("r", Var("X"))],
+    ])
+    atoms, rows = encode(cs)
+    assert atoms == cs.atoms() == [lit("p", a), lit("q", b), lit("r", Var("X"))]
+    assert rows == [(2, -1), (), (1, -1), (3,)]
 
 
 def test_clause_set_arity_conflict_rejected():

@@ -107,6 +107,19 @@ def test_filter_intersects_two_supports(tmp_path):
                  "--support", "neg"]) == 2
 
 
+def test_filter_csv_with_two_supports_fails_before_writing(tmp_path, capsys):
+    path = tmp_path / "in.cnf"
+    path.write_text("p cnf 2 3\n1 2 0\n-1 0\n-2 0\n")
+    out, csv = tmp_path / "out.cnf", tmp_path / "d.csv"
+    for extra in ([], ["-o", str(out)]):
+        code = main(["filter", str(path), "-n", "2", "--support", "pos", "--support", "neg",
+                     "--intersect", "--csv", str(csv), *extra])
+        captured = capsys.readouterr()
+        assert code == 2 and "--csv needs a single support set" in captured.err
+        assert captured.out == ""
+    assert not out.exists() and not csv.exists()
+
+
 def test_filter_purity_note(tmp_path, capsys):
     path = tmp_path / "in.cnf"
     path.write_text("p cnf 2 4\n1 0\n-1 0\n2 0\n1 2 0\n")

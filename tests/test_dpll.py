@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from altpath.clauses import ClauseSet, Literal
+from altpath.clauses import ClauseSet, Literal, Var
 from altpath.dpll import (
+    MODES,
     SolveResult,
     SolverConfig,
     SteppingSequence,
@@ -14,10 +15,19 @@ from altpath.dpll import (
     support_neighborhood,
     support_radius,
 )
-from altpath.graph import INF
+from altpath.generators import random_first_order, random_ground
+from altpath.graph import INF, bfs_from_support, build_graph
+from altpath.parsing import parse_dimacs
+from altpath.resolution import sos_refute
 from tests.test_graph import ground_set
 
-from oracles import clause_set_sat, partial_model_covers, reference_solve
+from oracles import (
+    clause_set_sat,
+    partial_model_covers,
+    reference_neighborhood_counts,
+    reference_solve,
+    reference_stepping_sequence,
+)
 
 
 def atom(name: str) -> Literal:
@@ -132,6 +142,68 @@ def test_stepping_sequence_skips_unreachable_atoms():
     step = stepping_sequence(cs, [1])
     assert atom("x") not in step.atoms() and atom("y") not in step.atoms()
     assert step.atoms() == [atom("p"), atom("q")]
+
+
+def test_stepping_sequence_orders_dimacs_atoms_numerically():
+    cs = parse_dimacs("p cnf 10 2\n10 2 0\n-2 -10 0\n")
+    assert stepping_sequence(cs, [1]).buckets == ((atom("2"), atom("10")),)
+
+
+def _encoding_corpus():
+    """Seeded ground sets, each with a tautology whose atom 99 occurs nowhere
+    else, an empty clause and a detached clause, each under two supports,
+    plus two fixed sets that put DIMACS atoms 2 and 10 in one bucket."""
+    fixed = [ground_set("2 10", "~2 5", "~10 ~5", "7 ~7", "", "11 12", "~11"),
+             parse_dimacs("p cnf 10 3\n10 2 0\n-2 -10 0\n3 -3 0\n")]
+    for cs in fixed:
+        yield cs, [1]
+    for seed in range(16):
+        rng = random.Random(700 + seed)
+        base = random_ground(rng, n_atoms=12, n_clauses=rng.randint(6, 16))
+        extra = [[atom("3"), atom("99"), Literal(False, "99")], [],
+                 [atom("40"), Literal(False, "41")]]
+        cs = ClauseSet.from_groups([c.literals for c in base.clauses] + extra)
+        yield cs, [1]
+        yield cs, [rng.randint(1, len(base)), len(cs) - 1]  # the empty clause too
+
+
+def test_stepping_sequence_matches_literal_reference():
+    for cs, support in _encoding_corpus():
+        dmap = bfs_from_support(build_graph(cs), support)
+        assert stepping_sequence(cs, support) == \
+            reference_stepping_sequence(cs, dmap.clause_distance)
+
+
+def test_dpll_rel_buckets_and_neighborhood_match_literal_reference():
+    for cs, support in _encoding_corpus():
+        dmap = bfs_from_support(build_graph(cs), support)
+        reachable = cs.subset([cid for cid, d in dmap.clause_distance.items() if d < INF])
+        step = reference_stepping_sequence(cs, dmap.clause_distance)
+        for mode in MODES:
+            res = dpll_rel(cs, support, mode=mode)
+            assert res.neighborhood == neighborhood_counts(reachable) == \
+                reference_neighborhood_counts(reachable)
+            ref = reference_solve(cs, step=step, trusted=mode == "trusted")
+            assert (res.verdict, res.stats) == (ref.verdict, ref.stats)
+
+
+def test_neighborhood_counts_match_literal_reference():
+    sets = [cs for cs, _ in _encoding_corpus()]
+    sets += [random_first_order(random.Random(800 + seed), n_clauses=10) for seed in range(12)]
+    for cs in sets:
+        assert neighborhood_counts(cs) == reference_neighborhood_counts(cs)
+
+
+@pytest.mark.parametrize("run", [
+    lambda cs: dpll_rel(cs, [1]),
+    lambda cs: dpll_rel(cs, step=SteppingSequence(())),
+    lambda cs: stepping_sequence(cs, [1]),
+    lambda cs: sos_refute(cs, [1]),
+])
+def test_ground_entry_points_reject_variables(run):
+    cs = ClauseSet.from_groups([[Literal(True, "p", (Var("X"),))], [Literal(False, "q")]])
+    with pytest.raises(ValueError, match="variable-free"):
+        run(cs)
 
 
 def _split_order(cs: ClauseSet, step: SteppingSequence) -> dict[Literal, bool]:

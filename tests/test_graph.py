@@ -151,6 +151,14 @@ def test_hub_mode_agrees_with_pairwise_mode(seed):
     assert a.clause_distance == b.clause_distance
 
 
+def test_unknown_support_ids_raise_value_error():
+    cs = ground_set("p", "~p")
+    with pytest.raises(ValueError, match="support id 9 not in the clause set"):
+        bfs_from_support(build_graph(cs), [1, 9])
+    with pytest.raises(ValueError, match="support id 9 not in the clause set"):
+        multi_support_intersection(cs, [[1], [9]], 2)
+
+
 def test_hub_mode_refuses_variables():
     cs = ClauseSet.from_groups([[Literal(True, "p", (Var("X"),))]])
     with pytest.raises(ValueError, match="variable-free"):
