@@ -492,33 +492,47 @@ class ClauseSet:
 # Integer encoding
 
 
-def encode(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
-    """The atoms of ``cs`` in canonical order, and per clause, in clause
-    order, the tuple of its literals as signed atom numbers: atom i of the
-    list is number i+1, negated for a negative literal.  Tautologies and
-    empty clauses are kept, and so are atoms with variables."""
-    # one pass numbers atoms by first occurrence; one sort then renumbers
-    # them in canonical order (a literal's key minus its sign is its atom's)
-    first: dict[tuple, int] = {}
-    seen: list[Literal] = []
+def number_atoms(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
+    """The one literal numbering: atoms numbered 1, 2, ... by first
+    occurrence, keyed by predicate and arguments.  Gives the literal at each
+    atom's first occurrence (atom a's is item a-1) and per clause, in clause
+    order, the tuple of its literals as signed atom numbers, negated for a
+    negative literal; tautologies, empty clauses and variables are kept."""
+    number: dict[tuple, int] = {}
+    first: list[Literal] = []
     rows = []
     for c in cs.clauses:
         row = []
         for lit in c.literals:
-            i = first.get((lit.pred, lit.args))
-            if i is None:
-                i = first[lit.pred, lit.args] = len(seen) + 1
-                seen.append(lit)
-            row.append(i if lit.positive else -i)
-        rows.append(row)
-    order = sorted(range(len(seen)), key=lambda i: literal_key(seen[i])[1:])
-    rank = [0] * (2 * len(seen) + 1)  # indexed by signed literal
+            a = number.get((lit.pred, lit.args))
+            if a is None:
+                a = number[lit.pred, lit.args] = len(first) + 1
+                first.append(lit)
+            row.append(a if lit.positive else -a)
+        rows.append(tuple(row))
+    return first, rows
+
+
+def canonical_order(first: list[Literal], rows: list[tuple[int, ...]]
+                    ) -> tuple[list[Literal], list[tuple[int, ...]]]:
+    """A ``number_atoms`` result renumbered in canonical order: the atoms
+    sorted, atom i of the list being number i+1, and the rows renumbered to
+    match."""
+    # a literal's key minus its sign is its atom's
+    order = sorted(range(len(first)), key=lambda i: literal_key(first[i])[1:])
+    rank = [0] * (2 * len(first) + 1)  # indexed by signed literal
     for r, i in enumerate(order, 1):
         rank[i + 1], rank[-i - 1] = r, -r
-    return [seen[i].atom for i in order], [tuple(map(rank.__getitem__, row)) for row in rows]
+    return [first[i].atom for i in order], [tuple(map(rank.__getitem__, row)) for row in rows]
+
+
+def encode(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
+    """``number_atoms`` in canonical order: the atoms sorted, atom i of the
+    list being number i+1, and per clause the tuple of its signed numbers."""
+    return canonical_order(*number_atoms(cs))
 
 
 def check_ground(atoms: list[Literal], task: str) -> None:
-    """ValueError unless every atom, as ``encode`` lists them, is variable-free."""
+    """ValueError unless every atom, as the numberings list them, is variable-free."""
     if not all(map(Literal.is_ground, atoms)):
         raise ValueError(f"{task} is defined for variable-free clause sets only")

@@ -227,11 +227,6 @@ def _model_lines(cs: ClauseSet, model: dict[Literal, bool], fmt: str) -> list[st
 
 def cmd_solve(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
-    if not cs.is_ground():
-        raise ValueError(
-            "solving needs a variable-free clause set; use deepen with an "
-            "external prover for first-order input"
-        )
     solver_cfg = _solver_config(cfg)
     if cfg.no_relevance:
         result = dpll(cs, solver_cfg)
@@ -446,8 +441,6 @@ def cmd_path(cfg: argparse.Namespace) -> int:
 
 def cmd_radius(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
-    if not cs.is_ground():
-        raise ValueError("the radius measurement needs a variable-free clause set")
     spec = cfg.supports[0] if cfg.supports else None
     support = resolve_support(cs, spec, fmt)
     radius = support_radius(cs, support, _solver_config(cfg))

@@ -35,7 +35,8 @@ policy): once a single stepping atom remains, the neighborhood clauses have
 shrunk to units over it, and propagation closes the branch without a split.
 
 Both solvers read the set once, as the signed atom numbers of
-``clauses.encode``, and delete tautological clauses up front.  That is
+``clauses.encode``; ``dpll_rel`` renumbers the numbering its relevance graph
+already holds instead.  They delete tautological clauses up front.  That is
 satisfiability preserving and keeps shrunken clauses two-valued, which the
 call bound above relies on; distance computations in the graph module are
 not affected.
@@ -46,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from altpath.clauses import ClauseSet, Literal, check_ground, encode
+from altpath.clauses import ClauseSet, Literal, canonical_order, check_ground, encode
 from altpath.graph import (
     INF,
     DistanceMap,
@@ -56,6 +57,9 @@ from altpath.graph import (
 
 UNIT_POLICIES = ("off", "relevant_only", "all")
 MODES = ("fallback", "trusted")
+
+# the task named when a solver meets variables, with the way out of it
+_SOLVING = "satisfiability solving (use deepen with an external prover for first-order input)"
 
 
 @dataclass(frozen=True)
@@ -137,9 +141,10 @@ class SteppingSequence:
 def stepping_sequence(cs: ClauseSet, support_ids) -> SteppingSequence:
     """Bucket the atoms of all support-reachable clauses by the distance of
     the closest clause containing the atom in either polarity."""
-    atoms, rows = encode(cs)
+    graph = build_graph(cs)
+    atoms, rows = canonical_order(graph.first, graph.rows)
     check_ground(atoms, "a stepping sequence")
-    bucket_of, _ = _buckets(cs, rows, bfs_from_support(build_graph(cs), support_ids))
+    bucket_of, _ = _buckets(cs, rows, bfs_from_support(graph, support_ids))
     buckets: list[list[Literal]] = [[] for _ in range(max(bucket_of.values(), default=-1) + 1)]
     for a in sorted(bucket_of):  # atom numbers follow the canonical order
         buckets[bucket_of[a]].append(atoms[a - 1])
@@ -174,28 +179,28 @@ def support_radius(cs: ClauseSet, support_ids,
     """The smallest n for which the distance-n clauses around the support
     set are already unsatisfiable; INF when no level is (then everything
     reachable from the support set is satisfiable)."""
-    dmap = bfs_from_support(build_graph(cs), support_ids)
-    return _radius(cs, dmap, config)
+    return _radius(cs, support_ids, config)[0]
 
 
-def _radius(cs: ClauseSet, dmap: DistanceMap, config: SolverConfig | None) -> float:
-    if not cs.is_ground():
-        raise ValueError("the support radius is defined for variable-free sets")
+def _radius(cs: ClauseSet, support_ids,
+            config: SolverConfig | None) -> tuple[float, DistanceMap]:
+    graph = build_graph(cs)
+    check_ground(graph.first, "the support radius")  # before the search unifies
+    dmap = bfs_from_support(graph, support_ids)
     finite = sorted({int(d) for d in dmap.clause_distance.values() if d < INF})
     cfg = config or SolverConfig(unit_policy="all")
     for n in finite:  # levels between two finite distances add no clauses
         sub = cs.subset(dmap.relevant_ids(n))
         if dpll(sub, cfg).verdict == "unsat":
-            return n
-    return INF
+            return n, dmap
+    return INF, dmap
 
 
 def support_neighborhood(cs: ClauseSet, support_ids,
                          config: SolverConfig | None = None) -> ClauseSet:
     """Clauses within the support radius; every reachable clause when the
     radius is infinite."""
-    dmap = bfs_from_support(build_graph(cs), support_ids)
-    radius = _radius(cs, dmap, config)
+    radius, dmap = _radius(cs, support_ids, config)
     cap = dmap.max_finite_distance() if radius == INF else radius
     if cap == INF:  # support set empty of reachable clauses entirely
         return cs.subset([])
@@ -431,7 +436,7 @@ def _solve(atoms: list[Literal], rows: list[tuple[int, ...]],
 def dpll(cs: ClauseSet, config: SolverConfig | None = None) -> SolveResult:
     """Plain splitting solver, unrestricted branching."""
     atoms, rows = encode(cs)
-    check_ground(atoms, "satisfiability solving")
+    check_ground(atoms, _SOLVING)
     return _solve(atoms, rows, dict.fromkeys(range(1, len(atoms) + 1), 0), False,
                   config or SolverConfig())
 
@@ -460,13 +465,14 @@ def dpll_rel(cs: ClauseSet, support_ids=None, config: SolverConfig | None = None
         support = frozenset(support_ids)
         if not support:
             raise ValueError("dpll_rel needs a nonempty support set")
-        dmap = bfs_from_support(build_graph(cs), support)
-    atoms, rows = encode(cs)
-    check_ground(atoms, "satisfiability solving")
-    if step is None:
-        bucket_of, reachable = _buckets(cs, rows, dmap)
+        graph = build_graph(cs)
+        atoms, rows = canonical_order(graph.first, graph.rows)
+        check_ground(atoms, _SOLVING)
+        bucket_of, reachable = _buckets(cs, rows, bfs_from_support(graph, support))
         counts = _counts(reachable)
     else:
+        atoms, rows = encode(cs)
+        check_ground(atoms, _SOLVING)
         index = {atom: i + 1 for i, atom in enumerate(atoms)}
         # a passed sequence may name atoms the set lacks: nothing to split
         bucket_of = {index[atom]: b for b, bucket in enumerate(step.buckets)

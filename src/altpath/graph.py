@@ -23,21 +23,23 @@ is counted as two shared hub nodes where that saves edges, so the edge
 count stays linear in occurrences.  Distances and witnesses do not depend
 on the mode.
 
-Partners are found through one index shared by the search, the edge counts
-and purity filtering.  The partner relation depends only on the two
-literals, so the index works on distinct literals: each one's partners are
-found once and shared by all its occurrences, and each distinct pair is
+Partners are found through one index, held by the graph and shared by the
+search, the edge counts and purity filtering.  The partner relation depends
+only on the two literals, so the index works on distinct literals, named by
+the signed atom numbers of ``clauses.number_atoms``: each one's partners
+are found once and shared by all its occurrences, and each distinct pair is
 decided at most once.  Ground literals complement-unify exactly when their
-atoms are equal, so two ground literals are matched by that equality alone;
-only pairs with a non-ground side reach the unifier.
+atoms are equal, so a ground literal x finds its ground partners among the
+occurrences of -x; only pairs with a non-ground side reach the unifier.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
-from altpath.clauses import ClauseSet, Literal, complementary_unifiable
+from altpath.clauses import ClauseSet, Literal, complementary_unifiable, number_atoms
 
 INF = float("inf")
 
@@ -48,13 +50,27 @@ MODES = (FIRST_ORDER, PROPOSITIONAL_HUB)
 
 
 class RelevanceGraph:
-    """The derived search graph for one clause set and one mode.
+    """The derived search graph for one clause set and one mode, with its
+    partner index.
 
     Node layout: occurrence i owns in-node 2i and out-node 2i+1.
     Occurrences are numbered in the canonical clause/literal order, and
     ``occs_by_clause`` maps each clause id to the range of its occurrences.
     The mode only decides how ``edge_count`` and ``node_count`` count the
     linking edges; no edge list is ever built.
+
+    ``first`` and ``rows`` are the set's ``clauses.number_atoms``, so
+    occurrence i is the signed number ``lit_of[i]``, the rows concatenated;
+    ``occs[x]`` lists the occurrences of x in ascending order and
+    ``ground[a]`` says whether atom a is variable-free.  Unless the set is
+    ground, literals are listed per ``(pred, sign)`` in ``by_key``, the
+    non-ground ones also in ``open``.  A ground literal x's partners are
+    ``occs[-x]`` plus the opposite non-ground literals it unifies with; a
+    non-ground literal checks every opposite literal of its predicate.
+    ``partners_of`` builds the list once per distinct literal, ascending,
+    and shares it among its occurrences: do not mutate it.  Each unordered
+    pair of distinct literals reaches ``complementary_unifiable`` at most
+    once.
     """
 
     def __init__(self, cs: ClauseSet, mode: str = FIRST_ORDER):
@@ -66,7 +82,57 @@ class RelevanceGraph:
         for c in cs.clauses:
             self.occs_by_clause[c.id] = range(start, start + len(c.literals))
             start += len(c.literals)
-        self.partners = _Partners(self.occurrences)
+        self.first, self.rows = number_atoms(cs)
+        self.lit_of = list(chain.from_iterable(self.rows))
+        # indexed by signed number: -x sits at 2n+1-x, past every atom number
+        self.occs: list[list[int]] = [[] for _ in range(2 * len(self.first) + 1)]
+        for i, x in enumerate(self.lit_of):
+            self.occs[x].append(i)
+        self.ground = [True, *map(Literal.is_ground, self.first)]  # by atom number
+        self.by_key: dict[tuple[str, bool], list[int]] = {}
+        self.open: dict[tuple[str, bool], list[int]] = {}
+        if not all(self.ground):  # else each literal x's partners are occs[-x]
+            for a, lit in enumerate(self.first, 1):
+                for x in (a, -a):
+                    if self.occs[x]:
+                        key = (lit.pred, x > 0)
+                        self.by_key.setdefault(key, []).append(x)
+                        if not self.ground[a]:
+                            self.open.setdefault(key, []).append(x)
+        self._partners: list[list[int] | None] = [None] * len(self.occs)
+        self._unifies: dict[tuple[int, int], bool] = {}
+
+    def partners_of(self, i: int) -> list[int]:
+        """The occurrences whose literal complement-unifies with that of
+        occurrence i, ascending; shared by all occurrences of the literal."""
+        x = self.lit_of[i]
+        found = self._partners[x]
+        if found is not None:
+            return found
+        occs, occurrences, unifies = self.occs, self.occurrences, self._unifies
+        key = (occurrences[i][1].pred, x < 0)
+        if self.ground[abs(x)]:
+            runs = [occs[-x]]
+            candidates = self.open.get(key, ())
+        else:
+            runs = []
+            candidates = self.by_key.get(key, ())
+        for y in candidates:
+            pair = (x, y) if x < y else (y, x)
+            hit = unifies.get(pair)
+            if hit is None:
+                hit = unifies[pair] = complementary_unifiable(
+                    occurrences[occs[pair[0]][0]][1], occurrences[occs[pair[1]][0]][1])
+            if hit:
+                runs.append(occs[y])
+        runs = [run for run in runs if run]
+        if len(runs) == 1:
+            found = runs[0]
+        else:
+            # occurrence lists of distinct literals are disjoint ascending runs
+            found = sorted(occ for run in runs for occ in run)
+        self._partners[x] = found
+        return found
 
     @property
     def node_count(self) -> int:
@@ -80,116 +146,36 @@ class RelevanceGraph:
     def _linking(self) -> tuple[int, int]:
         """(linking edges, hub nodes) of the mode's wiring, counted from the
         partner index."""
-        partners = self.partners
+        occs = self.occs
         if self.mode == FIRST_ORDER:
             # all occurrences of a literal share one partner list
-            edges = sum(len(partners.of(occs[0])) * len(occs) for occs in partners.occs_of)
+            edges = sum(len(self.partners_of(run[0])) * len(run) for run in occs if run)
             return edges, 0
         # ground atoms with m positive and n negative occurrences: a shared
         # hub pair costs 2(m+n) edges against 2mn for direct pairing, so each
         # atom gets whichever wiring is smaller (ties go to direct, which
         # needs no extra nodes)
         edges = hubs = 0
-        for (pred, positive), pos_atoms in partners.atoms.items():
-            neg_atoms = partners.atoms.get((pred, False)) if positive else None
-            if not neg_atoms:
+        for a in range(1, len(self.first) + 1):
+            if not self.ground[a]:
                 continue
-            for args, pos in pos_atoms.items():
-                m, n = len(pos), len(neg_atoms.get(args, ()))
-                if m * n <= m + n:
-                    edges += 2 * m * n
-                else:
-                    edges += 2 * (m + n)
-                    hubs += 2
+            m, n = len(occs[a]), len(occs[-a])
+            if m * n <= m + n:
+                edges += 2 * m * n
+            else:
+                edges += 2 * (m + n)
+                hubs += 2
         return edges, hubs
-
-
-class _Partners:
-    """Complementary partners of each literal occurrence.
-
-    Distinct literals are numbered in order of first occurrence, and
-    ``occs_of[l]`` lists the occurrences of literal ``l`` in ascending order.
-    Ground literals sit in atom buckets, ``atoms[(pred, sign)][args]``, which
-    are their occurrence lists.  Every literal is also listed per
-    ``(pred, sign)`` in ``lits_by_key``, and the non-ground ones in ``open``.
-    A ground literal's partners are the opposite bucket of its atom plus the
-    occurrences of the opposite non-ground literals it unifies with; a
-    non-ground literal checks every opposite literal of its predicate.  The
-    list is built once per distinct literal, in ascending occurrence id, and
-    shared by all its occurrences: do not mutate it.  Each unordered pair of
-    distinct literals reaches ``complementary_unifiable`` at most once.
-    """
-
-    def __init__(self, occurrences: list[tuple[int, Literal]]):
-        self.lits: list[Literal] = []
-        self.lit_of: list[int] = []
-        self.occs_of: list[list[int]] = []
-        self.ground: list[bool] = []
-        self.atoms: dict[tuple[str, bool], dict[tuple, list[int]]] = {}
-        self.open: dict[tuple[str, bool], list[int]] = {}
-        self.lits_by_key: dict[tuple[str, bool], list[int]] = {}
-        ids: dict[Literal, int] = {}
-        for i, (_, lit) in enumerate(occurrences):
-            lid = ids.get(lit)
-            if lid is None:
-                lid = ids[lit] = len(self.lits)
-                key = (lit.pred, lit.positive)
-                ground = lit.is_ground()
-                self.lits.append(lit)
-                self.occs_of.append([])
-                self.ground.append(ground)
-                if ground:
-                    self.atoms.setdefault(key, {})[lit.args] = self.occs_of[lid]
-                else:
-                    self.open.setdefault(key, []).append(lid)
-                self.lits_by_key.setdefault(key, []).append(lid)
-            self.lit_of.append(lid)
-            self.occs_of[lid].append(i)
-        self.partners: list[list[int] | None] = [None] * len(self.lits)
-        self.unifies: dict[tuple[int, int], bool] = {}
-
-    def bucket(self, lit: Literal) -> list[int]:
-        """Ground occurrences of the complement of a ground literal."""
-        return self.atoms.get((lit.pred, not lit.positive), {}).get(lit.args, [])
-
-    def of(self, i: int) -> list[int]:
-        lid = self.lit_of[i]
-        found = self.partners[lid]
-        if found is not None:
-            return found
-        lit = self.lits[lid]
-        key = (lit.pred, not lit.positive)
-        if self.ground[lid]:
-            runs = [self.bucket(lit)]
-            candidates = self.open.get(key, ())
-        else:
-            runs = []
-            candidates = self.lits_by_key.get(key, ())
-        lits, unifies = self.lits, self.unifies
-        for m in candidates:
-            pair = (lid, m) if lid < m else (m, lid)
-            hit = unifies.get(pair)
-            if hit is None:
-                hit = unifies[pair] = complementary_unifiable(lits[pair[0]], lits[pair[1]])
-            if hit:
-                runs.append(self.occs_of[m])
-        runs = [run for run in runs if run]
-        if len(runs) == 1:
-            found = runs[0]
-        else:
-            # occurrence lists of distinct literals are disjoint ascending runs
-            found = sorted(occ for run in runs for occ in run)
-        self.partners[lid] = found
-        return found
 
 
 def build_graph(cs: ClauseSet, mode: str = FIRST_ORDER) -> RelevanceGraph:
     """The graph of a clause set: its occurrences and partner index."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == PROPOSITIONAL_HUB and not cs.is_ground():
+    graph = RelevanceGraph(cs, mode)
+    if mode == PROPOSITIONAL_HUB and not all(graph.ground):
         raise ValueError("propositional_hub mode requires a variable-free clause set")
-    return RelevanceGraph(cs, mode)
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +367,7 @@ def bfs_from_support(graph: RelevanceGraph, support_ids,
         raise ValueError("relevance level must be >= 1")
     stop = INF if bound is None else bound - 1
     occurrences, by_clause = graph.occurrences, graph.occs_by_clause
-    partners = graph.partners
-    lit_of = partners.lit_of
+    lit_of = graph.lit_of
     expanded: set[int] = set()  # distinct literals whose partners were entered
     node_distance: dict[int, int] = {}
     node_parent: dict[int, int] = {}
@@ -402,12 +387,12 @@ def bfs_from_support(graph: RelevanceGraph, support_ids,
             continue
         occ = node >> 1
         if node & 1:  # out-node: enter the clauses of the literal's partners
-            lid = lit_of[occ]
-            if lid in expanded:
+            x = lit_of[occ]
+            if x in expanded:
                 continue
-            expanded.add(lid)
+            expanded.add(x)
             d += 1
-            for j in partners.of(occ):
+            for j in graph.partners_of(occ):
                 succ = 2 * j
                 if succ not in node_distance or d < node_distance[succ]:
                     node_distance[succ] = d
@@ -445,7 +430,7 @@ def purity_filter(cs: ClauseSet) -> ClauseSet:
     occs, occs_by_clause = graph.occurrences, graph.occs_by_clause
     # the partner relation is symmetric, so partners[i] also lists the
     # occurrences that lose a partner when occurrence i dies
-    partners = [graph.partners.of(i) for i in range(len(occs))]
+    partners = [graph.partners_of(i) for i in range(len(occs))]
     partner_count = [len(p) for p in partners]
 
     alive = {c.id for c in cs.clauses}

@@ -298,6 +298,18 @@ def test_radius(tree, tmp_path, capsys):
     assert "support radius: inf" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command,hint", [
+    (["radius"], ""),
+    (["solve"], "use deepen with an external prover"),
+    (["solve", "--no-relevance"], "use deepen with an external prover"),
+])
+def test_ground_commands_reject_first_order_input(fo, capsys, command, hint):
+    assert main([command[0], fo, *command[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "variable-free" in err[0]
+    assert hint in err[0]
+
+
 def test_stats_bounds_and_budget(tmp_path, capsys):
     path = tmp_path / "s.cnf"
     path.write_text("p cnf 3 4\n1 2 3 0\n-1 2 0\n-2 3 0\n1 3 0\n")

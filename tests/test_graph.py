@@ -331,7 +331,7 @@ def assert_counts_match_reference(graph, wired: list[list[int]]) -> None:
     out-node's edges.  The partner index does not depend on the mode."""
     if graph.mode == FIRST_ORDER:
         for i in range(len(graph.occurrences)):
-            assert [2 * j for j in graph.partners.of(i)] == wired[2 * i + 1], f"occurrence {i}"
+            assert [2 * j for j in graph.partners_of(i)] == wired[2 * i + 1], f"occurrence {i}"
     assert graph.edge_count == sum(len(out) for out in wired), graph.mode
     assert graph.node_count == len(wired), graph.mode
 
@@ -388,6 +388,21 @@ def mixed_set(rng: random.Random, n_clauses: int) -> ClauseSet:
     return ClauseSet.from_groups(groups)
 
 
+def fixed_set() -> ClauseSet:
+    """An empty clause, and q(Y) next to q(Y{f}): one variable name, two
+    atoms.  ~q(b) and ~q(Y{g}) are partners of q(Y) only, ~q(f(a)) and
+    ~q(Y) of both."""
+    y, yf, yg = Var("Y"), Var("Y", frozenset({"f"})), Var("Y", frozenset({"g"}))
+    return ClauseSet.from_groups([
+        [Literal(True, "q", (y,)), Literal(True, "q", (yf,))],
+        [Literal(False, "q", (App("b"),)), Literal(True, "r")],
+        [],
+        [Literal(False, "q", (App("f", (App("a"),)),))],
+        [Literal(False, "q", (yg,)), Literal(False, "r")],
+        [Literal(False, "q", (y,)), Literal(True, "s")],
+    ])
+
+
 def _families():
     for seed in range(4):
         rng = random.Random(700 + seed)
@@ -396,6 +411,7 @@ def _families():
         yield f"tptp{seed}", ground_tptp_set(rng, 40), True
         yield f"fo{seed}", random_first_order(rng, n_clauses=14), False
         yield f"mixed{seed}", mixed_set(rng, 12), False
+    yield "fixed", fixed_set(), False
 
 
 FAMILIES = list(_families())
