@@ -24,8 +24,8 @@ class Var:
 
     ``allowed`` optionally restricts the function symbols the variable may be
     instantiated with at the top level.  Restrictions are produced by clause
-    splitting and are consulted by unification and by ground-instance
-    enumeration; parsed input never carries them.
+    splitting and are consulted by unification; parsed input never carries
+    them.
     """
 
     name: str
@@ -68,13 +68,6 @@ def term_vars(t: Term, acc: list[Var] | None = None) -> list[Var]:
         for a in t.args:
             term_vars(a, acc)
     return acc
-
-
-def term_depth(t: Term) -> int:
-    """Depth of a term; constants and variables have depth 1."""
-    if isinstance(t, Var) or not t.args:
-        return 1
-    return 1 + max(term_depth(a) for a in t.args)
 
 
 def apply_term(t: Term, subst: Substitution) -> Term:

@@ -24,7 +24,7 @@ import subprocess
 import sys
 import tempfile
 
-from altpath.clauses import ClauseSet, Literal
+from altpath.clauses import ClauseSet, Literal, number_atoms
 from altpath.dpll import (
     SolverConfig,
     UNIT_POLICIES,
@@ -121,6 +121,17 @@ def resolve_support(cs: ClauseSet, spec: str | None, fmt: str) -> list[int]:
     if not ids:
         raise ValueError(f"support spec {spec!r} selects no clauses")
     return ids
+
+
+def _single_support(cs: ClauseSet, cfg: argparse.Namespace, fmt: str) -> list[int]:
+    """The clause ids of the command's one --support spec, or of the default
+    spec when none is given."""
+    if len(cfg.supports) > 1:
+        raise ValueError(
+            f"{cfg.command} takes one --support spec, got {len(cfg.supports)}: "
+            + ", ".join(cfg.supports)
+        )
+    return resolve_support(cs, cfg.supports[0] if cfg.supports else None, fmt)
 
 
 def _graph_mode(cfg: argparse.Namespace) -> str:
@@ -231,8 +242,7 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
     if cfg.no_relevance:
         result = dpll(cs, solver_cfg)
     else:
-        spec = cfg.supports[0] if cfg.supports else None
-        support = resolve_support(cs, spec, fmt)
+        support = _single_support(cs, cfg, fmt)
         result = dpll_rel(
             cs, support, solver_cfg, mode="trusted" if cfg.trusted else "fallback"
         )
@@ -347,8 +357,7 @@ def _finish_deepen(cfg: argparse.Namespace, label: str | None, verdict: str,
 
 def cmd_deepen(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
-    spec = cfg.supports[0] if cfg.supports else None
-    support = resolve_support(cs, spec, fmt)
+    support = _single_support(cs, cfg, fmt)
     stages = _deepen_stages(cs, cfg, support)
     lines: list[str] = []
     if not cs.is_ground():
@@ -419,8 +428,7 @@ def cmd_path(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
     if cfg.to_id is None:
         raise ValueError("path needs --to CLAUSE_ID")
-    spec = cfg.supports[0] if cfg.supports else None
-    support = resolve_support(cs, spec, fmt)
+    support = _single_support(cs, cfg, fmt)
     dmap = bfs_from_support(build_graph(cs, _graph_mode(cfg)), support)
     path = dmap.witness(cfg.to_id)
     check_alternating_path(cs, path)
@@ -441,8 +449,7 @@ def cmd_path(cfg: argparse.Namespace) -> int:
 
 def cmd_radius(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
-    spec = cfg.supports[0] if cfg.supports else None
-    support = resolve_support(cs, spec, fmt)
+    support = _single_support(cs, cfg, fmt)
     radius = support_radius(cs, support, _solver_config(cfg))
     if cfg.json_out:
         _json_dump({"radius": _show(radius)})
@@ -495,15 +502,14 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
     k = max((len(c) for c in cs.clauses), default=0)
     payload = {
         "clauses": len(cs),
-        "atoms": len(cs.atoms()),
+        "atoms": len(number_atoms(cs)[0]),
         "b": b,
         "k": k,
     }
     if cfg.supports or cfg.bound is not None:
         if cfg.bound is None:
             raise ValueError("--bound is needed to print the size budget")
-        spec = cfg.supports[0] if cfg.supports else None
-        support = resolve_support(cs, spec, fmt)
+        support = _single_support(cs, cfg, fmt)
         dmap = bfs_from_support(build_graph(cs, _graph_mode(cfg)), support, bound=cfg.bound)
         payload["support"] = len(support)
         payload["relevant"] = len(dmap.relevant_ids(cfg.bound))
@@ -597,16 +603,21 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
 # argument wiring
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, support: bool = True,
+                hub: bool = True) -> None:
+    """The input options, plus --support and --hub for the commands that
+    read them."""
     p.add_argument("input", help="input file (DIMACS or TPTP CNF)")
     p.add_argument("--format", dest="fmt", choices=("auto", "dimacs", "tptp"),
                    default="auto", help="input format (default: detect)")
-    p.add_argument("--support", dest="supports", action="append", default=[],
-                   metavar="SPEC",
-                   help="support spec: role:<r>, pos, neg, ids:<list>, file:<path>")
-    p.add_argument("--hub", action="store_true",
-                   help="count edges with shared hub nodes (variable-free input "
-                        "only); distances and witnesses do not change")
+    if support:
+        p.add_argument("--support", dest="supports", action="append", default=[],
+                       metavar="SPEC",
+                       help="support spec: role:<r>, pos, neg, ids:<list>, file:<path>")
+    if hub:
+        p.add_argument("--hub", action="store_true",
+                       help="count edges with shared hub nodes (variable-free input "
+                            "only); distances and witnesses do not change")
     p.add_argument("--include-base", dest="include_base",
                    help="directory for TPTP includes (default: $TPTP)")
     p.add_argument("--json", dest="json_out", action="store_true",
@@ -633,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write a clause_id,distance table here")
 
     p = sub.add_parser("solve", help="relevance-restricted DPLL on ground input")
-    _add_common(p)
+    _add_common(p, hub=False)
     p.add_argument("--trusted", action="store_true",
                    help="accept stepping-free leftovers as satisfied")
     p.add_argument("--no-relevance", dest="no_relevance", action="store_true",
@@ -657,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prover-timeout", dest="prover_timeout", type=float, default=5.0)
 
     p = sub.add_parser("distance", help="relevance distance between clause pairs")
-    _add_common(p)
+    _add_common(p, support=False)
     p.add_argument("--pair", dest="pairs", nargs=2, type=int, action="append",
                    default=[], metavar=("FROM", "TO"))
 
@@ -666,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_id", type=int, help="target clause id")
 
     p = sub.add_parser("radius", help="smallest refuting neighborhood level")
-    _add_common(p)
+    _add_common(p, hub=False)
     p.add_argument("--unit-policy", dest="unit_policy", choices=UNIT_POLICIES,
                    default="all")
     p.set_defaults(max_calls=None)
@@ -676,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--bound", type=int, help="level for the size budget")
 
     p = sub.add_parser("split", help="replace a clause by symbol-wise instances")
-    _add_common(p)
+    _add_common(p, support=False, hub=False)
     p.add_argument("--clause", dest="clause_id", type=int, help="clause to split")
     p.add_argument("--var", help="variable to split on")
     p.add_argument("--binary", action="store_true",

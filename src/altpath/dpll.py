@@ -207,12 +207,6 @@ def support_neighborhood(cs: ClauseSet, support_ids,
     return cs.subset(dmap.relevant_ids(int(cap)))
 
 
-def neighborhood_counts(neighborhood: ClauseSet) -> dict[str, int]:
-    """The three sizes a clause collection can be measured by: literal
-    occurrences, distinct signed literals, distinct atoms."""
-    return _counts(encode(neighborhood)[1])
-
-
 def _counts(rows: list[tuple[int, ...]]) -> dict[str, int]:
     signed = set().union(*rows)
     return {

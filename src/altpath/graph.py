@@ -242,14 +242,6 @@ def check_alternating_path(cs: ClauseSet, path: AlternatingPath) -> None:
         entry = entry_lit
 
 
-def is_alternating_path(cs: ClauseSet, path: AlternatingPath) -> bool:
-    try:
-        check_alternating_path(cs, path)
-        return True
-    except ValueError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Distances
 

@@ -6,10 +6,9 @@ A split is described by a plan: the clause, the variable, and a partition
 of the clause set's function symbols (constants included) into groups.  A
 singleton group contributes the instance C[x -> f(y1..yn)] with fresh
 variables; a larger group contributes one clause in which x keeps its name
-but is restricted to the group's symbols at the top level.  Unification and
-ground-instance enumeration both honor such restrictions, and
-expand_restricted rewrites them away for export formats that cannot carry
-them.
+but is restricted to the group's symbols at the top level.  Unification
+honors such restrictions, and expand_restricted rewrites them away for
+export formats that cannot carry them.
 
 Splitting can only narrow a literal's set of unification partners, so
 relevance distances between the untouched clauses never decrease; the
@@ -32,7 +31,6 @@ from altpath.clauses import (
     Var,
     apply_literal,
     complementary_unifiable,
-    term_depth,
 )
 
 _SV = re.compile(r"_sv(\d+)$")
@@ -309,63 +307,3 @@ def _terms_vars(t: Term):
     else:
         for a in t.args:
             yield from _terms_vars(a)
-
-
-# ---------------------------------------------------------------------------
-# Ground instances over a bounded universe
-
-
-def herbrand_universe(
-    functions: dict[str, int], depth: int, extra_constant: str | None = None
-) -> list[Term]:
-    """All ground terms of depth up to the bound, shallowest first.
-
-    Empty when the symbol table has no constants and none is supplied.
-    """
-    syms = dict(functions)
-    if extra_constant is not None:
-        syms.setdefault(extra_constant, 0)
-    terms: list[Term] = []
-    for d in range(1, depth + 1):
-        new: list[Term] = []
-        for f, ar in sorted(syms.items()):
-            if ar == 0:
-                if d == 1:
-                    new.append(App(f))
-                continue
-            for combo in itertools.product(terms, repeat=ar):
-                if max(term_depth(t) for t in combo) == d - 1:
-                    new.append(App(f, combo))
-        terms.extend(new)
-    return terms
-
-
-def ground_instances(
-    clause: Clause, universe: list[Term], max_depth: int | None = None
-) -> set[frozenset[Literal]]:
-    """Ground instances of a clause, as literal sets, over the universe.
-
-    Variable restrictions narrow the candidate terms by top symbol.  With
-    max_depth set, instances containing any deeper argument term are
-    dropped; applying the same cutoff to a clause and to its split
-    replacements makes the two instance sets directly comparable.
-    """
-    variables = clause.variables()
-    candidates = []
-    for v in variables:
-        terms = [
-            t
-            for t in universe
-            if v.allowed is None or (isinstance(t, App) and t.functor in v.allowed)
-        ]
-        candidates.append(terms)
-    out: set[frozenset[Literal]] = set()
-    for combo in itertools.product(*candidates):
-        subst = {v.name: t for v, t in zip(variables, combo)}
-        lits = frozenset(apply_literal(l, subst) for l in clause.literals)
-        if max_depth is not None and any(
-            term_depth(a) > max_depth for lit in lits for a in lit.args
-        ):
-            continue
-        out.add(lits)
-    return out

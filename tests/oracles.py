@@ -14,11 +14,13 @@ from dataclasses import replace
 
 from altpath.clauses import (
     App,
+    Clause,
     ClauseSet,
     Literal,
     Substitution,
     Term,
     Var,
+    apply_literal,
     apply_term,
     complementary_unifiable,
     literal_key,
@@ -27,7 +29,6 @@ from altpath.clauses import (
 )
 from altpath.dpll import SolveResult, SolverConfig, SolveStats, SteppingSequence
 from altpath.graph import FIRST_ORDER, AlternatingPath, RelevanceGraph
-from altpath.splitting import ground_instances
 
 INF = float("inf")
 
@@ -359,6 +360,34 @@ def factors_through(sigma: Substitution, theta: Substitution, names) -> bool:
         if bind is None:
             return False
     return True
+
+
+def ground_instances(
+    clause: Clause, universe: list[Term], max_depth: int | None = None
+) -> set[frozenset[Literal]]:
+    """Ground instances of a clause, as literal sets, over the universe.
+
+    Variable restrictions narrow the candidate terms by top symbol.  With
+    max_depth set, instances containing any deeper argument term are
+    dropped; applying the same cutoff to a clause and to its split
+    replacements makes the two instance sets directly comparable.
+    """
+    variables = clause.variables()
+    candidates = [
+        [t for t in universe
+         if v.allowed is None or (isinstance(t, App) and t.functor in v.allowed)]
+        for v in variables
+    ]
+    out: set[frozenset[Literal]] = set()
+    for combo in itertools.product(*candidates):
+        subst = {v.name: t for v, t in zip(variables, combo)}
+        lits = frozenset(apply_literal(l, subst) for l in clause.literals)
+        if max_depth is not None and any(
+            term_depth_of(a) > max_depth for lit in lits for a in lit.args
+        ):
+            continue
+        out.add(lits)
+    return out
 
 
 def instance_sets(

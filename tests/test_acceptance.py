@@ -17,12 +17,13 @@ import itertools
 import random
 import time
 
+import pytest
+
 from altpath.clauses import App, Clause, ClauseSet, Literal, Var
 from altpath.dpll import (
     SolverConfig,
     dpll,
     dpll_rel,
-    neighborhood_counts,
     support_neighborhood,
     support_radius,
 )
@@ -40,7 +41,7 @@ from altpath.graph import (
     AlternatingPath,
     bfs_from_support,
     build_graph,
-    is_alternating_path,
+    check_alternating_path,
     multi_support_intersection,
     purity_filter,
 )
@@ -54,8 +55,6 @@ from altpath.resolution import (
 from altpath.splitting import (
     descendants,
     full_split_plan,
-    ground_instances,
-    herbrand_universe,
     split_clause,
 )
 from altpath.cli import main as cli_main
@@ -64,7 +63,13 @@ from tests.test_graph import WORKED, ground_set, lit
 from tests.test_resolution import goal_tree_11
 from tests.test_cli import TREE
 
-from oracles import brute_distances, clause_set_sat, minimal_unsat_subsets
+from oracles import (
+    brute_distances,
+    clause_set_sat,
+    ground_instances,
+    herbrand_terms,
+    minimal_unsat_subsets,
+)
 
 
 def _ok(num: int, msg: str) -> None:
@@ -86,13 +91,14 @@ def test_criterion_01_path_checker_on_worked_connections():
         (1, 2, 4),
         ((lit("p1"), lit("~p1")), (lit("~p1"), lit("p1"))),
     )
-    assert is_alternating_path(WORKED, good)
+    check_alternating_path(WORKED, good)
     assert good.length == 3
-    assert not is_alternating_path(WORKED, bad)
+    with pytest.raises(ValueError, match="entered through"):
+        check_alternating_path(WORKED, bad)
     # every hop of the rejected variant is locally fine: the failure is the
     # alternation condition alone, so a reversed two-hop prefix still passes
     prefix = AlternatingPath((1, 2), ((lit("p1"), lit("~p1")),))
-    assert is_alternating_path(WORKED, prefix)
+    check_alternating_path(WORKED, prefix)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _ok(1, f"worked connection accepted, entry-literal reuse rejected ({elapsed * 1000:.1f} ms)")
@@ -364,7 +370,7 @@ def test_criterion_08_call_budget_in_neighborhood_atoms():
             rng, n_atoms=rng.randint(3, 5), n_clauses=rng.randint(6, 16)
         )
         assert support_radius(cs, [sid]) < INF
-        k = neighborhood_counts(support_neighborhood(cs, [sid]))["atoms"]
+        k = len(support_neighborhood(cs, [sid]).atoms())
         res = dpll_rel(cs, [sid], mode="fallback")
         assert res.verdict == "unsat"
         assert res.stats.calls <= 2 ** k
@@ -393,7 +399,7 @@ def test_criterion_08_call_budget_in_neighborhood_atoms():
     sid = combined.ids()[0]
     assert dpll(combined.subset(combined.ids()[1:])).verdict == "sat"  # valid support
     assert len(combined.atoms()) == 50
-    assert neighborhood_counts(support_neighborhood(combined, [sid]))["atoms"] == 10
+    assert len(support_neighborhood(combined, [sid]).atoms()) == 10
     res = dpll_rel(combined, [sid], mode="fallback")
     assert res.verdict == "unsat"
     assert 4 <= res.stats.calls <= 2 ** 10  # real branching, but confined
@@ -553,7 +559,7 @@ def test_criterion_11_splitting_preserves_instances_and_verdicts():
             after = split_clause(cs, plan)
             syms = dict(cs.functions)
             syms.setdefault("a", 0)
-            universe = herbrand_universe(syms, 3)
+            universe = herbrand_terms(syms, 3)
             before_set = ground_instances(target, universe, max_depth=3)
             after_set = set()
             for did in descendants(cs, after):
@@ -572,7 +578,7 @@ def test_criterion_11_splitting_preserves_instances_and_verdicts():
         after = split_clause(cs, plan)
         syms = dict(cs.functions)
         syms.setdefault("a", 0)
-        universe = herbrand_universe(syms, 2)
+        universe = herbrand_terms(syms, 2)
         assert _grounded_verdict(cs, universe, 2) == _grounded_verdict(after, universe, 2)
         preserved += 1
     _ok(11, f"{identities} depth-3 instance identities, {preserved} depth-2 grounded verdicts preserved")

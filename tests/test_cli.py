@@ -445,6 +445,34 @@ def test_empty_support_selection(tmp_path, capsys):
     assert "selects no clauses" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["radius"], ["deepen"], ["path", "--to", "6"], ["stats", "--bound", "2"],
+], ids=lambda argv: argv[0])
+def test_single_support_commands_reject_a_second_spec(tree, capsys, argv):
+    command, *rest = argv
+    code = main([command, tree, *rest, "--support", "ids:1", "--support", "ids:3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: {command} takes one --support spec, got 2: ids:1, ids:3\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--hub"],
+    ["radius", "--hub"],
+    ["split", "--hub"],
+    ["distance", "--support", "ids:1"],
+    ["split", "--support", "ids:1"],
+], ids=lambda argv: f"{argv[0]}{argv[1]}")
+def test_options_a_command_does_not_read_are_refused(tree, capsys, argv):
+    command, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, tree, *rest])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(rest)}" in capsys.readouterr().err
+
+
 def test_missing_input_file(capsys):
     assert main(["solve", "/nonexistent/input.cnf"]) == 2
     assert "error:" in capsys.readouterr().err

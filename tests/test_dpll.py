@@ -10,12 +10,11 @@ from altpath.dpll import (
     SteppingSequence,
     dpll,
     dpll_rel,
-    neighborhood_counts,
     stepping_sequence,
     support_neighborhood,
     support_radius,
 )
-from altpath.generators import random_first_order, random_ground
+from altpath.generators import random_ground
 from altpath.graph import INF, bfs_from_support, build_graph
 from altpath.parsing import parse_dimacs
 from altpath.resolution import sos_refute
@@ -181,17 +180,9 @@ def test_dpll_rel_buckets_and_neighborhood_match_literal_reference():
         step = reference_stepping_sequence(cs, dmap.clause_distance)
         for mode in MODES:
             res = dpll_rel(cs, support, mode=mode)
-            assert res.neighborhood == neighborhood_counts(reachable) == \
-                reference_neighborhood_counts(reachable)
+            assert res.neighborhood == reference_neighborhood_counts(reachable)
             ref = reference_solve(cs, step=step, trusted=mode == "trusted")
             assert (res.verdict, res.stats) == (ref.verdict, ref.stats)
-
-
-def test_neighborhood_counts_match_literal_reference():
-    sets = [cs for cs, _ in _encoding_corpus()]
-    sets += [random_first_order(random.Random(800 + seed), n_clauses=10) for seed in range(12)]
-    for cs in sets:
-        assert neighborhood_counts(cs) == reference_neighborhood_counts(cs)
 
 
 @pytest.mark.parametrize("run", [
@@ -331,11 +322,6 @@ def test_count_calls_and_neighborhood_counts():
     assert res.neighborhood == {"occurrences": 2, "literals": 2, "atoms": 1}
 
 
-def test_neighborhood_counts_fixture():
-    cs = ground_set("p q", "~p q", "~q")
-    assert neighborhood_counts(cs) == {"occurrences": 5, "literals": 4, "atoms": 2}
-
-
 # ---------------------------------------------------------------------------
 # the call bound
 
@@ -365,7 +351,7 @@ def test_call_bound_on_unsat_instances(mode):
     for cs, support in _valid_unsat_instances(25, seed=7):
         rad = support_radius(cs, support)
         assert rad < INF
-        k = neighborhood_counts(support_neighborhood(cs, support))["atoms"]
+        k = len(support_neighborhood(cs, support).atoms())
         res = dpll_rel(cs, support, mode=mode)
         assert res.verdict == "unsat"
         assert res.stats.calls <= 2 ** k
@@ -388,7 +374,7 @@ def test_call_bound_ignores_satisfiable_tail():
     rows = ["p", "~p q", "~p ~q"]
     rows += [f"t{i} t{i + 1}" for i in range(1, 30)]
     cs = ground_set(*rows)
-    k = neighborhood_counts(support_neighborhood(cs, [1]))["atoms"]
+    k = len(support_neighborhood(cs, [1]).atoms())
     assert k == 2
     res = dpll_rel(cs, [1], mode="trusted")
     assert res.verdict == "unsat"

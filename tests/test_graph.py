@@ -20,7 +20,6 @@ from altpath.graph import (
     bfs_from_support,
     build_graph,
     check_alternating_path,
-    is_alternating_path,
     multi_support_intersection,
     purity_filter,
 )
@@ -67,7 +66,6 @@ def test_path_rejected_when_exit_equals_entry():
     )
     with pytest.raises(ValueError, match="entered through"):
         check_alternating_path(WORKED, path)
-    assert not is_alternating_path(WORKED, path)
 
 
 def test_path_rejected_on_non_complementary_link():
