@@ -364,14 +364,13 @@ class ClauseSet:
         groups,
         roles: dict[int, str] | None = None,
         names: dict[int, str] | None = None,
-        start_id: int = 1,
     ) -> "ClauseSet":
         """Build a clause set from an iterable of literal collections.
 
-        Ids are assigned consecutively from ``start_id``.  Symbol arities are
-        checked across the whole set.
+        Ids are assigned consecutively from 1.  Symbol arities are checked
+        across the whole set.
         """
-        clauses = [Clause(start_id + i, tuple(lits)) for i, lits in enumerate(groups)]
+        clauses = [Clause(i, tuple(lits)) for i, lits in enumerate(groups, 1)]
         return cls.from_clauses(clauses, roles=roles, names=names)
 
     @classmethod

@@ -251,9 +251,8 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
         f"c calls={stats.calls} splits={stats.splits} units={stats.unit_props} "
         f"fallback={stats.fallback_calls}"
     ]
-    budget = None
-    if cfg.count_calls and result.neighborhood is not None:
-        k = result.neighborhood["atoms"]
+    budget, k = None, result.k
+    if cfg.count_calls and k is not None:
         budget = _sized(k * math.log10(2), lambda: 2**k)
         lines.append(f"c calls={stats.calls} k={k} budget={budget}")
     lines.append(_VERDICT_LINE[result.verdict])
@@ -267,7 +266,7 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
                 "splits": stats.splits,
                 "units": stats.unit_props,
                 "fallback": stats.fallback_calls,
-                "k": None if result.neighborhood is None else result.neighborhood["atoms"],
+                "k": k,
                 "budget": budget,
                 "model": {str(a): v for a, v in sorted(result.model.items(), key=lambda kv: str(kv[0]))},
             }
@@ -603,6 +602,17 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
 # argument wiring
 
 
+def _positive(text: str) -> int:
+    """argparse type of a count or call budget: an int, refused below 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, support: bool = True,
                 hub: bool = True) -> None:
     """The input options, plus --support and --hub for the commands that
@@ -651,19 +661,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plain DPLL without a support set")
     p.add_argument("--unit-policy", dest="unit_policy", choices=UNIT_POLICIES,
                    default="relevant_only")
-    p.add_argument("--max-calls", dest="max_calls", type=int,
+    p.add_argument("--max-calls", dest="max_calls", type=_positive,
                    help="cap on search nodes, fallback nodes included; past it "
                         "the verdict is unknown (exit 0)")
     p.add_argument("--count-calls", dest="count_calls", action="store_true",
-                   help="print the call count against the 2^k budget")
+                   help="print the call count against the 2^k budget, k counting "
+                        "the atoms of every support-reachable clause (a valid, "
+                        "if loose, bound)")
 
     p = sub.add_parser("deepen", help="grow neighborhood levels until one refutes")
     _add_common(p)
     p.add_argument("--unit-policy", dest="unit_policy", choices=UNIT_POLICIES,
                    default="relevant_only")
-    p.add_argument("--slice", dest="slice_calls", type=int, default=256,
+    p.add_argument("--slice", dest="slice_calls", type=_positive, default=256,
                    help="call budget of the first round (doubles per round)")
-    p.add_argument("--max-rounds", dest="max_rounds", type=int, default=16)
+    p.add_argument("--max-rounds", dest="max_rounds", type=_positive, default=16)
     p.add_argument("--prover", help="external prover command, {file} is the TPTP path")
     p.add_argument("--prover-timeout", dest="prover_timeout", type=float, default=5.0)
 
@@ -699,13 +711,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="seeded benchmark families")
     p.add_argument("family", choices=("3sat", "horn-tree", "bounded"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vars", dest="gen_vars", type=int, default=20)
+    p.add_argument("--vars", dest="gen_vars", type=_positive, default=20)
     p.add_argument("--clauses", dest="gen_clauses", type=int, default=80)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--branching", type=int, default=2)
     p.add_argument("--b", type=int, default=3)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--preds", type=int, default=12)
+    p.add_argument("--k", type=_positive, default=3)
+    p.add_argument("--preds", type=_positive, default=12)
     p.add_argument("--first-order", dest="first_order", action="store_true")
     p.add_argument("-o", "--output", help="write the instance here instead of stdout")
     p.set_defaults(json_out=False)

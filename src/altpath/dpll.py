@@ -33,6 +33,9 @@ relevance neighborhood of the support set, however many atoms the whole set
 has.  The bound needs unit propagation over stepping atoms (the default
 policy): once a single stepping atom remains, the neighborhood clauses have
 shrunk to units over it, and propagation closes the branch without a split.
+The ``k`` that ``dpll_rel`` reports, and ``solve --count-calls`` prints,
+counts the atoms of every support-reachable clause instead: never fewer, so
+its 2**k is a looser but still valid bound.
 
 Both solvers read the set once, as the signed atom numbers of
 ``clauses.encode``; ``dpll_rel`` renumbers the numbering its relevance graph
@@ -51,6 +54,7 @@ from altpath.clauses import ClauseSet, Literal, canonical_order, check_ground, e
 from altpath.graph import (
     INF,
     DistanceMap,
+    RelevanceGraph,
     bfs_from_support,
     build_graph,
 )
@@ -100,9 +104,10 @@ class SolveResult:
     verdict: str  # "sat" | "unsat" | "unknown"
     model: dict[Literal, bool] = field(default_factory=dict)
     stats: SolveStats = field(default_factory=SolveStats)
-    # occurrence / signed-literal / atom counts of the reachable clauses,
-    # filled in by dpll_rel so call-bound readings can be compared
-    neighborhood: dict[str, int] | None = None
+    # the atoms of every support-reachable clause, set by dpll_rel when it
+    # is given a support set; they include those of the smallest
+    # unsatisfiable neighborhood, so 2**k still bounds the calls
+    k: int | None = None
 
     def satisfies(self, cs: ClauseSet) -> bool:
         """True when every clause has a literal made true by the model.
@@ -115,63 +120,50 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Stepping sequences
+# The relevance pass: stepping buckets, support radius and neighborhood
 
 
-@dataclass(frozen=True)
-class SteppingSequence:
-    """Atoms grouped by the distance of their closest clause from the
-    support set.  An atom stands for both the literal and its complement
-    (their distances agree by definition).  Bucket positions are meaningful
-    and survive restriction to the atoms still occurring during search;
-    atoms of unreachable clauses appear in no bucket."""
-
-    buckets: tuple[tuple[Literal, ...], ...]
-
-    def atoms(self) -> list[Literal]:
-        return [a for b in self.buckets for a in b]
-
-    def __str__(self) -> str:
-        rows = []
-        for i, b in enumerate(self.buckets):
-            rows.append(f"step {i + 1}: " + (", ".join(str(a) for a in b) if b else "-"))
-        return "\n".join(rows) if rows else "(empty stepping sequence)"
-
-
-def stepping_sequence(cs: ClauseSet, support_ids) -> SteppingSequence:
-    """Bucket the atoms of all support-reachable clauses by the distance of
-    the closest clause containing the atom in either polarity."""
+def _relevance(cs: ClauseSet, support_ids, task: str) -> tuple[RelevanceGraph, DistanceMap]:
+    """The pass each relevance entry point starts with: the partner index,
+    the refusal of variables (named after ``task``) before the search
+    unifies, and the 0-1 BFS from the support set."""
     graph = build_graph(cs)
+    check_ground(graph.first, task)
+    return graph, bfs_from_support(graph, support_ids)
+
+
+def _buckets(graph: RelevanceGraph, dmap: DistanceMap
+             ) -> tuple[list[Literal], list[tuple[int, ...]], dict[int, int]]:
+    """The graph's numbering in canonical order, as ``clauses.encode`` gives
+    it, and atom number -> stepping bucket (the distance of its closest
+    clause, minus one) for every atom of a reachable clause."""
     atoms, rows = canonical_order(graph.first, graph.rows)
-    check_ground(atoms, "a stepping sequence")
-    bucket_of, _ = _buckets(cs, rows, bfs_from_support(graph, support_ids))
-    buckets: list[list[Literal]] = [[] for _ in range(max(bucket_of.values(), default=-1) + 1)]
-    for a in sorted(bucket_of):  # atom numbers follow the canonical order
-        buckets[bucket_of[a]].append(atoms[a - 1])
-    return SteppingSequence(tuple(map(tuple, buckets)))
-
-
-def _buckets(cs: ClauseSet, rows: list[tuple[int, ...]],
-             dmap: DistanceMap) -> tuple[dict[int, int], list[tuple[int, ...]]]:
-    """Atom number -> stepping bucket (the distance of its closest clause,
-    minus one) over the encoded rows of ``cs``, and the reachable rows."""
     bucket_of: dict[int, int] = {}
-    reachable = []
-    for c, row in zip(cs.clauses, rows):
+    for c, row in zip(graph.clause_set.clauses, rows):
         d = dmap.clause_distance[c.id]
         if d == INF:
             continue
-        reachable.append(row)
         b = d - 1
         for x in row:
             a = x if x > 0 else -x
             if bucket_of.get(a, INF) > b:
                 bucket_of[a] = b
-    return bucket_of, reachable
+    return atoms, rows, bucket_of
 
 
-# ---------------------------------------------------------------------------
-# Support radius and neighborhood
+def stepping_sequence(cs: ClauseSet, support_ids) -> tuple[tuple[Literal, ...], ...]:
+    """The stepping buckets: the atoms of all support-reachable clauses,
+    bucket m holding those whose closest clause, in either polarity, sits at
+    distance m+1 from the support set, each bucket in canonical order.  An
+    atom stands for both the literal and its complement (their distances
+    agree by definition).  Bucket positions are meaningful and survive
+    restriction to the atoms still occurring during search; atoms of
+    unreachable clauses appear in no bucket."""
+    atoms, _, bucket_of = _buckets(*_relevance(cs, support_ids, "a stepping sequence"))
+    buckets: list[list[Literal]] = [[] for _ in range(max(bucket_of.values(), default=-1) + 1)]
+    for a in sorted(bucket_of):  # atom numbers follow the canonical order
+        buckets[bucket_of[a]].append(atoms[a - 1])
+    return tuple(map(tuple, buckets))
 
 
 def support_radius(cs: ClauseSet, support_ids,
@@ -184,9 +176,7 @@ def support_radius(cs: ClauseSet, support_ids,
 
 def _radius(cs: ClauseSet, support_ids,
             config: SolverConfig | None) -> tuple[float, DistanceMap]:
-    graph = build_graph(cs)
-    check_ground(graph.first, "the support radius")  # before the search unifies
-    dmap = bfs_from_support(graph, support_ids)
+    _, dmap = _relevance(cs, support_ids, "the support radius")
     finite = sorted({int(d) for d in dmap.clause_distance.values() if d < INF})
     cfg = config or SolverConfig(unit_policy="all")
     for n in finite:  # levels between two finite distances add no clauses
@@ -207,15 +197,6 @@ def support_neighborhood(cs: ClauseSet, support_ids,
     return cs.subset(dmap.relevant_ids(int(cap)))
 
 
-def _counts(rows: list[tuple[int, ...]]) -> dict[str, int]:
-    signed = set().union(*rows)
-    return {
-        "occurrences": sum(map(len, rows)),
-        "literals": len(signed),
-        "atoms": len({abs(x) for x in signed}),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Search engine shared by both solvers.  It reads the rows of
 # clauses.encode: atom i of its atom list is number i+1, and a clause is a
@@ -223,8 +204,7 @@ def _counts(rows: list[tuple[int, ...]]) -> dict[str, int]:
 
 
 def _solve(atoms: list[Literal], rows: list[tuple[int, ...]],
-           bucket_of: dict[int, int], trusted: bool, cfg: SolverConfig,
-           counts: dict[str, int] | None = None) -> SolveResult:
+           bucket_of: dict[int, int], trusted: bool, cfg: SolverConfig) -> SolveResult:
     """Depth-first splitting search over the rows of ``encode`` less their
     tautologies, that branches on atoms of ``bucket_of`` (atom number ->
     stepping bucket), over one mutable state built here and undone literal
@@ -365,7 +345,7 @@ def _solve(atoms: list[Literal], rows: list[tuple[int, ...]],
         else:
             stats.calls += 1
         if cfg.max_calls is not None and stats.calls + stats.fallback_calls > cfg.max_calls:
-            return SolveResult("unknown", {}, stats, counts)
+            return SolveResult("unknown", {}, stats)
         ok = None
         while True:
             if empty:
@@ -418,9 +398,9 @@ def _solve(atoms: list[Literal], rows: list[tuple[int, ...]],
                 continue
         if ok:
             model = {atoms[abs(l) - 1]: l > 0 for l in trail}
-            return SolveResult("sat", model, stats, counts)
+            return SolveResult("sat", model, stats)
         if not pending:
-            return SolveResult("unsat", {}, stats, counts)
+            return SolveResult("unsat", {}, stats)
         lit, mark, prev_size, fallback = pending.pop()
         reach = last + 1 if fallback else last
         undo(mark)
@@ -441,15 +421,16 @@ def dpll(cs: ClauseSet, config: SolverConfig | None = None) -> SolveResult:
 
 def dpll_rel(cs: ClauseSet, support_ids=None, config: SolverConfig | None = None,
              mode: str = "fallback",
-             step: SteppingSequence | None = None) -> SolveResult:
+             step: tuple[tuple[Literal, ...], ...] | None = None) -> SolveResult:
     """Splitting solver that branches only on stepping-sequence atoms.
 
-    The stepping sequence is computed from ``support_ids`` unless one is
-    passed directly.  In "trusted" mode a branch whose remaining clauses
-    contain no stepping atom is accepted as satisfiable without inspection;
-    the verdict is then only reliable when the input minus the support
-    clauses is satisfiable.  The default "fallback" mode searches on below
-    such a branch over every atom, and the verdict is unconditional.
+    The stepping sequence is computed from ``support_ids`` unless buckets
+    are passed directly as ``step``, which leaves ``k`` unset.  In
+    "trusted" mode a branch whose remaining clauses contain no stepping atom
+    is accepted as satisfiable without inspection; the verdict is then only
+    reliable when the input minus the support clauses is satisfiable.  The
+    default "fallback" mode searches on below such a branch over every atom,
+    and the verdict is unconditional.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -459,18 +440,15 @@ def dpll_rel(cs: ClauseSet, support_ids=None, config: SolverConfig | None = None
         support = frozenset(support_ids)
         if not support:
             raise ValueError("dpll_rel needs a nonempty support set")
-        graph = build_graph(cs)
-        atoms, rows = canonical_order(graph.first, graph.rows)
-        check_ground(atoms, _SOLVING)
-        bucket_of, reachable = _buckets(cs, rows, bfs_from_support(graph, support))
-        counts = _counts(reachable)
+        atoms, rows, bucket_of = _buckets(*_relevance(cs, support, _SOLVING))
     else:
         atoms, rows = encode(cs)
         check_ground(atoms, _SOLVING)
         index = {atom: i + 1 for i, atom in enumerate(atoms)}
         # a passed sequence may name atoms the set lacks: nothing to split
-        bucket_of = {index[atom]: b for b, bucket in enumerate(step.buckets)
+        bucket_of = {index[atom]: b for b, bucket in enumerate(step)
                      for atom in bucket if atom in index}
-        counts = None
-    return _solve(atoms, rows, bucket_of, mode == "trusted", config or SolverConfig(),
-                  counts)
+    result = _solve(atoms, rows, bucket_of, mode == "trusted", config or SolverConfig())
+    if step is None:
+        result.k = len(bucket_of)
+    return result

@@ -230,15 +230,14 @@ def verify_support_path_property(
 # Set-of-support search
 
 # One kept clause of the search: its literals as signed atom indexes, the
-# input id or the parent record indexes, the atom resolved on, the level it
-# appeared at, and whether it is supported.
+# input id or the parent record indexes, the atom resolved on, and whether
+# it is supported.
 @dataclass
 class _Rec:
     fs: frozenset[int]
     cid: int | None
     parents: tuple[int, int] | None
     atom: int | None
-    level: int
     supported: bool
 
 
@@ -294,7 +293,7 @@ def sos_refute(
         if len(set(map(abs, row))) < len(row):
             continue  # a tautology, as the solvers drop them
         fs = frozenset(row)
-        idx = keep(_Rec(fs, c.id, None, None, 0, c.id in support))
+        idx = keep(_Rec(fs, c.id, None, None, c.id in support))
         if records[idx].supported:
             frontier.append(idx)
             seen.setdefault(fs, idx)
@@ -342,7 +341,7 @@ def sos_refute(
                 fs_r = rest | other
                 if fs_r in seen:
                     continue
-                idx = keep(_Rec(fs_r, None, (f_idx, g_idx), abs(v), level, True))
+                idx = keep(_Rec(fs_r, None, (f_idx, g_idx), abs(v), True))
                 seen[fs_r] = idx
                 derived += 1
                 per_level[-1] += 1

@@ -27,7 +27,7 @@ from altpath.clauses import (
     term_vars,
     unify_seq,
 )
-from altpath.dpll import SolveResult, SolverConfig, SolveStats, SteppingSequence
+from altpath.dpll import SolveResult, SolverConfig, SolveStats
 from altpath.graph import FIRST_ORDER, AlternatingPath, RelevanceGraph
 
 INF = float("inf")
@@ -508,7 +508,7 @@ def _search(clauses: list[tuple[int, ...]], bucket_of: dict[int, int],
 
 
 def reference_solve(cs: ClauseSet, config: SolverConfig | None = None,
-                    step: SteppingSequence | None = None,
+                    step: tuple[tuple[Literal, ...], ...] | None = None,
                     trusted: bool = False) -> SolveResult:
     """``dpll(cs, config)`` when ``step`` is None, else ``dpll_rel(cs,
     step=step, config=config)`` in trusted or fallback mode, by the
@@ -518,7 +518,7 @@ def reference_solve(cs: ClauseSet, config: SolverConfig | None = None,
         bucket_of = dict.fromkeys(range(1, len(atoms) + 1), 0)
     else:
         index = {atom: i + 1 for i, atom in enumerate(atoms)}
-        bucket_of = {index[atom]: b for b, bucket in enumerate(step.buckets)
+        bucket_of = {index[atom]: b for b, bucket in enumerate(step)
                      for atom in bucket if atom in index}
     stats = SolveStats()
     trail: list[int] = []
@@ -528,14 +528,15 @@ def reference_solve(cs: ClauseSet, config: SolverConfig | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Stepping sequences and neighborhood sizes, literal by literal
+# Stepping sequences and the reachable atom count, literal by literal
 #
 # The Literal-level versions that altpath.dpll had before it read the
 # integer rows of clauses.encode.
 
 
 def reference_stepping_sequence(cs: ClauseSet,
-                                clause_distance: dict[int, float]) -> SteppingSequence:
+                                clause_distance: dict[int, float]
+                                ) -> tuple[tuple[Literal, ...], ...]:
     """Atoms of the reachable clauses bucketed by the distance of their
     closest clause, each bucket sorted by ``literal_key``."""
     best: dict[Literal, float] = {}
@@ -548,21 +549,17 @@ def reference_stepping_sequence(cs: ClauseSet,
             if atom not in best or d < best[atom]:
                 best[atom] = d
     if not best:
-        return SteppingSequence(())
+        return ()
     buckets: list[list[Literal]] = [[] for _ in range(int(max(best.values())))]
     for atom, d in best.items():
         buckets[int(d) - 1].append(atom)
-    return SteppingSequence(tuple(tuple(sorted(b, key=literal_key)) for b in buckets))
+    return tuple(tuple(sorted(b, key=literal_key)) for b in buckets)
 
 
-def reference_neighborhood_counts(cs: ClauseSet) -> dict[str, int]:
-    """Literal occurrences, distinct signed literals and distinct atoms."""
-    occurrences = 0
-    signed: set[Literal] = set()
-    for c in cs.clauses:
-        occurrences += len(c.literals)
-        signed.update(c.literals)
-    return {"occurrences": occurrences, "literals": len(signed), "atoms": len(cs.atoms())}
+def reference_atom_count(cs: ClauseSet) -> int:
+    """Distinct atoms of the clauses: the ``k`` of ``dpll_rel`` when ``cs``
+    is the set of support-reachable clauses."""
+    return len({lit.atom for c in cs.clauses for lit in c.literals})
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +567,14 @@ def reference_neighborhood_counts(cs: ClauseSet) -> dict[str, int]:
 
 
 def partial_model_covers(cs: ClauseSet, result: SolveResult,
-                         step: SteppingSequence) -> bool:
+                         step: tuple[tuple[Literal, ...], ...]) -> bool:
     """Contract of a trusted satisfiable verdict: each clause is either made
     true by the (possibly partial) model, or what remains of it unassigned
     lies entirely outside the stepping sequence.  A stepping atom may appear
     in an unsatisfied clause only with an assignment that falsified it there;
     that can happen when the clause touches the reachable part through a
     unit clause, which an alternating path cannot be continued through."""
-    stepping = set(step.atoms())
+    stepping = {atom for bucket in step for atom in bucket}
     for c in cs.clauses:
         if c.is_tautology():
             continue

@@ -10,7 +10,7 @@ import pytest
 import altpath.cli
 from altpath.cli import EXIT_SAT, EXIT_UNSAT, EXIT_UNKNOWN, _growth_budget, main
 from altpath.clauses import Literal
-from altpath.dpll import SolveResult, stepping_sequence
+from altpath.dpll import SolveResult, stepping_sequence, support_neighborhood, support_radius
 from altpath.generators import random_3sat
 from altpath.graph import bfs_from_support, build_graph
 from altpath.parsing import parse_dimacs, parse_tptp, print_dimacs
@@ -168,6 +168,29 @@ def test_solve_count_calls_budget(sat_cnf, capsys):
     main(["solve", sat_cnf, "--support", "ids:2", "--count-calls"])
     out = capsys.readouterr().out
     assert "k=3 budget=8" in out
+
+
+def test_solve_count_calls_k_counts_every_reachable_atom(tmp_path, capsys):
+    # the radius is 2 and the level-2 neighborhood {1, 2, 3} has atoms 1
+    # and 2, yet k counts atom 3 of the distance-3 clause too: the printed
+    # budget is a loose but valid bound
+    path = tmp_path / "chain.cnf"
+    path.write_text("p cnf 3 4\n1 0\n-1 0\n-1 2 0\n-2 3 0\n")
+    cs = parse_dimacs(path.read_text())
+    assert support_radius(cs, [1]) == 2
+    assert len(support_neighborhood(cs, [1]).atoms()) == 2
+    argv = ["solve", str(path), "--support", "ids:1", "--count-calls"]
+    assert main(argv) == EXIT_UNSAT
+    assert capsys.readouterr().out == (
+        "c calls=1 splits=0 units=1 fallback=0\n"
+        "c calls=1 k=3 budget=8\n"
+        "s UNSATISFIABLE\n"
+    )
+    assert main(argv + ["--json"]) == EXIT_UNSAT
+    assert capsys.readouterr().out == (
+        '{"budget": 8, "calls": 1, "fallback": 0, "k": 3, "model": {}, '
+        '"splits": 0, "units": 1, "verdict": "unsat"}\n'
+    )
 
 
 def test_solve_rejects_first_order_input(fo, capsys):
@@ -471,6 +494,26 @@ def test_options_a_command_does_not_read_are_refused(tree, capsys, argv):
         main([command, tree, *rest])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(rest)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "TREE", "--max-calls", "0"],
+    ["solve", "TREE", "--max-calls", "-1"],
+    ["deepen", "TREE", "--slice", "0"],
+    ["deepen", "TREE", "--slice", "-5"],
+    ["deepen", "TREE", "--max-rounds", "0"],
+    ["gen", "3sat", "--vars", "0", "--clauses", "3"],
+    ["gen", "bounded", "--k", "0"],
+    ["gen", "bounded", "--preds", "0"],
+], ids=" ".join)
+def test_counts_and_budgets_below_one_are_refused(tree, capsys, argv):
+    option, value = argv[2:4]
+    with pytest.raises(SystemExit) as exc:
+        main([tree if a == "TREE" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {option}: must be at least 1, got {value}\n" in captured.err
 
 
 def test_missing_input_file(capsys):

@@ -7,7 +7,6 @@ from altpath.dpll import (
     MODES,
     SolveResult,
     SolverConfig,
-    SteppingSequence,
     dpll,
     dpll_rel,
     stepping_sequence,
@@ -23,7 +22,7 @@ from tests.test_graph import ground_set
 from oracles import (
     clause_set_sat,
     partial_model_covers,
-    reference_neighborhood_counts,
+    reference_atom_count,
     reference_solve,
     reference_stepping_sequence,
 )
@@ -126,26 +125,23 @@ def test_config_validation():
 
 def test_stepping_sequence_chain():
     cs = ground_set("p", "~p q", "~q")
-    step = stepping_sequence(cs, [1])
-    assert step.buckets == ((atom("p"),), (atom("q"),))
+    assert stepping_sequence(cs, [1]) == ((atom("p"),), (atom("q"),))
 
 
 def test_stepping_sequence_support_everything():
     cs = ground_set("p q", "~p r")
-    step = stepping_sequence(cs, [1, 2])
-    assert step.buckets == ((atom("p"), atom("q"), atom("r")),)
+    assert stepping_sequence(cs, [1, 2]) == ((atom("p"), atom("q"), atom("r")),)
 
 
 def test_stepping_sequence_skips_unreachable_atoms():
     cs = ground_set("p", "~p q", "x y")
-    step = stepping_sequence(cs, [1])
-    assert atom("x") not in step.atoms() and atom("y") not in step.atoms()
-    assert step.atoms() == [atom("p"), atom("q")]
+    assert [a for bucket in stepping_sequence(cs, [1]) for a in bucket] == \
+        [atom("p"), atom("q")]
 
 
 def test_stepping_sequence_orders_dimacs_atoms_numerically():
     cs = parse_dimacs("p cnf 10 2\n10 2 0\n-2 -10 0\n")
-    assert stepping_sequence(cs, [1]).buckets == ((atom("2"), atom("10")),)
+    assert stepping_sequence(cs, [1]) == ((atom("2"), atom("10")),)
 
 
 def _encoding_corpus():
@@ -180,14 +176,14 @@ def test_dpll_rel_buckets_and_neighborhood_match_literal_reference():
         step = reference_stepping_sequence(cs, dmap.clause_distance)
         for mode in MODES:
             res = dpll_rel(cs, support, mode=mode)
-            assert res.neighborhood == reference_neighborhood_counts(reachable)
+            assert res.k == reference_atom_count(reachable)
             ref = reference_solve(cs, step=step, trusted=mode == "trusted")
             assert (res.verdict, res.stats) == (ref.verdict, ref.stats)
 
 
 @pytest.mark.parametrize("run", [
     lambda cs: dpll_rel(cs, [1]),
-    lambda cs: dpll_rel(cs, step=SteppingSequence(())),
+    lambda cs: dpll_rel(cs, step=()),
     lambda cs: stepping_sequence(cs, [1]),
     lambda cs: sos_refute(cs, [1]),
 ])
@@ -197,7 +193,7 @@ def test_ground_entry_points_reject_variables(run):
         run(cs)
 
 
-def _split_order(cs: ClauseSet, step: SteppingSequence) -> dict[Literal, bool]:
+def _split_order(cs: ClauseSet, step: tuple) -> dict[Literal, bool]:
     # without units, trusted mode assigns nothing but its splits, true first,
     # so the model shows which atoms were split and in which order
     res = dpll_rel(cs, step=step, config=SolverConfig(unit_policy="off"), mode="trusted")
@@ -208,7 +204,7 @@ def _split_order(cs: ClauseSet, step: SteppingSequence) -> dict[Literal, bool]:
 def test_restrict_by_clause_set():
     # once p is true, bucket 0 has no live atom left and the split moves to
     # bucket 1 (q) although r, deeper down, occurs more often
-    step = SteppingSequence(((atom("p"),), (atom("q"),), (atom("r"),)))
+    step = ((atom("p"),), (atom("q"),), (atom("r"),))
     cs = ground_set("p q", "~p q r", "~p ~q r", "~p r")
     assert list(_split_order(cs, step).items()) == [
         (atom("p"), True), (atom("q"), True), (atom("r"), True)]
@@ -216,13 +212,13 @@ def test_restrict_by_clause_set():
 
 def test_leading_literal_first_nonempty_bucket():
     # splitting on r first would satisfy both clauses at once
-    step = SteppingSequence(((), (atom("q"),), (atom("r"),)))
+    step = ((), (atom("q"),), (atom("r"),))
     cs = ground_set("q r", "r")
     assert _split_order(cs, step) == {atom("q"): True, atom("r"): True}
 
 
 def test_leading_literal_max_occurrence_and_ties():
-    step = SteppingSequence(((atom("a"), atom("b")),))
+    step = ((atom("a"), atom("b")),)
     # b occurs 3 times, a twice: b alone satisfies everything
     cs = ground_set("a b", "b ~a", "b x")
     assert _split_order(cs, step) == {atom("b"): True}
@@ -233,10 +229,10 @@ def test_leading_literal_max_occurrence_and_ties():
 
 def test_empty_stepping_sequence_has_no_leading_literal():
     cs = ground_set("p", "~p")
-    trusted = dpll_rel(cs, step=SteppingSequence(()), mode="trusted")
+    trusted = dpll_rel(cs, step=(), mode="trusted")
     assert trusted.verdict == "sat" and trusted.model == {}
     assert (trusted.stats.calls, trusted.stats.splits) == (1, 0)
-    fallback = dpll_rel(cs, step=SteppingSequence(()))
+    fallback = dpll_rel(cs, step=())
     assert fallback.verdict == "unsat" and fallback.stats.fallback_calls == 1
 
 
@@ -319,7 +315,9 @@ def test_count_calls_and_neighborhood_counts():
     cs = ground_set("p", "~p")
     res = dpll_rel(cs, [1])
     assert res.stats.calls >= 1
-    assert res.neighborhood == {"occurrences": 2, "literals": 2, "atoms": 1}
+    assert res.k == 1
+    # a passed sequence leaves k unset
+    assert dpll_rel(cs, step=((atom("p"),),)).k is None
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +506,7 @@ _DIFF_CONFIGS = [SolverConfig(unit_policy=policy, max_calls=cap)
                  for cap in (None, 1, 3, 9, 40)]
 
 
-def _same_as_reference(cs: ClauseSet, step: SteppingSequence | None = None,
+def _same_as_reference(cs: ClauseSet, step: tuple | None = None,
                        mode: str = "fallback") -> list[tuple[SolverConfig, SolveResult]]:
     runs = []
     for cfg in _DIFF_CONFIGS:
@@ -533,7 +531,7 @@ def _all_solvers(cs: ClauseSet, support: list[int], rng: random.Random):
     for a in pool[:rng.randint(0, len(pool))]:
         rng.choice(buckets).append(a)
     for step in (stepping_sequence(cs, support),
-                 SteppingSequence(tuple(tuple(b) for b in buckets))):
+                 tuple(map(tuple, buckets))):
         for mode in ("fallback", "trusted"):
             runs += _same_as_reference(cs, step, mode)
     return runs
