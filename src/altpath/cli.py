@@ -602,15 +602,24 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
 # argument wiring
 
 
-def _positive(text: str) -> int:
-    """argparse type of a count or call budget: an int, refused below 1."""
+def _at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def _positive(text: str) -> int:
+    """argparse type of a count or call budget: an int, refused below 1."""
+    return _at_least(text, 1)
+
+
+def _non_negative(text: str) -> int:
+    """argparse type of a count that may be 0: an int, refused below 0."""
+    return _at_least(text, 0)
 
 
 def _add_common(p: argparse.ArgumentParser, support: bool = True,
@@ -712,10 +721,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=("3sat", "horn-tree", "bounded"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vars", dest="gen_vars", type=_positive, default=20)
-    p.add_argument("--clauses", dest="gen_clauses", type=int, default=80)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--branching", type=int, default=2)
-    p.add_argument("--b", type=int, default=3)
+    p.add_argument("--clauses", dest="gen_clauses", type=_non_negative, default=80)
+    p.add_argument("--depth", type=_non_negative, default=3)
+    p.add_argument("--branching", type=_positive, default=2)
+    p.add_argument("--b", type=_positive, default=3)
     p.add_argument("--k", type=_positive, default=3)
     p.add_argument("--preds", type=_positive, default=12)
     p.add_argument("--first-order", dest="first_order", action="store_true")

@@ -13,6 +13,15 @@ literal and are visited in kept order, as a scan of every kept clause
 would meet them, so which duplicate is kept first never depends on the
 index.
 
+Each kept clause is one integer bit mask, literal x at bit 2x and -x at
+bit 2x+1 over the signed atom numbers of clauses.encode, beside its tuple
+of literals.  The resolvent on atom a is the or of the parents' masks with
+the two bits of a cleared, and duplicates are looked up by that mask.
+Kept clauses are never tautologies, so a resolvent is one exactly when the
+parents clash on a second atom, that is when some atom has both bits set:
+m & (m >> 1) has an even bit set.  The literal tuple of a resolvent is
+built from its parents' tuples only when it is kept.
+
 Refutations are emitted as explicit resolution sequences: the supported
 input clauses first in id order, then the derivation DAG bottom-up with
 every other input clause placed immediately before its first use.  That
@@ -229,18 +238,6 @@ def verify_support_path_property(
 # ---------------------------------------------------------------------------
 # Set-of-support search
 
-# One kept clause of the search: its literals as signed atom indexes, the
-# input id or the parent record indexes, the atom resolved on, and whether
-# it is supported.
-@dataclass
-class _Rec:
-    fs: frozenset[int]
-    cid: int | None
-    parents: tuple[int, int] | None
-    atom: int | None
-    supported: bool
-
-
 @dataclass
 class SosResult:
     """Outcome of a set-of-support search.
@@ -270,41 +267,55 @@ def sos_refute(
     Stops at the first empty clause, at a fixpoint, or at the clause/level
     budget; all three are normal outcomes.
     """
+    if max_clauses < 1:
+        raise ValueError(f"max_clauses must be at least 1, got {max_clauses}")
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be at least 1, got {max_levels}")
     support = cs.check_support(support_ids)
     if not support:
         raise ValueError("sos_refute needs a nonempty support set")
     atoms, rows = encode(cs)
     check_ground(atoms, "resolution search")
 
-    records: list[_Rec] = []
+    # The kept clauses by record id, inputs first: the literal bit mask
+    # (literal x is bit 2x, -x is bit 2x+1), the signed literals, and for
+    # a resolvent its parents' record ids and the atom resolved on.  cids
+    # holds the clause ids of the inputs.
+    masks: list[int] = []
+    lits: list[tuple[int, ...]] = []
+    steps: list[tuple[int, int, int] | None] = []
+    cids: list[int] = []
     # signed literal -> ascending ids of the records holding it
-    occurs: dict[int, list[int]] = {}
-    seen: dict[frozenset[int], int] = {}
+    n = len(atoms)
+    occurs: dict[int, list[int]] = {v: [] for a in range(1, n + 1) for v in (a, -a)}
+    seen: set[int] = set()  # masks of the supported records
     frontier: list[int] = []
-
-    def keep(rec: _Rec) -> int:
-        idx = len(records)
-        records.append(rec)
-        for v in rec.fs:
-            occurs.setdefault(v, []).append(idx)
-        return idx
+    evens = (4 ** (n + 1) - 1) // 3  # bit 2x of every atom x
 
     for c, row in zip(cs.clauses, rows):
-        if len(set(map(abs, row))) < len(row):
+        m = 0
+        for v in row:
+            m |= 1 << (2 * v if v > 0 else 1 - 2 * v)
+        if m & (m >> 1) & evens:
             continue  # a tautology, as the solvers drop them
-        fs = frozenset(row)
-        idx = keep(_Rec(fs, c.id, None, None, c.id in support))
-        if records[idx].supported:
+        idx = len(masks)
+        masks.append(m)
+        lits.append(row)
+        steps.append(None)
+        cids.append(c.id)
+        for v in row:
+            occurs[v].append(idx)
+        if c.id in support:
             frontier.append(idx)
-            seen.setdefault(fs, idx)
-        if not fs:
+            seen.add(m)
+        if not m:
             return SosResult(
-                REFUTED, _emit_sequence(cs, atoms, records, idx, support), 0, 0, ()
+                REFUTED, _emit_sequence(cs, atoms, lits, steps, cids, idx, support), 0, 0, ()
             )
 
     if not frontier:  # every support clause is a tautology
         return SosResult(SATURATED, None, 0, 0, ())
-    n_inputs = len(records)
+    n_inputs = len(masks)
     derived = 0
     per_level: list[int] = []
     while frontier and len(per_level) < max_levels:
@@ -312,43 +323,55 @@ def sos_refute(
         level = len(per_level)
         new_frontier: list[int] = []
         for f_idx in frontier:
-            f = records[f_idx]
+            fm = masks[f_idx]
             # complementary partners below f_idx, and at level 1 the
             # unsupported inputs after it (inputs are not ordered
-            # supported-first), visited by record id and then by the
-            # position of the literal in f
-            pairs: list[tuple[int, int, int]] = []
-            for pos, v in enumerate(f.fs):
-                ids = occurs.get(-v)
+            # supported-first), visited by record id; each pair carries the
+            # two bits of the atom it clashes on.  A partner listed twice
+            # clashes on two atoms, a tautology either way, so the bits
+            # never decide the order of a kept resolvent.
+            pairs: list[tuple[int, int]] = []
+            fl = lits[f_idx]
+            for v in fl:
+                ids = occurs[-v]
                 if not ids:
                     continue
+                bits = 3 << 2 * abs(v)
                 cut = bisect_left(ids, f_idx)
-                pairs += [(g_idx, pos, v) for g_idx in ids[:cut]]
+                pairs += [(g_idx, bits) for g_idx in ids[:cut]]
                 if level == 1:
                     pairs += [
-                        (g_idx, pos, v)
+                        (g_idx, bits)
                         for g_idx in ids[cut : bisect_left(ids, n_inputs)]
-                        if not records[g_idx].supported
+                        if cids[g_idx] not in support
                     ]
             pairs.sort()
-            for g_idx, _, v in pairs:
-                rest = f.fs - {v}
-                other = records[g_idx].fs - {-v}
-                # kept records are never tautologies, so a clash can only
-                # pair a literal of one parent with one of the other
-                if any(-u in rest for u in other):
-                    continue  # tautology
-                fs_r = rest | other
-                if fs_r in seen:
+            for g_idx, bits in pairs:
+                # both parents hold one of the two bits, so xor clears them
+                m = (fm | masks[g_idx]) ^ bits
+                if m in seen:
                     continue
-                idx = keep(_Rec(fs_r, None, (f_idx, g_idx), abs(v), True))
-                seen[fs_r] = idx
+                # kept records are never tautologies, so the resolvent is
+                # one exactly when the parents clash on a second atom
+                if m & (m >> 1) & evens:
+                    continue
+                a = bits.bit_length() // 2 - 1
+                v = a if fm >> 2 * a & 1 else -a
+                row = [u for u in fl if u != v]
+                row += [u for u in lits[g_idx] if u != -v and u not in fl]
+                idx = len(masks)
+                masks.append(m)
+                lits.append(tuple(row))
+                steps.append((f_idx, g_idx, a))
+                seen.add(m)
+                for u in row:
+                    occurs[u].append(idx)
                 derived += 1
                 per_level[-1] += 1
-                if not fs_r:
+                if not row:
                     return SosResult(
                         REFUTED,
-                        _emit_sequence(cs, atoms, records, idx, support),
+                        _emit_sequence(cs, atoms, lits, steps, cids, idx, support),
                         level,
                         derived,
                         tuple(per_level),
@@ -366,11 +389,13 @@ def sos_refute(
 def _emit_sequence(
     cs: ClauseSet,
     atoms: list[Literal],
-    records: list[_Rec],
+    lits: list[tuple[int, ...]],
+    steps: list[tuple[int, int, int] | None],
+    cids: list[int],
     root: int,
     support: frozenset[int],
 ) -> ResolutionSequence:
-    """Turn the derivation DAG under records[root] into an explicit
+    """Turn the derivation DAG under record root into an explicit
     sequence: used support inputs first by id, every other input right
     before its first use, derived clauses bottom-up."""
     used_inputs: set[int] = set()
@@ -381,55 +406,53 @@ def _emit_sequence(
         if idx in visited:
             continue
         visited.add(idx)
-        rec = records[idx]
-        if rec.parents is None:
+        if steps[idx] is None:
             used_inputs.add(idx)
         else:
-            stack.extend(rec.parents)
+            stack.extend(steps[idx][:2])
 
     sprime = _support_literal_sets(cs, support)
     entries: list[SequenceEntry] = []
     pos: dict[int, int] = {}
 
     def add_input(idx: int) -> None:
-        rec = records[idx]
-        clause = cs.by_id(rec.cid)
-        supported = rec.cid in support or frozenset(clause.literals) in sprime
+        clause = cs.by_id(cids[idx])
+        supported = cids[idx] in support or frozenset(clause.literals) in sprime
         entries.append(SequenceEntry(clause, None, None, supported))
         pos[idx] = len(entries)
 
-    for idx in sorted(used_inputs, key=lambda i: records[i].cid):
-        if records[idx].cid in support:
+    for idx in sorted(used_inputs, key=cids.__getitem__):
+        if cids[idx] in support:
             add_input(idx)
 
     # post-order over the derivation DAG with an explicit stack: a frame
-    # (idx, step) looks at parent `step` of records[idx] for steps 0 and 1
+    # (idx, step) looks at parent `step` of record idx for steps 0 and 1
     # and emits the clause itself at step 2
-    stack = [] if records[root].parents is None else [(root, 0)]
+    stack = [] if steps[root] is None else [(root, 0)]
     while stack:
         idx, step = stack.pop()
-        rec = records[idx]
+        a, b, atom = steps[idx]
         if step < 2:
             stack.append((idx, step + 1))
-            p = rec.parents[step]
-            if records[p].parents is not None and p not in pos:
+            p = (a, b)[step]
+            if steps[p] is not None and p not in pos:
                 stack.append((p, 0))
             continue
-        a, b = rec.parents
         for p in (a, b):
             if p not in pos:
                 add_input(p)
-        atom = atoms[rec.atom - 1]
-        lits = tuple(
-            atoms[v - 1] if v > 0 else atoms[-v - 1].negated() for v in rec.fs
+        clause = tuple(
+            atoms[v - 1] if v > 0 else atoms[-v - 1].negated() for v in lits[idx]
         )
         supported = entries[pos[a] - 1].supported or entries[pos[b] - 1].supported
         entries.append(
-            SequenceEntry(Clause(len(entries) + 1, lits), (pos[a], pos[b]), atom, supported)
+            SequenceEntry(
+                Clause(len(entries) + 1, clause), (pos[a], pos[b]), atoms[atom - 1], supported
+            )
         )
         pos[idx] = len(entries)
 
-    if root not in pos and records[root].parents is None:
+    if root not in pos and steps[root] is None:
         add_input(root)
     return ResolutionSequence(tuple(entries))
 

@@ -2,15 +2,16 @@
 
 Everything here is deliberately naive: exhaustive enumeration and direct
 definitions, no shared data structures with the code under test beyond the
-basic term/literal types, the solver's config and result records, and the
-graph's occurrence numbering.
+basic term/literal types, the solver's config and result records, the
+resolution result records, and the graph's occurrence numbering.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from altpath.clauses import (
     App,
@@ -22,13 +23,25 @@ from altpath.clauses import (
     Var,
     apply_literal,
     apply_term,
+    check_ground,
     complementary_unifiable,
+    encode,
     literal_key,
     term_vars,
     unify_seq,
 )
 from altpath.dpll import SolveResult, SolverConfig, SolveStats
 from altpath.graph import FIRST_ORDER, AlternatingPath, RelevanceGraph
+from altpath.resolution import (
+    LIMIT,
+    MAX_KEPT_CLAUSES,
+    MAX_LEVELS,
+    REFUTED,
+    SATURATED,
+    ResolutionSequence,
+    SequenceEntry,
+    SosResult,
+)
 
 INF = float("inf")
 
@@ -584,3 +597,197 @@ def partial_model_covers(cs: ClauseSet, result: SolveResult,
         if not remnant or any(lit.atom in stepping for lit in remnant):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Set-of-support saturation over frozensets
+#
+# The saturation loop of altpath.resolution before it kept one literal bit
+# mask per clause: each kept clause is a frozenset of signed atom numbers,
+# and every partner pair builds the frozensets of both remainders and their
+# union.  Its status, levels, per-level counts and emitted sequences are the
+# reference for the mask loop.
+
+
+# One kept clause of the search: its literals as signed atom indexes, the
+# input id or the parent record indexes, the atom resolved on, and whether
+# it is supported.
+@dataclass
+class _Rec:
+    fs: frozenset[int]
+    cid: int | None
+    parents: tuple[int, int] | None
+    atom: int | None
+    supported: bool
+
+
+def reference_sos_refute(
+    cs: ClauseSet,
+    support_ids,
+    max_clauses: int = MAX_KEPT_CLAUSES,
+    max_levels: int = MAX_LEVELS,
+) -> SosResult:
+    """``sos_refute`` by the set-based loop: every partner pair builds the
+    frozensets of both remainders and of the resolvent."""
+    support = cs.check_support(support_ids)
+    if not support:
+        raise ValueError("sos_refute needs a nonempty support set")
+    atoms, rows = encode(cs)
+    check_ground(atoms, "resolution search")
+
+    records: list[_Rec] = []
+    # signed literal -> ascending ids of the records holding it
+    occurs: dict[int, list[int]] = {}
+    seen: dict[frozenset[int], int] = {}
+    frontier: list[int] = []
+
+    def keep(rec: _Rec) -> int:
+        idx = len(records)
+        records.append(rec)
+        for v in rec.fs:
+            occurs.setdefault(v, []).append(idx)
+        return idx
+
+    for c, row in zip(cs.clauses, rows):
+        if len(set(map(abs, row))) < len(row):
+            continue  # a tautology, as the solvers drop them
+        fs = frozenset(row)
+        idx = keep(_Rec(fs, c.id, None, None, c.id in support))
+        if records[idx].supported:
+            frontier.append(idx)
+            seen.setdefault(fs, idx)
+        if not fs:
+            return SosResult(
+                REFUTED, _reference_emit_sequence(cs, atoms, records, idx, support), 0, 0, ()
+            )
+
+    if not frontier:  # every support clause is a tautology
+        return SosResult(SATURATED, None, 0, 0, ())
+    n_inputs = len(records)
+    derived = 0
+    per_level: list[int] = []
+    while frontier and len(per_level) < max_levels:
+        per_level.append(0)
+        level = len(per_level)
+        new_frontier: list[int] = []
+        for f_idx in frontier:
+            f = records[f_idx]
+            # complementary partners below f_idx, and at level 1 the
+            # unsupported inputs after it (inputs are not ordered
+            # supported-first), visited by record id and then by the
+            # position of the literal in f
+            pairs: list[tuple[int, int, int]] = []
+            for pos, v in enumerate(f.fs):
+                ids = occurs.get(-v)
+                if not ids:
+                    continue
+                cut = bisect_left(ids, f_idx)
+                pairs += [(g_idx, pos, v) for g_idx in ids[:cut]]
+                if level == 1:
+                    pairs += [
+                        (g_idx, pos, v)
+                        for g_idx in ids[cut : bisect_left(ids, n_inputs)]
+                        if not records[g_idx].supported
+                    ]
+            pairs.sort()
+            for g_idx, _, v in pairs:
+                rest = f.fs - {v}
+                other = records[g_idx].fs - {-v}
+                # kept records are never tautologies, so a clash can only
+                # pair a literal of one parent with one of the other
+                if any(-u in rest for u in other):
+                    continue  # tautology
+                fs_r = rest | other
+                if fs_r in seen:
+                    continue
+                idx = keep(_Rec(fs_r, None, (f_idx, g_idx), abs(v), True))
+                seen[fs_r] = idx
+                derived += 1
+                per_level[-1] += 1
+                if not fs_r:
+                    return SosResult(
+                        REFUTED,
+                        _reference_emit_sequence(cs, atoms, records, idx, support),
+                        level,
+                        derived,
+                        tuple(per_level),
+                    )
+                new_frontier.append(idx)
+                if derived >= max_clauses:
+                    return SosResult(LIMIT, None, level, derived, tuple(per_level))
+        if not new_frontier:
+            per_level.pop()
+            return SosResult(SATURATED, None, level - 1, derived, tuple(per_level))
+        frontier = new_frontier
+    return SosResult(LIMIT, None, len(per_level), derived, tuple(per_level))
+
+
+def _reference_emit_sequence(
+    cs: ClauseSet,
+    atoms: list[Literal],
+    records: list[_Rec],
+    root: int,
+    support: frozenset[int],
+) -> ResolutionSequence:
+    """Turn the derivation DAG under records[root] into an explicit
+    sequence: used support inputs first by id, every other input right
+    before its first use, derived clauses bottom-up."""
+    used_inputs: set[int] = set()
+    stack = [root]
+    visited: set[int] = set()
+    while stack:
+        idx = stack.pop()
+        if idx in visited:
+            continue
+        visited.add(idx)
+        rec = records[idx]
+        if rec.parents is None:
+            used_inputs.add(idx)
+        else:
+            stack.extend(rec.parents)
+
+    sprime = {frozenset(cs.by_id(cid).literals) for cid in support}
+    entries: list[SequenceEntry] = []
+    pos: dict[int, int] = {}
+
+    def add_input(idx: int) -> None:
+        rec = records[idx]
+        clause = cs.by_id(rec.cid)
+        supported = rec.cid in support or frozenset(clause.literals) in sprime
+        entries.append(SequenceEntry(clause, None, None, supported))
+        pos[idx] = len(entries)
+
+    for idx in sorted(used_inputs, key=lambda i: records[i].cid):
+        if records[idx].cid in support:
+            add_input(idx)
+
+    # post-order over the derivation DAG with an explicit stack: a frame
+    # (idx, step) looks at parent `step` of records[idx] for steps 0 and 1
+    # and emits the clause itself at step 2
+    stack = [] if records[root].parents is None else [(root, 0)]
+    while stack:
+        idx, step = stack.pop()
+        rec = records[idx]
+        if step < 2:
+            stack.append((idx, step + 1))
+            p = rec.parents[step]
+            if records[p].parents is not None and p not in pos:
+                stack.append((p, 0))
+            continue
+        a, b = rec.parents
+        for p in (a, b):
+            if p not in pos:
+                add_input(p)
+        atom = atoms[rec.atom - 1]
+        lits = tuple(
+            atoms[v - 1] if v > 0 else atoms[-v - 1].negated() for v in rec.fs
+        )
+        supported = entries[pos[a] - 1].supported or entries[pos[b] - 1].supported
+        entries.append(
+            SequenceEntry(Clause(len(entries) + 1, lits), (pos[a], pos[b]), atom, supported)
+        )
+        pos[idx] = len(entries)
+
+    if root not in pos and records[root].parents is None:
+        add_input(root)
+    return ResolutionSequence(tuple(entries))

@@ -505,6 +505,8 @@ def test_options_a_command_does_not_read_are_refused(tree, capsys, argv):
     ["gen", "3sat", "--vars", "0", "--clauses", "3"],
     ["gen", "bounded", "--k", "0"],
     ["gen", "bounded", "--preds", "0"],
+    ["gen", "bounded", "--b", "0"],
+    ["gen", "horn-tree", "--branching", "0"],
 ], ids=" ".join)
 def test_counts_and_budgets_below_one_are_refused(tree, capsys, argv):
     option, value = argv[2:4]
@@ -514,6 +516,29 @@ def test_counts_and_budgets_below_one_are_refused(tree, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: argument {option}: must be at least 1, got {value}\n" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "bounded", "--clauses", "-3"],
+    ["gen", "3sat", "--clauses", "-1"],
+    ["gen", "horn-tree", "--depth", "-1"],
+], ids=" ".join)
+def test_negative_generator_counts_are_refused(capsys, argv):
+    option, value = argv[2:4]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {option}: must be at least 0, got {value}\n" in captured.err
+
+
+def test_zero_generator_counts_still_generate(capsys):
+    assert main(["gen", "3sat", "--clauses", "0"]) == 0
+    assert capsys.readouterr().out == "p cnf 0 0\n"
+    assert main(["gen", "horn-tree", "--depth", "0"]) == 0
+    assert capsys.readouterr().out == (
+        "cnf(c1, negated_conjecture, (~g0)).\ncnf(c2, axiom, (g0)).\n")
 
 
 def test_missing_input_file(capsys):

@@ -437,6 +437,60 @@ def test_golden_sos_results(family):
 
 
 # ---------------------------------------------------------------------------
+# the mask loop against the set-based reference
+
+
+def _shuffled(cs: ClauseSet, rng: random.Random) -> tuple[ClauseSet, list[int]]:
+    """cs with its clauses in a seeded order; the support is the new id of c1."""
+    order = list(range(len(cs)))
+    rng.shuffle(order)
+    shuffled = ClauseSet.from_groups([list(cs.clauses[i].literals) for i in order])
+    return shuffled, [order.index(0) + 1]
+
+
+def _differential_sos_corpus():
+    # the golden corpus plus the sos-check Horn shapes, in the generator's
+    # clause order and shuffled, and the edge cases of the input loop
+    corpus = _golden_sos_corpus()
+    rng = random.Random(57)
+    for d, b in ((2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4)):
+        corpus["horn"] += [(horn_tree(d, b), [1], {"max_clauses": 2000}),
+                           (*_shuffled(horn_tree(d, b), rng), {"max_clauses": 2000})]
+    corpus["horn"].append((goal_tree_11(), [1], {"max_levels": 5}))
+    corpus["edge"] = [
+        (ground_set("p ~p q", "~q", "q r", "~r ~p"), [2], {}),  # tautological input
+        (ground_set("p ~p", "q ~q", "~r", "r"), [1, 2], {}),  # support all tautologies
+        (ClauseSet.from_clauses([Clause(1, ()), Clause(2, (lit("p"),))]), [2], {}),
+        (ClauseSet.from_clauses([Clause(1, (lit("p"),)), Clause(2, ())]), [2], {}),
+        (ground_set("~p", "~p", "p q", "~q", "p q"), [1, 2], {}),  # duplicate inputs
+    ]
+    return corpus
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_SOS_DIGESTS) + ["edge"])
+def test_mask_loop_matches_the_set_based_reference(family):
+    from oracles import reference_sos_refute
+
+    for cs, support, limits in _differential_sos_corpus()[family]:
+        got = sos_refute(cs, support, **limits)
+        want = reference_sos_refute(cs, support, **limits)
+        assert (got.status, got.levels, got.derived_count, got.per_level) == \
+            (want.status, want.levels, want.derived_count, want.per_level), (str(cs), support)
+        assert (got.sequence is None) == (want.sequence is None)
+        if got.sequence is not None:
+            assert format_sequence(got.sequence) == format_sequence(want.sequence)
+
+
+@pytest.mark.parametrize("limits", [
+    {"max_clauses": 0}, {"max_clauses": -5}, {"max_levels": 0}, {"max_levels": -1},
+], ids=lambda limits: " ".join(f"{k}={v}" for k, v in limits.items()))
+def test_sos_budgets_below_one_are_refused(limits):
+    (name, value), = limits.items()
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
+        sos_refute(horn_tree(3, 2), [1], **limits)
+
+
+# ---------------------------------------------------------------------------
 # support path property
 
 
