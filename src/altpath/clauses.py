@@ -52,8 +52,8 @@ class App:
 
 Term = Var | App
 
-# A substitution maps variable names to terms.  Substitutions returned by
-# unify() are idempotent: no variable bound by the map occurs in its images.
+# A substitution maps variable names to terms; splitting applies them to
+# instantiate a variable.
 Substitution = dict[str, Term]
 
 
@@ -81,10 +81,11 @@ def apply_term(t: Term, subst: Substitution) -> Term:
 # ---------------------------------------------------------------------------
 # Unification
 #
-# One core serves both the plain unifier and the complementary check.  Each
-# term is read in a numbered binding environment (its side), and bindings
-# are keyed by (side, variable name), so two literals are unified renamed
-# apart without copying either (structure sharing, Boyer & Moore 1972).
+# The complementary check reads each term in a numbered binding
+# environment (its side), and bindings are keyed by (side, variable name),
+# so two literals are unified renamed apart without copying either
+# (structure sharing, Boyer & Moore 1972).  It only asks whether a unifier
+# exists, so no substitution is ever built.
 # Variables made fresh by merging two restrictions live on side 0.
 
 # (side, variable name) -> (term, side the term is read in)
@@ -153,44 +154,6 @@ def _unify(t1: Term, s1: int, t2: Term, s2: int, bind: _Bindings) -> bool:
         if not _unify(a, s1, b, s2, bind):
             return False
     return True
-
-
-def _resolve(t: Term, s: int, bind: _Bindings) -> Term:
-    t, s = _walk(t, s, bind)
-    if isinstance(t, Var) or not t.args:
-        return t
-    return App(t.functor, tuple(_resolve(a, s, bind) for a in t.args))
-
-
-def _finish(bind: _Bindings) -> Substitution:
-    out: Substitution = {}
-    for s, name in bind:
-        resolved = _resolve(Var(name), s, bind)
-        if isinstance(resolved, Var) and resolved.name == name:
-            continue
-        out[name] = resolved
-    return out
-
-
-def unify(t1: Term, t2: Term) -> Substitution | None:
-    """Most general unifier of two terms, or None.
-
-    Uses the textbook recursive algorithm with an occurs check; the result is
-    idempotent.  Variables with top-symbol restrictions unify only when the
-    restrictions are compatible.
-    """
-    return unify_seq((t1,), (t2,))
-
-
-def unify_seq(ts1: tuple[Term, ...], ts2: tuple[Term, ...]) -> Substitution | None:
-    """Simultaneous unifier of two equal-length term tuples, or None."""
-    if len(ts1) != len(ts2):
-        return None
-    bind: _Bindings = {}
-    for a, b in zip(ts1, ts2):
-        if not _unify(a, 0, b, 0, bind):
-            return None
-    return _finish(bind)
 
 
 # ---------------------------------------------------------------------------

@@ -138,10 +138,6 @@ def _graph_mode(cfg: argparse.Namespace) -> str:
     return PROPOSITIONAL_HUB if cfg.hub else FIRST_ORDER
 
 
-def _solver_config(cfg: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(unit_policy=cfg.unit_policy, max_calls=cfg.max_calls)
-
-
 def _emit(cfg: argparse.Namespace, text: str) -> None:
     # with --json and no --output the payload is dropped: the JSON line is
     # the whole stdout contract then
@@ -238,7 +234,7 @@ def _model_lines(cs: ClauseSet, model: dict[Literal, bool], fmt: str) -> list[st
 
 def cmd_solve(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
-    solver_cfg = _solver_config(cfg)
+    solver_cfg = SolverConfig(unit_policy=cfg.unit_policy, max_calls=cfg.max_calls)
     if cfg.no_relevance:
         result = dpll(cs, solver_cfg)
     else:
@@ -317,10 +313,10 @@ def _prover_verdict(template: str, cs: ClauseSet, timeout: float) -> tuple[str, 
         os.unlink(path)
 
 
-def _deepen_stages(cs: ClauseSet, cfg: argparse.Namespace, support: list[int]):
+def _deepen_stages(cs: ClauseSet, support: list[int]):
     """Level slices in ascending order, ending with the full set if the
     reachable part does not already cover it."""
-    dmap = bfs_from_support(build_graph(cs, _graph_mode(cfg)), support)
+    dmap = bfs_from_support(build_graph(cs), support)
     levels = sorted({int(d) for d in dmap.clause_distance.values() if d < INF})
     stages = [(str(n), cs.subset(dmap.relevant_ids(n))) for n in levels]
     if not stages or len(stages[-1][1]) < len(cs):
@@ -357,7 +353,7 @@ def _finish_deepen(cfg: argparse.Namespace, label: str | None, verdict: str,
 def cmd_deepen(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
     support = _single_support(cs, cfg, fmt)
-    stages = _deepen_stages(cs, cfg, support)
+    stages = _deepen_stages(cs, support)
     lines: list[str] = []
     if not cs.is_ground():
         if not cfg.prover:
@@ -406,7 +402,7 @@ def cmd_distance(cfg: argparse.Namespace) -> int:
     cs, _ = _load(cfg)
     if not cfg.pairs:
         raise ValueError("distance needs at least one --pair FROM TO")
-    graph = build_graph(cs, _graph_mode(cfg))
+    graph = build_graph(cs)
     results = []
     for from_id, to_id in cfg.pairs:
         results.append(bfs_from_support(graph, [from_id]).distance(to_id))
@@ -449,7 +445,7 @@ def cmd_path(cfg: argparse.Namespace) -> int:
 def cmd_radius(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
     support = _single_support(cs, cfg, fmt)
-    radius = support_radius(cs, support, _solver_config(cfg))
+    radius = support_radius(cs, support)
     if cfg.json_out:
         _json_dump({"radius": _show(radius)})
     else:
@@ -679,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "if loose, bound)")
 
     p = sub.add_parser("deepen", help="grow neighborhood levels until one refutes")
-    _add_common(p)
+    _add_common(p, hub=False)
     p.add_argument("--unit-policy", dest="unit_policy", choices=UNIT_POLICIES,
                    default="relevant_only")
     p.add_argument("--slice", dest="slice_calls", type=_positive, default=256,
@@ -689,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prover-timeout", dest="prover_timeout", type=float, default=5.0)
 
     p = sub.add_parser("distance", help="relevance distance between clause pairs")
-    _add_common(p, support=False)
+    _add_common(p, support=False, hub=False)
     p.add_argument("--pair", dest="pairs", nargs=2, type=int, action="append",
                    default=[], metavar=("FROM", "TO"))
 
@@ -699,9 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radius", help="smallest refuting neighborhood level")
     _add_common(p, hub=False)
-    p.add_argument("--unit-policy", dest="unit_policy", choices=UNIT_POLICIES,
-                   default="all")
-    p.set_defaults(max_calls=None)
 
     p = sub.add_parser("stats", help="occurrence bound b, width k and size budgets")
     _add_common(p)

@@ -166,19 +166,17 @@ def stepping_sequence(cs: ClauseSet, support_ids) -> tuple[tuple[Literal, ...], 
     return tuple(map(tuple, buckets))
 
 
-def support_radius(cs: ClauseSet, support_ids,
-                   config: SolverConfig | None = None) -> float:
+def support_radius(cs: ClauseSet, support_ids) -> float:
     """The smallest n for which the distance-n clauses around the support
     set are already unsatisfiable; INF when no level is (then everything
     reachable from the support set is satisfiable)."""
-    return _radius(cs, support_ids, config)[0]
+    return _radius(cs, support_ids)[0]
 
 
-def _radius(cs: ClauseSet, support_ids,
-            config: SolverConfig | None) -> tuple[float, DistanceMap]:
+def _radius(cs: ClauseSet, support_ids) -> tuple[float, DistanceMap]:
     _, dmap = _relevance(cs, support_ids, "the support radius")
     finite = sorted({int(d) for d in dmap.clause_distance.values() if d < INF})
-    cfg = config or SolverConfig(unit_policy="all")
+    cfg = SolverConfig(unit_policy="all")  # the radius is the same under every policy
     for n in finite:  # levels between two finite distances add no clauses
         sub = cs.subset(dmap.relevant_ids(n))
         if dpll(sub, cfg).verdict == "unsat":
@@ -186,11 +184,10 @@ def _radius(cs: ClauseSet, support_ids,
     return INF, dmap
 
 
-def support_neighborhood(cs: ClauseSet, support_ids,
-                         config: SolverConfig | None = None) -> ClauseSet:
+def support_neighborhood(cs: ClauseSet, support_ids) -> ClauseSet:
     """Clauses within the support radius; every reachable clause when the
     radius is infinite."""
-    radius, dmap = _radius(cs, support_ids, config)
+    radius, dmap = _radius(cs, support_ids)
     cap = dmap.max_finite_distance() if radius == INF else radius
     if cap == INF:  # support set empty of reachable clauses entirely
         return cs.subset([])

@@ -168,6 +168,15 @@ def _support_literal_sets(cs: ClauseSet, support: frozenset[int]) -> set[frozens
     return {frozenset(cs.by_id(cid).literals) for cid in support}
 
 
+def _input_entry(cs: ClauseSet, cid: int, support: frozenset[int],
+                 sprime: set[frozenset[Literal]]) -> SequenceEntry:
+    """Input clause cid as a sequence entry, supported when its id is in
+    the support set or its literals equal a support clause's."""
+    clause = cs.by_id(cid)
+    supported = cid in support or frozenset(clause.literals) in sprime
+    return SequenceEntry(clause, None, None, supported)
+
+
 def validate_sequence(seq: ResolutionSequence, cs: ClauseSet, support_ids) -> None:
     """Raise ValueError unless seq is a valid set-of-support sequence from cs.
 
@@ -416,9 +425,7 @@ def _emit_sequence(
     pos: dict[int, int] = {}
 
     def add_input(idx: int) -> None:
-        clause = cs.by_id(cids[idx])
-        supported = cids[idx] in support or frozenset(clause.literals) in sprime
-        entries.append(SequenceEntry(clause, None, None, supported))
+        entries.append(_input_entry(cs, cids[idx], support, sprime))
         pos[idx] = len(entries)
 
     for idx in sorted(used_inputs, key=cids.__getitem__):
@@ -476,20 +483,14 @@ def linear_sequence_from_path(
         raise ValueError("linear resolution requires a variable-free clause set")
     if not path.clause_ids:
         raise ValueError("empty path")
-    support = frozenset(support_ids)
+    support = cs.check_support(support_ids)
     sprime = _support_literal_sets(cs, support)
-
-    def input_entry(cid: int) -> SequenceEntry:
-        clause = cs.by_id(cid)
-        supported = cid in support or frozenset(clause.literals) in sprime
-        return SequenceEntry(clause, None, None, supported)
-
-    entries = [input_entry(path.clause_ids[0])]
+    entries = [_input_entry(cs, path.clause_ids[0], support, sprime)]
     run = entries[0].clause
     run_pos = 1
     run_sup = entries[0].supported
     for (exit_lit, _entry_lit), cid in zip(path.links, path.clause_ids[1:]):
-        entries.append(input_entry(cid))
+        entries.append(_input_entry(cs, cid, support, sprime))
         in_pos = len(entries)
         resolvent = resolve(run, cs.by_id(cid), exit_lit.atom)
         run_sup = run_sup or entries[-1].supported or frozenset(resolvent.literals) in sprime

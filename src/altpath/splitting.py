@@ -31,6 +31,7 @@ from altpath.clauses import (
     Var,
     apply_literal,
     complementary_unifiable,
+    term_vars,
 )
 
 _SV = re.compile(r"_sv(\d+)$")
@@ -263,16 +264,12 @@ def expand_restricted(cs: ClauseSet) -> ClauseSet:
     counter = itertools.count(_fresh_sv_start(cs))
     next_id = cs.max_id() + 1
 
-    def first_restricted(lits: tuple[Literal, ...]) -> Var | None:
+    def expand(lits: tuple[Literal, ...]) -> list[tuple[Literal, ...]]:
+        variables: list[Var] = []
         for l in lits:
             for a in l.args:
-                for v in _terms_vars(a):
-                    if v.allowed is not None:
-                        return v
-        return None
-
-    def expand(lits: tuple[Literal, ...]) -> list[tuple[Literal, ...]]:
-        restricted = first_restricted(lits)
+                term_vars(a, variables)
+        restricted = next((v for v in variables if v.allowed is not None), None)
         if restricted is None:
             return [lits]
         out: list[tuple[Literal, ...]] = []
@@ -299,11 +296,3 @@ def expand_restricted(cs: ClauseSet) -> ClauseSet:
                 roles[clauses[-1].id] = cs.roles[c.id]
             next_id += 1
     return ClauseSet.from_clauses(clauses, roles=roles, names=names)
-
-
-def _terms_vars(t: Term):
-    if isinstance(t, Var):
-        yield t
-    else:
-        for a in t.args:
-            yield from _terms_vars(a)

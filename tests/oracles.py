@@ -28,7 +28,6 @@ from altpath.clauses import (
     encode,
     literal_key,
     term_vars,
-    unify_seq,
 )
 from altpath.dpll import SolveResult, SolverConfig, SolveStats
 from altpath.graph import FIRST_ORDER, AlternatingPath, RelevanceGraph
@@ -89,6 +88,70 @@ def _rename_term(t: Term, suffix: str) -> Term:
     return App(t.functor, tuple(_rename_term(a, suffix) for a in t.args))
 
 
+def _occurs_in(name: str, t: Term) -> bool:
+    if isinstance(t, Var):
+        return t.name == name
+    return any(_occurs_in(name, a) for a in t.args)
+
+
+def naive_unifier(ts1: tuple[Term, ...], ts2: tuple[Term, ...]) -> Substitution | None:
+    """A unifier of two equal-length term tuples, or None.
+
+    Eager substitution: each binding is applied at once to every pending
+    pair and every earlier image, so no binding chain is ever followed and
+    the result is idempotent.  Binding a variable to an application needs an
+    occurs check, and for a restricted variable a top symbol it allows; two
+    restricted variables meet in a fresh variable restricted to the
+    intersection of their sets, which fails when empty.  Variables are told
+    apart by name only, so the caller renames the two sides apart.
+    """
+    subst: Substitution = {}
+    pending = list(zip(ts1, ts2))
+    fresh = itertools.count()
+
+    def bind(name: str, image: Term) -> None:
+        one = {name: image}
+        for k in subst:
+            subst[k] = apply_term(subst[k], one)
+        pending[:] = [(apply_term(l, one), apply_term(r, one)) for l, r in pending]
+        subst[name] = image
+
+    while pending:
+        s, t = pending.pop()
+        if isinstance(t, Var) and not isinstance(s, Var):
+            s, t = t, s
+        if isinstance(s, App):
+            if s.functor != t.functor or len(s.args) != len(t.args):
+                return None
+            pending.extend(zip(s.args, t.args))
+        elif isinstance(t, App):
+            if s.allowed is not None and t.functor not in s.allowed:
+                return None
+            if _occurs_in(s.name, t):
+                return None
+            bind(s.name, t)
+        elif s.name == t.name:
+            continue
+        elif s.allowed is None:
+            bind(s.name, t)
+        elif t.allowed is None:
+            bind(t.name, s)
+        else:
+            common = s.allowed & t.allowed
+            if not common:
+                return None
+            meet = Var(f"_meet{next(fresh)}", common)
+            bind(s.name, meet)
+            bind(t.name, meet)
+    return subst
+
+
+def rename_apart(l1: Literal, l2: Literal) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
+    """The two literals' arguments, the variables of each suffixed by side."""
+    return (tuple(_rename_term(a, "#1") for a in l1.args),
+            tuple(_rename_term(a, "#2") for a in l2.args))
+
+
 def renamed_apart_unifiable(l1: Literal, l2: Literal) -> bool:
     """True iff the literals have opposite signs and their atoms unify after
     copying each with its variables renamed apart."""
@@ -96,9 +159,7 @@ def renamed_apart_unifiable(l1: Literal, l2: Literal) -> bool:
         return False
     if l1.pred != l2.pred or len(l1.args) != len(l2.args):
         return False
-    r1 = tuple(_rename_term(a, "#1") for a in l1.args)
-    r2 = tuple(_rename_term(a, "#2") for a in l2.args)
-    return unify_seq(r1, r2) is not None
+    return naive_unifier(*rename_apart(l1, l2)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -340,39 +401,6 @@ def enumerate_unifiers(t1: Term, t2: Term, universe: list[Term]) -> list[Substit
         if apply_term(t1, sub) == apply_term(t2, sub):
             out.append(sub)
     return out
-
-
-def match_term(pattern: Term, target: Term, bind: Substitution | None = None) -> Substitution | None:
-    """One-way matching: a substitution s with pattern*s == target, or None."""
-    if bind is None:
-        bind = {}
-    if isinstance(pattern, Var):
-        seen = bind.get(pattern.name)
-        if seen is None:
-            bind[pattern.name] = target
-            return bind
-        return bind if seen == target else None
-    if isinstance(target, Var):
-        return None
-    if pattern.functor != target.functor or len(pattern.args) != len(target.args):
-        return None
-    for a, b in zip(pattern.args, target.args):
-        bind = match_term(a, b, bind)
-        if bind is None:
-            return None
-    return bind
-
-
-def factors_through(sigma: Substitution, theta: Substitution, names) -> bool:
-    """True iff theta = sigma composed with some lam (checked by matching)."""
-    bind: Substitution | None = {}
-    for name in names:
-        image = sigma.get(name, Var(name))
-        want = theta.get(name, Var(name))
-        bind = match_term(image, want, bind)
-        if bind is None:
-            return False
-    return True
 
 
 def ground_instances(

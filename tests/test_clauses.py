@@ -20,13 +20,12 @@ from altpath.clauses import (
     encode,
     literal_key,
     term_vars,
-    unify,
 )
 from oracles import (
     enumerate_unifiers,
-    factors_through,
     herbrand_terms,
-    match_term,
+    naive_unifier,
+    rename_apart,
     renamed_apart_unifiable,
 )
 
@@ -73,43 +72,56 @@ def test_term_vars_first_occurrence_order():
 
 
 # ---------------------------------------------------------------------------
-# Unification examples
+# Unification examples: does p(...) complement-unify with ~p(...)?
+
+
+def unifiable(args1, args2) -> bool:
+    """Whether p(args1) and ~p(args2) complement-unify, asked both ways."""
+    one, two = lit("p", *args1), lit("p", *args2, sign=False)
+    answer = complementary_unifiable(one, two)
+    assert complementary_unifiable(two, one) == answer
+    return answer
 
 
 def test_unify_binds_both_sides():
-    s = unify(App("p", (x, b)), App("p", (a, y)))
-    assert s == {"X": a, "Y": b}
+    assert unifiable((x, b), (a, y))
+    assert not unifiable((x, b), (a, a))
 
 
 def test_unify_occurs_check_fails():
-    assert unify(x, f(x)) is None
+    assert not unifiable((x, x), (y, f(y)))
+    assert not unifiable((x, f(x)), (g(y, y), y))
 
 
 def test_unify_mismatched_heads():
-    assert unify(App("p", (x,)), App("q", (x,))) is None
-    assert unify(f(a), g(a)) is None
+    assert not unifiable((f(a),), (g(a, a),))
+    assert not unifiable((f(x),), (g(y, z),))
+    assert not complementary_unifiable(lit("p", x), lit("q", x, sign=False))
 
 
 def test_unify_deep_chain():
-    s = unify(f(x, g(x, y)), f(a, g(z, b)))
-    assert s is not None
-    assert apply_term(f(x, g(x, y)), s) == apply_term(f(a, g(z, b)), s)
-    assert s["Z"] == a
+    assert unifiable((x, g(x, y)), (a, g(z, b)))
+    # Z is forced to X's image a
+    assert not unifiable((x, g(x, y)), (a, g(b, b)))
 
 
 def test_unify_same_variable_is_trivial():
-    assert unify(x, x) == {}
+    assert naive_unifier((x,), (x,)) == {}
+    assert unifiable((x, x), (y, y))
 
 
 def test_unify_idempotent_application():
-    s = unify(f(x, y), f(g(z, z), x))
+    assert unifiable((x, y), (g(z, z), x))
+    # the oracle's unifiers are idempotent: applying one twice changes nothing
+    sides = rename_apart(lit("p", x, y), lit("p", g(z, z), x, sign=False))
+    s = naive_unifier(*sides)
     assert s is not None
-    t = f(x, y)
-    assert apply_term(apply_term(t, s), s) == apply_term(t, s)
+    for t in sides[0] + sides[1]:
+        assert apply_term(apply_term(t, s), s) == apply_term(t, s)
 
 
 # ---------------------------------------------------------------------------
-# Unifier generality against brute-force enumeration
+# Unifiability against the oracle, and the oracle against ground enumeration
 
 UNIVERSE = herbrand_terms({"a": 0, "b": 0, "f": 1}, 2)
 
@@ -135,24 +147,19 @@ def small_terms(draw, max_depth=3):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_terms(), small_terms())
-def test_unify_agrees_with_ground_enumeration(t1, t2):
-    # restrict to the f/1-free fragment the 2-deep universe can instantiate
-    sigma = unify(t1, t2)
-    ground = enumerate_unifiers(t1, t2, UNIVERSE)
+@given(small_terms(), small_terms(), small_terms(), small_terms())
+def test_unify_agrees_with_ground_enumeration(t1, t2, t3, t4):
+    # the program's yes/no against the oracle, and the oracle against the
+    # ground substitutions over the universe (which instantiates no g-term);
+    # two arguments a side let a repeated variable need the occurs check
+    one, two = lit("p", t1, t2), lit("p", t3, t4, sign=False)
+    r1, r2 = rename_apart(one, two)
+    sigma = naive_unifier(r1, r2)
+    assert complementary_unifiable(one, two) == (sigma is not None)
     if sigma is None:
-        assert ground == []
+        assert enumerate_unifiers(App("p", r1), App("p", r2), UNIVERSE) == []
     else:
-        names = {v.name for v in term_vars(t1, term_vars(t2, []))}
-        assert apply_term(t1, sigma) == apply_term(t2, sigma)
-        for theta in ground:
-            assert factors_through(sigma, theta, names)
-
-
-def test_match_term_oracle_sanity():
-    assert match_term(f(x), f(a)) == {"X": a}
-    assert match_term(f(a), f(x)) is None
-    assert match_term(g(x, x), g(a, b)) is None
+        assert [apply_term(t, sigma) for t in r1] == [apply_term(t, sigma) for t in r2]
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +234,21 @@ def _seeded_literal(rng: random.Random, positive: bool, arity: int) -> Literal:
     return Literal(positive, "p", tuple(term(3) for _ in range(arity)))
 
 
+def _assert_restricted_unifier(ts1, ts2):
+    """The oracle's unifier equates the sides, and maps each restricted
+    variable to an application it allows or to a variable allowing less."""
+    s = naive_unifier(ts1, ts2)
+    assert [apply_term(t, s) for t in ts1] == [apply_term(t, s) for t in ts2]
+    for v in term_vars(App("", ts1 + ts2)):
+        image = s.get(v.name, v)
+        if v.allowed is None:
+            continue
+        if isinstance(image, App):
+            assert image.functor in v.allowed
+        else:
+            assert image.allowed is not None and image.allowed <= v.allowed
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_complementary_matches_renaming_oracle(seed):
     """Seeded pairs with nested terms, variable names shared across the two
@@ -240,6 +262,8 @@ def test_complementary_matches_renaming_oracle(seed):
         for one, two in ((l1, l2), (l2, l1)):
             want = renamed_apart_unifiable(one, two)
             assert complementary_unifiable(one, two) == want, (str(one), str(two))
+        if want:
+            _assert_restricted_unifier(*rename_apart(l1, l2))
         hits += want
     # both answers occur often enough for the comparison to mean something
     assert 40 < hits < 360
@@ -256,36 +280,35 @@ def test_apply_literal():
 
 def test_restricted_var_accepts_allowed_head():
     r = Var("X", frozenset({"f", "a"}))
-    assert unify(r, f(y)) is not None
-    assert unify(r, a) is not None
+    assert unifiable((r,), (f(y),))
+    assert unifiable((r,), (a,))
 
 
 def test_restricted_var_rejects_other_heads():
     r = Var("X", frozenset({"f"}))
-    assert unify(r, a) is None
-    assert unify(r, g(a, b)) is None
+    assert not unifiable((r,), (a,))
+    assert not unifiable((r,), (g(a, b),))
 
 
 def test_restricted_vars_merge_on_intersection():
     r1 = Var("X", frozenset({"f", "a"}))
     r2 = Var("Y", frozenset({"f", "b"}))
-    s = unify(r1, r2)
-    assert s is not None
-    image = s.get("X", r1)
-    image = s.get(image.name, image) if isinstance(image, Var) else image
-    assert isinstance(image, Var) and image.allowed == frozenset({"f"})
+    assert unifiable((r1, r1), (r2, f(z)))
+    # a is allowed by X only and b by Y only: the meet allows neither
+    assert not unifiable((r1, r1), (r2, a))
+    assert not unifiable((r1, r1), (r2, b))
 
 
 def test_restricted_vars_disjoint_restrictions_fail():
-    assert unify(Var("X", frozenset({"a"})), Var("Y", frozenset({"b"}))) is None
+    assert not unifiable((Var("X", frozenset({"a"})),), (Var("Y", frozenset({"b"})),))
 
 
 def test_restricted_var_transfers_through_unification():
+    # Y is bound to X{a}, so b no longer fits where X does
     r = Var("X", frozenset({"a"}))
-    s = unify(f(r), f(y))
-    assert s is not None
-    bound = s.get("Y")
-    assert bound is not None and isinstance(bound, Var) and bound.allowed == frozenset({"a"})
+    assert not unifiable((f(r), r), (f(y), b))
+    assert not unifiable((f(y), y), (f(r), b))
+    assert unifiable((f(r), r), (f(y), a))
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +396,6 @@ def test_clause_set_atoms_sorted():
 
 
 def test_atom_unification_ignores_sign():
-    def atom(l: Literal) -> App:
-        return App(l.pred, l.args)
-
-    assert unify(atom(lit("p", x)), atom(lit("p", a, sign=False))) == {"X": a}
-    assert unify(atom(lit("p", x)), atom(lit("q", a))) is None
+    assert complementary_unifiable(lit("p", x), lit("p", a, sign=False))
+    assert complementary_unifiable(lit("p", x, sign=False), lit("p", a))
+    assert not complementary_unifiable(lit("p", x), lit("q", a, sign=False))

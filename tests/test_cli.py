@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface, run in-process."""
 
+import argparse
 import json
 import random
 import subprocess
@@ -485,8 +486,11 @@ def test_single_support_commands_reject_a_second_spec(tree, capsys, argv):
     ["solve", "--hub"],
     ["radius", "--hub"],
     ["split", "--hub"],
+    ["deepen", "--hub"],
+    ["distance", "--hub"],
     ["distance", "--support", "ids:1"],
     ["split", "--support", "ids:1"],
+    ["radius", "--unit-policy", "all"],
 ], ids=lambda argv: f"{argv[0]}{argv[1]}")
 def test_options_a_command_does_not_read_are_refused(tree, capsys, argv):
     command, *rest = argv
@@ -494,6 +498,17 @@ def test_options_a_command_does_not_read_are_refused(tree, capsys, argv):
         main([command, tree, *rest])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(rest)}" in capsys.readouterr().err
+
+
+def test_settable_options_per_command():
+    """Optional and positional arguments of each subcommand, -h aside."""
+    commands = next(a for a in altpath.cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
+              for name, p in commands.items()}
+    assert counts == {"filter": 11, "solve": 10, "deepen": 10, "distance": 5, "path": 7,
+                      "radius": 5, "stats": 7, "split": 9, "gen": 11}
+    assert sum(counts.values()) == 75
 
 
 @pytest.mark.parametrize("argv", [

@@ -555,6 +555,14 @@ def test_linear_sequence_for_a_support_clause_is_trivial():
     validate_sequence(seq, cs, [1])
 
 
+@pytest.mark.parametrize("support", [[99], [1, 99]])
+def test_linear_sequence_rejects_an_unknown_support_id(support):
+    cs = ground_set("p", "~p q")
+    path = bfs_from_support(build_graph(cs, FIRST_ORDER), [1]).witness(2)
+    with pytest.raises(ValueError, match="^support id 99 not in the clause set$"):
+        linear_sequence_from_path(cs, path, support)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_every_reachable_clause_appears_in_a_short_sequence(seed):
     # a clause at distance n is an input of a valid sequence of 2n-1 entries
