@@ -279,10 +279,6 @@ class Clause:
     def is_ground(self) -> bool:
         return all(lit.is_ground() for lit in self.literals)
 
-    def is_tautology(self) -> bool:
-        lits = set(self.literals)
-        return any(lit.negated() in lits for lit in self.literals)
-
     def variables(self) -> list[Var]:
         """Variables in first-occurrence order."""
         acc: list[Var] = []
@@ -290,9 +286,6 @@ class Clause:
             for a in lit.args:
                 term_vars(a, acc)
         return acc
-
-    def atoms(self) -> set[Literal]:
-        return {lit.atom for lit in self.literals}
 
     def __str__(self) -> str:
         if not self.literals:

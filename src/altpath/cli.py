@@ -40,7 +40,6 @@ from altpath.graph import (
     bfs_from_support,
     build_graph,
     check_alternating_path,
-    multi_support_intersection,
     purity_filter,
 )
 from altpath.parsing import (
@@ -109,10 +108,10 @@ def resolve_support(cs: ClauseSet, spec: str | None, fmt: str) -> list[int]:
     elif spec == "neg":
         ids = [c.id for c in cs.clauses if c.literals and not any(l.positive for l in c.literals)]
     elif spec.startswith("ids:"):
-        ids = [int(tok) for tok in spec[4:].split(",") if tok]
+        ids = _clause_ids(spec, [tok for tok in spec[4:].split(",") if tok])
     elif spec.startswith("file:"):
         with open(spec[5:]) as fh:
-            ids = [int(tok) for tok in fh.read().split()]
+            ids = _clause_ids(spec, fh.read().split())
     else:
         raise ValueError(
             f"unknown support spec {spec!r} (use role:<r>, pos, neg, ids:<list> or file:<path>)"
@@ -120,6 +119,18 @@ def resolve_support(cs: ClauseSet, spec: str | None, fmt: str) -> list[int]:
     cs.check_support(ids)
     if not ids:
         raise ValueError(f"support spec {spec!r} selects no clauses")
+    return ids
+
+
+def _clause_ids(spec: str, tokens: list[str]) -> list[int]:
+    """The tokens of a support spec as clause ids; ValueError naming the
+    spec and the first token that is not an integer."""
+    ids = []
+    for tok in tokens:
+        try:
+            ids.append(int(tok))
+        except ValueError:
+            raise ValueError(f"support spec {spec!r}: {tok!r} is not a clause id") from None
     return ids
 
 
@@ -168,24 +179,21 @@ def cmd_filter(cfg: argparse.Namespace) -> int:
     if cfg.purity:
         cs = purity_filter(cs)
     specs = list(cfg.supports) or [None]
-    if len(specs) > 1 and not cfg.intersect:
-        raise ValueError("several --support specs need --intersect")
     if len(specs) > 1 and cfg.csv:
         raise ValueError("--csv needs a single support set")
     supports = [resolve_support(cs, spec, fmt) for spec in specs]
-    if cfg.intersect and len(supports) > 1:
-        sub = multi_support_intersection(cs, supports, cfg.bound, _graph_mode(cfg))
-        dmap = None
-    else:
-        dmap = bfs_from_support(build_graph(cs, _graph_mode(cfg)), supports[0])
-        sub = cs.subset(dmap.relevant_ids(cfg.bound))
+    graph = build_graph(cs, _graph_mode(cfg))
+    dmaps = [bfs_from_support(graph, support) for support in supports]
+    # the clauses within the bound of every support set
+    keep = set.intersection(*(set(d.relevant_ids(cfg.bound)) for d in dmaps))
+    sub = cs.subset(keep)
     _emit(cfg, print_format(sub, fmt))
     if cfg.csv:
         with open(cfg.csv, "w") as fh:
-            fh.write(dmap.to_csv())
+            fh.write(dmaps[0].to_csv())
     histogram: dict[str, int] = {}
-    if dmap is not None:
-        for d in dmap.clause_distance.values():
+    if len(dmaps) == 1:
+        for d in dmaps[0].clause_distance.values():
             histogram[_show(d)] = histogram.get(_show(d), 0) + 1
     if cfg.json_out:
         _json_dump(
@@ -402,6 +410,10 @@ def cmd_distance(cfg: argparse.Namespace) -> int:
     cs, _ = _load(cfg)
     if not cfg.pairs:
         raise ValueError("distance needs at least one --pair FROM TO")
+    for pair in cfg.pairs:
+        for cid in pair:
+            if not cs.has_id(cid):
+                raise ValueError(f"no clause with id {cid}")
     graph = build_graph(cs)
     results = []
     for from_id, to_id in cfg.pairs:
@@ -618,6 +630,23 @@ def _non_negative(text: str) -> int:
     return _at_least(text, 0)
 
 
+# the prover wait goes to poll(2), which takes a C int of milliseconds
+_MAX_SECONDS = 2**31 // 1000
+
+
+def _seconds(text: str) -> float:
+    """argparse type of a timeout: finite seconds above 0, no longer than
+    the prover wait can take."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value <= _MAX_SECONDS:  # refuses nan and inf too
+        raise argparse.ArgumentTypeError(
+            f"must be seconds above 0 and at most {_MAX_SECONDS}, got {text}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, support: bool = True,
                 hub: bool = True) -> None:
     """The input options, plus --support and --hub for the commands that
@@ -649,12 +678,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("filter", help="write the distance-n neighborhood of the support set")
+    p = sub.add_parser("filter", help="write the clauses within distance n of every support set")
     _add_common(p)
     p.add_argument("-n", "--bound", type=int, help="distance bound")
     p.add_argument("--purity", action="store_true", help="drop partnerless clauses first")
-    p.add_argument("--intersect", action="store_true",
-                   help="intersect the neighborhoods of several --support specs")
     p.add_argument("-o", "--output", help="write clauses here instead of stdout")
     p.add_argument("--csv", help="write a clause_id,distance table here")
 
@@ -682,7 +709,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="call budget of the first round (doubles per round)")
     p.add_argument("--max-rounds", dest="max_rounds", type=_positive, default=16)
     p.add_argument("--prover", help="external prover command, {file} is the TPTP path")
-    p.add_argument("--prover-timeout", dest="prover_timeout", type=float, default=5.0)
+    p.add_argument("--prover-timeout", dest="prover_timeout", type=_seconds,
+                   default=5.0)
 
     p = sub.add_parser("distance", help="relevance distance between clause pairs")
     _add_common(p, support=False, hub=False)

@@ -109,18 +109,9 @@ class SolveResult:
     # unsatisfiable neighborhood, so 2**k still bounds the calls
     k: int | None = None
 
-    def satisfies(self, cs: ClauseSet) -> bool:
-        """True when every clause has a literal made true by the model.
-        Tautologies count as satisfied; a partial model need not touch them."""
-        return all(
-            c.is_tautology()
-            or any(self.model.get(lit.atom) == lit.positive for lit in c.literals)
-            for c in cs.clauses
-        )
-
 
 # ---------------------------------------------------------------------------
-# The relevance pass: stepping buckets, support radius and neighborhood
+# The relevance pass: stepping buckets and support radius
 
 
 def _relevance(cs: ClauseSet, support_ids, task: str) -> tuple[RelevanceGraph, DistanceMap]:
@@ -170,28 +161,13 @@ def support_radius(cs: ClauseSet, support_ids) -> float:
     """The smallest n for which the distance-n clauses around the support
     set are already unsatisfiable; INF when no level is (then everything
     reachable from the support set is satisfiable)."""
-    return _radius(cs, support_ids)[0]
-
-
-def _radius(cs: ClauseSet, support_ids) -> tuple[float, DistanceMap]:
     _, dmap = _relevance(cs, support_ids, "the support radius")
     finite = sorted({int(d) for d in dmap.clause_distance.values() if d < INF})
     cfg = SolverConfig(unit_policy="all")  # the radius is the same under every policy
     for n in finite:  # levels between two finite distances add no clauses
-        sub = cs.subset(dmap.relevant_ids(n))
-        if dpll(sub, cfg).verdict == "unsat":
-            return n, dmap
-    return INF, dmap
-
-
-def support_neighborhood(cs: ClauseSet, support_ids) -> ClauseSet:
-    """Clauses within the support radius; every reachable clause when the
-    radius is infinite."""
-    radius, dmap = _radius(cs, support_ids)
-    cap = dmap.max_finite_distance() if radius == INF else radius
-    if cap == INF:  # support set empty of reachable clauses entirely
-        return cs.subset([])
-    return cs.subset(dmap.relevant_ids(int(cap)))
+        if dpll(cs.subset(dmap.relevant_ids(n)), cfg).verdict == "unsat":
+            return n
+    return INF
 
 
 # ---------------------------------------------------------------------------

@@ -276,10 +276,6 @@ class DistanceMap:
             raise ValueError(f"bounded search stopped at {self.bound}, cannot answer {n}")
         return [cid for cid, d in self.clause_distance.items() if d <= n]
 
-    def max_finite_distance(self) -> float:
-        finite = [d for d in self.clause_distance.values() if d < INF]
-        return max(finite) if finite else INF
-
     def witness(self, cid: int) -> AlternatingPath:
         """A shortest connection from the support set to the clause."""
         d = self.distance(cid)
@@ -449,26 +445,3 @@ def purity_filter(cs: ClauseSet) -> ClauseSet:
                     worklist.append(wcid)
     return cs.subset([c.id for c in cs.clauses if c.id in alive])
 
-
-# ---------------------------------------------------------------------------
-# Several support sets at once
-
-
-def multi_support_intersection(cs: ClauseSet, supports, n: int,
-                               mode: str = FIRST_ORDER) -> ClauseSet:
-    """Clauses within distance n of every one of several support sets."""
-    supports = list(supports)
-    if not supports:
-        raise ValueError("need at least one support set")
-    if n < 1:
-        raise ValueError("relevance level must be >= 1")
-    graph = build_graph(cs, mode)
-    keep: set[int] | None = None
-    for support in supports:
-        support = frozenset(support)  # bfs_from_support checks the ids
-        if not support:
-            raise ValueError("each support set must be nonempty")
-        ids = set(bfs_from_support(graph, support).relevant_ids(n))
-        keep = ids if keep is None else (keep & ids)
-    assert keep is not None
-    return cs.subset([c.id for c in cs.clauses if c.id in keep])

@@ -118,36 +118,6 @@ class ResolutionSequence:
     def resolution_count(self) -> int:
         return sum(1 for e in self.entries if not e.is_input)
 
-    @property
-    def last_clause(self) -> Clause:
-        return self.entries[-1].clause
-
-    @property
-    def is_refutation(self) -> bool:
-        return bool(self.entries) and self.last_clause.is_empty
-
-    def input_ids(self) -> list[int]:
-        """Ids of the input clauses, in sequence order, repeats dropped."""
-        ids: list[int] = []
-        seen: set[int] = set()
-        for e in self.entries:
-            if e.is_input and e.clause.id not in seen:
-                seen.add(e.clause.id)
-                ids.append(e.clause.id)
-        return ids
-
-    def proof_depth(self) -> int:
-        """Derivation depth of the last clause: inputs count zero, a
-        resolvent is one deeper than its deeper parent."""
-        depth: list[int] = []
-        for e in self.entries:
-            if e.is_input:
-                depth.append(0)
-            else:
-                j, k = e.parents
-                depth.append(1 + max(depth[j - 1], depth[k - 1]))
-        return depth[-1] if depth else 0
-
     def __str__(self) -> str:
         return format_sequence(self)
 

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: exhaustive enumeration and direct
 definitions, no shared data structures with the code under test beyond the
 basic term/literal types, the solver's config and result records, the
-resolution result records, and the graph's occurrence numbering.
+resolution result records, and the graph's occurrence numbering.  The
+oracle orders atoms, tells tautologies apart and checks models by its own
+definitions, not by the program's sort keys, encoding or result methods.
 """
 
 from __future__ import annotations
@@ -23,10 +25,7 @@ from altpath.clauses import (
     Var,
     apply_literal,
     apply_term,
-    check_ground,
     complementary_unifiable,
-    encode,
-    literal_key,
     term_vars,
 )
 from altpath.dpll import SolveResult, SolverConfig, SolveStats
@@ -76,6 +75,52 @@ def minimal_unsat_subsets(cs: ClauseSet) -> list[list[int]]:
             if not truth_table_sat([cs.by_id(i) for i in combo]):
                 unsat.append(sub)
     return [sorted(s) for s in unsat]
+
+
+def is_tautology(clause) -> bool:
+    """True when the clause holds some atom with both signs."""
+    signs: dict[tuple, set[bool]] = {}
+    for lit in clause:
+        signs.setdefault((lit.pred, lit.args), set()).add(lit.positive)
+    return any(len(s) == 2 for s in signs.values())
+
+
+def model_satisfies(cs: ClauseSet, model: dict[Literal, bool]) -> bool:
+    """True when each clause has a literal the model makes true.  A model
+    maps atoms (positive literals) to values and may be partial, so a
+    tautology counts as satisfied even when the model leaves its atom out."""
+    return all(
+        is_tautology(c) or any(model.get(Literal(True, lit.pred, lit.args)) == lit.positive
+                               for lit in c)
+        for c in cs.clauses
+    )
+
+
+# ---------------------------------------------------------------------------
+# Canonical atom order
+
+
+def _atom_order(atom: Literal):
+    # numeric (DIMACS) names by value ahead of all others, other names
+    # alphabetically, then the printed arguments
+    numeric = atom.pred.isdigit()
+    return (not numeric, int(atom.pred) if numeric else 0,
+            "" if numeric else atom.pred, [str(a) for a in atom.args])
+
+
+def reference_atoms(cs: ClauseSet) -> list[Literal]:
+    """The atoms of the set, as positive literals, in canonical order; atoms
+    the order cannot tell apart keep their order of first occurrence."""
+    seen = dict.fromkeys(Literal(True, lit.pred, lit.args) for c in cs.clauses for lit in c)
+    return sorted(seen, key=_atom_order)
+
+
+def reference_rows(cs: ClauseSet, atoms: list[Literal]) -> list[tuple[int, ...]]:
+    """Each clause as signed atom numbers, atom i of ``atoms`` being number
+    i+1, negated for a negative literal."""
+    number = {(atom.pred, atom.args): i for i, atom in enumerate(atoms, 1)}
+    return [tuple(number[lit.pred, lit.args] * (1 if lit.positive else -1) for lit in c)
+            for c in cs.clauses]
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +499,9 @@ def instance_sets(
 
 
 def _reference_encode(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
-    atoms = cs.atoms()
-    index = {atom: i + 1 for i, atom in enumerate(atoms)}
-    clauses = [
-        tuple((1 if lit.positive else -1) * index[lit.atom] for lit in c.literals)
-        for c in cs.clauses
-        if not c.is_tautology()
-    ]
-    return atoms, clauses
+    atoms = reference_atoms(cs)
+    rows = reference_rows(cs, atoms)
+    return atoms, [row for c, row in zip(cs.clauses, rows) if not is_tautology(c)]
 
 
 def _assign(clauses: list[tuple[int, ...]], lit: int) -> list[tuple[int, ...]]:
@@ -579,7 +619,7 @@ def reference_stepping_sequence(cs: ClauseSet,
                                 clause_distance: dict[int, float]
                                 ) -> tuple[tuple[Literal, ...], ...]:
     """Atoms of the reachable clauses bucketed by the distance of their
-    closest clause, each bucket sorted by ``literal_key``."""
+    closest clause, each bucket in canonical order."""
     best: dict[Literal, float] = {}
     for c in cs.clauses:
         d = clause_distance[c.id]
@@ -594,7 +634,7 @@ def reference_stepping_sequence(cs: ClauseSet,
     buckets: list[list[Literal]] = [[] for _ in range(int(max(best.values())))]
     for atom, d in best.items():
         buckets[int(d) - 1].append(atom)
-    return tuple(tuple(sorted(b, key=literal_key)) for b in buckets)
+    return tuple(tuple(sorted(b, key=_atom_order)) for b in buckets)
 
 
 def reference_atom_count(cs: ClauseSet) -> int:
@@ -617,7 +657,7 @@ def partial_model_covers(cs: ClauseSet, result: SolveResult,
     unit clause, which an alternating path cannot be continued through."""
     stepping = {atom for bucket in step for atom in bucket}
     for c in cs.clauses:
-        if c.is_tautology():
+        if is_tautology(c):
             continue
         if any(result.model.get(lit.atom) == lit.positive for lit in c.literals):
             continue
@@ -660,8 +700,10 @@ def reference_sos_refute(
     support = cs.check_support(support_ids)
     if not support:
         raise ValueError("sos_refute needs a nonempty support set")
-    atoms, rows = encode(cs)
-    check_ground(atoms, "resolution search")
+    if not cs.is_ground():
+        raise ValueError("resolution search is defined for variable-free clause sets only")
+    atoms = reference_atoms(cs)
+    rows = reference_rows(cs, atoms)
 
     records: list[_Rec] = []
     # signed literal -> ascending ids of the records holding it

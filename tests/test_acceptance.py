@@ -24,7 +24,6 @@ from altpath.dpll import (
     SolverConfig,
     dpll,
     dpll_rel,
-    support_neighborhood,
     support_radius,
 )
 from altpath.generators import (
@@ -42,7 +41,6 @@ from altpath.graph import (
     bfs_from_support,
     build_graph,
     check_alternating_path,
-    multi_support_intersection,
     purity_filter,
 )
 from altpath.resolution import (
@@ -58,6 +56,7 @@ from altpath.splitting import (
     split_clause,
 )
 from altpath.cli import main as cli_main
+from altpath.parsing import parse_dimacs, print_dimacs
 
 from tests.test_graph import WORKED, ground_set, lit
 from tests.test_resolution import goal_tree_11
@@ -69,6 +68,7 @@ from oracles import (
     ground_instances,
     herbrand_terms,
     minimal_unsat_subsets,
+    reference_atom_count,
 )
 
 
@@ -362,6 +362,15 @@ def _unsat_with_valid_support(rng: random.Random, n_atoms: int, n_clauses: int):
             return cs, sid
 
 
+def _neighborhood_atoms(cs: ClauseSet, sid: int) -> int:
+    """Atoms of the clauses within the support radius of [sid], which must
+    be finite."""
+    radius = support_radius(cs, [sid])
+    assert radius < INF
+    dmap = bfs_from_support(build_graph(cs, FIRST_ORDER), [sid])
+    return reference_atom_count(cs.subset(dmap.relevant_ids(int(radius))))
+
+
 def test_criterion_08_call_budget_in_neighborhood_atoms():
     rng = random.Random(801)
     worst_fill = 0.0
@@ -369,8 +378,7 @@ def test_criterion_08_call_budget_in_neighborhood_atoms():
         cs, sid = _unsat_with_valid_support(
             rng, n_atoms=rng.randint(3, 5), n_clauses=rng.randint(6, 16)
         )
-        assert support_radius(cs, [sid]) < INF
-        k = len(support_neighborhood(cs, [sid]).atoms())
+        k = _neighborhood_atoms(cs, sid)
         res = dpll_rel(cs, [sid], mode="fallback")
         assert res.verdict == "unsat"
         assert res.stats.calls <= 2 ** k
@@ -398,8 +406,8 @@ def test_criterion_08_call_budget_in_neighborhood_atoms():
     combined = ClauseSet.from_groups(groups)
     sid = combined.ids()[0]
     assert dpll(combined.subset(combined.ids()[1:])).verdict == "sat"  # valid support
-    assert len(combined.atoms()) == 50
-    assert len(support_neighborhood(combined, [sid]).atoms()) == 10
+    assert reference_atom_count(combined) == 50
+    assert _neighborhood_atoms(combined, sid) == 10
     res = dpll_rel(combined, [sid], mode="fallback")
     assert res.verdict == "unsat"
     assert 4 <= res.stats.calls <= 2 ** 10  # real branching, but confined
@@ -456,8 +464,8 @@ def test_criterion_09_refutations_and_path_sequences():
             seq = linear_sequence_from_path(cs, dmap.witness(cid), support)
             validate_sequence(seq, cs, support)
             assert len(seq) == 2 * int(n) - 1
-            inputs = seq.input_ids()
-            assert inputs[-1] == cid or inputs == [cid]
+            inputs = [e.clause.id for e in seq.entries if e.is_input]
+            assert inputs[-1] == cid
             paths_checked += 1
     assert paths_checked >= 100
     _ok(9, f"{refuted} refutations pass the distance check; {paths_checked} witnesses unroll to 2n-1 entries")
@@ -473,7 +481,7 @@ def test_criterion_10_goal_tree_benchmarks(tmp_path, capsys):
     assert res.status == "refuted"
     count = res.sequence.resolution_count
     assert count <= 10
-    assert res.sequence.is_refutation
+    assert res.sequence.entries[-1].clause.is_empty
     assert hyper_resolution_levels(cs) == 3
     tree_file = tmp_path / "tree.p"
     tree_file.write_text(TREE)
@@ -588,7 +596,7 @@ def test_criterion_11_splitting_preserves_instances_and_verdicts():
 # 12. Purity filtering and two-sided support intersection
 
 
-def test_criterion_12_purity_and_joint_supports():
+def test_criterion_12_purity_and_joint_supports(tmp_path, capsys):
     rng = random.Random(1201)
     removed_any = 0
     for _ in range(500):
@@ -619,7 +627,8 @@ def test_criterion_12_purity_and_joint_supports():
         graph = build_graph(cs, FIRST_ORDER)
         dpos = bfs_from_support(graph, pos)
         dneg = bfs_from_support(graph, neg)
-        cap = max(dpos.max_finite_distance(), dneg.max_finite_distance())
+        cap = max(d for d in (*dpos.clause_distance.values(),
+                              *dneg.clause_distance.values()) if d < INF)
         hit = None
         for n in range(1, int(cap) + 1):
             ids = [
@@ -628,8 +637,17 @@ def test_criterion_12_purity_and_joint_supports():
                 if dpos.distance(cid) <= n and dneg.distance(cid) <= n
             ]
             if ids and not clause_set_sat(cs.subset(ids)):
-                joint = multi_support_intersection(cs, [pos, neg], n)
-                assert sorted(joint.ids()) == sorted(ids)
+                # the program's joint filter keeps exactly these clauses
+                path, out = tmp_path / "in.cnf", tmp_path / "out.cnf"
+                path.write_text(print_dimacs(cs))
+                code = cli_main(["filter", str(path), "-n", str(n),
+                                 "--support", "ids:" + ",".join(map(str, pos)),
+                                 "--support", "ids:" + ",".join(map(str, neg)),
+                                 "-o", str(out)])
+                assert code == 0
+                capsys.readouterr()
+                joint = parse_dimacs(out.read_text())
+                assert [str(c) for c in joint] == [str(cs.by_id(cid)) for cid in ids]
                 hit = n
                 break
         assert hit is not None, "no joint relevance level became unsatisfiable"

@@ -11,12 +11,12 @@ import pytest
 import altpath.cli
 from altpath.cli import EXIT_SAT, EXIT_UNSAT, EXIT_UNKNOWN, _growth_budget, main
 from altpath.clauses import Literal
-from altpath.dpll import SolveResult, stepping_sequence, support_neighborhood, support_radius
+from altpath.dpll import SolveResult, stepping_sequence, support_radius
 from altpath.generators import random_3sat
-from altpath.graph import bfs_from_support, build_graph
+from altpath.graph import INF, bfs_from_support, build_graph
 from altpath.parsing import parse_dimacs, parse_tptp, print_dimacs
 
-from oracles import partial_model_covers
+from oracles import model_satisfies, partial_model_covers, reference_atom_count
 
 TREE = """\
 cnf(goal, negated_conjecture, (~p)).
@@ -93,19 +93,40 @@ def test_filter_csv_table(tree, tmp_path):
     assert "1,1" in lines and "6,4" in lines
 
 
-def test_filter_intersects_two_supports(tmp_path):
+def test_filter_intersects_two_supports(tmp_path, capsys):
     path = tmp_path / "in.cnf"
     path.write_text("p cnf 2 3\n1 2 0\n-1 0\n-2 0\n")
     out = tmp_path / "out.cnf"
     code = main(
         ["filter", str(path), "-n", "2", "--support", "pos", "--support", "neg",
-         "--intersect", "-o", str(out)]
+         "-o", str(out)]
     )
     assert code == 0
     assert len(parse_dimacs(out.read_text())) == 3
-    # several supports without --intersect is a usage error
+    # several supports print no histogram, with and without --json
+    assert capsys.readouterr().out == (
+        "input clauses: 3\nsupport clauses: 3\nrelevant at 2: 3\n")
     assert main(["filter", str(path), "-n", "2", "--support", "pos",
-                 "--support", "neg"]) == 2
+                 "--support", "neg", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "input_clauses": 3, "after_purity": None, "support": [1, 2, 3], "bound": 2,
+        "relevant": 3, "histogram": {}}
+
+
+def test_filter_keeps_the_clauses_near_every_support(tmp_path, capsys):
+    # p, ~p q, ~q r, ~r: within 2 of c1 are c1 and c2, within 2 of c4 are
+    # c3 and c4, so nothing is near both; within 3 both reach c2 and c3
+    path = tmp_path / "chain.cnf"
+    path.write_text("p cnf 3 4\n1 0\n-1 2 0\n-2 3 0\n-3 0\n")
+    argv = ["filter", str(path), "--support", "ids:1", "--support", "ids:4"]
+    assert main(argv + ["-n", "2"]) == 0
+    assert capsys.readouterr().out == "p cnf 3 0\n"
+    assert main(argv + ["-n", "3"]) == 0
+    assert capsys.readouterr().out == "p cnf 3 2\n2 -1 0\n3 -2 0\n"
+    # one spec repeated keeps its own neighborhood
+    assert main(["filter", str(path), "-n", "2", "--support", "ids:1",
+                 "--support", "ids:1"]) == 0
+    assert capsys.readouterr().out == "p cnf 3 2\n1 0\n2 -1 0\n"
 
 
 def test_filter_csv_with_two_supports_fails_before_writing(tmp_path, capsys):
@@ -114,7 +135,7 @@ def test_filter_csv_with_two_supports_fails_before_writing(tmp_path, capsys):
     out, csv = tmp_path / "out.cnf", tmp_path / "d.csv"
     for extra in ([], ["-o", str(out)]):
         code = main(["filter", str(path), "-n", "2", "--support", "pos", "--support", "neg",
-                     "--intersect", "--csv", str(csv), *extra])
+                     "--csv", str(csv), *extra])
         captured = capsys.readouterr()
         assert code == 2 and "--csv needs a single support set" in captured.err
         assert captured.out == ""
@@ -179,7 +200,8 @@ def test_solve_count_calls_k_counts_every_reachable_atom(tmp_path, capsys):
     path.write_text("p cnf 3 4\n1 0\n-1 0\n-1 2 0\n-2 3 0\n")
     cs = parse_dimacs(path.read_text())
     assert support_radius(cs, [1]) == 2
-    assert len(support_neighborhood(cs, [1]).atoms()) == 2
+    level_two = bfs_from_support(build_graph(cs), [1]).relevant_ids(2)
+    assert reference_atom_count(cs.subset(level_two)) == 2
     argv = ["solve", str(path), "--support", "ids:1", "--count-calls"]
     assert main(argv) == EXIT_UNSAT
     assert capsys.readouterr().out == (
@@ -252,7 +274,7 @@ def test_deepen_prover_timeout_stub(fo, tmp_path, capsys):
 
 def test_deepen_prover_unsat_stub(fo, tmp_path, capsys):
     prover = _stub(tmp_path, "print('% SZS status Unsatisfiable')\n")
-    assert main(["deepen", fo, "--prover", prover]) == EXIT_UNSAT
+    assert main(["deepen", fo, "--prover", prover, "--prover-timeout", "2.5"]) == EXIT_UNSAT
     out = capsys.readouterr().out
     assert "c unsat at level 1" in out
 
@@ -263,6 +285,21 @@ def test_deepen_prover_failure_does_not_abort_other_levels(fo, tmp_path, capsys)
     out = capsys.readouterr().out
     assert "prover error (exit 3)" in out
     assert "c level full:" in out  # later levels still ran
+
+
+@pytest.mark.parametrize("value", ["inf", "0", "-1", "nan", "2147484"])
+def test_deepen_prover_timeout_must_be_finite_seconds(fo, tmp_path, capsys, value):
+    # inf and past 2147483 s overflowed the prover wait; 0 and -1 timed out
+    # every level; nan failed with a conversion message
+    prover = _stub(tmp_path, "print('% SZS status Unsatisfiable')\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["deepen", fo, "--prover", prover, "--prover-timeout", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: argument --prover-timeout: must be seconds above 0 and at most "
+        f"2147483, got {value}\n")
 
 
 def test_deepen_first_order_needs_a_prover(fo, capsys):
@@ -298,6 +335,13 @@ def test_distance_connectedness_is_not_transitive(tmp_path, capsys):
                  "--pair", "2", "3", "--pair", "1", "3"])
     assert code == 0
     assert capsys.readouterr().out.splitlines() == ["2", "2", "inf"]
+
+
+@pytest.mark.parametrize("pair", [["1", "99"], ["99", "1"]], ids=" ".join)
+def test_distance_names_an_unknown_id_in_either_place(tree, capsys, pair):
+    assert main(["distance", tree, "--pair", "1", "2", "--pair", *pair]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: no clause with id 99\n"
 
 
 def test_path_prints_a_validating_witness(tree, capsys):
@@ -383,7 +427,7 @@ def test_stats_bound_matches_full_search(tmp_path, capsys, hub):
     path.write_text(print_dimacs(cs))
     support = "ids:3,77"
     full = bfs_from_support(build_graph(cs), [3, 77])
-    far = int(full.max_finite_distance())
+    far = int(max(d for d in full.clause_distance.values() if d < INF))
     for n in range(1, far + 3):
         argv = ["stats", str(path), "--bound", str(n), "--support", support, "--json"] + hub
         assert main(argv) == 0
@@ -457,6 +501,16 @@ def test_unknown_support_spec(tree, capsys):
     assert "unknown support spec" in capsys.readouterr().err
 
 
+def test_malformed_support_spec_names_the_spec_and_token(tree, tmp_path, capsys):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("1\n3 x2\n")
+    for spec, token in (("ids:x", "x"), ("ids:1,x", "x"), (f"file:{ids}", "x2")):
+        assert main(["filter", tree, "-n", "2", "--support", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: support spec {spec!r}: {token!r} is not a clause id\n"
+
+
 def test_support_ids_must_exist(tree, capsys):
     assert main(["filter", tree, "-n", "2", "--support", "ids:99"]) == 2
     assert "not in the clause set" in capsys.readouterr().err
@@ -491,6 +545,7 @@ def test_single_support_commands_reject_a_second_spec(tree, capsys, argv):
     ["distance", "--support", "ids:1"],
     ["split", "--support", "ids:1"],
     ["radius", "--unit-policy", "all"],
+    ["filter", "--intersect"],
 ], ids=lambda argv: f"{argv[0]}{argv[1]}")
 def test_options_a_command_does_not_read_are_refused(tree, capsys, argv):
     command, *rest = argv
@@ -506,9 +561,9 @@ def test_settable_options_per_command():
                     if isinstance(a, argparse._SubParsersAction)).choices
     counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
               for name, p in commands.items()}
-    assert counts == {"filter": 11, "solve": 10, "deepen": 10, "distance": 5, "path": 7,
+    assert counts == {"filter": 10, "solve": 10, "deepen": 10, "distance": 5, "path": 7,
                       "radius": 5, "stats": 7, "split": 9, "gen": 11}
-    assert sum(counts.values()) == 75
+    assert sum(counts.values()) == 74
 
 
 @pytest.mark.parametrize("argv", [
@@ -591,14 +646,14 @@ def test_large_easy_set_solves_at_a_low_recursion_limit(big_easy, extra):
                     _LOW_RECURSION_LIMIT)
     assert proc.returncode == EXIT_SAT, proc.stderr
     model = {Literal(True, a): v for a, v in json.loads(proc.stdout)["model"].items()}
-    result = SolveResult("sat", model)
     with open(big_easy) as fh:
         cs = parse_dimacs(fh.read())
     if extra == ["--trusted"]:
         # a trusted model leaves the clauses the support set cannot reach
+        result = SolveResult("sat", model)
         assert partial_model_covers(cs, result, stepping_sequence(cs, [1]))
     else:
-        assert result.satisfies(cs)
+        assert model_satisfies(cs, model)
 
 
 @pytest.mark.parametrize("command, code", [("radius", 0), ("deepen", EXIT_SAT)])

@@ -10,7 +10,6 @@ from altpath.dpll import (
     dpll,
     dpll_rel,
     stepping_sequence,
-    support_neighborhood,
     support_radius,
 )
 from altpath.generators import random_ground
@@ -21,8 +20,10 @@ from tests.test_graph import ground_set
 
 from oracles import (
     clause_set_sat,
+    model_satisfies,
     partial_model_covers,
     reference_atom_count,
+    reference_atoms,
     reference_solve,
     reference_stepping_sequence,
 )
@@ -53,13 +54,13 @@ def test_dpll_model_satisfies():
     cs = ground_set("p q", "~p q", "~q r")
     res = dpll(cs)
     assert res.verdict == "sat"
-    assert res.satisfies(cs)
+    assert model_satisfies(cs, res.model)
 
 
 def test_dpll_tautologies_always_satisfied():
     cs = ground_set("p ~p")
     res = dpll(cs)
-    assert res.verdict == "sat" and res.satisfies(cs)
+    assert res.verdict == "sat" and model_satisfies(cs, res.model)
 
 
 def test_dpll_rejects_variables():
@@ -98,7 +99,7 @@ def test_dpll_matches_truth_table_oracle(seed):
     res = dpll(cs)
     assert (res.verdict == "sat") == want
     if want:
-        assert res.satisfies(cs)
+        assert model_satisfies(cs, res.model)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -264,7 +265,7 @@ def test_fallback_mode_agrees_with_dpll(seed):
     res = dpll_rel(cs, support)
     assert res.verdict == dpll(cs).verdict
     if res.verdict == "sat":
-        assert res.satisfies(cs)
+        assert model_satisfies(cs, res.model)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -324,6 +325,16 @@ def test_count_calls_and_neighborhood_counts():
 # the call bound
 
 
+def _neighborhood(cs: ClauseSet, support) -> ClauseSet:
+    """The clauses within the support radius, or every reachable clause
+    when the radius is infinite."""
+    dmap = bfs_from_support(build_graph(cs), support)
+    radius = support_radius(cs, support)
+    if radius == INF:
+        radius = max(d for d in dmap.clause_distance.values() if d < INF)
+    return cs.subset(dmap.relevant_ids(int(radius)))
+
+
 def _valid_unsat_instances(count: int, seed: int):
     """Unsat sets whose first clause is a valid support set (rest
     satisfiable), built by rejection sampling."""
@@ -349,7 +360,7 @@ def test_call_bound_on_unsat_instances(mode):
     for cs, support in _valid_unsat_instances(25, seed=7):
         rad = support_radius(cs, support)
         assert rad < INF
-        k = len(support_neighborhood(cs, support).atoms())
+        k = reference_atom_count(_neighborhood(cs, support))
         res = dpll_rel(cs, support, mode=mode)
         assert res.verdict == "unsat"
         assert res.stats.calls <= 2 ** k
@@ -372,7 +383,7 @@ def test_call_bound_ignores_satisfiable_tail():
     rows = ["p", "~p q", "~p ~q"]
     rows += [f"t{i} t{i + 1}" for i in range(1, 30)]
     cs = ground_set(*rows)
-    k = len(support_neighborhood(cs, [1]).atoms())
+    k = reference_atom_count(_neighborhood(cs, [1]))
     assert k == 2
     res = dpll_rel(cs, [1], mode="trusted")
     assert res.verdict == "unsat"
@@ -391,28 +402,28 @@ def test_support_radius_two_units():
 def test_support_radius_chain():
     cs = ground_set("p", "~p q", "~q")
     assert support_radius(cs, [1]) == 3
-    assert support_neighborhood(cs, [1]).ids() == [1, 2, 3]
+    assert _neighborhood(cs, [1]).ids() == [1, 2, 3]
 
 
 def test_support_radius_satisfiable_is_infinite():
     cs = ground_set("p", "~p q")
     assert support_radius(cs, [1]) == INF
     # neighborhood then covers everything reachable
-    assert support_neighborhood(cs, [1]).ids() == [1, 2]
+    assert _neighborhood(cs, [1]).ids() == [1, 2]
 
 
 def test_support_radius_ignores_detached_contradiction():
     cs = ground_set("p", "~p q", "x", "~x")
     assert support_radius(cs, [1]) == INF
-    assert support_neighborhood(cs, [1]).ids() == [1, 2]
+    assert _neighborhood(cs, [1]).ids() == [1, 2]
 
 
 def test_satisfies_reports_partial_gaps():
-    cs = ground_set("p q")
-    good = SolveResult("sat", {atom("p"): True})
-    bad = SolveResult("sat", {atom("p"): False})
-    assert good.satisfies(cs)
-    assert not bad.satisfies(cs)
+    # the oracle's model check: a partial model leaves gaps, but a
+    # tautology it never touches still counts as satisfied
+    cs = ground_set("p q", "r ~r")
+    assert model_satisfies(cs, {atom("p"): True})
+    assert not model_satisfies(cs, {atom("p"): False})
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +536,7 @@ def _all_solvers(cs: ClauseSet, support: list[int], rng: random.Random):
     """Plain, fallback and trusted runs, on the support's stepping sequence
     and on a random one with empty buckets and an atom the set lacks."""
     runs = _same_as_reference(cs)
-    pool = cs.atoms() + [atom("absent")]
+    pool = reference_atoms(cs) + [atom("absent")]
     rng.shuffle(pool)
     buckets: list[list[Literal]] = [[] for _ in range(rng.randint(1, 4))]
     for a in pool[:rng.randint(0, len(pool))]:

@@ -20,7 +20,6 @@ from altpath.graph import (
     bfs_from_support,
     build_graph,
     check_alternating_path,
-    multi_support_intersection,
     purity_filter,
 )
 from altpath.splitting import binary_split_plan, split_clause
@@ -153,8 +152,6 @@ def test_unknown_support_ids_raise_value_error():
     cs = ground_set("p", "~p")
     with pytest.raises(ValueError, match="support id 9 not in the clause set"):
         bfs_from_support(build_graph(cs), [1, 9])
-    with pytest.raises(ValueError, match="support id 9 not in the clause set"):
-        multi_support_intersection(cs, [[1], [9]], 2)
 
 
 def test_hub_mode_refuses_variables():
@@ -303,16 +300,6 @@ def test_purity_filter_first_order():
     assert purity_filter(cs).ids() == [1, 2, 3]
 
 
-def test_multi_support_intersection():
-    cs = ground_set("p", "~p q", "~q r", "~r")
-    both = multi_support_intersection(cs, [[1], [4]], 2)
-    assert both.ids() == []
-    wide = multi_support_intersection(cs, [[1], [4]], 3)
-    assert wide.ids() == [2, 3]
-    with pytest.raises(ValueError):
-        multi_support_intersection(cs, [], 2)
-
-
 def test_distance_csv_format():
     cs = ground_set("p", "~p q", "s")
     dmap = bfs_from_support(build_graph(cs), [1])
@@ -424,7 +411,7 @@ def test_partner_index_matches_pairwise_reference(name, cs, ground):
         assert_counts_match_reference(graph, reference_adjacency(cs, mode))
         support = cs.ids()[:2]
         full = bfs_from_support(graph, support)
-        far = int(full.max_finite_distance())
+        far = int(max(d for d in full.clause_distance.values() if d < INF))
         for k in range(1, far + 2):
             part = bfs_from_support(graph, support, bound=k)
             assert part.clause_distance == {
@@ -597,7 +584,8 @@ def test_search_matches_reference_bfs(name, cs):
         graph = build_graph(cs, mode)
         wired = reference_adjacency(cs, mode)
         assert_counts_match_reference(graph, wired)
-        far = int(bfs_from_support(graph, support).max_finite_distance())
+        full = bfs_from_support(graph, support).clause_distance
+        far = int(max(d for d in full.values() if d < INF))
         for bound in (None, *range(1, far + 2)):
             got = bfs_from_support(graph, support, bound=bound)
             want, nodes, parents = reference_bfs(graph, wired, support, bound)

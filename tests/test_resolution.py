@@ -29,6 +29,19 @@ from tests.test_graph import ground_set, lit
 from oracles import clause_set_sat, minimal_unsat_subsets, truth_table_sat
 
 
+def _input_ids(seq: ResolutionSequence) -> set[int]:
+    return {e.clause.id for e in seq.entries if e.is_input}
+
+
+def _depth(seq: ResolutionSequence) -> int:
+    """Derivation depth of the last clause: inputs count zero, a resolvent
+    is one deeper than its deeper parent."""
+    depth: list[int] = []
+    for e in seq.entries:
+        depth.append(0 if e.is_input else 1 + max(depth[i - 1] for i in e.parents))
+    return depth[-1]
+
+
 def goal_tree_11() -> ClauseSet:
     """One goal unit, one rule for it, three subgoal rules, six facts.
     The goal clause c1 is the support set; distances run 1, 2, 3, 3, 3
@@ -121,9 +134,9 @@ def test_validate_minimal_refutation():
         )
     )
     validate_sequence(seq, cs, [2])
-    assert seq.is_refutation
+    assert seq.entries[-1].clause.is_empty
     assert seq.resolution_count == 1
-    assert seq.proof_depth() == 1
+    assert _depth(seq) == 1
 
 
 def test_validate_rejects_unknown_input_id():
@@ -242,10 +255,10 @@ def test_sos_goal_tree_needs_ten_resolutions():
     assert res.status == REFUTED
     assert res.levels == 10
     seq = res.sequence
-    assert seq.is_refutation
+    assert seq.entries[-1].clause.is_empty
     assert seq.resolution_count == 10
     assert len(seq.entries) == 21
-    assert sorted(seq.input_ids()) == list(range(1, 12))
+    assert sorted(_input_ids(seq)) == list(range(1, 12))
     validate_sequence(seq, cs, [1])
     assert verify_support_path_property(seq, cs, [1])
 
@@ -272,7 +285,7 @@ def test_sos_keeps_resolvent_that_repeats_unsupported_input():
     res = sos_refute(cs, [1])
     assert res.status == REFUTED
     assert res.levels == 2
-    assert sorted(res.sequence.input_ids()) == [1, 2, 4]
+    assert sorted(_input_ids(res.sequence)) == [1, 2, 4]
 
 
 def test_sos_counts_derived_clauses_per_level():
@@ -306,14 +319,14 @@ def test_sos_refutes_a_long_implication_chain():
     assert res.status == REFUTED
     assert res.per_level == (1,) * (n + 1)
     validate_sequence(res.sequence, cs, [1])
-    assert res.sequence.proof_depth() == n + 1
+    assert _depth(res.sequence) == n + 1
 
 
 def test_sos_handles_empty_input_clause():
     cs = ClauseSet.from_clauses([Clause(1, ()), Clause(2, (lit("p"),))])
     res = sos_refute(cs, [2])
     assert res.status == REFUTED
-    assert res.sequence.is_refutation
+    assert res.sequence.entries[-1].clause.is_empty
     assert res.sequence.resolution_count == 0
 
 
@@ -366,7 +379,7 @@ def test_used_inputs_contain_a_tightly_connected_unsat_core():
         cs, support = _unsat_with_negative_support(rng)
         res = sos_refute(cs, support)
         assert res.status == REFUTED
-        used = cs.subset(res.sequence.input_ids())
+        used = cs.subset(_input_ids(res.sequence))
         assert not clause_set_sat(used)
         core_ids = minimal_unsat_subsets(used)[0]
         core = cs.subset(core_ids)
@@ -541,7 +554,7 @@ def test_linear_sequence_along_a_chain():
     seq = linear_sequence_from_path(cs, dmap.witness(4), [1])
     validate_sequence(seq, cs, [1])
     assert len(seq.entries) == 7
-    assert seq.is_refutation
+    assert seq.entries[-1].clause.is_empty
     assert seq.entries[5].is_input and seq.entries[5].clause.id == 4
     assert verify_support_path_property(seq, cs, [1], dmap)
 
@@ -551,7 +564,7 @@ def test_linear_sequence_for_a_support_clause_is_trivial():
     dmap = bfs_from_support(build_graph(cs, FIRST_ORDER), [1])
     seq = linear_sequence_from_path(cs, dmap.witness(1), [1])
     assert len(seq.entries) == 1
-    assert seq.proof_depth() == 0
+    assert _depth(seq) == 0
     validate_sequence(seq, cs, [1])
 
 
@@ -616,7 +629,7 @@ def test_hyper_rejects_non_horn():
 
 def _max_input_distance(cs, seq, support):
     dmap = bfs_from_support(build_graph(cs, FIRST_ORDER), support)
-    return max(dmap.distance(cid) for cid in seq.input_ids())
+    return max(dmap.distance(cid) for cid in _input_ids(seq))
 
 
 def test_demo_goal_tree_contrast():
@@ -624,14 +637,14 @@ def test_demo_goal_tree_contrast():
     res = sos_refute(cs, [1])
     assert res.status == REFUTED
     assert res.sequence.resolution_count == 10
-    assert res.sequence.proof_depth() == 10
+    assert _depth(res.sequence) == 10
     assert hyper_resolution_levels(cs) == 3
     assert _max_input_distance(cs, res.sequence, [1]) == 4
 
 
 def test_demo_unit_contradiction_has_depth_one_both_ways():
     cs = ground_set("p", "~p")
-    assert sos_refute(cs, [2]).sequence.proof_depth() == 1
+    assert _depth(sos_refute(cs, [2]).sequence) == 1
     assert hyper_resolution_levels(cs) == 1
 
 
@@ -649,7 +662,7 @@ def test_goal_tree_family_depth_contrast(depth, branching):
     nodes = sum(branching**d for d in range(depth + 1))
     assert res.status == REFUTED
     assert res.sequence.resolution_count == nodes
-    assert res.sequence.proof_depth() == nodes
+    assert _depth(res.sequence) == nodes
     assert hyper_resolution_levels(cs) == depth + 1
     assert _max_input_distance(cs, res.sequence, [1]) == depth + 2
 
