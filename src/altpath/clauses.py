@@ -340,17 +340,18 @@ class ClauseSet:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate clause ids")
         cs = cls(list(clauses), dict(roles or {}), dict(names or {}))
-        cs._check_symbols()
+        cs._check_symbols(cs.clauses)
         return cs
 
-    def _check_symbols(self) -> None:
-        # Symbols are registered in order of first occurrence.  A literal or
-        # term object already walked cannot conflict again, so the terms of
-        # shared (interned) objects are walked once; every object is held by
-        # a clause of the set, so ids stay unique for the duration of the walk.
+    def _check_symbols(self, clauses: list[Clause]) -> None:
+        # The symbols of ``clauses``, clauses of this set, are registered in
+        # order of first occurrence.  A literal or term object already walked
+        # cannot conflict again, so the terms of shared (interned) objects are
+        # walked once; every object is held by a clause of the set, so ids
+        # stay unique for the duration of the walk.
         walked: set[int] = set()
         predicates, functions = self.predicates, self.functions
-        for clause in self.clauses:
+        for clause in clauses:
             for lit in clause.literals:
                 args = lit.args
                 seen = predicates.get(lit.pred)
@@ -421,6 +422,35 @@ class ClauseSet:
             dict(self.predicates),
             dict(self.functions),
         )
+
+    def splice(self, replacements: dict[int, list[tuple[Literal, ...]]]) -> "ClauseSet":
+        """Swap each clause named in ``replacements``, at its position, for new
+        clauses with the given literals; an empty list removes the clause.
+
+        New clauses take fresh ids counting up from ``max_id() + 1`` in
+        clause order, the replaced clause's role and no name.  The symbol
+        tables are the parent's with only the new clauses checked in, so, as
+        with ``subset``, a symbol may outlive its last clause.
+        """
+        unknown = replacements.keys() - self._index.keys()
+        if unknown:
+            raise KeyError(f"unknown clause ids: {sorted(unknown)}")
+        roles = {i: r for i, r in self.roles.items() if i not in replacements}
+        names = {i: n for i, n in self.names.items() if i not in replacements}
+        ids = itertools.count(self.max_id() + 1)
+        clauses: list[Clause] = []
+        new: list[Clause] = []
+        for c in self.clauses:
+            if c.id not in replacements:
+                clauses.append(c)
+            for lits in replacements.get(c.id, ()):
+                new.append(Clause(next(ids), tuple(lits)))
+                clauses.append(new[-1])
+                if c.id in self.roles:
+                    roles[new[-1].id] = self.roles[c.id]
+        cs = ClauseSet(clauses, roles, names, dict(self.predicates), dict(self.functions))
+        cs._check_symbols(new)
+        return cs
 
     def is_ground(self) -> bool:
         return all(c.is_ground() for c in self.clauses)

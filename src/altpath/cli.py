@@ -630,6 +630,15 @@ def _non_negative(text: str) -> int:
     return _at_least(text, 0)
 
 
+def _constant(text: str) -> str:
+    """argparse type of a constant name: a TPTP lower word, which reads back
+    as a constant."""
+    if re.fullmatch(r"[a-z][A-Za-z0-9_]*", text):
+        return text
+    raise argparse.ArgumentTypeError(
+        f"must be a TPTP lower word ([a-z][A-Za-z0-9_]*), got {text!r}")
+
+
 # the prover wait goes to poll(2), which takes a C int of milliseconds
 _MAX_SECONDS = 2**31 // 1000
 
@@ -680,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="write the clauses within distance n of every support set")
     _add_common(p)
-    p.add_argument("-n", "--bound", type=int, help="distance bound")
+    p.add_argument("-n", "--bound", type=_positive, help="distance bound")
     p.add_argument("--purity", action="store_true", help="drop partnerless clauses first")
     p.add_argument("-o", "--output", help="write clauses here instead of stdout")
     p.add_argument("--csv", help="write a clause_id,distance table here")
@@ -726,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="occurrence bound b, width k and size budgets")
     _add_common(p)
-    p.add_argument("-n", "--bound", type=int, help="level for the size budget")
+    p.add_argument("-n", "--bound", type=_positive, help="level for the size budget")
 
     p = sub.add_parser("split", help="replace a clause by symbol-wise instances")
     _add_common(p, support=False, hub=False)
@@ -734,8 +743,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--var", help="variable to split on")
     p.add_argument("--binary", action="store_true",
                    help="two balanced symbol groups instead of one per symbol")
-    p.add_argument("--extra-constant", dest="extra_constant",
-                   help="allow this fresh constant when the set has none")
+    p.add_argument("--extra-constant", dest="extra_constant", type=_constant,
+                   help="allow this fresh constant (a TPTP lower word) when the "
+                        "set has none")
     p.add_argument("-o", "--output", help="write the result here instead of stdout")
 
     p = sub.add_parser("gen", help="seeded benchmark families")

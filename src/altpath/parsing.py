@@ -139,6 +139,8 @@ def _dimacs_lines(text: str, source: str | None) -> list[list[Literal]]:
             current.append(lit)
     if current:
         raise ParseError("unterminated clause at end of input", open_line, source)
+    if n_vars is None:
+        raise ParseError("no problem line 'p cnf VARIABLES CLAUSES'", None, source)
     if declared_clauses is not None and declared_clauses != len(groups):
         raise ParseError(
             f"problem line declares {declared_clauses} clauses, found {len(groups)}",
@@ -540,32 +542,21 @@ def parse_tptp(
         raise ParseError(str(exc), None, source) from exc
 
 
-def _term_tptp(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.functor
-    return "%s(%s)" % (t.functor, ",".join(_term_tptp(a) for a in t.args))
-
-
-def _literal_tptp(lit: Literal) -> str:
-    body = lit.pred if not lit.args else "%s(%s)" % (
-        lit.pred,
-        ",".join(_term_tptp(a) for a in lit.args),
-    )
-    return body if lit.positive else "~" + body
-
-
 def print_tptp(cs: ClauseSet) -> str:
-    """Serialize as annotated cnf() formulas, one per line."""
+    """Serialize as annotated cnf() formulas, one per line.  A restricted
+    variable has no TPTP form: ``splitting.expand_restricted`` rewrites it
+    away, and a clause with one is refused."""
     lines = []
     for clause in cs.clauses:
         name = cs.names.get(clause.id, f"c{clause.id}")
         role = cs.roles.get(clause.id, "axiom")
-        if clause.is_empty:
-            body = "$false"
-        else:
-            body = " | ".join(_literal_tptp(l) for l in clause.literals)
+        body = str(clause)
+        # a restricted variable prints as X{a,b}
+        if "{" in body and any(v.allowed is not None for v in clause.variables()):
+            raise ValueError(
+                f"clause {name} ({body}) has a restricted variable, which TPTP "
+                "cannot carry; expand_restricted rewrites it away"
+            )
         lines.append(f"cnf({name}, {role}, ({body})).")
     return "\n".join(lines) + "\n"
 
@@ -585,12 +576,11 @@ def detect_format(data: str | bytes, path: str | None = None) -> str:
     text = _decode(data)
     for raw in text.splitlines():
         line = raw.strip()
-        if not line:
-            continue
+        # a statement or a comment opens a TPTP line
+        if re.match(r"(?:cnf|include)\s*\(|%|/\*", line):
+            return "tptp"
         if line.startswith("p cnf") or (line.startswith("c") and "(" not in line):
             return "dimacs"
-        if line.startswith(("cnf(", "include(", "%")):
-            return "tptp"
     return "dimacs"
 
 

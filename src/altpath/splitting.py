@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from altpath.clauses import (
@@ -31,23 +32,20 @@ from altpath.clauses import (
     Var,
     apply_literal,
     complementary_unifiable,
-    term_vars,
 )
 
 _SV = re.compile(r"_sv(\d+)$")
 
-# fresh variables for the chooser's probe instances; never stored in output
-_probe = itertools.count()
+
+def _fresh_sv(cs: ClauseSet) -> Iterator[int]:
+    """Numbers N for fresh ``_svN`` variables, above every one in the set."""
+    taken = [int(m[1]) for c in cs.clauses for v in c.variables() if (m := _SV.match(v.name))]
+    return itertools.count(max(taken, default=-1) + 1)
 
 
-def _fresh_sv_start(cs: ClauseSet) -> int:
-    start = 0
-    for c in cs.clauses:
-        for v in c.variables():
-            m = _SV.match(v.name)
-            if m:
-                start = max(start, int(m.group(1)) + 1)
-    return start
+def _image(cs: ClauseSet, symbol: str, fresh: Iterator[int]) -> App:
+    """``symbol`` applied to fresh ``_svN`` variables."""
+    return App(symbol, tuple(Var(f"_sv{next(fresh)}") for _ in range(_arity(cs, symbol))))
 
 
 @dataclass(frozen=True)
@@ -167,45 +165,22 @@ def split_clause(cs: ClauseSet, plan: SplitPlan) -> ClauseSet:
     """Replace the planned clause by one instance per symbol group.
 
     A group that a pre-existing restriction on the variable rules out
-    entirely contributes nothing.  Replacement clauses take fresh ids above
-    every existing id, sit at the replaced clause's position, and inherit
-    its role.
+    entirely contributes nothing.  The instances are spliced in as
+    ``ClauseSet.splice`` does: fresh ids, the replaced clause's position
+    and role.
     """
     clause = _check_plan(cs, plan)
     allowed = next(v for v in clause.variables() if v.name == plan.var).allowed
-    counter = itertools.count(_fresh_sv_start(cs))
-    next_id = cs.max_id() + 1
-    replacements: list[Clause] = []
+    fresh = _fresh_sv(cs)
+    replacements: list[tuple[Literal, ...]] = []
     for group in plan.groups:
         eff = sorted(group if allowed is None else (group & allowed))
         if not eff:
             continue
-        image: Term
-        if len(eff) == 1:
-            f = eff[0]
-            image = App(f, tuple(Var(f"_sv{next(counter)}") for _ in range(_arity(cs, f))))
-        else:
-            image = Var(plan.var, frozenset(eff))
+        image = _image(cs, eff[0], fresh) if len(eff) == 1 else Var(plan.var, frozenset(eff))
         subst = {plan.var: image}
-        replacements.append(
-            Clause(next_id, tuple(apply_literal(l, subst) for l in clause.literals))
-        )
-        next_id += 1
-
-    out: list[Clause] = []
-    roles = dict(cs.roles)
-    names = dict(cs.names)
-    role = roles.pop(plan.clause_id, None)
-    names.pop(plan.clause_id, None)
-    for c in cs.clauses:
-        if c.id == plan.clause_id:
-            out.extend(replacements)
-            if role is not None:
-                for r in replacements:
-                    roles[r.id] = role
-        else:
-            out.append(c)
-    return ClauseSet.from_clauses(out, roles=roles, names=names)
+        replacements.append(tuple(apply_literal(l, subst) for l in clause.literals))
+    return cs.splice({plan.clause_id: replacements})
 
 
 def descendants(before: ClauseSet, after: ClauseSet) -> list[int]:
@@ -234,6 +209,10 @@ def choose_split_variable(cs: ClauseSet, clause_id: int) -> Var | None:
     partners = [
         [m for m in others if complementary_unifiable(l, m)] for l in clause.literals
     ]
+    # probe arguments are fresh for the clause, so none captures its variables
+    taken = {v.name for v in variables}
+    names = (f"_q{i}" for i in range(len(taken) + max(cs.functions.values())))
+    probes = tuple(Var(n) for n in names if n not in taken)
     best: Var | None = None
     best_score = 0
     for v in variables:
@@ -242,8 +221,7 @@ def choose_split_variable(cs: ClauseSet, clause_id: int) -> Var | None:
         ]
         score = 0
         for f in symbols:
-            args = tuple(Var(f"_q{next(_probe)}") for _ in range(cs.functions[f]))
-            subst = {v.name: App(f, args)}
+            subst = {v.name: App(f, probes[:cs.functions[f]])}
             for l, candidates in zip(clause.literals, partners):
                 if not candidates:
                     continue
@@ -259,40 +237,24 @@ def expand_restricted(cs: ClauseSet) -> ClauseSet:
     """Rewrite every restricted variable into one clause per allowed symbol.
 
     The result carries no restrictions and has the same ground instances;
-    untouched clauses keep their ids, expansions get fresh ids in place.
+    untouched clauses keep their ids, expansions are spliced in as
+    ``ClauseSet.splice`` does.  A set without restrictions is returned as is.
     """
-    counter = itertools.count(_fresh_sv_start(cs))
-    next_id = cs.max_id() + 1
+    todo = [(c, vs) for c in cs.clauses
+            if (vs := [v for v in c.variables() if v.allowed is not None])]
+    if not todo:
+        return cs
+    fresh = _fresh_sv(cs)
 
-    def expand(lits: tuple[Literal, ...]) -> list[tuple[Literal, ...]]:
-        variables: list[Var] = []
-        for l in lits:
-            for a in l.args:
-                term_vars(a, variables)
-        restricted = next((v for v in variables if v.allowed is not None), None)
-        if restricted is None:
+    # an image holds fresh variables only, so the restricted variables left
+    # keep their order of first occurrence
+    def expand(lits: tuple[Literal, ...], restricted: list[Var]) -> list[tuple[Literal, ...]]:
+        if not restricted:
             return [lits]
-        out: list[tuple[Literal, ...]] = []
-        for f in sorted(restricted.allowed):
-            ar = cs.functions.get(f, 0)
-            image = App(f, tuple(Var(f"_sv{next(counter)}") for _ in range(ar)))
-            subst = {restricted.name: image}
-            out.extend(expand(tuple(apply_literal(l, subst) for l in lits)))
+        v, out = restricted[0], []
+        for f in sorted(v.allowed):
+            subst = {v.name: _image(cs, f, fresh)}
+            out += expand(tuple(apply_literal(l, subst) for l in lits), restricted[1:])
         return out
 
-    clauses: list[Clause] = []
-    roles = dict(cs.roles)
-    names = dict(cs.names)
-    for c in cs.clauses:
-        groups = expand(c.literals)
-        if len(groups) == 1 and groups[0] == c.literals:
-            clauses.append(c)
-            continue
-        roles.pop(c.id, None)
-        names.pop(c.id, None)
-        for lits in groups:
-            clauses.append(Clause(next_id, lits))
-            if c.id in cs.roles:
-                roles[clauses[-1].id] = cs.roles[c.id]
-            next_id += 1
-    return ClauseSet.from_clauses(clauses, roles=roles, names=names)
+    return cs.splice({c.id: expand(c.literals, vs) for c, vs in todo})

@@ -362,6 +362,37 @@ def test_clause_set_subset_unknown_id():
         cs.subset([7])
 
 
+def test_clause_set_splice_replaces_in_place():
+    cs = ClauseSet.from_groups(
+        [[lit("p", x)], [lit("q", g(a, b))], [lit("r", a)], [lit("s", b)]],
+        roles={1: "axiom", 2: "hypothesis", 3: "negated_conjecture"},
+        names={1: "one", 2: "two", 3: "three", 4: "four"},
+    )
+    out = cs.splice({3: [(lit("r", f(a)), lit("r", b))], 1: [(lit("p", a),), (lit("p", b),)],
+                     2: []})
+    # fresh ids count up in clause order; the replaced clause's role, no name
+    assert out.ids() == [5, 6, 7, 4]
+    assert [out.by_id(i).literals for i in (5, 6, 7)] == [
+        (lit("p", a),), (lit("p", b),), (lit("r", b), lit("r", f(a)))]
+    assert out.roles == {5: "axiom", 6: "axiom", 7: "negated_conjecture"}
+    assert out.names == {4: "four"}
+    # the parent's tables plus the new clauses' symbols; g outlives c2
+    assert out.predicates == {"p": 1, "q": 1, "r": 1, "s": 1}
+    assert out.functions == {"a": 0, "b": 0, "g": 2, "f": 1}
+    assert cs.ids() == [1, 2, 3, 4] and "f" not in cs.functions
+    assert out.splice({}).ids() == out.ids()
+
+
+def test_clause_set_splice_checks_the_new_clauses():
+    cs = ClauseSet.from_groups([[lit("p", a)], [lit("q", f(a))]])
+    with pytest.raises(ArityError, match="clause 3"):
+        cs.splice({1: [(lit("p", a, b),)]})
+    with pytest.raises(ArityError, match="clause 3"):
+        cs.splice({1: [(lit("p", App("f", (a, b))),)]})
+    with pytest.raises(KeyError, match=r"\[7\]"):
+        cs.splice({7: []})
+
+
 def test_clause_set_check_support():
     cs = ClauseSet.from_groups([[lit("p", a)], [lit("q", b)]])
     assert cs.check_support([2, 1, 2]) == frozenset({1, 2})

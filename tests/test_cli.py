@@ -461,6 +461,41 @@ def test_split_output_parses_back(fo, tmp_path):
     assert len(written) == 4
 
 
+@pytest.mark.parametrize("value", ["Foo", "b c", "k(a)", ""])
+def test_split_extra_constant_must_be_a_lower_word(capsys, value):
+    # refused before the input is read: the file does not exist
+    with pytest.raises(SystemExit) as exc:
+        main(["split", "/nonexistent/input.p", "--extra-constant", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: argument --extra-constant: must be a TPTP lower word "
+            f"([a-z][A-Za-z0-9_]*), got {value!r}\n") in captured.err
+
+
+def test_split_extra_constant_splits_in_the_new_constant(tmp_path, capsys):
+    path = tmp_path / "noconst.p"
+    path.write_text("cnf(c1, axiom, (p(X) | q(f(X)))).\ncnf(c2, axiom, ~p(f(Y))).\n")
+    out = tmp_path / "split.p"
+    assert main(["split", str(path), "--clause", "1", "--var", "X",
+                 "--extra-constant", "k_0", "-o", str(out)]) == 0
+    written = out.read_text()
+    assert "cnf(c4, axiom, (p(k_0) | q(f(k_0))))." in written
+    assert "p(X)" not in written
+    assert len(parse_tptp(written)) == 3
+
+
+@pytest.mark.parametrize("body, var", [("p(X, Y, _q1)", "X"), ("p(X, Y, W)", "X")])
+def test_split_choice_does_not_depend_on_variable_names(tmp_path, body, var):
+    # each in a fresh interpreter, where the chooser's probes are named first
+    path = tmp_path / "probe.p"
+    path.write_text(f"cnf(c1, axiom, {body}).\ncnf(c2, axiom, ~p(a, f(a), b)).\n")
+    proc = _run_cli(["split", str(path), "--json"])
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert (payload["clause"], payload["var"]) == (1, var)
+
+
 def test_split_rejects_ground_input(sat_cnf, capsys):
     assert main(["split", sat_cnf]) == 2
     assert "nothing to split" in capsys.readouterr().err
@@ -577,9 +612,14 @@ def test_settable_options_per_command():
     ["gen", "bounded", "--preds", "0"],
     ["gen", "bounded", "--b", "0"],
     ["gen", "horn-tree", "--branching", "0"],
+    ["filter", "TREE", "-n", "0"],
+    ["filter", "TREE", "-n", "-1"],
+    ["stats", "TREE", "-n", "0"],
+    ["stats", "TREE", "-n", "-1"],
 ], ids=" ".join)
 def test_counts_and_budgets_below_one_are_refused(tree, capsys, argv):
     option, value = argv[2:4]
+    option = {"-n": "-n/--bound"}.get(option, option)
     with pytest.raises(SystemExit) as exc:
         main([tree if a == "TREE" else a for a in argv])
     assert exc.value.code == 2
@@ -609,6 +649,22 @@ def test_zero_generator_counts_still_generate(capsys):
     assert main(["gen", "horn-tree", "--depth", "0"]) == 0
     assert capsys.readouterr().out == (
         "cnf(c1, negated_conjecture, (~g0)).\ncnf(c2, axiom, (g0)).\n")
+
+
+def test_tptp_with_space_before_the_parenthesis_is_read_as_tptp(tmp_path, capsys):
+    path = tmp_path / "un.txt"
+    path.write_text("cnf (c1, axiom, p).\ncnf (c2, negated_conjecture, ~p).\n")
+    assert main(["solve", str(path), "--no-relevance"]) == EXIT_UNSAT
+    assert "s UNSATISFIABLE" in capsys.readouterr().out
+    assert main(["stats", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["clauses"] == 2
+
+
+def test_dimacs_without_a_problem_line_exits_2(tmp_path, capsys):
+    path = tmp_path / "comments.txt"
+    path.write_text("c only a comment\n")
+    assert main(["stats", str(path)]) == 2
+    assert "no problem line" in capsys.readouterr().err
 
 
 def test_missing_input_file(capsys):

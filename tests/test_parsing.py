@@ -86,6 +86,12 @@ def test_dimacs_missing_header():
         parse_dimacs("1 2 0\n")
 
 
+@pytest.mark.parametrize("text", ["", "c only a comment\n", "\n  \nc one\nc two\n"])
+def test_dimacs_without_a_problem_line_is_refused(text):
+    with pytest.raises(ParseError, match="no problem line"):
+        parse_dimacs(text, source="in.cnf")
+
+
 def test_dimacs_clause_count_mismatch():
     with pytest.raises(ParseError):
         parse_dimacs("p cnf 2 3\n1 0\n2 0\n")
@@ -271,3 +277,13 @@ def test_detect_format():
     assert detect_format("cnf(c, axiom, p).") == "tptp"
     assert detect_format("", "problem.p") == "tptp"
     assert detect_format("", "problem.cnf") == "dimacs"
+    assert detect_format("c cnf file\np cnf 1 1\n1 0\n") == "dimacs"
+    assert detect_format("c (a comment)\np cnf 1 1\n1 0\n") == "dimacs"
+
+
+@pytest.mark.parametrize("line", [
+    "cnf (c1, axiom, p).", "cnf\t(c1, axiom, p).", "include ('axioms.ax').",
+    "include('axioms.ax').", "% a comment", "/* a block comment */",
+])
+def test_detect_format_knows_every_tptp_opening(line):
+    assert detect_format(f"\n  {line}\n") == "tptp"

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altpath import parsing
-from altpath.clauses import ClauseSet, Literal, literal_key
+from altpath.clauses import Clause, ClauseSet, Literal, Var, apply_literal, literal_key
 from altpath.generators import (
     bounded_occurrence,
     horn_tree,
@@ -75,14 +75,19 @@ def _assert_same(read, text: str):
 
 
 def _split_set(rng: random.Random) -> ClauseSet:
-    """A first-order set with two clauses split in binary, which leaves
-    restricted variables (printed under their plain names)."""
+    """A first-order set with two clauses split in binary, with the
+    restrictions that this leaves stripped from the variables, which TPTP
+    cannot carry."""
     cs = random_first_order(rng, n_clauses=20)
     for _ in range(2):
         open_ids = [c.id for c in cs.clauses if c.variables()]
         cid = rng.choice(open_ids)
         cs = split_clause(cs, binary_split_plan(cs, cid, cs.by_id(cid).variables()[0]))
-    return cs
+    stripped = []
+    for c in cs.clauses:
+        plain = {v.name: Var(v.name) for v in c.variables()}
+        stripped.append(Clause(c.id, tuple(apply_literal(l, plain) for l in c.literals)))
+    return ClauseSet.from_clauses(stripped, roles=cs.roles, names=cs.names)
 
 
 def _tptp_texts(seed: int) -> list[str]:

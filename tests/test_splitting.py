@@ -6,6 +6,7 @@ the original, and relevance distances between the untouched clauses never
 decrease.
 """
 
+import os
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from altpath.clauses import App, Clause, ClauseSet, Literal, Var
 from altpath.dpll import dpll
 from altpath.generators import random_first_order
 from altpath.graph import bfs_from_support, build_graph
+from altpath.parsing import parse_tptp, print_tptp
 from altpath.splitting import (
     SplitPlan,
     binary_split_plan,
@@ -287,6 +289,89 @@ def test_expand_restricted_matches_the_full_split():
     assert instance_sets(full, descendants(cs, full), universe, max_depth=2) == (
         instance_sets(flat, descendants(cs, flat), universe, max_depth=2)
     )
+
+
+def test_expand_restricted_returns_a_set_without_restrictions_as_is():
+    cs = impl_set()
+    assert expand_restricted(cs) is cs
+    full = split_clause(cs, full_split_plan(cs, 1, var="X"))
+    assert expand_restricted(full) is full
+
+
+def test_print_tptp_refuses_restricted_variables():
+    cs = counted_set()
+    after = split_clause(cs, binary_split_plan(cs, 1, var="X"))
+    with pytest.raises(ValueError, match=r"clause c5 \(~p\(X\{a,g\}\)\) has a restricted "
+                                         r"variable.*expand_restricted"):
+        print_tptp(after)
+    flat = expand_restricted(after)
+    assert len(parse_tptp(print_tptp(flat))) == len(flat) == 7
+
+
+# ---------------------------------------------------------------------------
+# Derived sets reuse the parent's tables
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+@pytest.fixture(scope="module")
+def fo_filter_sets(tmp_path_factory):
+    """The benchmark's fo-filter inputs of seed 1, read as the CLI reads them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(PERFBENCH)
+        import workloads
+    inputs = workloads.gen_fo_filter(random.Random(1), str(tmp_path_factory.mktemp("fo")))
+    sets = []
+    for inp in inputs:
+        with open(inp.path) as fh:
+            sets.append(parse_tptp(fh.read()))
+    return sets
+
+
+def _assert_split_tables_match_a_rebuild(cs: ClauseSet) -> None:
+    open_clauses = [c for c in cs.clauses if c.variables()]
+    for target in (open_clauses[0], open_clauses[-1]):
+        var = target.variables()[-1]
+        for plan in (full_split_plan(cs, target.id, var=var),
+                     binary_split_plan(cs, target.id, var=var)):
+            after = split_clause(cs, plan)
+            for derived in (after, expand_restricted(after)):
+                rebuilt = ClauseSet.from_clauses(derived.clauses)
+                assert derived.predicates == rebuilt.predicates
+                assert derived.functions == rebuilt.functions
+
+
+def test_split_tables_match_a_rebuild_on_the_test_sets():
+    for cs in (impl_set(), counted_set(), equality_set()):
+        _assert_split_tables_match_a_rebuild(cs)
+
+
+def test_split_tables_match_a_rebuild_on_the_benchmark_sets(fo_filter_sets):
+    assert len(fo_filter_sets) == 22
+    for cs in fo_filter_sets:
+        _assert_split_tables_match_a_rebuild(cs)
+
+
+def test_split_checks_only_the_new_clauses(monkeypatch):
+    cs = parse_tptp("cnf(c1, axiom, (~p(X) | q(X))). cnf(c2, axiom, p(a)). "
+                    "cnf(c3, axiom, (~q(f(a)) | r(b))).")
+    walked: list[int] = []
+    check = ClauseSet._check_symbols
+
+    def counting(self, clauses):
+        walked.extend(c.id for c in clauses)
+        return check(self, clauses)
+
+    monkeypatch.setattr(ClauseSet, "_check_symbols", counting)
+    after = split_clause(cs, full_split_plan(cs, 1, var="X"))
+    assert walked == descendants(cs, after) == [4, 5, 6]
+    assert expand_restricted(after) is after
+    walked.clear()
+    after = split_clause(cs, binary_split_plan(cs, 1, var="X"))
+    flat = expand_restricted(after)
+    assert walked == descendants(cs, after) + descendants(after, flat) == [4, 5, 6, 7]
 
 
 # ---------------------------------------------------------------------------
