@@ -266,6 +266,15 @@ class Clause:
         canon = tuple(sorted(set(self.literals), key=literal_key))
         object.__setattr__(self, "literals", canon)
 
+    @classmethod
+    def _canonical(cls, cid: int, literals: tuple[Literal, ...]) -> "Clause":
+        """A clause from literals that are already distinct and in canonical
+        order, kept as given: for a reader that sorts them itself."""
+        clause = object.__new__(cls)
+        object.__setattr__(clause, "id", cid)
+        object.__setattr__(clause, "literals", literals)
+        return clause
+
     def __len__(self) -> int:
         return len(self.literals)
 

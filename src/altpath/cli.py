@@ -23,6 +23,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 from altpath.clauses import ClauseSet, Literal, number_atoms
 from altpath.dpll import (
@@ -191,10 +192,9 @@ def cmd_filter(cfg: argparse.Namespace) -> int:
     if cfg.csv:
         with open(cfg.csv, "w") as fh:
             fh.write(dmaps[0].to_csv())
-    histogram: dict[str, int] = {}
+    histogram: Counter[str] = Counter()
     if len(dmaps) == 1:
-        for d in dmaps[0].clause_distance.values():
-            histogram[_show(d)] = histogram.get(_show(d), 0) + 1
+        histogram.update(map(_show, dmaps[0].clause_distance.values()))
     if cfg.json_out:
         _json_dump(
             {
@@ -507,20 +507,19 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
     b = _occurrence_bound(cs)
     k = max((len(c) for c in cs.clauses), default=0)
-    payload = {
-        "clauses": len(cs),
-        "atoms": len(number_atoms(cs)[0]),
-        "b": b,
-        "k": k,
-    }
+    payload = {"clauses": len(cs), "b": b, "k": k}
     if cfg.supports or cfg.bound is not None:
         if cfg.bound is None:
             raise ValueError("--bound is needed to print the size budget")
         support = _single_support(cs, cfg, fmt)
-        dmap = bfs_from_support(build_graph(cs, _graph_mode(cfg)), support, bound=cfg.bound)
+        graph = build_graph(cs, _graph_mode(cfg))
+        dmap = bfs_from_support(graph, support, bound=cfg.bound)
+        payload["atoms"] = len(graph.first)  # the graph numbers the atoms
         payload["support"] = len(support)
         payload["relevant"] = len(dmap.relevant_ids(cfg.bound))
         payload["budget"] = _growth_budget(len(support), b, k, cfg.bound)
+    else:
+        payload["atoms"] = len(number_atoms(cs)[0])
     if cfg.json_out:
         _json_dump(payload)
     else:

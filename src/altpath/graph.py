@@ -35,8 +35,11 @@ occurrences of -x; only pairs with a non-ground side reach the unifier.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from altpath.clauses import ClauseSet, Literal, complementary_unifiable, number_atoms
@@ -54,8 +57,10 @@ class RelevanceGraph:
     partner index.
 
     Node layout: occurrence i owns in-node 2i and out-node 2i+1.
-    Occurrences are numbered in the canonical clause/literal order, and
-    ``occs_by_clause`` maps each clause id to the range of its occurrences.
+    Occurrences are numbered in the canonical clause/literal order.
+    ``clause_of`` gives each occurrence's clause index (its position in the
+    set), ``clause_occs`` each clause index's range of occurrences, and
+    ``occs_by_clause`` the same range by clause id.
     The mode only decides how ``edge_count`` and ``node_count`` count the
     linking edges; no edge list is ever built.
 
@@ -77,10 +82,12 @@ class RelevanceGraph:
         self.clause_set = cs
         self.mode = mode
         self.occurrences = [(c.id, lit) for c in cs.clauses for lit in c.literals]
-        self.occs_by_clause: dict[int, range] = {}
+        self.clause_of: list[int] = []  # by occurrence: its clause's index
+        self.clause_occs: list[range] = []  # by clause index
         start = 0
-        for c in cs.clauses:
-            self.occs_by_clause[c.id] = range(start, start + len(c.literals))
+        for ci, c in enumerate(cs.clauses):
+            self.clause_occs.append(range(start, start + len(c.literals)))
+            self.clause_of += [ci] * len(c.literals)
             start += len(c.literals)
         self.first, self.rows = number_atoms(cs)
         self.lit_of = list(chain.from_iterable(self.rows))
@@ -101,6 +108,10 @@ class RelevanceGraph:
                             self.open.setdefault(key, []).append(x)
         self._partners: list[list[int] | None] = [None] * len(self.occs)
         self._unifies: dict[tuple[int, int], bool] = {}
+
+    @cached_property
+    def occs_by_clause(self) -> dict[int, range]:
+        return dict(zip(self.clause_set.ids(), self.clause_occs))
 
     def partners_of(self, i: int) -> list[int]:
         """The occurrences whose literal complement-unifies with that of
@@ -140,7 +151,7 @@ class RelevanceGraph:
 
     @property
     def edge_count(self) -> int:
-        switching = sum(len(r) * (len(r) - 1) for r in self.occs_by_clause.values())
+        switching = sum(len(r) * (len(r) - 1) for r in self.clause_occs)
         return switching + self._linking()[0]
 
     def _linking(self) -> tuple[int, int]:
@@ -246,22 +257,66 @@ def check_alternating_path(cs: ClauseSet, path: AlternatingPath) -> None:
 # Distances
 
 
+# a node the search has not reached, in its distance list
+_UNSET = sys.maxsize
+
+
+class _Reached(Mapping):
+    """Read-only view of a search list indexed by node: each node whose
+    entry is not ``unset``, ascending, with its entry."""
+
+    __slots__ = ("_values", "_unset", "_len")
+
+    def __init__(self, values: list[int], unset: int):
+        self._values = values
+        self._unset = unset
+        self._len: int | None = None
+
+    def __getitem__(self, node: int) -> int:
+        if isinstance(node, int) and 0 <= node < len(self._values):
+            value = self._values[node]
+            if value != self._unset:
+                return value
+        raise KeyError(node)
+
+    def __iter__(self):
+        unset = self._unset
+        return (node for node, value in enumerate(self._values) if value != unset)
+
+    def __len__(self) -> int:
+        if self._len is None:
+            self._len = len(self._values) - self._values.count(self._unset)
+        return self._len
+
+
 @dataclass
 class DistanceMap:
     """Result of a relevance search from a support set.
 
     ``clause_distance`` maps every clause id to its distance (INF when
-    unreachable).  Node-level distances/predecessors are kept for witness
-    extraction.  ``bound`` is set when the map came from a bounded search, in
-    which case distances beyond the bound are reported as INF.
+    unreachable).  ``dist`` and ``parent`` are the search's lists indexed
+    by node: a reached node's number of clause entries and the node it was
+    reached from (``_UNSET`` and -1 where there is none).  They are kept for
+    witness extraction; ``node_distance`` and ``node_parent`` show them as
+    read-only mappings of the reached nodes.  ``bound`` is set when the map
+    came from a bounded search, in which case distances beyond the bound
+    are reported as INF.
     """
 
     graph: RelevanceGraph
     support: frozenset[int]
     clause_distance: dict[int, float]
-    node_distance: dict[int, int]
-    node_parent: dict[int, int]
+    dist: list[int]
+    parent: list[int]
     bound: int | None = None
+
+    @cached_property
+    def node_distance(self) -> Mapping[int, int]:
+        return _Reached(self.dist, _UNSET)
+
+    @cached_property
+    def node_parent(self) -> Mapping[int, int]:
+        return _Reached(self.parent, -1)
 
     def distance(self, cid: int) -> float:
         try:
@@ -283,17 +338,13 @@ class DistanceMap:
             raise ValueError(f"clause c{cid} is unreachable from the support set")
         if cid in self.support:
             return AlternatingPath((cid,), ())
-        graph = self.graph
-        best: int | None = None
-        for i in graph.occs_by_clause[cid]:
-            node = 2 * i
-            if node in self.node_distance:
-                if best is None or self.node_distance[node] < self.node_distance[best]:
-                    best = node
-        assert best is not None, "finite distance but no reached in-node"
+        graph, dist, parent = self.graph, self.dist, self.parent
+        # the first of the clause's in-nodes at its least distance
+        best = min((2 * i for i in graph.occs_by_clause[cid]), key=dist.__getitem__)
+        assert dist[best] != _UNSET, "finite distance but no reached in-node"
         chain = [best]
-        while chain[-1] in self.node_parent:
-            chain.append(self.node_parent[chain[-1]])
+        while parent[chain[-1]] >= 0:
+            chain.append(parent[chain[-1]])
         chain.reverse()
         clause_ids: list[int] = []
         links: list[tuple[Literal, Literal]] = []
@@ -319,20 +370,6 @@ class DistanceMap:
         return "\n".join(lines) + "\n"
 
 
-def _clause_distances(graph: RelevanceGraph, support: frozenset[int],
-                      node_distance: dict[int, int]) -> dict[int, float]:
-    entered: dict[int, float] = {}
-    for node, d in node_distance.items():
-        if not node & 1:
-            cid = graph.occurrences[node >> 1][0]
-            if d < entered.get(cid, INF):
-                entered[cid] = d
-    # the in-node level counts clauses entered after the support clause, so
-    # the connection contains one more clause than that
-    return {c.id: 1 if c.id in support else 1 + entered.get(c.id, INF)
-            for c in graph.clause_set.clauses}
-
-
 def bfs_from_support(graph: RelevanceGraph, support_ids,
                      bound: int | None = None) -> DistanceMap:
     """Distances of every clause from the support set, or of those within
@@ -343,64 +380,83 @@ def bfs_from_support(graph: RelevanceGraph, support_ids,
     costs nothing, so a node's distance is the number of clauses entered.
     Successors come from the partner index and the clause's occurrences, so
     no edge is formed outside the part of the graph the search reaches.
+    Distances and parents sit in lists indexed by node, the expanded
+    literals in one indexed by signed literal number, and the clause state
+    in lists indexed by clause.
 
-    Nodes are popped in nondecreasing distance, and all occurrences of a
-    literal share one partner list, so only the first out-node popped per
-    distinct literal is expanded: the others could only tie.  With a bound
-    k, nothing is expanded past nodes k-1 clause entries deep, and distances
-    beyond k are reported as INF.
+    Nodes are popped in nondecreasing distance.  In-nodes are only reached
+    at cost one and out-nodes at cost zero, so the first distance a node
+    gets is final and each node is queued once.  That prunes twice:
+
+    - All occurrences of a literal share one partner list, so only the
+      first out-node popped per distinct literal is expanded: the others
+      could only tie.
+    - Once a clause has been switched from two of its in-nodes, each of its
+      out-nodes is as near as it can get: the first switch settles all but
+      the first in-node's own out-node, the second settles that one.  So no
+      later in-node of the clause is expanded, and a support clause, whose
+      out-nodes start at 0, counts as switched twice.
+
+    A clause's distance is fixed at the first pop of one of its in-nodes,
+    which is at its least in-node distance.  With a bound k, nothing is
+    expanded past nodes k-1 clause entries deep, and distances beyond k are
+    reported as INF.
     """
     support = graph.clause_set.check_support(support_ids)
     if bound is not None and bound < 1:
         raise ValueError("relevance level must be >= 1")
     stop = INF if bound is None else bound - 1
-    occurrences, by_clause = graph.occurrences, graph.occs_by_clause
-    lit_of = graph.lit_of
-    expanded: set[int] = set()  # distinct literals whose partners were entered
-    node_distance: dict[int, int] = {}
-    node_parent: dict[int, int] = {}
+    lit_of, clause_of, clause_occs = graph.lit_of, graph.clause_of, graph.clause_occs
+    clauses = graph.clause_set.clauses
+    dist = [_UNSET] * (2 * len(lit_of))
+    parent = [-1] * len(dist)
+    expanded = bytearray(len(graph.occs))  # by signed literal number
+    clause_distance: list[float] = [INF] * len(clauses)
+    switches = bytearray(len(clauses))  # in-nodes each clause was switched from
     queue: deque[int] = deque()
-    for c in graph.clause_set.clauses:
+    for ci, c in enumerate(clauses):
         if c.id in support:
-            for i in by_clause[c.id]:
-                node = 2 * i + 1
-                node_distance[node] = 0
-                queue.append(node)
+            clause_distance[ci] = 1
+            switches[ci] = 2
+            for i in clause_occs[ci]:
+                dist[2 * i + 1] = 0
+                queue.append(2 * i + 1)
     while queue:
         node = queue.popleft()
-        d = node_distance[node]
-        if d >= stop:
-            # in-nodes this deep belong to level-k clauses and anything
-            # reached from here would lie beyond the bound
-            continue
+        d = dist[node]
         occ = node >> 1
         if node & 1:  # out-node: enter the clauses of the literal's partners
             x = lit_of[occ]
-            if x in expanded:
+            if d >= stop or expanded[x]:
                 continue
-            expanded.add(x)
+            expanded[x] = 1
             d += 1
             for j in graph.partners_of(occ):
                 succ = 2 * j
-                if succ not in node_distance or d < node_distance[succ]:
-                    node_distance[succ] = d
-                    node_parent[succ] = node
+                if d < dist[succ]:
+                    dist[succ] = d
+                    parent[succ] = node
                     queue.append(succ)
         else:  # in-node: switch to the clause's other literals
-            for j in by_clause[occurrences[occ][0]]:
+            ci = clause_of[occ]
+            if clause_distance[ci] == INF:
+                # the in-node level counts clauses entered after the support
+                # clause, so the connection holds one more clause than that
+                clause_distance[ci] = d + 1
+            # in-nodes this deep belong to level-k clauses and anything
+            # reached from here would lie beyond the bound
+            if d >= stop or switches[ci] == 2:
+                continue
+            switches[ci] += 1
+            for j in clause_occs[ci]:
                 succ = 2 * j + 1
-                if j != occ and (succ not in node_distance or d < node_distance[succ]):
-                    node_distance[succ] = d
-                    node_parent[succ] = node
+                if j != occ and d < dist[succ]:
+                    dist[succ] = d
+                    parent[succ] = node
                     queue.appendleft(succ)
-    return DistanceMap(
-        graph,
-        support,
-        _clause_distances(graph, support, node_distance),
-        node_distance,
-        node_parent,
-        bound=bound,
-    )
+    ids = [c.id for c in clauses]
+    return DistanceMap(graph, support, dict(zip(ids, clause_distance)), dist, parent,
+                       bound=bound)
 
 
 # ---------------------------------------------------------------------------

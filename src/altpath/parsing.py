@@ -11,7 +11,7 @@ import os
 import re
 from dataclasses import dataclass
 
-from altpath.clauses import App, ClauseSet, Literal, Term, Var, keyed_literal
+from altpath.clauses import App, Clause, ClauseSet, Literal, Term, Var, keyed_literal
 
 
 class ParseError(ValueError):
@@ -46,19 +46,23 @@ _PROBLEM_LINE = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)")
 def parse_dimacs(data: str | bytes, source: str | None = None) -> ClauseSet:
     """Parse DIMACS CNF.  Atoms are named by their variable index.
 
-    Well-formed input is read in one pass over its integers; anything else
-    is read again line by line, which locates the error.  Each distinct
-    literal is one ``Literal`` object.
+    Well-formed input is read in one pass over its integers, which also
+    puts each clause in canonical order (positive literals first, then by
+    variable number) and fills the predicate table, so each clause is built
+    once and no symbol is checked again.  Anything else is read again line
+    by line, which locates the error.  Each distinct literal is one
+    ``Literal`` object.
     """
     text = _decode(data)
-    groups = _dimacs_fast(text)
-    if groups is None:
-        groups = _dimacs_lines(text, source)
-    return ClauseSet.from_groups(groups)
+    cs = _dimacs_fast(text)
+    if cs is None:
+        cs = ClauseSet.from_groups(_dimacs_lines(text, source))
+    return cs
 
 
-def _dimacs_fast(text: str) -> list[list[Literal]] | None:
-    """Clause groups of well-formed DIMACS, or None to defer to the line reader."""
+def _dimacs_fast(text: str) -> ClauseSet | None:
+    """The clause set of well-formed DIMACS, or None to defer to the line
+    reader."""
     lines = text.splitlines()
     for start, raw in enumerate(lines):
         line = raw.strip()
@@ -82,15 +86,26 @@ def _dimacs_fast(text: str) -> list[list[Literal]] | None:
         return None
     if ints and (ints[-1] != 0 or max(ints) > n_vars or -min(ints) > n_vars):
         return None
-    lit_of = {v: keyed_literal(v > 0, str(abs(v))) for v in set(ints) if v}
-    groups: list[list[Literal]] = []
-    begin = 0
-    for end in [i for i, v in enumerate(ints) if not v]:
-        groups.append([lit_of[v] for v in ints[begin:end]])
-        begin = end + 1
-    if len(groups) != declared:
+    ends = [i for i, v in enumerate(ints) if not v]
+    if len(ends) != declared:
         return None
-    return groups
+    # literal v as a number in canonical order: v itself when positive, past
+    # every positive one when negative (a zero's number is never read)
+    codes = [v if v > 0 else n_vars - v for v in ints]
+    lit_of = {v if v > 0 else n_vars - v: keyed_literal(v > 0, str(abs(v)))
+              for v in set(ints) if v}
+    clauses: list[Clause] = []
+    read: list[int] = []  # every clause's numbers, in clause order
+    make, literal = Clause._canonical, lit_of.__getitem__
+    begin = 0
+    for cid, end in enumerate(ends, 1):
+        row = sorted(set(codes[begin:end]))
+        read += row
+        clauses.append(make(cid, tuple(map(literal, row))))
+        begin = end + 1
+    # each symbol has arity 0 and is registered at its first occurrence
+    predicates = dict.fromkeys((lit_of[c].pred for c in dict.fromkeys(read)), 0)
+    return ClauseSet(clauses, predicates=predicates)
 
 
 def _dimacs_lines(text: str, source: str | None) -> list[list[Literal]]:

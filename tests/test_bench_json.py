@@ -31,7 +31,7 @@ def _write(directory, workload, seed, rps, rss, digest="d", trace=0, commit="abc
         "metrics": metrics,
         "requests": {"counters_digest": digest, "failed": 0, "wrong": 0},
     }
-    directory.mkdir(exist_ok=True)
+    directory.mkdir(parents=True, exist_ok=True)
     (directory / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(result))
 
 
@@ -77,3 +77,20 @@ def test_claim_not_met_below_nine_tenths(tmp_path):
     out = bench_json.summarise(bench_json.load_runs(str(parent)),
                                bench_json.load_runs(str(change)), BENCH, ["w:requests_per_s"])
     assert not out["claims"]["w:requests_per_s"]["met"]
+
+
+def test_repeats_at_one_seed_pair_by_subdirectory(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for i in range(10):
+        _write(parent / f"r{i}", "w", 1, 10.0 + i, 1.0)
+        _write(change / f"r{i}", "w", 1, 11.0 + i, 1.0)
+    _write(parent / "r0", "w", 1, 1.0, 1.0, trace=1)
+    _write(change / "r0", "w", 1, 1.0, 1.0, trace=1)
+    _write(change / "r10", "w", 1, 99.0, 1.0)  # no parent run to pair with
+    out = bench_json.summarise(bench_json.load_runs(str(parent)),
+                               bench_json.load_runs(str(change)), BENCH, ["w:requests_per_s"])
+    entry = out["workloads"]["w"]
+    assert entry["seeds"] == [1] * 10
+    assert entry["metrics"]["requests_per_s"]["change_wins"] == 10
+    assert entry["metrics"]["requests_per_s"]["change"]["median"] == 15.5
+    assert list(out["traced"]) == ["w-seed1-r0"]

@@ -577,7 +577,8 @@ DIFFERENTIAL = list(_differential_sets())
 def test_search_matches_reference_bfs(name, cs):
     """Node distances and parents (first-order wiring), clause distances and
     every witness (both wirings), for the full search and for each bound up
-    to one past the farthest level."""
+    to one past the farthest level.  The node maps match as mappings: their
+    order is not part of the result."""
     support = random.Random(name).sample(cs.ids(), 2)
     modes = (FIRST_ORDER, PROPOSITIONAL_HUB) if cs.is_ground() else (FIRST_ORDER,)
     for mode in modes:
@@ -591,8 +592,16 @@ def test_search_matches_reference_bfs(name, cs):
             want, nodes, parents = reference_bfs(graph, wired, support, bound)
             assert got.clause_distance == want, (mode, bound)
             if mode == FIRST_ORDER:
-                assert list(got.node_distance.items()) == list(nodes.items()), bound
-                assert list(got.node_parent.items()) == list(parents.items()), bound
+                assert dict(got.node_distance) == nodes, bound
+                assert dict(got.node_parent) == parents, bound
+                # the node maps are views: they count and refuse without a dict
+                assert len(got.node_distance) == len(nodes), bound
+                assert len(got.node_parent) == len(parents), bound
+                unreached = [n for n in range(2 * len(graph.occurrences)) if n not in nodes]
+                for node in (-1, 2 * len(graph.occurrences), "0", *unreached):
+                    with pytest.raises(KeyError):
+                        got.node_distance[node]
+                    assert node not in got.node_distance
             for cid, d in want.items():
                 if d < INF:
                     ref = reference_witness(graph, support, nodes, parents, cid)

@@ -161,6 +161,7 @@ FIXED_DIMACS = [
     "p cnf 5 2\n-05 1 0\n 2\n\n3 0\n",
     "c head\np  cnf 3 2\nc mid\n1 -2 0\n  c indented comment\n-3 0\n",
     "p cnf 2 2\n1 1 -1 0 0\n",
+    "p cnf 12 1\n-10 9 -2 12 9 0\n",
     # error cases of test_parsing.py
     "p cnf x 2\n1 0\n",
     "p cnf 2 1\n3 0\n",
@@ -202,6 +203,42 @@ def test_fast_dimacs_matches_line_reader_on_generated_sets(seed):
         for text in (printed, commented, spread):
             kind, _ = _assert_same(parse_dimacs, text)
             assert kind == "ok"
+
+
+def _scrambled_dimacs(seed: int) -> str:
+    """DIMACS over 10-200 variables, so that numeric and string order
+    differ, with each clause's literals shuffled, some repeated, some
+    tautologies and some empty clauses."""
+    rng = random.Random(seed)
+    n_vars = rng.randint(10, 200)
+    rows = []
+    for _ in range(rng.randint(20, 80)):
+        row = [rng.choice((1, -1)) * rng.randint(1, n_vars)
+               for _ in range(rng.choice((0, 1, 2, 3, 5, 8)))]
+        if row and rng.random() < 0.3:
+            row.append(row[0])
+        if row and rng.random() < 0.2:
+            row.append(-row[-1])
+        rng.shuffle(row)
+        rows.append(row)
+    return f"p cnf {n_vars} {len(rows)}\n" + "".join(" ".join(map(str, r + [0])) + "\n"
+                                                   for r in rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fast_dimacs_builds_canonical_clauses_on_scrambled_texts(seed, monkeypatch):
+    """The fast reader sorts and merges each clause itself; the clauses it
+    builds are the ones ``Clause`` would make, without a second sort."""
+    text = _scrambled_dimacs(seed)
+    kind, _ = _assert_same(parse_dimacs, text)
+    assert kind == "ok"
+
+    def broken(*args, **kwargs):
+        raise AssertionError("fell back to the line reader")
+
+    monkeypatch.setattr(parsing, "_dimacs_lines", broken)
+    for c in parse_dimacs(text).clauses:
+        assert Clause(c.id, c.literals) == c
 
 
 @pytest.mark.parametrize("text", FIXED_TPTP)

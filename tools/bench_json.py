@@ -6,7 +6,9 @@ pairs the runs of each workload by seed, and writes for every end-to-end
 metric of ``BENCHMARK.json`` each side's median and quartiles, the pairs
 the change wins, and whether its median stays within the metric's bound.
 Traced runs (``--trace 1``) present on both sides add their per-layer
-metrics side by side.
+metrics side by side.  Runs repeated at one seed go one level down, in one
+subdirectory per repeat with the same name on both sides, and pair by seed
+and subdirectory.
 
     python3 tools/bench_json.py --pr N \\
         --parent PARENT/perfbench/out/results --change CHANGE/perfbench/out/results \\
@@ -31,15 +33,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_NAME = re.compile(r"(?P<workload>[\w-]+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
 
 
-def load_runs(directory: str) -> dict[tuple[str, int, int], dict]:
-    """(workload, seed, trace) -> result file contents."""
+def load_runs(directory: str) -> dict[tuple[str, int, int, str], dict]:
+    """(workload, seed, trace, repeat) -> result file contents; the repeat
+    is the subdirectory a file sits in, or "" for the directory itself."""
     runs = {}
-    for path in glob.glob(os.path.join(directory, "*.json")):
-        m = RESULT_NAME.search(os.path.basename(path))
-        if m is None:
-            continue
-        with open(path, encoding="utf-8") as fh:
-            runs[m["workload"], int(m["seed"]), int(m["trace"])] = json.load(fh)
+    for pattern in ("*.json", os.path.join("*", "*.json")):
+        for path in glob.glob(os.path.join(directory, pattern)):
+            m = RESULT_NAME.search(os.path.basename(path))
+            if m is None:
+                continue
+            repeat = os.path.dirname(os.path.relpath(path, directory))
+            with open(path, encoding="utf-8") as fh:
+                runs[m["workload"], int(m["seed"]), int(m["trace"]), repeat] = json.load(fh)
     return runs
 
 
@@ -99,12 +104,12 @@ def summarise(parent: dict, change: dict, bench: dict, claims: list[str]) -> dic
     out: dict = {"workloads": {}, "traced": {}}
     all_parent, all_change = [], []
     for workload in sorted({k[0] for k in parent}):
-        seeds = sorted(s for (w, s, t) in parent if w == workload and t == 0
-                       and (w, s, 0) in change)
-        if not seeds:
+        pairs = sorted((s, r) for (w, s, t, r) in parent if w == workload and t == 0
+                       and (w, s, 0, r) in change)
+        if not pairs:
             continue
-        p_runs = [parent[workload, s, 0] for s in seeds]
-        c_runs = [change[workload, s, 0] for s in seeds]
+        p_runs = [parent[workload, s, 0, r] for s, r in pairs]
+        c_runs = [change[workload, s, 0, r] for s, r in pairs]
         all_parent += p_runs
         all_change += c_runs
         rows = {}
@@ -116,7 +121,7 @@ def summarise(parent: dict, change: dict, bench: dict, claims: list[str]) -> dic
         same_work = sum(p["requests"]["counters_digest"] == c["requests"]["counters_digest"]
                         for p, c in zip(p_runs, c_runs))
         out["workloads"][workload] = {
-            "seeds": seeds,
+            "seeds": [s for s, _ in pairs],
             "run_seconds": sorted({r["env"]["seconds"] for r in p_runs + c_runs}),
             "failed": {"parent": sum(r["requests"]["failed"] for r in p_runs),
                        "change": sum(r["requests"]["failed"] for r in c_runs)},
@@ -125,11 +130,11 @@ def summarise(parent: dict, change: dict, bench: dict, claims: list[str]) -> dic
             "counters_digest_equal_pairs": same_work,
             "metrics": rows,
         }
-    for workload, seed, trace in sorted(parent):
-        if trace != 1 or (workload, seed, 1) not in change:
+    for workload, seed, trace, repeat in sorted(parent):
+        if trace != 1 or (workload, seed, 1, repeat) not in change:
             continue
-        p_run, c_run = parent[workload, seed, 1], change[workload, seed, 1]
-        out["traced"][f"{workload}-seed{seed}"] = {
+        p_run, c_run = parent[workload, seed, 1, repeat], change[workload, seed, 1, repeat]
+        out["traced"][f"{workload}-seed{seed}" + (f"-{repeat}" if repeat else "")] = {
             "counters_digest": {"parent": p_run["requests"]["counters_digest"],
                                 "change": c_run["requests"]["counters_digest"]},
             "metrics": {name: {"parent": p_run["metrics"][name]["value"],
