@@ -24,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from collections.abc import Callable
 
 from altpath.clauses import ClauseSet, Literal, number_atoms
 from altpath.dpll import (
@@ -97,7 +98,7 @@ def resolve_support(cs: ClauseSet, spec: str | None, fmt: str) -> list[int]:
 
     Specs: role:<role>, pos, neg, ids:<comma list>, file:<path of ids>.
     Default: negated_conjecture clauses for TPTP, all-negative clauses for
-    DIMACS.
+    DIMACS.  Each id is returned once, in first-seen order.
     """
     if spec is None:
         spec = "role:negated_conjecture" if fmt == "tptp" else "neg"
@@ -117,6 +118,7 @@ def resolve_support(cs: ClauseSet, spec: str | None, fmt: str) -> list[int]:
         raise ValueError(
             f"unknown support spec {spec!r} (use role:<r>, pos, neg, ids:<list> or file:<path>)"
         )
+    ids = list(dict.fromkeys(ids))
     cs.check_support(ids)
     if not ids:
         raise ValueError(f"support spec {spec!r} selects no clauses")
@@ -150,14 +152,14 @@ def _graph_mode(cfg: argparse.Namespace) -> str:
     return PROPOSITIONAL_HUB if cfg.hub else FIRST_ORDER
 
 
-def _emit(cfg: argparse.Namespace, text: str) -> None:
-    # with --json and no --output the payload is dropped: the JSON line is
-    # the whole stdout contract then
+def _emit(cfg: argparse.Namespace, text: Callable[[], str]) -> None:
+    # with --json and no --output the payload is dropped, and so never
+    # built: the JSON line is the whole stdout contract then
     if cfg.output:
         with open(cfg.output, "w") as fh:
-            fh.write(text)
+            fh.write(text())
     elif not cfg.json_out:
-        sys.stdout.write(text)
+        sys.stdout.write(text())
 
 
 def _json_dump(payload) -> None:
@@ -184,11 +186,15 @@ def cmd_filter(cfg: argparse.Namespace) -> int:
         raise ValueError("--csv needs a single support set")
     supports = [resolve_support(cs, spec, fmt) for spec in specs]
     graph = build_graph(cs, _graph_mode(cfg))
-    dmaps = [bfs_from_support(graph, support) for support in supports]
+    # several supports print no histogram or CSV, so their searches need
+    # only the levels up to the bound
+    bound = cfg.bound if len(supports) > 1 else None
+    dmaps = [bfs_from_support(graph, support, bound=bound) for support in supports]
     # the clauses within the bound of every support set
     keep = set.intersection(*(set(d.relevant_ids(cfg.bound)) for d in dmaps))
     sub = cs.subset(keep)
-    _emit(cfg, print_format(sub, fmt))
+    support_ids = set().union(*supports)
+    _emit(cfg, lambda: print_format(sub, fmt))
     if cfg.csv:
         with open(cfg.csv, "w") as fh:
             fh.write(dmaps[0].to_csv())
@@ -200,7 +206,7 @@ def cmd_filter(cfg: argparse.Namespace) -> int:
             {
                 "input_clauses": total,
                 "after_purity": len(cs) if cfg.purity else None,
-                "support": sorted(set().union(*map(set, supports))),
+                "support": sorted(support_ids),
                 "bound": cfg.bound,
                 "relevant": len(sub),
                 "histogram": histogram,
@@ -211,7 +217,7 @@ def cmd_filter(cfg: argparse.Namespace) -> int:
     print(f"input clauses: {total}", file=out)
     if cfg.purity:
         print(f"after purity: {len(cs)}", file=out)
-    print(f"support clauses: {sum(len(s) for s in supports)}", file=out)
+    print(f"support clauses: {len(support_ids)}", file=out)
     print(f"relevant at {cfg.bound}: {len(sub)}", file=out)
     for key in sorted(histogram, key=lambda s: (s == "inf", len(s), s)):
         label = "unreachable" if key == "inf" else f"distance {key}"
@@ -564,7 +570,7 @@ def cmd_split(cfg: argparse.Namespace) -> int:
         f"% split c{plan.clause_id} on {plan.var} into {len(kids)} clauses"
         f" ({'binary' if cfg.binary else 'full'})\n"
     )
-    _emit(cfg, header + print_tptp(flat))
+    _emit(cfg, lambda: header + print_tptp(flat))
     if cfg.json_out:
         _json_dump(
             {
@@ -601,7 +607,7 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
         fmt = "tptp" if cfg.first_order else "dimacs"
     else:
         raise ValueError(f"unknown family {cfg.family!r}")
-    _emit(cfg, print_format(cs, fmt))
+    _emit(cfg, lambda: print_format(cs, fmt))
     return 0
 
 

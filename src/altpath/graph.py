@@ -57,9 +57,11 @@ class RelevanceGraph:
     partner index.
 
     Node layout: occurrence i owns in-node 2i and out-node 2i+1.
-    Occurrences are numbered in the canonical clause/literal order.
-    ``clause_of`` gives each occurrence's clause index (its position in the
-    set), ``clause_occs`` each clause index's range of occurrences, and
+    Occurrences are numbered in the canonical clause/literal order, and
+    every reader of the graph uses the one layout of flat lists indexed by
+    occurrence: ``literals`` gives each occurrence's literal and
+    ``clause_of`` its clause index (its position in the set).
+    ``clause_occs`` gives each clause index's range of occurrences, and
     ``occs_by_clause`` the same range by clause id.
     The mode only decides how ``edge_count`` and ``node_count`` count the
     linking edges; no edge list is ever built.
@@ -81,14 +83,14 @@ class RelevanceGraph:
     def __init__(self, cs: ClauseSet, mode: str = FIRST_ORDER):
         self.clause_set = cs
         self.mode = mode
-        self.occurrences = [(c.id, lit) for c in cs.clauses for lit in c.literals]
+        self.literals: list[Literal] = []  # by occurrence
         self.clause_of: list[int] = []  # by occurrence: its clause's index
         self.clause_occs: list[range] = []  # by clause index
-        start = 0
         for ci, c in enumerate(cs.clauses):
-            self.clause_occs.append(range(start, start + len(c.literals)))
+            start = len(self.literals)
+            self.literals += c.literals
+            self.clause_occs.append(range(start, len(self.literals)))
             self.clause_of += [ci] * len(c.literals)
-            start += len(c.literals)
         self.first, self.rows = number_atoms(cs)
         self.lit_of = list(chain.from_iterable(self.rows))
         # indexed by signed number: -x sits at 2n+1-x, past every atom number
@@ -120,8 +122,8 @@ class RelevanceGraph:
         found = self._partners[x]
         if found is not None:
             return found
-        occs, occurrences, unifies = self.occs, self.occurrences, self._unifies
-        key = (occurrences[i][1].pred, x < 0)
+        occs, literals, unifies = self.occs, self.literals, self._unifies
+        key = (literals[i].pred, x < 0)
         if self.ground[abs(x)]:
             runs = [occs[-x]]
             candidates = self.open.get(key, ())
@@ -133,7 +135,7 @@ class RelevanceGraph:
             hit = unifies.get(pair)
             if hit is None:
                 hit = unifies[pair] = complementary_unifiable(
-                    occurrences[occs[pair[0]][0]][1], occurrences[occs[pair[1]][0]][1])
+                    literals[occs[pair[0]][0]], literals[occs[pair[1]][0]])
             if hit:
                 runs.append(occs[y])
         runs = [run for run in runs if run]
@@ -147,7 +149,7 @@ class RelevanceGraph:
 
     @property
     def node_count(self) -> int:
-        return 2 * len(self.occurrences) + self._linking()[1]
+        return 2 * len(self.literals) + self._linking()[1]
 
     @property
     def edge_count(self) -> int:
@@ -262,30 +264,28 @@ _UNSET = sys.maxsize
 
 
 class _Reached(Mapping):
-    """Read-only view of a search list indexed by node: each node whose
-    entry is not ``unset``, ascending, with its entry."""
+    """Read-only view of a search's distance list: each reached node,
+    ascending, with its distance."""
 
-    __slots__ = ("_values", "_unset", "_len")
+    __slots__ = ("_values", "_len")
 
-    def __init__(self, values: list[int], unset: int):
+    def __init__(self, values: list[int]):
         self._values = values
-        self._unset = unset
         self._len: int | None = None
 
     def __getitem__(self, node: int) -> int:
         if isinstance(node, int) and 0 <= node < len(self._values):
             value = self._values[node]
-            if value != self._unset:
+            if value != _UNSET:
                 return value
         raise KeyError(node)
 
     def __iter__(self):
-        unset = self._unset
-        return (node for node, value in enumerate(self._values) if value != unset)
+        return (node for node, value in enumerate(self._values) if value != _UNSET)
 
     def __len__(self) -> int:
         if self._len is None:
-            self._len = len(self._values) - self._values.count(self._unset)
+            self._len = len(self._values) - self._values.count(_UNSET)
         return self._len
 
 
@@ -297,10 +297,11 @@ class DistanceMap:
     unreachable).  ``dist`` and ``parent`` are the search's lists indexed
     by node: a reached node's number of clause entries and the node it was
     reached from (``_UNSET`` and -1 where there is none).  They are kept for
-    witness extraction; ``node_distance`` and ``node_parent`` show them as
-    read-only mappings of the reached nodes.  ``bound`` is set when the map
-    came from a bounded search, in which case distances beyond the bound
-    are reported as INF.
+    witness extraction, which reads each node's clause and literal from the
+    graph's ``clause_of`` and ``literals``; ``node_distance`` shows ``dist``
+    as a read-only mapping of the reached nodes.  ``bound`` is set when the
+    map came from a bounded search, in which case distances beyond the
+    bound are reported as INF.
     """
 
     graph: RelevanceGraph
@@ -312,11 +313,7 @@ class DistanceMap:
 
     @cached_property
     def node_distance(self) -> Mapping[int, int]:
-        return _Reached(self.dist, _UNSET)
-
-    @cached_property
-    def node_parent(self) -> Mapping[int, int]:
-        return _Reached(self.parent, -1)
+        return _Reached(self.dist)
 
     def distance(self, cid: int) -> float:
         try:
@@ -339,6 +336,7 @@ class DistanceMap:
         if cid in self.support:
             return AlternatingPath((cid,), ())
         graph, dist, parent = self.graph, self.dist, self.parent
+        clauses, clause_of, literals = graph.clause_set.clauses, graph.clause_of, graph.literals
         # the first of the clause's in-nodes at its least distance
         best = min((2 * i for i in graph.occs_by_clause[cid]), key=dist.__getitem__)
         assert dist[best] != _UNSET, "finite distance but no reached in-node"
@@ -350,7 +348,7 @@ class DistanceMap:
         links: list[tuple[Literal, Literal]] = []
         pending_exit: Literal | None = None
         for node in chain:
-            occ_cid, lit = graph.occurrences[node // 2]
+            occ_cid, lit = clauses[clause_of[node // 2]].id, literals[node // 2]
             if node % 2 == 1:  # out-node
                 if not clause_ids:
                     clause_ids.append(occ_cid)
@@ -469,35 +467,30 @@ def purity_filter(cs: ClauseSet) -> ClauseSet:
 
     Ids of surviving clauses are preserved.  The result is the greatest
     fixpoint: every literal of every surviving clause has a live partner.
+    It runs on the graph's occurrence layout, with clauses named by their
+    index in the set and one list saying which are still alive.
     """
     graph = RelevanceGraph(cs)
-    occs, occs_by_clause = graph.occurrences, graph.occs_by_clause
+    clause_of, clause_occs = graph.clause_of, graph.clause_occs
     # the partner relation is symmetric, so partners[i] also lists the
     # occurrences that lose a partner when occurrence i dies
-    partners = [graph.partners_of(i) for i in range(len(occs))]
+    partners = [graph.partners_of(i) for i in range(len(clause_of))]
     partner_count = [len(p) for p in partners]
 
-    alive = {c.id for c in cs.clauses}
+    alive = [True] * len(clause_occs)  # by clause index
     worklist = deque(
-        cid
-        for cid in alive
-        if any(partner_count[i] == 0 for i in occs_by_clause[cid])
+        ci for ci, occs in enumerate(clause_occs)
+        if any(partner_count[i] == 0 for i in occs)
     )
-    dead: set[int] = set()
     while worklist:
-        cid = worklist.popleft()
-        if cid in dead:
+        ci = worklist.popleft()
+        if not alive[ci]:
             continue
-        dead.add(cid)
-        alive.discard(cid)
-        for i in occs_by_clause[cid]:
+        alive[ci] = False
+        for i in clause_occs[ci]:
             for watcher in partners[i]:
                 partner_count[watcher] -= 1
-                wcid = occs[watcher][0]
-                if (
-                    wcid in alive
-                    and partner_count[watcher] == 0
-                ):
-                    worklist.append(wcid)
-    return cs.subset([c.id for c in cs.clauses if c.id in alive])
+                if partner_count[watcher] == 0 and alive[clause_of[watcher]]:
+                    worklist.append(clause_of[watcher])
+    return cs.subset([c.id for c, live in zip(cs.clauses, alive) if live])
 

@@ -45,7 +45,6 @@ from altpath.clauses import Clause, ClauseSet, Literal, check_ground, encode
 from altpath.graph import (
     FIRST_ORDER,
     AlternatingPath,
-    DistanceMap,
     bfs_from_support,
     build_graph,
 )
@@ -201,13 +200,11 @@ def verify_support_path_property(
     seq: ResolutionSequence,
     cs: ClauseSet,
     support_ids,
-    dmap: DistanceMap | None = None,
 ) -> bool:
     """True iff every input entry at position i lies within relevance
     distance i of the support set.  The sequence is validated first."""
     validate_sequence(seq, cs, support_ids)
-    if dmap is None:
-        dmap = bfs_from_support(build_graph(cs, FIRST_ORDER), support_ids)
+    dmap = bfs_from_support(build_graph(cs, FIRST_ORDER), support_ids)
     for i, e in enumerate(seq.entries, start=1):
         if e.is_input and dmap.distance(e.clause.id) > i:
             return False

@@ -283,12 +283,18 @@ def enumerate_path_distances(cs: ClauseSet, support_ids, max_len: int) -> dict[i
 # and every pop re-expands.
 
 
+def reference_occurrences(cs: ClauseSet) -> list[tuple[int, Literal]]:
+    """(clause id, literal) of each occurrence, in clause/literal order:
+    occurrence i owns in-node 2i and out-node 2i+1."""
+    return [(c.id, l) for c in cs.clauses for l in c.literals]
+
+
 def reference_adjacency(cs: ClauseSet, mode: str) -> list[list[int]]:
     """The wiring built from complementary_unifiable on every opposite-sign
     pair: linking edges in ascending occurrence order, hub pairs allocated
     per predicate (in order of its first positive occurrence) and per atom
     (in order of the atom's first positive occurrence), then switching edges."""
-    occs = [(c.id, l) for c in cs.clauses for l in c.literals]
+    occs = reference_occurrences(cs)
     link = [
         [j for j, (_, m) in enumerate(occs) if m.positive != l.positive
          and complementary_unifiable(l, m)]
@@ -337,11 +343,12 @@ def reference_bfs(graph: RelevanceGraph, adjacency: list[list[int]], support_ids
     set over ``adjacency``, the graph's ``reference_adjacency``, with nothing
     expanded past depth bound-1 when a bound is given."""
     support = frozenset(support_ids)
-    occ_nodes = 2 * len(graph.occurrences)
+    occs = reference_occurrences(graph.clause_set)
+    occ_nodes = 2 * len(occs)
     node_distance: dict[int, int] = {}
     node_parent: dict[int, int] = {}
     queue: deque[int] = deque()
-    for i, (cid, _) in enumerate(graph.occurrences):
+    for i, (cid, _) in enumerate(occs):
         if cid in support:
             node_distance[2 * i + 1] = 0
             queue.append(2 * i + 1)
@@ -360,7 +367,7 @@ def reference_bfs(graph: RelevanceGraph, adjacency: list[list[int]], support_ids
                 else:
                     queue.appendleft(succ)
     best_in: dict[int, int] = {}
-    for i, (cid, _) in enumerate(graph.occurrences):
+    for i, (cid, _) in enumerate(occs):
         if 2 * i in node_distance:
             d = node_distance[2 * i]
             if cid not in best_in or d < best_in[cid]:
@@ -382,8 +389,9 @@ def reference_witness(graph: RelevanceGraph, support_ids, node_distance: dict[in
     clause: back from its closest in-node, skipping hub nodes."""
     if cid in support_ids:
         return AlternatingPath((cid,), ())
+    occs = reference_occurrences(graph.clause_set)
     best: int | None = None
-    for i, (occ_cid, _) in enumerate(graph.occurrences):
+    for i, (occ_cid, _) in enumerate(occs):
         node = 2 * i
         if occ_cid == cid and node in node_distance:
             if best is None or node_distance[node] < node_distance[best]:
@@ -396,9 +404,9 @@ def reference_witness(graph: RelevanceGraph, support_ids, node_distance: dict[in
     links: list[tuple[Literal, Literal]] = []
     pending_exit: Literal | None = None
     for node in chain:
-        if node >= 2 * len(graph.occurrences):
+        if node >= 2 * len(occs):
             continue  # hub node
-        occ_cid, lit = graph.occurrences[node // 2]
+        occ_cid, lit = occs[node // 2]
         if node % 2 == 1:
             if not clause_ids:
                 clause_ids.append(occ_cid)

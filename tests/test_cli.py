@@ -142,6 +142,67 @@ def test_filter_csv_with_two_supports_fails_before_writing(tmp_path, capsys):
     assert not out.exists() and not csv.exists()
 
 
+DUPLICATES_CNF = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
+
+
+def test_duplicate_support_ids_count_once(tmp_path, capsys):
+    path = tmp_path / "s.cnf"
+    path.write_text(DUPLICATES_CNF)
+    out = str(tmp_path / "out.cnf")
+    assert main(["filter", str(path), "-n", "2", "--support", "ids:1,1", "-o", out]) == 0
+    assert "support clauses: 1\n" in capsys.readouterr().out
+    # two specs that share an id: the text line and the JSON name the union
+    two = ["filter", str(path), "-n", "2", "--support", "ids:1,2", "--support", "ids:2,3"]
+    assert main(two + ["-o", out]) == 0
+    assert "support clauses: 3\n" in capsys.readouterr().out
+    assert main(two + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["support"] == [1, 2, 3]
+    payloads = []
+    for spec in ("ids:1,1", "ids:1"):
+        assert main(["stats", str(path), "-n", "2", "--support", spec, "--json"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    assert payloads[0] == payloads[1]
+    assert (payloads[0]["support"], payloads[0]["budget"]) == (1, 4)
+
+
+def test_filter_json_builds_no_clause_text(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "s.cnf"
+    path.write_text(DUPLICATES_CNF)
+    argv = ["filter", str(path), "-n", "2", "--support", "ids:1"]
+    assert main(argv + ["--json"]) == 0
+    want = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("clause text built but not written")
+
+    monkeypatch.setattr(altpath.cli, "print_format", refuse)
+    assert main(argv + ["--json"]) == 0
+    assert capsys.readouterr().out == want
+    # written output still goes through the printer
+    for extra in ([], ["-o", str(tmp_path / "out.cnf")]):
+        with pytest.raises(AssertionError, match="clause text built"):
+            main(argv + extra)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_filter_with_several_supports_keeps_the_full_search_intersection(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    cs = random_3sat(rng, 30, 120)
+    path = tmp_path / "s.cnf"
+    path.write_text(print_dimacs(cs))
+    graph = build_graph(cs)
+    supports = [rng.sample(cs.ids(), 1 + i) for i in range(2 + seed % 2)]
+    specs = [arg for s in supports for arg in ("--support", "ids:" + ",".join(map(str, s)))]
+    for n in (1, 2, 3, 4):
+        want = set.intersection(
+            *(set(bfs_from_support(graph, s).relevant_ids(n)) for s in supports))
+        assert main(["filter", str(path), "-n", str(n), *specs]) == 0
+        kept = parse_dimacs(capsys.readouterr().out)
+        assert len(kept) == len(want), n
+        assert main(["filter", str(path), "-n", str(n), *specs, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["relevant"] == len(want), n
+
+
 def test_filter_purity_note(tmp_path, capsys):
     path = tmp_path / "in.cnf"
     path.write_text("p cnf 2 4\n1 0\n-1 0\n2 0\n1 2 0\n")
@@ -452,6 +513,18 @@ def test_split_json_summary(fo, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["clause"] == 1 and payload["var"] == "X"
     assert payload["replacements"] == [4, 5]
+
+
+def test_split_json_builds_no_clause_text(fo, capsys, monkeypatch):
+    assert main(["split", fo, "--json"]) == 0
+    want = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("clause text built but not written")
+
+    monkeypatch.setattr(altpath.cli, "print_tptp", refuse)
+    assert main(["split", fo, "--json"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_split_output_parses_back(fo, tmp_path):

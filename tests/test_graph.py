@@ -174,7 +174,7 @@ def test_hubs_created_only_where_they_save_edges():
     # polarity, nothing to link at all
     cs = ground_set("p q", "p ~q", "~p", "~p", "~p r")
     hub = build_graph(cs, PROPOSITIONAL_HUB)
-    assert hub.node_count - 2 * len(hub.occurrences) == 2  # one hub pair, for p
+    assert hub.node_count - 2 * sum(map(len, cs.clauses)) == 2  # one hub pair, for p
     assert hub.edge_count == 6 + 2 * (2 + 3) + 2
     assert hub.edge_count <= build_graph(cs, FIRST_ORDER).edge_count
 
@@ -183,7 +183,7 @@ def test_sparse_sets_fall_back_to_direct_wiring():
     # every atom has one occurrence per sign: hubs would cost twice as much
     cs = ground_set("p q", "~p", "~q r", "~r")
     hub = build_graph(cs, PROPOSITIONAL_HUB)
-    assert hub.node_count - 2 * len(hub.occurrences) == 0
+    assert hub.node_count - 2 * sum(map(len, cs.clauses)) == 0
     assert hub.edge_count == build_graph(cs, FIRST_ORDER).edge_count
 
 
@@ -315,7 +315,7 @@ def assert_counts_match_reference(graph, wired: list[list[int]]) -> None:
     graph's mode, and in first-order mode each partner list against its
     out-node's edges.  The partner index does not depend on the mode."""
     if graph.mode == FIRST_ORDER:
-        for i in range(len(graph.occurrences)):
+        for i in range(sum(map(len, graph.clause_set.clauses))):
             assert [2 * j for j in graph.partners_of(i)] == wired[2 * i + 1], f"occurrence {i}"
     assert graph.edge_count == sum(len(out) for out in wired), graph.mode
     assert graph.node_count == len(wired), graph.mode
@@ -593,12 +593,13 @@ def test_search_matches_reference_bfs(name, cs):
             assert got.clause_distance == want, (mode, bound)
             if mode == FIRST_ORDER:
                 assert dict(got.node_distance) == nodes, bound
-                assert dict(got.node_parent) == parents, bound
-                # the node maps are views: they count and refuse without a dict
+                assert {n: p for n, p in enumerate(got.parent) if p >= 0} == parents, bound
+                # the node distance map is a view: it counts and refuses
+                # without a dict
                 assert len(got.node_distance) == len(nodes), bound
-                assert len(got.node_parent) == len(parents), bound
-                unreached = [n for n in range(2 * len(graph.occurrences)) if n not in nodes]
-                for node in (-1, 2 * len(graph.occurrences), "0", *unreached):
+                occ_nodes = 2 * sum(map(len, cs.clauses))
+                unreached = [n for n in range(occ_nodes) if n not in nodes]
+                for node in (-1, occ_nodes, "0", *unreached):
                     with pytest.raises(KeyError):
                         got.node_distance[node]
                     assert node not in got.node_distance

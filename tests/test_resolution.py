@@ -556,7 +556,7 @@ def test_linear_sequence_along_a_chain():
     assert len(seq.entries) == 7
     assert seq.entries[-1].clause.is_empty
     assert seq.entries[5].is_input and seq.entries[5].clause.id == 4
-    assert verify_support_path_property(seq, cs, [1], dmap)
+    assert verify_support_path_property(seq, cs, [1])
 
 
 def test_linear_sequence_for_a_support_clause_is_trivial():
