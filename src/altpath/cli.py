@@ -179,17 +179,20 @@ def cmd_filter(cfg: argparse.Namespace) -> int:
     if cfg.bound is None:
         raise ValueError("filter needs a distance bound (-n)")
     total = len(cs)
-    if cfg.purity:
-        cs = purity_filter(cs)
     specs = list(cfg.supports) or [None]
     if len(specs) > 1 and cfg.csv:
         raise ValueError("--csv needs a single support set")
-    supports = [resolve_support(cs, spec, fmt) for spec in specs]
     graph = build_graph(cs, _graph_mode(cfg))
+    # purity and the searches over its survivors share the one graph
+    survivors = None
+    if cfg.purity:
+        cs = survivors = purity_filter(graph)
+    supports = [resolve_support(cs, spec, fmt) for spec in specs]
     # several supports print no histogram or CSV, so their searches need
     # only the levels up to the bound
     bound = cfg.bound if len(supports) > 1 else None
-    dmaps = [bfs_from_support(graph, support, bound=bound) for support in supports]
+    dmaps = [bfs_from_support(graph, support, bound=bound, survivors=survivors)
+             for support in supports]
     # the clauses within the bound of every support set
     keep = set.intersection(*(set(d.relevant_ids(cfg.bound)) for d in dmaps))
     sub = cs.subset(keep)

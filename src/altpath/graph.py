@@ -24,7 +24,9 @@ count stays linear in occurrences.  Distances and witnesses do not depend
 on the mode.
 
 Partners are found through one index, held by the graph and shared by the
-search, the edge counts and purity filtering.  The partner relation depends
+search, the edge counts and purity filtering: purity runs on the graph of
+the whole set, and the search over its survivors runs on the same graph
+with the purged clauses closed off.  The partner relation depends
 only on the two literals, so the index works on distinct literals, named by
 the signed atom numbers of ``clauses.number_atoms``: each one's partners
 are found once and shared by all its occurrences, and each distinct pair is
@@ -40,7 +42,7 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 
 from altpath.clauses import ClauseSet, Literal, complementary_unifiable, number_atoms
 
@@ -293,10 +295,11 @@ class _Reached(Mapping):
 class DistanceMap:
     """Result of a relevance search from a support set.
 
-    ``clause_distance`` maps every clause id to its distance (INF when
-    unreachable).  ``dist`` and ``parent`` are the search's lists indexed
-    by node: a reached node's number of clause entries and the node it was
-    reached from (``_UNSET`` and -1 where there is none).  They are kept for
+    ``clause_distance`` maps every clause id of the searched set, the
+    graph's set or the survivors the search was given, to its distance
+    (INF when unreachable), in clause order.  ``dist`` and ``parent`` are
+    the search's lists indexed by node: a reached node's number of clause
+    entries and the node it was reached from (``_UNSET`` and -1 where there is none).  They are kept for
     witness extraction, which reads each node's clause and literal from the
     graph's ``clause_of`` and ``literals``; ``node_distance`` shows ``dist``
     as a read-only mapping of the reached nodes.  ``bound`` is set when the
@@ -362,16 +365,23 @@ class DistanceMap:
 
     def to_csv(self) -> str:
         lines = ["clause_id,distance"]
-        for c in self.graph.clause_set.clauses:
-            d = self.clause_distance[c.id]
-            lines.append(f"{c.id},{'inf' if d == INF else int(d)}")
+        for cid, d in self.clause_distance.items():
+            lines.append(f"{cid},{'inf' if d == INF else int(d)}")
         return "\n".join(lines) + "\n"
 
 
-def bfs_from_support(graph: RelevanceGraph, support_ids,
-                     bound: int | None = None) -> DistanceMap:
+def bfs_from_support(graph: RelevanceGraph, support_ids, bound: int | None = None,
+                     survivors: ClauseSet | None = None) -> DistanceMap:
     """Distances of every clause from the support set, or of those within
     ``bound`` when one is given.
+
+    With ``survivors``, a subset of the graph's set such as
+    ``purity_filter(graph)``, the search runs over the survivors alone:
+    the support must lie among them, no purged clause is entered, and only
+    the survivors get a distance.  The partners of a literal among the
+    survivors are its partners in the whole set that the survivors hold,
+    so the distances and witnesses are those of a search on
+    ``build_graph(survivors)``.
 
     0/1-weighted search from the support clauses' out-nodes: an edge into an
     in-node costs one step (a clause is entered), a switch within a clause
@@ -399,14 +409,29 @@ def bfs_from_support(graph: RelevanceGraph, support_ids,
     which is at its least in-node distance.  With a bound k, nothing is
     expanded past nodes k-1 clause entries deep, and distances beyond k are
     reported as INF.
+
+    A purged clause's nodes start at distance -1, below any the search
+    gives, so no edge enters them and the loop needs no test of its own.
+    They are unset again before the map is returned.
     """
-    support = graph.clause_set.check_support(support_ids)
+    lit_of, clause_of, clause_occs = graph.lit_of, graph.clause_of, graph.clause_occs
+    clauses = graph.clause_set.clauses
+    purged: list[range] = []  # the occurrences of each clause not searched
+    if survivors is None:
+        support = graph.clause_set.check_support(support_ids)
+        alive = bytearray([1]) * len(clauses)
+    else:
+        support = survivors.check_support(support_ids)
+        alive = bytearray(map(survivors.has_id, graph.clause_set.ids()))
+        if sum(alive) != len(survivors):
+            raise ValueError("the survivors are not a subset of the graph's clause set")
+        purged = [occs for occs, live in zip(clause_occs, alive) if not live]
     if bound is not None and bound < 1:
         raise ValueError("relevance level must be >= 1")
     stop = INF if bound is None else bound - 1
-    lit_of, clause_of, clause_occs = graph.lit_of, graph.clause_of, graph.clause_occs
-    clauses = graph.clause_set.clauses
     dist = [_UNSET] * (2 * len(lit_of))
+    for occs in purged:
+        dist[2 * occs.start:2 * occs.stop] = [-1] * (2 * len(occs))
     parent = [-1] * len(dist)
     expanded = bytearray(len(graph.occs))  # by signed literal number
     clause_distance: list[float] = [INF] * len(clauses)
@@ -452,25 +477,29 @@ def bfs_from_support(graph: RelevanceGraph, support_ids,
                     dist[succ] = d
                     parent[succ] = node
                     queue.appendleft(succ)
+    for occs in purged:
+        dist[2 * occs.start:2 * occs.stop] = [_UNSET] * (2 * len(occs))
     ids = [c.id for c in clauses]
-    return DistanceMap(graph, support, dict(zip(ids, clause_distance)), dist, parent,
-                       bound=bound)
+    return DistanceMap(graph, support, dict(compress(zip(ids, clause_distance), alive)),
+                       dist, parent, bound=bound)
 
 
 # ---------------------------------------------------------------------------
 # Purity
 
 
-def purity_filter(cs: ClauseSet) -> ClauseSet:
-    """Repeatedly delete clauses containing a literal with no
-    complementary-unifiable partner among the remaining clauses.
+def purity_filter(graph: RelevanceGraph) -> ClauseSet:
+    """Repeatedly delete clauses of the graph's set containing a literal
+    with no complementary-unifiable partner among the remaining clauses.
 
     Ids of surviving clauses are preserved.  The result is the greatest
     fixpoint: every literal of every surviving clause has a live partner.
-    It runs on the graph's occurrence layout, with clauses named by their
-    index in the set and one list saying which are still alive.
+    It reads the graph's partner index and occurrence layout and builds no
+    index of its own, with clauses named by their index in the set and one
+    list saying which are still alive; pass the result to
+    ``bfs_from_support`` as ``survivors`` to search it on the same graph.
     """
-    graph = RelevanceGraph(cs)
+    cs = graph.clause_set
     clause_of, clause_occs = graph.clause_of, graph.clause_occs
     # the partner relation is symmetric, so partners[i] also lists the
     # occurrences that lose a partner when occurrence i dies

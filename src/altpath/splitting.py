@@ -206,8 +206,11 @@ def choose_split_variable(cs: ClauseSet, clause_id: int) -> Var | None:
     others = [
         lit for c in cs.clauses if c.id != clause_id for lit in c.literals
     ]
+    # only an opposite literal of the same predicate can complement-unify
     partners = [
-        [m for m in others if complementary_unifiable(l, m)] for l in clause.literals
+        [m for m in others
+         if m.pred == l.pred and m.positive != l.positive and complementary_unifiable(l, m)]
+        for l in clause.literals
     ]
     # probe arguments are fresh for the clause, so none captures its variables
     taken = {v.name for v in variables}

@@ -601,7 +601,7 @@ def test_criterion_12_purity_and_joint_supports(tmp_path, capsys):
     removed_any = 0
     for _ in range(500):
         cs = random_ground(rng, n_atoms=rng.randint(1, 5), n_clauses=rng.randint(1, 9))
-        filtered = purity_filter(cs)
+        filtered = purity_filter(build_graph(cs))
         assert clause_set_sat(filtered) == clause_set_sat(cs)
         if len(filtered.clauses) < len(cs.clauses):
             removed_any += 1

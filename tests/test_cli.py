@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import altpath.cli
+import altpath.graph
 from altpath.cli import EXIT_SAT, EXIT_UNSAT, EXIT_UNKNOWN, _growth_budget, main
 from altpath.clauses import Literal
 from altpath.dpll import SolveResult, stepping_sequence, support_radius
@@ -213,6 +214,40 @@ def test_filter_purity_note(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "input clauses: 4" in summary
     assert "after purity: 2" in summary
+
+
+def test_filter_purity_builds_one_index(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "in.cnf"
+    path.write_text("p cnf 2 4\n1 0\n-1 0\n2 0\n1 2 0\n")
+    built = []
+    init = altpath.graph.RelevanceGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(altpath.graph.RelevanceGraph, "__init__", counted)
+    for extra in ([], ["--hub"]):
+        built.clear()
+        assert main(["filter", str(path), "-n", "2", "--purity", "--support", "neg",
+                     "--json", "--csv", str(tmp_path / "d.csv"), *extra]) == 0
+        assert json.loads(capsys.readouterr().out)["after_purity"] == 2
+        assert len(built) == 1, extra
+
+
+def test_filter_purity_keeps_the_support_errors_of_purged_clauses(tmp_path, capsys):
+    # purity leaves c1 and c2: c3 (3) and c4 (-4) have no partner
+    path = tmp_path / "in.cnf"
+    path.write_text("p cnf 4 4\n1 -2 0\n-1 2 0\n3 0\n-4 0\n")
+    for spec, error in (("ids:3", "support id 3 not in the clause set"),
+                        ("neg", "support spec 'neg' selects no clauses"),
+                        ("pos", "support spec 'pos' selects no clauses")):
+        assert main(["filter", str(path), "-n", "2", "--purity", "--support", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n" and captured.out == "", spec
+        # without purity the spec selects its clause
+        assert main(["filter", str(path), "-n", "2", "--support", spec, "--json"]) == 0
+        capsys.readouterr()
 
 
 def test_filter_json_summary(tree, capsys):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import altpath.graph
+from altpath.cli import resolve_support
 from altpath.clauses import App, ClauseSet, Literal, Var, complementary_unifiable
 from altpath.generators import (
     bounded_occurrence,
@@ -273,12 +274,12 @@ def test_level_one_is_support_only():
 
 def test_purity_filter_cascades_to_empty():
     cs = ground_set("p q", "~p", "r")
-    assert purity_filter(cs).ids() == []
+    assert purity_filter(build_graph(cs)).ids() == []
 
 
 def test_purity_filter_keeps_matched_core():
     cs = ground_set("p q", "~p r", "~q", "~r", "s")
-    out = purity_filter(cs)
+    out = purity_filter(build_graph(cs))
     assert out.ids() == [1, 2, 3, 4]
     assert out.by_id(1) == cs.by_id(1)
 
@@ -286,7 +287,7 @@ def test_purity_filter_keeps_matched_core():
 def test_purity_filter_counts_partners_across_occurrences():
     # ~p in clause 2 keeps p alive even though clause 2 also dies last round
     cs = ground_set("p", "~p z")
-    assert purity_filter(cs).ids() == []
+    assert purity_filter(build_graph(cs)).ids() == []
 
 
 def test_purity_filter_first_order():
@@ -297,7 +298,76 @@ def test_purity_filter_first_order():
         [Literal(False, "q", (App("b"),))],
         [Literal(True, "r", (x,))],
     ])
-    assert purity_filter(cs).ids() == [1, 2, 3]
+    assert purity_filter(build_graph(cs)).ids() == [1, 2, 3]
+
+
+def _purity_sets():
+    """Seeded ground, 3-SAT and first-order sets, some with clauses whose
+    every literal has a partner in the whole set and still goes when
+    purity cascades; a few clauses in each get a role."""
+    rng = random.Random(2100)
+    for i in range(36):
+        kind = i % 3
+        if kind == 0:
+            cs = random_ground(rng, n_atoms=rng.randint(3, 7), n_clauses=rng.randint(4, 14))
+        elif kind == 1:
+            cs = random_3sat(rng, rng.randint(8, 20), rng.randint(6, 24))
+        else:
+            cs = random_first_order(rng, n_clauses=rng.randint(4, 12))
+        roles = {cid: "negated_conjecture" for cid in cs.ids() if rng.random() < 0.3}
+        yield ClauseSet.from_clauses(cs.clauses, roles=roles)
+
+
+def test_search_over_survivors_matches_a_graph_of_the_survivors():
+    cascades = 0
+    for cs in _purity_sets():
+        graph = build_graph(cs)
+        survivors = purity_filter(graph)
+        assert survivors.ids() == reference_purity(cs)
+        live = set(survivors.ids())
+        cascades += any(
+            c.id not in live and all(graph.partners_of(i) for i in occs)
+            for c, occs in zip(cs.clauses, graph.clause_occs))
+        if not survivors.clauses:
+            continue
+        own = build_graph(survivors)
+        supports = []
+        for spec in ("role:negated_conjecture", "pos", "neg", f"ids:{survivors.ids()[-1]}"):
+            try:
+                supports.append((resolve_support(survivors, spec, "tptp"), None))
+            except ValueError:  # the spec selects no survivor
+                pass
+        # two --support specs bound each search at the filter's -n
+        supports += [(s, 3) for s, _ in supports[:2]]
+        for support, bound in supports:
+            shared = bfs_from_support(graph, support, bound=bound, survivors=survivors)
+            alone = bfs_from_support(own, support, bound=bound)
+            assert list(shared.clause_distance.items()) == list(alone.clause_distance.items())
+            assert len(shared.node_distance) == len(alone.node_distance)
+            for cid, d in alone.clause_distance.items():
+                if d < INF:
+                    assert shared.witness(cid) == alone.witness(cid)
+    assert cascades >= 3
+
+
+def test_search_over_survivors_refuses_purged_supports():
+    # c3 goes for r, yet the whole set's search reaches it through q
+    cs = ground_set("p ~q", "~p q", "q r", "~s")
+    graph = build_graph(cs)
+    survivors = purity_filter(graph)
+    assert survivors.ids() == [1, 2]
+    with pytest.raises(ValueError, match="support id 3 not in the clause set"):
+        bfs_from_support(graph, [3], survivors=survivors)
+    assert bfs_from_support(graph, [1]).distance(3) == 2
+    dmap = bfs_from_support(graph, [1], survivors=survivors)
+    assert dmap.clause_distance == {1: 1, 2: 2}
+    assert dmap.to_csv() == "clause_id,distance\n1,1\n2,2\n"
+    # the purged clause's nodes were closed off, not reached
+    assert {graph.clause_of[node // 2] for node in dmap.node_distance} == {0, 1}
+    with pytest.raises(KeyError, match="no clause with id 3"):
+        dmap.witness(3)
+    with pytest.raises(ValueError, match="not a subset"):
+        bfs_from_support(graph, [1], survivors=ground_set("p ~q", "~p q", "q r", "~s", "t"))
 
 
 def test_distance_csv_format():
@@ -417,7 +487,7 @@ def test_partner_index_matches_pairwise_reference(name, cs, ground):
             assert part.clause_distance == {
                 cid: d if d <= k else INF for cid, d in full.clause_distance.items()
             }
-    assert purity_filter(cs).ids() == reference_purity(cs)
+    assert purity_filter(build_graph(cs)).ids() == reference_purity(cs)
 
 
 def test_ground_sets_never_call_the_unifier(monkeypatch):
@@ -434,7 +504,7 @@ def test_ground_sets_never_call_the_unifier(monkeypatch):
             graph.edge_count
             bfs_from_support(graph, support)
             bfs_from_support(build_graph(cs, mode), support, bound=4)
-        purity_filter(cs)
+        purity_filter(build_graph(cs))
     mixed = next(cs for name, cs, _ in FAMILIES if name.startswith("mixed"))
     with pytest.raises(AssertionError, match="unifier called"):
         build_graph(mixed).edge_count
@@ -526,7 +596,7 @@ def _golden_digest(cs: ClauseSet, rng: random.Random) -> str:
         list(full.clause_distance.items()),
         [list(bfs_from_support(graph, support, bound=k).clause_distance.items())
          for k in (2, 3, 4)],
-        purity_filter(cs).ids(),
+        purity_filter(build_graph(cs)).ids(),
         str(full.witness(far)),
     )
     return hashlib.sha256(repr(payload).encode()).hexdigest()
