@@ -7,7 +7,7 @@ zero-arity predicates and everything below degrades to set manipulation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ArityError(ValueError):
@@ -302,26 +302,65 @@ class Clause:
         return " | ".join(str(lit) for lit in self.literals)
 
 
-@dataclass
 class ClauseSet:
     """An ordered collection of clauses with stable ids and symbol tables.
 
     Instances are treated as immutable once built; operations that change
     membership return a new ClauseSet and keep surviving clause ids intact.
+
+    A set is its numbering as much as its clauses: ``rows`` holds, per
+    clause in clause order, its literals as the signed atom numbers of
+    ``number_atoms`` (computed at most once per set).  A set read from
+    DIMACS, and a ``subset`` of a set whose numbering is known, starts from
+    the rows alone; its ``Clause`` and ``Literal`` objects are derived from
+    them on first read, one ``Literal`` per distinct signed number.  A set
+    made from clause objects numbers them on first read of ``rows``.
+    Equality and repr are those of the clause objects and symbol tables.
     """
 
-    clauses: list[Clause] = field(default_factory=list)
-    roles: dict[int, str] = field(default_factory=dict)
-    names: dict[int, str] = field(default_factory=dict)
-    predicates: dict[str, int] = field(default_factory=dict)
-    functions: dict[str, int] = field(default_factory=dict)
-    _index: dict[int, Clause] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    __hash__ = None  # mutable tables, compared by value
 
-    def __post_init__(self):
-        if not self._index:
-            self._index = {c.id: c for c in self.clauses}
+    def __init__(
+        self,
+        clauses: list[Clause] | None = None,
+        roles: dict[int, str] | None = None,
+        names: dict[int, str] | None = None,
+        predicates: dict[str, int] | None = None,
+        functions: dict[str, int] | None = None,
+    ):
+        self._clauses = clauses if clauses is not None else []
+        self.roles = roles if roles is not None else {}
+        self.names = names if names is not None else {}
+        self.predicates = predicates if predicates is not None else {}
+        self.functions = functions if functions is not None else {}
+        self._ids: list[int] | None = None  # by position
+        self._pos: dict[int, int] | None = None  # by id
+        # the numbering: rows, and the literal at each atom's first occurrence
+        self._rows: list[tuple[int, ...]] | None = None
+        self._first: list[Literal] | None = None
+        # a set born from rows names each atom by the code of its first
+        # occurrence's literal: one that ``_source`` turns into the literal,
+        # or in a subset, the parent's signed number (the code of the
+        # complement is the negated code)
+        self._codes: list[int] | None = None
+        self._source = None
+        # a subset's parent and positions, whose rows it renumbers on first read
+        self._of: tuple[ClauseSet, list[int]] | None = None
+        self._literals: list[Literal | None] | None = None  # by signed number
+
+    @classmethod
+    def _from_rows(cls, ids: list[int], tables: tuple, rows=None, codes=None, source=None,
+                   of=None, clauses: list[Clause] | None = None) -> "ClauseSet":
+        """A set given by its numbering: clause ids by position, the symbol
+        tables (roles, names, predicates, functions), and either ``rows``
+        with, per atom, the code of its first occurrence's literal
+        (``codes``) and ``source``, a callable from codes to ``Literal``; or
+        ``of``, a parent set and the positions of the rows it takes.
+        ``clauses`` are the clause objects, when they exist already."""
+        cs = cls(clauses, *tables)
+        cs._clauses, cs._ids, cs._source = clauses, ids, source
+        cs._rows, cs._codes, cs._of = rows, codes, of
+        return cs
 
     @classmethod
     def from_groups(
@@ -390,47 +429,103 @@ class ClauseSet:
                         functions[t.functor] = len(t.args)
                     todo.extend(reversed(t.args))
 
+    # -- the object view ------------------------------------------------------
+
+    @property
+    def clauses(self) -> list[Clause]:
+        if self._clauses is None:
+            make, literal = Clause._canonical, self._literal_table().__getitem__
+            self._clauses = [make(cid, tuple(map(literal, row)))
+                             for cid, row in zip(self._ids, self.rows)]
+        return self._clauses
+
+    def _literal_table(self) -> list[Literal | None]:
+        """The literal of each signed number that occurs, indexed by it (-x
+        sits at 2n+1-x, past every atom number); None for the others."""
+        if self._literals is None:
+            rows = self.rows
+            table: list[Literal | None] = [None] * (2 * self.atom_count + 1)
+            if self._clauses is not None:
+                for c, row in zip(self._clauses, rows):
+                    for x, lit in zip(row, c.literals):
+                        table[x] = lit
+            else:
+                # a subset reads its literals off its parent's table
+                source = (self._source if self._of is None
+                          else self._of[0]._literal_table().__getitem__)
+                codes = self._codes
+                for x in dict.fromkeys(itertools.chain.from_iterable(rows)):
+                    code = codes[x - 1] if x > 0 else codes[-x - 1]
+                    table[x] = source(code if (code > 0) == (x > 0) else -code)
+            self._literals = table
+        return self._literals
+
     def __len__(self) -> int:
-        return len(self.clauses)
+        return len(self._ids) if self._clauses is None else len(self._clauses)
 
     def __iter__(self):
         return iter(self.clauses)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.clauses, self.roles, self.names, self.predicates, self.functions)
+                == (other.clauses, other.roles, other.names, other.predicates, other.functions))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(clauses={self.clauses!r}, roles={self.roles!r}, "
+                f"names={self.names!r}, predicates={self.predicates!r}, "
+                f"functions={self.functions!r})")
+
     def ids(self) -> list[int]:
-        return [c.id for c in self.clauses]
+        if self._ids is None:
+            self._ids = [c.id for c in self._clauses]
+        return list(self._ids)
+
+    def _positions(self) -> dict[int, int]:
+        if self._pos is None:
+            self._pos = {cid: p for p, cid in enumerate(self.ids())}
+        return self._pos
 
     def by_id(self, cid: int) -> Clause:
         try:
-            return self._index[cid]
+            return self.clauses[self._positions()[cid]]
         except KeyError:
             raise KeyError(f"no clause with id {cid}") from None
 
     def has_id(self, cid: int) -> bool:
-        return cid in self._index
+        return cid in self._positions()
 
     def check_support(self, support_ids) -> frozenset[int]:
         """The support ids as a set; ValueError when one names no clause."""
         support = frozenset(support_ids)
-        unknown = sorted(support - self._index.keys())
+        unknown = sorted(support - self._positions().keys())
         if unknown:
             raise ValueError(f"support id{'s' * (len(unknown) > 1)} "
                              f"{', '.join(map(str, unknown))} not in the clause set")
         return support
 
     def subset(self, keep_ids) -> "ClauseSet":
-        """The sub-collection with the given ids, original order and ids kept."""
+        """The sub-collection with the given ids, original order and ids kept.
+
+        When this set's numbering is known, the subset's is derived from it
+        on first read, by renumbering the kept rows' atoms by first
+        occurrence, which gives what ``number_atoms`` would over the
+        subset's clauses."""
         keep = set(keep_ids)
-        unknown = keep - set(self._index)
+        unknown = keep - self._positions().keys()
         if unknown:
             raise KeyError(f"unknown clause ids: {sorted(unknown)}")
-        clauses = [c for c in self.clauses if c.id in keep]
-        return ClauseSet(
-            clauses,
-            {i: r for i, r in self.roles.items() if i in keep},
-            {i: n for i, n in self.names.items() if i in keep},
-            dict(self.predicates),
-            dict(self.functions),
-        )
+        ids = self.ids()
+        where = [p for p, cid in enumerate(ids) if cid in keep]
+        tables = ({i: r for i, r in self.roles.items() if i in keep},
+                  {i: n for i, n in self.names.items() if i in keep},
+                  dict(self.predicates), dict(self.functions))
+        clauses = None if self._clauses is None else [self._clauses[p] for p in where]
+        if self._rows is None and self._of is None:  # not numbered yet
+            return ClauseSet(clauses, *tables)
+        return ClauseSet._from_rows([ids[p] for p in where], tables, of=(self, where),
+                                    clauses=clauses)
 
     def splice(self, replacements: dict[int, list[tuple[Literal, ...]]]) -> "ClauseSet":
         """Swap each clause named in ``replacements``, at its position, for new
@@ -441,7 +536,7 @@ class ClauseSet:
         tables are the parent's with only the new clauses checked in, so, as
         with ``subset``, a symbol may outlive its last clause.
         """
-        unknown = replacements.keys() - self._index.keys()
+        unknown = replacements.keys() - self._positions().keys()
         if unknown:
             raise KeyError(f"unknown clause ids: {sorted(unknown)}")
         roles = {i: r for i, r in self.roles.items() if i not in replacements}
@@ -461,15 +556,40 @@ class ClauseSet:
         cs._check_symbols(new)
         return cs
 
+    # -- the numbering --------------------------------------------------------
+
+    @property
+    def rows(self) -> list[tuple[int, ...]]:
+        """Per clause, its literals as signed atom numbers (``number_atoms``)."""
+        if self._rows is None:
+            if self._of is None:
+                self._first, self._rows = _number(self._clauses)
+            else:
+                parent, where = self._of
+                self._rows, self._codes = _renumber([parent.rows[p] for p in where],
+                                                    parent.atom_count)
+        return self._rows
+
+    @property
+    def atom_count(self) -> int:
+        """The number of atoms of the numbering."""
+        self.rows  # numbers a set made from clause objects
+        return len(self._first if self._codes is None else self._codes)
+
+    def is_propositional(self) -> bool:
+        """True when the predicate table holds symbols and each has arity
+        0: then no atom takes arguments, so every atom is variable-free."""
+        return bool(self.predicates) and not any(self.predicates.values())
+
     def is_ground(self) -> bool:
-        return all(c.is_ground() for c in self.clauses)
+        return self.is_propositional() or all(c.is_ground() for c in self.clauses)
 
     def atoms(self) -> list[Literal]:
         """All atoms of the set, in canonical order."""
         return encode(self)[0]
 
     def max_id(self) -> int:
-        return max((c.id for c in self.clauses), default=0)
+        return max(self.ids(), default=0)
 
     def __str__(self) -> str:
         return "\n".join(f"c{c.id}: {c}" for c in self.clauses)
@@ -479,16 +599,12 @@ class ClauseSet:
 # Integer encoding
 
 
-def number_atoms(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
-    """The one literal numbering: atoms numbered 1, 2, ... by first
-    occurrence, keyed by predicate and arguments.  Gives the literal at each
-    atom's first occurrence (atom a's is item a-1) and per clause, in clause
-    order, the tuple of its literals as signed atom numbers, negated for a
-    negative literal; tautologies, empty clauses and variables are kept."""
+def _number(clauses: list[Clause]) -> tuple[list[Literal], list[tuple[int, ...]]]:
+    # the numbering of clause objects, keyed by predicate and arguments
     number: dict[tuple, int] = {}
     first: list[Literal] = []
     rows = []
-    for c in cs.clauses:
+    for c in clauses:
         row = []
         for lit in c.literals:
             a = number.get((lit.pred, lit.args))
@@ -498,6 +614,35 @@ def number_atoms(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
             row.append(a if lit.positive else -a)
         rows.append(tuple(row))
     return first, rows
+
+
+def _renumber(rows: list[tuple[int, ...]], n: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Rows over atoms 1..n renumbered by first occurrence: the new rows,
+    and per new atom the old signed number of its first occurrence."""
+    tr = [0] * (2 * n + 1)  # old signed number -> new, set at first occurrence
+    codes: list[int] = []
+    for x in dict.fromkeys(itertools.chain.from_iterable(rows)):
+        if not tr[x]:
+            codes.append(x)
+            a, b = abs(x), len(codes)
+            tr[a], tr[-a] = b, -b
+    return [tuple(map(tr.__getitem__, row)) for row in rows], codes
+
+
+def number_atoms(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
+    """The one literal numbering: atoms numbered 1, 2, ... by first
+    occurrence, keyed by predicate and arguments.  Gives the literal at each
+    atom's first occurrence (atom a's is item a-1) and per clause, in clause
+    order, the tuple of its literals as signed atom numbers, negated for a
+    negative literal; tautologies, empty clauses and variables are kept.
+
+    The set holds it and computes it at most once (see ``ClauseSet``), so
+    the lists are shared: do not mutate them."""
+    rows = cs.rows
+    if cs._first is None:
+        table = cs._literal_table()
+        cs._first = [table[a if x > 0 else -a] for a, x in enumerate(cs._codes, 1)]
+    return cs._first, rows
 
 
 def canonical_order(first: list[Literal], rows: list[tuple[int, ...]]

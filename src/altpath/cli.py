@@ -25,6 +25,7 @@ import sys
 import tempfile
 from collections import Counter
 from collections.abc import Callable
+from itertools import chain
 
 from altpath.clauses import ClauseSet, Literal, number_atoms
 from altpath.dpll import (
@@ -104,11 +105,11 @@ def resolve_support(cs: ClauseSet, spec: str | None, fmt: str) -> list[int]:
         spec = "role:negated_conjecture" if fmt == "tptp" else "neg"
     if spec.startswith("role:"):
         role = spec[5:]
-        ids = [c.id for c in cs.clauses if cs.roles.get(c.id) == role]
+        ids = [cid for cid in cs.ids() if cs.roles.get(cid) == role]
     elif spec == "pos":
-        ids = [c.id for c in cs.clauses if c.literals and all(l.positive for l in c.literals)]
+        ids = [cid for cid, row in zip(cs.ids(), cs.rows) if row and min(row) > 0]
     elif spec == "neg":
-        ids = [c.id for c in cs.clauses if c.literals and not any(l.positive for l in c.literals)]
+        ids = [cid for cid, row in zip(cs.ids(), cs.rows) if row and max(row) < 0]
     elif spec.startswith("ids:"):
         ids = _clause_ids(spec, [tok for tok in spec[4:].split(",") if tok])
     elif spec.startswith("file:"):
@@ -203,7 +204,8 @@ def cmd_filter(cfg: argparse.Namespace) -> int:
             fh.write(dmaps[0].to_csv())
     histogram: Counter[str] = Counter()
     if len(dmaps) == 1:
-        histogram.update(map(_show, dmaps[0].clause_distance.values()))
+        for d, count in Counter(dmaps[0].clause_distance.values()).items():
+            histogram[_show(d)] += count
     if cfg.json_out:
         _json_dump(
             {
@@ -475,11 +477,19 @@ def cmd_radius(cfg: argparse.Namespace) -> int:
 
 
 def _occurrence_bound(cs: ClauseSet) -> int:
-    counts: dict[tuple[str, bool], int] = {}
-    for c in cs.clauses:
-        for key in {(l.pred, l.positive) for l in c.literals}:
-            counts[key] = counts.get(key, 0) + 1
-    return max(counts.values(), default=0)
+    """The most clauses that one predicate occurs in with one sign, counted
+    over the set's numbering.  An atom of a propositional set is its
+    predicate, so there the signed atom numbers are the keys."""
+    rows = cs.rows
+    if not cs.is_propositional():
+        first, _ = number_atoms(cs)
+        pred: dict[str, int] = {}
+        key = [0] * (2 * len(first) + 1)  # by signed atom number
+        for a, lit in enumerate(first, 1):
+            p = pred.setdefault(lit.pred, len(pred) + 1)
+            key[a], key[-a] = p, -p
+        rows = [set(map(key.__getitem__, row)) for row in rows]
+    return max(Counter(chain.from_iterable(rows)).values(), default=0)
 
 
 def _sized(log10: float, exact) -> int | str:
@@ -515,20 +525,17 @@ def _growth_budget(n_support: int, b: int, k: int, n: int) -> int | str:
 def cmd_stats(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
     b = _occurrence_bound(cs)
-    k = max((len(c) for c in cs.clauses), default=0)
-    payload = {"clauses": len(cs), "b": b, "k": k}
+    k = max(map(len, cs.rows), default=0)
+    payload = {"clauses": len(cs), "b": b, "k": k, "atoms": cs.atom_count}
     if cfg.supports or cfg.bound is not None:
         if cfg.bound is None:
             raise ValueError("--bound is needed to print the size budget")
         support = _single_support(cs, cfg, fmt)
         graph = build_graph(cs, _graph_mode(cfg))
         dmap = bfs_from_support(graph, support, bound=cfg.bound)
-        payload["atoms"] = len(graph.first)  # the graph numbers the atoms
         payload["support"] = len(support)
         payload["relevant"] = len(dmap.relevant_ids(cfg.bound))
         payload["budget"] = _growth_budget(len(support), b, k, cfg.bound)
-    else:
-        payload["atoms"] = len(number_atoms(cs)[0])
     if cfg.json_out:
         _json_dump(payload)
     else:

@@ -130,8 +130,8 @@ def _buckets(graph: RelevanceGraph, dmap: DistanceMap
     clause, minus one) for every atom of a reachable clause."""
     atoms, rows = canonical_order(graph.first, graph.rows)
     bucket_of: dict[int, int] = {}
-    for c, row in zip(graph.clause_set.clauses, rows):
-        d = dmap.clause_distance[c.id]
+    for cid, row in zip(graph.clause_set.ids(), rows):
+        d = dmap.clause_distance[cid]
         if d == INF:
             continue
         b = d - 1

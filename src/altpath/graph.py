@@ -42,7 +42,7 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import accumulate, chain, compress, repeat
 
 from altpath.clauses import ClauseSet, Literal, complementary_unifiable, number_atoms
 
@@ -61,17 +61,20 @@ class RelevanceGraph:
     Node layout: occurrence i owns in-node 2i and out-node 2i+1.
     Occurrences are numbered in the canonical clause/literal order, and
     every reader of the graph uses the one layout of flat lists indexed by
-    occurrence: ``literals`` gives each occurrence's literal and
-    ``clause_of`` its clause index (its position in the set).
-    ``clause_occs`` gives each clause index's range of occurrences, and
-    ``occs_by_clause`` the same range by clause id.
+    occurrence, built from the set's numbering (``ClauseSet.rows``) with
+    no clause object read: ``lit_of`` gives each occurrence's signed atom
+    number, the rows concatenated, and ``clause_of`` its clause index (its
+    position in the set).  ``clause_occs`` gives each clause index's range
+    of occurrences, and ``occs_by_clause`` the same range by clause id.
+    ``literals``, each occurrence's ``Literal``, is derived on first read;
+    only witnesses and the partner lookups of a set with variables read it.
     The mode only decides how ``edge_count`` and ``node_count`` count the
     linking edges; no edge list is ever built.
 
-    ``first`` and ``rows`` are the set's ``clauses.number_atoms``, so
-    occurrence i is the signed number ``lit_of[i]``, the rows concatenated;
+    ``first`` and ``rows`` are the set's ``clauses.number_atoms``;
     ``occs[x]`` lists the occurrences of x in ascending order and
-    ``ground[a]`` says whether atom a is variable-free.  Unless the set is
+    ``ground[a]`` says whether atom a is variable-free (every atom of a
+    propositional set is, without a look at ``first``).  Unless the set is
     ground, literals are listed per ``(pred, sign)`` in ``by_key``, the
     non-ground ones also in ``open``.  A ground literal x's partners are
     ``occs[-x]`` plus the opposite non-ground literals it unifies with; a
@@ -85,21 +88,21 @@ class RelevanceGraph:
     def __init__(self, cs: ClauseSet, mode: str = FIRST_ORDER):
         self.clause_set = cs
         self.mode = mode
-        self.literals: list[Literal] = []  # by occurrence
-        self.clause_of: list[int] = []  # by occurrence: its clause's index
-        self.clause_occs: list[range] = []  # by clause index
-        for ci, c in enumerate(cs.clauses):
-            start = len(self.literals)
-            self.literals += c.literals
-            self.clause_occs.append(range(start, len(self.literals)))
-            self.clause_of += [ci] * len(c.literals)
-        self.first, self.rows = number_atoms(cs)
-        self.lit_of = list(chain.from_iterable(self.rows))
+        self.rows = rows = cs.rows
+        n = cs.atom_count
+        self.lit_of = list(chain.from_iterable(rows))  # by occurrence
+        starts = list(accumulate(map(len, rows), initial=0))
+        self.clause_occs = list(map(range, starts, starts[1:]))  # by clause index
+        # by occurrence: its clause's index
+        self.clause_of = list(chain.from_iterable(map(repeat, range(len(rows)), map(len, rows))))
         # indexed by signed number: -x sits at 2n+1-x, past every atom number
-        self.occs: list[list[int]] = [[] for _ in range(2 * len(self.first) + 1)]
+        self.occs: list[list[int]] = [[] for _ in range(2 * n + 1)]
         for i, x in enumerate(self.lit_of):
             self.occs[x].append(i)
-        self.ground = [True, *map(Literal.is_ground, self.first)]  # by atom number
+        if cs.is_propositional():
+            self.ground = [True] * (n + 1)  # by atom number
+        else:
+            self.ground = [True, *map(Literal.is_ground, self.first)]
         self.by_key: dict[tuple[str, bool], list[int]] = {}
         self.open: dict[tuple[str, bool], list[int]] = {}
         if not all(self.ground):  # else each literal x's partners are occs[-x]
@@ -114,6 +117,14 @@ class RelevanceGraph:
         self._unifies: dict[tuple[int, int], bool] = {}
 
     @cached_property
+    def first(self) -> list[Literal]:
+        return number_atoms(self.clause_set)[0]
+
+    @cached_property
+    def literals(self) -> list[Literal]:
+        return list(chain.from_iterable(c.literals for c in self.clause_set.clauses))
+
+    @cached_property
     def occs_by_clause(self) -> dict[int, range]:
         return dict(zip(self.clause_set.ids(), self.clause_occs))
 
@@ -124,18 +135,18 @@ class RelevanceGraph:
         found = self._partners[x]
         if found is not None:
             return found
-        occs, literals, unifies = self.occs, self.literals, self._unifies
-        key = (literals[i].pred, x < 0)
+        occs, unifies = self.occs, self._unifies
         if self.ground[abs(x)]:
-            runs = [occs[-x]]
-            candidates = self.open.get(key, ())
+            runs, table = [occs[-x]], self.open
         else:
-            runs = []
-            candidates = self.by_key.get(key, ())
+            runs, table = [], self.by_key
+        # only a set with variables lists literals by predicate
+        candidates = table.get((self.first[abs(x) - 1].pred, x < 0), ()) if table else ()
         for y in candidates:
             pair = (x, y) if x < y else (y, x)
             hit = unifies.get(pair)
             if hit is None:
+                literals = self.literals
                 hit = unifies[pair] = complementary_unifiable(
                     literals[occs[pair[0]][0]], literals[occs[pair[1]][0]])
             if hit:
@@ -151,7 +162,7 @@ class RelevanceGraph:
 
     @property
     def node_count(self) -> int:
-        return 2 * len(self.literals) + self._linking()[1]
+        return 2 * len(self.lit_of) + self._linking()[1]
 
     @property
     def edge_count(self) -> int:
@@ -171,7 +182,7 @@ class RelevanceGraph:
         # atom gets whichever wiring is smaller (ties go to direct, which
         # needs no extra nodes)
         edges = hubs = 0
-        for a in range(1, len(self.first) + 1):
+        for a in range(1, len(self.ground)):
             if not self.ground[a]:
                 continue
             m, n = len(occs[a]), len(occs[-a])
@@ -339,7 +350,7 @@ class DistanceMap:
         if cid in self.support:
             return AlternatingPath((cid,), ())
         graph, dist, parent = self.graph, self.dist, self.parent
-        clauses, clause_of, literals = graph.clause_set.clauses, graph.clause_of, graph.literals
+        ids, clause_of, literals = graph.clause_set.ids(), graph.clause_of, graph.literals
         # the first of the clause's in-nodes at its least distance
         best = min((2 * i for i in graph.occs_by_clause[cid]), key=dist.__getitem__)
         assert dist[best] != _UNSET, "finite distance but no reached in-node"
@@ -351,7 +362,7 @@ class DistanceMap:
         links: list[tuple[Literal, Literal]] = []
         pending_exit: Literal | None = None
         for node in chain:
-            occ_cid, lit = clauses[clause_of[node // 2]].id, literals[node // 2]
+            occ_cid, lit = ids[clause_of[node // 2]], literals[node // 2]
             if node % 2 == 1:  # out-node
                 if not clause_ids:
                     clause_ids.append(occ_cid)
@@ -415,14 +426,14 @@ def bfs_from_support(graph: RelevanceGraph, support_ids, bound: int | None = Non
     They are unset again before the map is returned.
     """
     lit_of, clause_of, clause_occs = graph.lit_of, graph.clause_of, graph.clause_occs
-    clauses = graph.clause_set.clauses
+    ids = graph.clause_set.ids()
     purged: list[range] = []  # the occurrences of each clause not searched
     if survivors is None:
         support = graph.clause_set.check_support(support_ids)
-        alive = bytearray([1]) * len(clauses)
+        alive = bytearray([1]) * len(ids)
     else:
         support = survivors.check_support(support_ids)
-        alive = bytearray(map(survivors.has_id, graph.clause_set.ids()))
+        alive = bytearray(map(survivors.has_id, ids))
         if sum(alive) != len(survivors):
             raise ValueError("the survivors are not a subset of the graph's clause set")
         purged = [occs for occs, live in zip(clause_occs, alive) if not live]
@@ -434,11 +445,11 @@ def bfs_from_support(graph: RelevanceGraph, support_ids, bound: int | None = Non
         dist[2 * occs.start:2 * occs.stop] = [-1] * (2 * len(occs))
     parent = [-1] * len(dist)
     expanded = bytearray(len(graph.occs))  # by signed literal number
-    clause_distance: list[float] = [INF] * len(clauses)
-    switches = bytearray(len(clauses))  # in-nodes each clause was switched from
+    clause_distance: list[float] = [INF] * len(ids)
+    switches = bytearray(len(ids))  # in-nodes each clause was switched from
     queue: deque[int] = deque()
-    for ci, c in enumerate(clauses):
-        if c.id in support:
+    for ci, cid in enumerate(ids):
+        if cid in support:
             clause_distance[ci] = 1
             switches[ci] = 2
             for i in clause_occs[ci]:
@@ -479,7 +490,6 @@ def bfs_from_support(graph: RelevanceGraph, support_ids, bound: int | None = Non
                     queue.appendleft(succ)
     for occs in purged:
         dist[2 * occs.start:2 * occs.stop] = [_UNSET] * (2 * len(occs))
-    ids = [c.id for c in clauses]
     return DistanceMap(graph, support, dict(compress(zip(ids, clause_distance), alive)),
                        dist, parent, bound=bound)
 
@@ -521,5 +531,5 @@ def purity_filter(graph: RelevanceGraph) -> ClauseSet:
                 partner_count[watcher] -= 1
                 if partner_count[watcher] == 0 and alive[clause_of[watcher]]:
                     worklist.append(clause_of[watcher])
-    return cs.subset([c.id for c, live in zip(cs.clauses, alive) if live])
+    return cs.subset(list(compress(cs.ids(), alive)))
 

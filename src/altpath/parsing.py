@@ -10,8 +10,9 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from itertools import chain
 
-from altpath.clauses import App, Clause, ClauseSet, Literal, Term, Var, keyed_literal
+from altpath.clauses import App, ClauseSet, Literal, Term, Var, keyed_literal, number_atoms
 
 
 class ParseError(ValueError):
@@ -46,18 +47,23 @@ _PROBLEM_LINE = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)")
 def parse_dimacs(data: str | bytes, source: str | None = None) -> ClauseSet:
     """Parse DIMACS CNF.  Atoms are named by their variable index.
 
-    Well-formed input is read in one pass over its integers, which also
-    puts each clause in canonical order (positive literals first, then by
-    variable number) and fills the predicate table, so each clause is built
-    once and no symbol is checked again.  Anything else is read again line
-    by line, which locates the error.  Each distinct literal is one
-    ``Literal`` object.
+    Well-formed input is read in one pass over its integers straight into
+    the set's numbering (``clauses.number_atoms``): each clause's literals
+    in canonical order (positive literals first, then by variable number)
+    as signed atom numbers, atoms numbered by first occurrence, and the
+    predicate table.  No ``Clause`` or ``Literal`` is built until one is
+    read.  Anything else is read again line by line, which locates the
+    error.  Either way each distinct literal is one ``Literal`` object.
     """
     text = _decode(data)
     cs = _dimacs_fast(text)
     if cs is None:
         cs = ClauseSet.from_groups(_dimacs_lines(text, source))
     return cs
+
+
+def _dimacs_literal(v: int) -> Literal:
+    return keyed_literal(v > 0, str(abs(v)))
 
 
 def _dimacs_fast(text: str) -> ClauseSet | None:
@@ -89,23 +95,29 @@ def _dimacs_fast(text: str) -> ClauseSet | None:
     ends = [i for i, v in enumerate(ints) if not v]
     if len(ends) != declared:
         return None
-    # literal v as a number in canonical order: v itself when positive, past
-    # every positive one when negative (a zero's number is never read)
-    codes = [v if v > 0 else n_vars - v for v in ints]
-    lit_of = {v if v > 0 else n_vars - v: keyed_literal(v > 0, str(abs(v)))
-              for v in set(ints) if v}
-    clauses: list[Clause] = []
-    read: list[int] = []  # every clause's numbers, in clause order
-    make, literal = Clause._canonical, lit_of.__getitem__
+    # literal v's place in canonical order: v itself when positive, past
+    # every positive one when negative (a zero's place is never read)
+    places = [v if v > 0 else n_vars - v for v in ints]
+    sorted_rows = []
     begin = 0
-    for cid, end in enumerate(ends, 1):
-        row = sorted(set(codes[begin:end]))
-        read += row
-        clauses.append(make(cid, tuple(map(literal, row))))
+    for end in ends:
+        sorted_rows.append(sorted(set(places[begin:end])))
         begin = end + 1
+    # atoms by first occurrence, with the DIMACS literal of each one's first
+    # occurrence, from a list indexed by variable
+    number = [0] * (n_vars + 1)
+    firsts: list[int] = []
+    for p in dict.fromkeys(chain.from_iterable(sorted_rows)):
+        v = p if p <= n_vars else n_vars - p
+        if not number[abs(v)]:
+            firsts.append(v)
+            number[abs(v)] = len(firsts)
+    signed = number + [-a for a in number[1:]]  # by place
+    rows = [tuple(map(signed.__getitem__, row)) for row in sorted_rows]
     # each symbol has arity 0 and is registered at its first occurrence
-    predicates = dict.fromkeys((lit_of[c].pred for c in dict.fromkeys(read)), 0)
-    return ClauseSet(clauses, predicates=predicates)
+    predicates = dict.fromkeys(map(str, map(abs, firsts)), 0)
+    return ClauseSet._from_rows(list(range(1, len(ends) + 1)), ({}, {}, predicates, {}),
+                                rows=rows, codes=firsts, source=_dimacs_literal)
 
 
 def _dimacs_lines(text: str, source: str | None) -> list[list[Literal]]:
@@ -166,7 +178,8 @@ def _dimacs_lines(text: str, source: str | None) -> list[list[Literal]]:
 
 
 def print_dimacs(cs: ClauseSet) -> str:
-    """Serialize a propositional clause set with integer atom names."""
+    """Serialize a propositional clause set with integer atom names, from
+    its numbering: each clause's signed atom numbers, in order."""
     if not cs.is_ground():
         raise ValueError("DIMACS output requires a variable-free clause set")
     indices: list[int] = []
@@ -177,10 +190,12 @@ def print_dimacs(cs: ClauseSet) -> str:
             )
         indices.append(int(name))
     n_vars = max(indices, default=0)
+    first, rows = number_atoms(cs)
+    text = [""] * (2 * len(first) + 1)  # by signed atom number
+    for a, lit in enumerate(first, 1):
+        text[a], text[-a] = str(int(lit.pred)), str(-int(lit.pred))
     lines = [f"p cnf {n_vars} {len(cs)}"]
-    for clause in cs.clauses:
-        ints = [int(l.pred) if l.positive else -int(l.pred) for l in clause.literals]
-        lines.append(" ".join(str(i) for i in ints + [0]))
+    lines += [" ".join([*map(text.__getitem__, row), "0"]) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -268,7 +268,7 @@ def sos_refute(
     frontier: list[int] = []
     evens = (4 ** (n + 1) - 1) // 3  # bit 2x of every atom x
 
-    for c, row in zip(cs.clauses, rows):
+    for cid, row in zip(cs.ids(), rows):
         m = 0
         for v in row:
             m |= 1 << (2 * v if v > 0 else 1 - 2 * v)
@@ -278,10 +278,10 @@ def sos_refute(
         masks.append(m)
         lits.append(row)
         steps.append(None)
-        cids.append(c.id)
+        cids.append(cid)
         for v in row:
             occurs[v].append(idx)
-        if c.id in support:
+        if cid in support:
             frontier.append(idx)
             seen.add(m)
         if not m:

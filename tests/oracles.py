@@ -123,6 +123,25 @@ def reference_rows(cs: ClauseSet, atoms: list[Literal]) -> list[tuple[int, ...]]
             for c in cs.clauses]
 
 
+def reference_print_dimacs(cs: ClauseSet) -> str:
+    """DIMACS text of a propositional set, read off its clause objects:
+    one line per clause, its literals in clause order, then 0."""
+    if not all(lit.is_ground() for c in cs.clauses for lit in c):
+        raise ValueError("DIMACS output requires a variable-free clause set")
+    indices: list[int] = []
+    for name, arity in cs.predicates.items():
+        if arity != 0 or not name.isdigit():
+            raise ValueError(
+                f"DIMACS output requires integer-named propositional atoms, got {name!r}"
+            )
+        indices.append(int(name))
+    lines = [f"p cnf {max(indices, default=0)} {len(cs.clauses)}"]
+    for clause in cs.clauses:
+        ints = [int(l.pred) if l.positive else -int(l.pred) for l in clause.literals]
+        lines.append(" ".join(str(i) for i in ints + [0]))
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Complementary unifiability by renaming apart
 

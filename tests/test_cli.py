@@ -5,13 +5,14 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import altpath.cli
 import altpath.graph
 from altpath.cli import EXIT_SAT, EXIT_UNSAT, EXIT_UNKNOWN, _growth_budget, main
-from altpath.clauses import Literal
+from altpath.clauses import Clause, Literal
 from altpath.dpll import SolveResult, stepping_sequence, support_radius
 from altpath.generators import random_3sat
 from altpath.graph import INF, bfs_from_support, build_graph
@@ -183,6 +184,57 @@ def test_filter_json_builds_no_clause_text(tmp_path, capsys, monkeypatch):
     for extra in ([], ["-o", str(tmp_path / "out.cnf")]):
         with pytest.raises(AssertionError, match="clause text built"):
             main(argv + extra)
+
+
+def _count_objects(monkeypatch) -> Counter:
+    """Count the Clause and Literal objects built from here on: through the
+    constructors, and through ``Clause._canonical``, which readers use."""
+    built: Counter = Counter()
+    post_init, canonical, literal_init = (Clause.__post_init__, Clause._canonical.__func__,
+                                          Literal.__init__)
+
+    def counted_post_init(self):
+        built["Clause"] += 1
+        post_init(self)
+
+    def counted_canonical(cls, cid, literals):
+        built["Clause"] += 1
+        return canonical(cls, cid, literals)
+
+    def counted_literal(self, *args, **kwargs):
+        built["Literal"] += 1
+        literal_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Clause, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Clause, "_canonical", classmethod(counted_canonical))
+    monkeypatch.setattr(Literal, "__init__", counted_literal)
+    return built
+
+
+def test_dimacs_filter_and_stats_build_no_clause_objects(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "s.cnf"
+    path.write_text(print_dimacs(random_3sat(random.Random(3), 40, 170)))
+    csv = str(tmp_path / "d.csv")
+    requests = (["filter", str(path), "-n", "3", "--support", "ids:1", "--json", "--csv", csv],
+                ["filter", str(path), "-n", "2", "--purity", "--support", "neg", "--json"],
+                ["stats", str(path), "--bound", "3", "--support", "ids:1,2", "--json"],
+                ["stats", str(path), "--json", "--hub", "--bound", "2"])
+    want = []
+    for argv in requests:
+        assert main(argv) == 0
+        want.append(capsys.readouterr().out)
+    built = _count_objects(monkeypatch)
+    for argv, out in zip(requests, want):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+        assert built == Counter(), argv
+    # the count sees objects where a request reads them: a witness and the
+    # written clauses
+    assert main(["path", str(path), "--to", "2", "--support", "ids:1", "--json"]) == 0
+    assert built["Clause"] == 170 and built["Literal"] > 0
+    built.clear()
+    assert main(requests[0][:-2] + ["-o", str(tmp_path / "out.cnf")]) == 0
+    assert built["Literal"] > 0
 
 
 @pytest.mark.parametrize("seed", range(4))
