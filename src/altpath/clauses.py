@@ -310,11 +310,14 @@ class ClauseSet:
 
     A set is its numbering as much as its clauses: ``rows`` holds, per
     clause in clause order, its literals as the signed atom numbers of
-    ``number_atoms`` (computed at most once per set).  A set read from
-    DIMACS, and a ``subset`` of a set whose numbering is known, starts from
-    the rows alone; its ``Clause`` and ``Literal`` objects are derived from
-    them on first read, one ``Literal`` per distinct signed number.  A set
-    made from clause objects numbers them on first read of ``rows``.
+    ``number_atoms`` (computed at most once per set).  ``literal(x)`` reads
+    the set's one literal store, indexed by signed number, which is filled
+    by one rule for each way a set is born.  A set made from clause objects
+    fills it in the one pass that numbers them, on first read of ``rows``.
+    A set read from DIMACS fills an entry on first read, from the reader's
+    integer for it, and a ``subset`` of a numbered set from its parent's
+    ``literal``.  Those two start from the rows alone and build ``Clause``
+    objects on read: ``by_id`` the one asked for, ``clauses`` all of them.
     Equality and repr are those of the clause objects and symbol tables.
     """
 
@@ -335,28 +338,25 @@ class ClauseSet:
         self.functions = functions if functions is not None else {}
         self._ids: list[int] | None = None  # by position
         self._pos: dict[int, int] | None = None  # by id
-        # the numbering: rows, and the literal at each atom's first occurrence
         self._rows: list[tuple[int, ...]] | None = None
-        self._first: list[Literal] | None = None
-        # a set born from rows names each atom by the code of its first
-        # occurrence's literal: one that ``_source`` turns into the literal,
-        # or in a subset, the parent's signed number (the code of the
-        # complement is the negated code)
+        # per atom, the signed number of its first occurrence: the set's own
+        # for a set made from clause objects, else the one ``_source`` turns
+        # into a literal (the complement's is its negation)
         self._codes: list[int] | None = None
         self._source = None
         # a subset's parent and positions, whose rows it renumbers on first read
         self._of: tuple[ClauseSet, list[int]] | None = None
-        self._literals: list[Literal | None] | None = None  # by signed number
+        self._literals: dict[int, Literal] = {}  # the literal store
 
     @classmethod
     def _from_rows(cls, ids: list[int], tables: tuple, rows=None, codes=None, source=None,
                    of=None, clauses: list[Clause] | None = None) -> "ClauseSet":
         """A set given by its numbering: clause ids by position, the symbol
-        tables (roles, names, predicates, functions), and either ``rows``
-        with, per atom, the code of its first occurrence's literal
-        (``codes``) and ``source``, a callable from codes to ``Literal``; or
-        ``of``, a parent set and the positions of the rows it takes.
-        ``clauses`` are the clause objects, when they exist already."""
+        tables (roles, names, predicates, functions), ``source``, a callable
+        from codes to ``Literal``, and either ``rows`` with, per atom, the
+        code of its first occurrence's literal (``codes``), or ``of``, a
+        parent set and the positions of the rows it takes.  ``clauses`` are
+        the clause objects, when they exist already."""
         cs = cls(clauses, *tables)
         cs._clauses, cs._ids, cs._source = clauses, ids, source
         cs._rows, cs._codes, cs._of = rows, codes, of
@@ -434,31 +434,24 @@ class ClauseSet:
     @property
     def clauses(self) -> list[Clause]:
         if self._clauses is None:
-            make, literal = Clause._canonical, self._literal_table().__getitem__
-            self._clauses = [make(cid, tuple(map(literal, row)))
-                             for cid, row in zip(self._ids, self.rows)]
+            rows, literal = self.rows, self.literal
+            for x in set(itertools.chain.from_iterable(rows)):
+                literal(x)  # fills the store, which is then read by index
+            make, get = Clause._canonical, self._literals.__getitem__
+            self._clauses = [make(cid, tuple(map(get, row))) for cid, row in zip(self._ids, rows)]
         return self._clauses
 
-    def _literal_table(self) -> list[Literal | None]:
-        """The literal of each signed number that occurs, indexed by it (-x
-        sits at 2n+1-x, past every atom number); None for the others."""
-        if self._literals is None:
-            rows = self.rows
-            table: list[Literal | None] = [None] * (2 * self.atom_count + 1)
-            if self._clauses is not None:
-                for c, row in zip(self._clauses, rows):
-                    for x, lit in zip(row, c.literals):
-                        table[x] = lit
-            else:
-                # a subset reads its literals off its parent's table
-                source = (self._source if self._of is None
-                          else self._of[0]._literal_table().__getitem__)
-                codes = self._codes
-                for x in dict.fromkeys(itertools.chain.from_iterable(rows)):
-                    code = codes[x - 1] if x > 0 else codes[-x - 1]
-                    table[x] = source(code if (code > 0) == (x > 0) else -code)
-            self._literals = table
-        return self._literals
+    def literal(self, x: int) -> Literal:
+        """The ``Literal`` of signed atom number x, which must occur in the
+        set: one object per number, held in the set's literal store."""
+        lit = self._literals.get(x)
+        if lit is None:
+            self.rows  # numbers the set: one made from clause objects fills the store
+            lit = self._literals.get(x)
+            if lit is None:
+                code = self._codes[abs(x) - 1]
+                lit = self._literals[x] = self._source(code if (code > 0) == (x > 0) else -code)
+        return lit
 
     def __len__(self) -> int:
         return len(self._ids) if self._clauses is None else len(self._clauses)
@@ -488,10 +481,15 @@ class ClauseSet:
         return self._pos
 
     def by_id(self, cid: int) -> Clause:
+        """The clause with id ``cid``; a set born from rows builds just that
+        one until its whole object view is read."""
         try:
-            return self.clauses[self._positions()[cid]]
+            p = self._positions()[cid]
         except KeyError:
             raise KeyError(f"no clause with id {cid}") from None
+        if self._clauses is not None:
+            return self._clauses[p]
+        return Clause._canonical(cid, tuple(map(self.literal, self.rows[p])))
 
     def has_id(self, cid: int) -> bool:
         return cid in self._positions()
@@ -524,8 +522,8 @@ class ClauseSet:
         clauses = None if self._clauses is None else [self._clauses[p] for p in where]
         if self._rows is None and self._of is None:  # not numbered yet
             return ClauseSet(clauses, *tables)
-        return ClauseSet._from_rows([ids[p] for p in where], tables, of=(self, where),
-                                    clauses=clauses)
+        return ClauseSet._from_rows([ids[p] for p in where], tables, source=self.literal,
+                                    of=(self, where), clauses=clauses)
 
     def splice(self, replacements: dict[int, list[tuple[Literal, ...]]]) -> "ClauseSet":
         """Swap each clause named in ``replacements``, at its position, for new
@@ -563,7 +561,7 @@ class ClauseSet:
         """Per clause, its literals as signed atom numbers (``number_atoms``)."""
         if self._rows is None:
             if self._of is None:
-                self._first, self._rows = _number(self._clauses)
+                self._rows, self._codes, self._literals = _number(self._clauses)
             else:
                 parent, where = self._of
                 self._rows, self._codes = _renumber([parent.rows[p] for p in where],
@@ -574,7 +572,7 @@ class ClauseSet:
     def atom_count(self) -> int:
         """The number of atoms of the numbering."""
         self.rows  # numbers a set made from clause objects
-        return len(self._first if self._codes is None else self._codes)
+        return len(self._codes)
 
     def is_propositional(self) -> bool:
         """True when the predicate table holds symbols and each has arity
@@ -599,21 +597,26 @@ class ClauseSet:
 # Integer encoding
 
 
-def _number(clauses: list[Clause]) -> tuple[list[Literal], list[tuple[int, ...]]]:
-    # the numbering of clause objects, keyed by predicate and arguments
+def _number(clauses: list[Clause]) -> tuple[list[tuple[int, ...]], list[int], dict[int, Literal]]:
+    # the numbering of clause objects, keyed by predicate and arguments: the
+    # rows, each atom's first signed number, and the literal store, which
+    # keeps the first object met for each signed number
     number: dict[tuple, int] = {}
-    first: list[Literal] = []
+    codes: list[int] = []
+    store: dict[int, Literal] = {}
     rows = []
     for c in clauses:
         row = []
         for lit in c.literals:
             a = number.get((lit.pred, lit.args))
             if a is None:
-                a = number[lit.pred, lit.args] = len(first) + 1
-                first.append(lit)
-            row.append(a if lit.positive else -a)
+                a = number[lit.pred, lit.args] = len(codes) + 1
+                codes.append(a if lit.positive else -a)
+            x = a if lit.positive else -a
+            store.setdefault(x, lit)
+            row.append(x)
         rows.append(tuple(row))
-    return first, rows
+    return rows, codes, store
 
 
 def _renumber(rows: list[tuple[int, ...]], n: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -632,17 +635,15 @@ def _renumber(rows: list[tuple[int, ...]], n: int) -> tuple[list[tuple[int, ...]
 def number_atoms(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
     """The one literal numbering: atoms numbered 1, 2, ... by first
     occurrence, keyed by predicate and arguments.  Gives the literal at each
-    atom's first occurrence (atom a's is item a-1) and per clause, in clause
-    order, the tuple of its literals as signed atom numbers, negated for a
-    negative literal; tautologies, empty clauses and variables are kept.
+    atom's first occurrence (atom a's is item a-1), read off
+    ``ClauseSet.literal``, and per clause, in clause order, the tuple of its
+    literals as signed atom numbers, negated for a negative literal;
+    tautologies, empty clauses and variables are kept.
 
-    The set holds it and computes it at most once (see ``ClauseSet``), so
-    the lists are shared: do not mutate them."""
-    rows = cs.rows
-    if cs._first is None:
-        table = cs._literal_table()
-        cs._first = [table[a if x > 0 else -a] for a, x in enumerate(cs._codes, 1)]
-    return cs._first, rows
+    The set holds the rows and computes them at most once (see
+    ``ClauseSet``), so they are shared: do not mutate them."""
+    rows, literal = cs.rows, cs.literal
+    return [literal(a if c > 0 else -a) for a, c in enumerate(cs._codes, 1)], rows
 
 
 def canonical_order(first: list[Literal], rows: list[tuple[int, ...]]
@@ -664,7 +665,8 @@ def encode(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
     return canonical_order(*number_atoms(cs))
 
 
-def check_ground(atoms: list[Literal], task: str) -> None:
-    """ValueError unless every atom, as the numberings list them, is variable-free."""
-    if not all(map(Literal.is_ground, atoms)):
+def check_ground(ground, task: str) -> None:
+    """ValueError unless every flag is true: one per atom of a numbering,
+    saying whether it is variable-free."""
+    if not all(ground):
         raise ValueError(f"{task} is defined for variable-free clause sets only")

@@ -50,7 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from altpath.clauses import ClauseSet, Literal, canonical_order, check_ground, encode
+from altpath.clauses import (ClauseSet, Literal, canonical_order, check_ground, encode,
+                             number_atoms)
 from altpath.graph import (
     INF,
     DistanceMap,
@@ -119,7 +120,7 @@ def _relevance(cs: ClauseSet, support_ids, task: str) -> tuple[RelevanceGraph, D
     the refusal of variables (named after ``task``) before the search
     unifies, and the 0-1 BFS from the support set."""
     graph = build_graph(cs)
-    check_ground(graph.first, task)
+    check_ground(graph.ground, task)
     return graph, bfs_from_support(graph, support_ids)
 
 
@@ -128,7 +129,7 @@ def _buckets(graph: RelevanceGraph, dmap: DistanceMap
     """The graph's numbering in canonical order, as ``clauses.encode`` gives
     it, and atom number -> stepping bucket (the distance of its closest
     clause, minus one) for every atom of a reachable clause."""
-    atoms, rows = canonical_order(graph.first, graph.rows)
+    atoms, rows = canonical_order(*number_atoms(graph.clause_set))
     bucket_of: dict[int, int] = {}
     for cid, row in zip(graph.clause_set.ids(), rows):
         d = dmap.clause_distance[cid]
@@ -383,7 +384,7 @@ def _solve(atoms: list[Literal], rows: list[tuple[int, ...]],
 def dpll(cs: ClauseSet, config: SolverConfig | None = None) -> SolveResult:
     """Plain splitting solver, unrestricted branching."""
     atoms, rows = encode(cs)
-    check_ground(atoms, _SOLVING)
+    check_ground(map(Literal.is_ground, atoms), _SOLVING)
     return _solve(atoms, rows, dict.fromkeys(range(1, len(atoms) + 1), 0), False,
                   config or SolverConfig())
 
@@ -416,7 +417,7 @@ def dpll_rel(cs: ClauseSet, support_ids=None, config: SolverConfig | None = None
         atoms, rows, bucket_of = _buckets(*_relevance(cs, support, _SOLVING))
     else:
         atoms, rows = encode(cs)
-        check_ground(atoms, _SOLVING)
+        check_ground(map(Literal.is_ground, atoms), _SOLVING)
         index = {atom: i + 1 for i, atom in enumerate(atoms)}
         # a passed sequence may name atoms the set lacks: nothing to split
         bucket_of = {index[atom]: b for b, bucket in enumerate(step)

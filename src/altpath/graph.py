@@ -66,15 +66,14 @@ class RelevanceGraph:
     number, the rows concatenated, and ``clause_of`` its clause index (its
     position in the set).  ``clause_occs`` gives each clause index's range
     of occurrences, and ``occs_by_clause`` the same range by clause id.
-    ``literals``, each occurrence's ``Literal``, is derived on first read;
-    only witnesses and the partner lookups of a set with variables read it.
-    The mode only decides how ``edge_count`` and ``node_count`` count the
-    linking edges; no edge list is ever built.
+    The graph holds no literal objects: witnesses and the partner lookups
+    of a set with variables read them off ``ClauseSet.literal``.  The mode
+    only decides how ``edge_count`` and ``node_count`` count the linking
+    edges; no edge list is ever built.
 
-    ``first`` and ``rows`` are the set's ``clauses.number_atoms``;
     ``occs[x]`` lists the occurrences of x in ascending order and
     ``ground[a]`` says whether atom a is variable-free (every atom of a
-    propositional set is, without a look at ``first``).  Unless the set is
+    propositional set is, without a literal made).  Unless the set is
     ground, literals are listed per ``(pred, sign)`` in ``by_key``, the
     non-ground ones also in ``open``.  A ground literal x's partners are
     ``occs[-x]`` plus the opposite non-ground literals it unifies with; a
@@ -88,7 +87,7 @@ class RelevanceGraph:
     def __init__(self, cs: ClauseSet, mode: str = FIRST_ORDER):
         self.clause_set = cs
         self.mode = mode
-        self.rows = rows = cs.rows
+        rows = cs.rows
         n = cs.atom_count
         self.lit_of = list(chain.from_iterable(rows))  # by occurrence
         starts = list(accumulate(map(len, rows), initial=0))
@@ -102,11 +101,12 @@ class RelevanceGraph:
         if cs.is_propositional():
             self.ground = [True] * (n + 1)  # by atom number
         else:
-            self.ground = [True, *map(Literal.is_ground, self.first)]
+            first = number_atoms(cs)[0]
+            self.ground = [True, *map(Literal.is_ground, first)]
         self.by_key: dict[tuple[str, bool], list[int]] = {}
         self.open: dict[tuple[str, bool], list[int]] = {}
         if not all(self.ground):  # else each literal x's partners are occs[-x]
-            for a, lit in enumerate(self.first, 1):
+            for a, lit in enumerate(first, 1):
                 for x in (a, -a):
                     if self.occs[x]:
                         key = (lit.pred, x > 0)
@@ -115,14 +115,6 @@ class RelevanceGraph:
                             self.open.setdefault(key, []).append(x)
         self._partners: list[list[int] | None] = [None] * len(self.occs)
         self._unifies: dict[tuple[int, int], bool] = {}
-
-    @cached_property
-    def first(self) -> list[Literal]:
-        return number_atoms(self.clause_set)[0]
-
-    @cached_property
-    def literals(self) -> list[Literal]:
-        return list(chain.from_iterable(c.literals for c in self.clause_set.clauses))
 
     @cached_property
     def occs_by_clause(self) -> dict[int, range]:
@@ -140,17 +132,16 @@ class RelevanceGraph:
             runs, table = [occs[-x]], self.open
         else:
             runs, table = [], self.by_key
-        # only a set with variables lists literals by predicate
-        candidates = table.get((self.first[abs(x) - 1].pred, x < 0), ()) if table else ()
-        for y in candidates:
-            pair = (x, y) if x < y else (y, x)
-            hit = unifies.get(pair)
-            if hit is None:
-                literals = self.literals
-                hit = unifies[pair] = complementary_unifiable(
-                    literals[occs[pair[0]][0]], literals[occs[pair[1]][0]])
-            if hit:
-                runs.append(occs[y])
+        if table:  # only a set with variables lists literals by predicate
+            literal = self.clause_set.literal
+            lit = literal(x)
+            for y in table.get((lit.pred, x < 0), ()):
+                pair = (x, y) if x < y else (y, x)
+                hit = unifies.get(pair)
+                if hit is None:
+                    hit = unifies[pair] = complementary_unifiable(lit, literal(y))
+                if hit:
+                    runs.append(occs[y])
         runs = [run for run in runs if run]
         if len(runs) == 1:
             found = runs[0]
@@ -310,9 +301,11 @@ class DistanceMap:
     graph's set or the survivors the search was given, to its distance
     (INF when unreachable), in clause order.  ``dist`` and ``parent`` are
     the search's lists indexed by node: a reached node's number of clause
-    entries and the node it was reached from (``_UNSET`` and -1 where there is none).  They are kept for
-    witness extraction, which reads each node's clause and literal from the
-    graph's ``clause_of`` and ``literals``; ``node_distance`` shows ``dist``
+    entries and the node it was reached from (``_UNSET`` and -1 where there
+    is none).  They are kept for witness extraction, which reads each
+    node's clause and signed atom number from the graph's ``clause_of`` and
+    ``lit_of``, and makes a ``Literal`` only for the nodes on the witness,
+    with ``ClauseSet.literal``; ``node_distance`` shows ``dist``
     as a read-only mapping of the reached nodes.  ``bound`` is set when the
     map came from a bounded search, in which case distances beyond the
     bound are reported as INF.
@@ -350,7 +343,8 @@ class DistanceMap:
         if cid in self.support:
             return AlternatingPath((cid,), ())
         graph, dist, parent = self.graph, self.dist, self.parent
-        ids, clause_of, literals = graph.clause_set.ids(), graph.clause_of, graph.literals
+        ids, clause_of, lit_of = graph.clause_set.ids(), graph.clause_of, graph.lit_of
+        literal = graph.clause_set.literal
         # the first of the clause's in-nodes at its least distance
         best = min((2 * i for i in graph.occs_by_clause[cid]), key=dist.__getitem__)
         assert dist[best] != _UNSET, "finite distance but no reached in-node"
@@ -362,7 +356,7 @@ class DistanceMap:
         links: list[tuple[Literal, Literal]] = []
         pending_exit: Literal | None = None
         for node in chain:
-            occ_cid, lit = ids[clause_of[node // 2]], literals[node // 2]
+            occ_cid, lit = ids[clause_of[node // 2]], literal(lit_of[node // 2])
             if node % 2 == 1:  # out-node
                 if not clause_ids:
                     clause_ids.append(occ_cid)

@@ -47,28 +47,28 @@ _PROBLEM_LINE = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)")
 def parse_dimacs(data: str | bytes, source: str | None = None) -> ClauseSet:
     """Parse DIMACS CNF.  Atoms are named by their variable index.
 
-    Well-formed input is read in one pass over its integers straight into
-    the set's numbering (``clauses.number_atoms``): each clause's literals
-    in canonical order (positive literals first, then by variable number)
-    as signed atom numbers, atoms numbered by first occurrence, and the
-    predicate table.  No ``Clause`` or ``Literal`` is built until one is
-    read.  Anything else is read again line by line, which locates the
-    error.  Either way each distinct literal is one ``Literal`` object.
+    Well-formed input is read in one pass over its integers; anything else
+    is read again line by line, which locates the error.  Either way the
+    integers go straight into the set's numbering (``clauses.number_atoms``):
+    each clause's literals in canonical order (positive literals first, then
+    by variable number) as signed atom numbers, atoms numbered by first
+    occurrence, and the predicate table.  No ``Clause`` or ``Literal`` is
+    built until one is read, and then one ``Literal`` per signed number.
     """
     text = _decode(data)
-    cs = _dimacs_fast(text)
-    if cs is None:
-        cs = ClauseSet.from_groups(_dimacs_lines(text, source))
-    return cs
+    ints = _dimacs_fast(text)
+    if ints is None:
+        ints = _dimacs_lines(text, source)
+    return _dimacs_set(ints)
 
 
 def _dimacs_literal(v: int) -> Literal:
     return keyed_literal(v > 0, str(abs(v)))
 
 
-def _dimacs_fast(text: str) -> ClauseSet | None:
-    """The clause set of well-formed DIMACS, or None to defer to the line
-    reader."""
+def _dimacs_fast(text: str) -> list[int] | None:
+    """The clause integers of well-formed DIMACS, each clause ended by a 0;
+    None to defer to the line reader."""
     lines = text.splitlines()
     for start, raw in enumerate(lines):
         line = raw.strip()
@@ -92,12 +92,19 @@ def _dimacs_fast(text: str) -> ClauseSet | None:
         return None
     if ints and (ints[-1] != 0 or max(ints) > n_vars or -min(ints) > n_vars):
         return None
-    ends = [i for i, v in enumerate(ints) if not v]
-    if len(ends) != declared:
+    if ints.count(0) != declared:
         return None
+    return ints
+
+
+def _dimacs_set(ints: list[int]) -> ClauseSet:
+    """The clause set of checked clause integers, each clause ended by a 0.
+    Its lists are sized by the largest variable used, not the declared one."""
+    ends = [i for i, v in enumerate(ints) if not v]
+    top = max(max(ints, default=0), -min(ints, default=0))
     # literal v's place in canonical order: v itself when positive, past
     # every positive one when negative (a zero's place is never read)
-    places = [v if v > 0 else n_vars - v for v in ints]
+    places = [v if v > 0 else top - v for v in ints]
     sorted_rows = []
     begin = 0
     for end in ends:
@@ -105,10 +112,10 @@ def _dimacs_fast(text: str) -> ClauseSet | None:
         begin = end + 1
     # atoms by first occurrence, with the DIMACS literal of each one's first
     # occurrence, from a list indexed by variable
-    number = [0] * (n_vars + 1)
+    number = [0] * (top + 1)
     firsts: list[int] = []
     for p in dict.fromkeys(chain.from_iterable(sorted_rows)):
-        v = p if p <= n_vars else n_vars - p
+        v = p if p <= top else top - p
         if not number[abs(v)]:
             firsts.append(v)
             number[abs(v)] = len(firsts)
@@ -120,13 +127,13 @@ def _dimacs_fast(text: str) -> ClauseSet | None:
                                 rows=rows, codes=firsts, source=_dimacs_literal)
 
 
-def _dimacs_lines(text: str, source: str | None) -> list[list[Literal]]:
+def _dimacs_lines(text: str, source: str | None) -> list[int]:
+    """``_dimacs_fast``'s result for any DIMACS the line reader takes, or
+    the ``ParseError`` that locates what it refuses."""
     n_vars: int | None = None
     declared_clauses: int | None = None
-    groups: list[list[Literal]] = []
-    current: list[Literal] = []
+    ints: list[int] = []
     open_line: int | None = None
-    lit_of: dict[int, Literal] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -148,33 +155,27 @@ def _dimacs_lines(text: str, source: str | None) -> list[list[Literal]]:
             if val == 0 and tok.startswith("-"):
                 raise ParseError("literal index 0 in clause body", lineno, source)
             if val == 0:
-                groups.append(current)
-                current = []
                 open_line = None
-                continue
-            if abs(val) > n_vars:
+            elif abs(val) > n_vars:
                 raise ParseError(
                     f"literal {val} exceeds declared variable count {n_vars}",
                     lineno,
                     source,
                 )
-            if not current:
+            elif open_line is None:
                 open_line = lineno
-            lit = lit_of.get(val)
-            if lit is None:
-                lit = lit_of[val] = keyed_literal(val > 0, str(abs(val)))
-            current.append(lit)
-    if current:
+            ints.append(val)
+    if open_line is not None:
         raise ParseError("unterminated clause at end of input", open_line, source)
     if n_vars is None:
         raise ParseError("no problem line 'p cnf VARIABLES CLAUSES'", None, source)
-    if declared_clauses is not None and declared_clauses != len(groups):
+    if declared_clauses is not None and declared_clauses != ints.count(0):
         raise ParseError(
-            f"problem line declares {declared_clauses} clauses, found {len(groups)}",
+            f"problem line declares {declared_clauses} clauses, found {ints.count(0)}",
             None,
             source,
         )
-    return groups
+    return ints
 
 
 def print_dimacs(cs: ClauseSet) -> str:

@@ -251,7 +251,7 @@ def sos_refute(
     if not support:
         raise ValueError("sos_refute needs a nonempty support set")
     atoms, rows = encode(cs)
-    check_ground(atoms, "resolution search")
+    check_ground(map(Literal.is_ground, atoms), "resolution search")
 
     # The kept clauses by record id, inputs first: the literal bit mask
     # (literal x is bit 2x, -x is bit 2x+1), the signed literals, and for

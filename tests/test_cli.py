@@ -188,17 +188,20 @@ def test_filter_json_builds_no_clause_text(tmp_path, capsys, monkeypatch):
 
 def _count_objects(monkeypatch) -> Counter:
     """Count the Clause and Literal objects built from here on: through the
-    constructors, and through ``Clause._canonical``, which readers use."""
+    constructors, and through ``Clause._canonical``, which readers use.
+    Clauses are also counted by id, under ("Clause", id)."""
     built: Counter = Counter()
     post_init, canonical, literal_init = (Clause.__post_init__, Clause._canonical.__func__,
                                           Literal.__init__)
 
     def counted_post_init(self):
         built["Clause"] += 1
+        built["Clause", self.id] += 1
         post_init(self)
 
     def counted_canonical(cls, cid, literals):
         built["Clause"] += 1
+        built["Clause", cid] += 1
         return canonical(cls, cid, literals)
 
     def counted_literal(self, *args, **kwargs):
@@ -214,6 +217,14 @@ def _count_objects(monkeypatch) -> Counter:
 def test_dimacs_filter_and_stats_build_no_clause_objects(tmp_path, capsys, monkeypatch):
     path = tmp_path / "s.cnf"
     path.write_text(print_dimacs(random_3sat(random.Random(3), 40, 170)))
+    # the farthest clause from clause 1, its witness, and the distinct
+    # literals of the witness's clauses
+    cs = parse_dimacs(path.read_text())
+    dmap = bfs_from_support(build_graph(cs), [1])
+    far = max((cid for cid in cs.ids() if dmap.distance(cid) < INF), key=dmap.distance)
+    witness = dmap.witness(far).clause_ids
+    signed = {lit for cid in witness for lit in cs.by_id(cid)}
+    assert len(witness) >= 3
     csv = str(tmp_path / "d.csv")
     requests = (["filter", str(path), "-n", "3", "--support", "ids:1", "--json", "--csv", csv],
                 ["filter", str(path), "-n", "2", "--purity", "--support", "neg", "--json"],
@@ -228,13 +239,21 @@ def test_dimacs_filter_and_stats_build_no_clause_objects(tmp_path, capsys, monke
         assert main(argv) == 0
         assert capsys.readouterr().out == out
         assert built == Counter(), argv
-    # the count sees objects where a request reads them: a witness and the
-    # written clauses
-    assert main(["path", str(path), "--to", "2", "--support", "ids:1", "--json"]) == 0
-    assert built["Clause"] == 170 and built["Literal"] > 0
+    # the count sees objects where a request reads them: a witness builds
+    # its own clauses only, at most two per hop, with the literals of their
+    # signed numbers
+    assert main(["path", str(path), "--to", str(far), "--support", "ids:1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["clauses"] == list(witness)
+    assert {key[1] for key in built if isinstance(key, tuple)} <= set(witness)
+    assert 0 < built["Clause"] <= 2 * (len(witness) - 1)
+    assert 0 < built["Literal"] <= len(signed)
+    # written clauses are printed from the rows: no clause, and at most one
+    # literal per atom of the written subset
     built.clear()
-    assert main(requests[0][:-2] + ["-o", str(tmp_path / "out.cnf")]) == 0
-    assert built["Literal"] > 0
+    out = tmp_path / "out.cnf"
+    assert main(requests[0][:-2] + ["-o", str(out)]) == 0
+    assert built["Clause"] == 0
+    assert 0 < built["Literal"] <= parse_dimacs(out.read_text()).atom_count
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -23,6 +23,7 @@ from altpath.graph import (
     check_alternating_path,
     purity_filter,
 )
+from altpath.parsing import parse_dimacs, parse_tptp, print_dimacs, print_tptp
 from altpath.splitting import binary_split_plan, split_clause
 
 from oracles import brute_distances, reference_adjacency, reference_bfs, reference_witness
@@ -634,10 +635,22 @@ def test_golden_first_order_graph(name):
 def _differential_sets():
     for name, cs, _ in FAMILIES:
         yield name, cs
-    for name, cs in _golden_families():
+    golden = dict(_golden_families())
+    for name, cs in golden.items():
         yield f"golden-{name}", cs
-    for seed in range(3):
-        yield f"3sat170-{seed}", random_3sat(random.Random(1000 + seed), 40, 170)
+    sat = [random_3sat(random.Random(1000 + seed), 40, 170) for seed in range(3)]
+    for seed, cs in enumerate(sat):
+        yield f"3sat170-{seed}", cs
+    # the same sets read back from print: DIMACS ones are born from rows,
+    # and a subset of a numbered set reads its rows and literals off its
+    # parent, so the search and every witness go through ``literal``
+    read = [(f"dimacs-3sat170-{seed}", parse_dimacs(print_dimacs(cs)))
+            for seed, cs in enumerate(sat)]
+    read += [(f"tptp-{name}", parse_tptp(print_tptp(golden[name]))) for name in ("fo0", "bounded0")]
+    for name, cs in read:
+        yield name, cs
+        cs.rows  # numbered, so the subset is born from its parent's rows
+        yield f"{name}-subset", cs.subset(random.Random(name).sample(cs.ids(), 2 * len(cs) // 3))
 
 
 DIFFERENTIAL = list(_differential_sets())

@@ -10,10 +10,21 @@ import random
 import pytest
 
 from altpath import parsing
-from altpath.clauses import ClauseSet, number_atoms
+from altpath.clauses import ClauseSet, Literal, number_atoms
 from altpath.generators import random_3sat, random_first_order, random_ground
 from altpath.parsing import parse_dimacs, parse_tptp, print_dimacs, print_tptp
 from oracles import reference_print_dimacs
+
+
+def _line_reader_objects(text: str) -> ClauseSet:
+    """The set made from clause objects over the line reader's integers."""
+    groups: list[list[Literal]] = [[]]
+    for v in parsing._dimacs_lines(text, None):
+        if v:
+            groups[-1].append(Literal(v > 0, str(abs(v))))
+        else:
+            groups.append([])
+    return ClauseSet.from_groups(groups[:-1])
 
 
 def _object_numbering(cs: ClauseSet):
@@ -68,7 +79,7 @@ def test_dimacs_numbering_matches_the_objects_it_derives(seed):
         assert (first, rows) == _object_numbering(cs)
         assert len(rows) == len(cs) == len(cs.clauses)
         # the derived clauses are those of the line reader
-        assert cs == ClauseSet.from_groups(parsing._dimacs_lines(text, None))
+        assert cs == _line_reader_objects(text)
         # one Literal per distinct signed number
         lits = [lit for c in cs.clauses for lit in c]
         assert len({id(lit) for lit in lits}) == len(set(lits))
@@ -121,7 +132,7 @@ def test_subset_of_an_unnumbered_set_reads_the_same():
 
 def test_equality_and_repr_are_those_of_the_clause_objects():
     text = "p cnf 3 3\n1 -2 0\n-3 2 2 0\n0\n"
-    read, objects = parse_dimacs(text), ClauseSet.from_groups(parsing._dimacs_lines(text, None))
+    read, objects = parse_dimacs(text), _line_reader_objects(text)
     assert read == objects
     assert repr(read) == repr(objects)
     assert repr(read).startswith("ClauseSet(clauses=[Clause(id=1, literals=(Literal(positive=True")

@@ -76,6 +76,15 @@ def test_dimacs_leading_zero_literal_accepted():
     assert cs.by_id(1).literals == (Literal(True, "1"), Literal(False, "5"))
 
 
+@pytest.mark.parametrize("negative", ["-2", "-02"])
+def test_dimacs_declared_variable_count_sizes_nothing(negative):
+    # both readers size their lists by the largest variable used: a list of
+    # the declared 10**18 entries is refused at once, without being filled
+    cs = parse_dimacs(f"p cnf {10 ** 18} 2\n1 {negative} 0\n2 0\n")
+    assert (len(cs), cs.atom_count) == (2, 2)
+    assert str(cs) == "c1: 1 | ~2\nc2: 2"
+
+
 def test_dimacs_unterminated_clause():
     with pytest.raises(ParseError):
         parse_dimacs("p cnf 2 1\n1 2\n")
