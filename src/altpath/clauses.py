@@ -318,7 +318,11 @@ class ClauseSet:
     integer for it, and a ``subset`` of a numbered set from its parent's
     ``literal``.  Those two start from the rows alone and build ``Clause``
     objects on read: ``by_id`` the one asked for, ``clauses`` all of them.
-    Equality and repr are those of the clause objects and symbol tables.
+    Next to its numbering a set holds its canonical atom order, ``rank``,
+    also computed at most once and by one rule per birth; ``atoms()``,
+    ``atom`` and ``canonical_rows`` read it, so the solvers order a set's
+    atoms without naming them.  Equality and repr are those of the clause
+    objects and symbol tables.
     """
 
     __hash__ = None  # mutable tables, compared by value
@@ -347,6 +351,10 @@ class ClauseSet:
         # a subset's parent and positions, whose rows it renumbers on first read
         self._of: tuple[ClauseSet, list[int]] | None = None
         self._literals: dict[int, Literal] = {}  # the literal store
+        # the canonical order: atom numbers by canonical number, and the
+        # signed table of ``rank``
+        self._order: list[int] | None = None
+        self._rank: list[int] | None = None
 
     @classmethod
     def _from_rows(cls, ids: list[int], tables: tuple, rows=None, codes=None, source=None,
@@ -574,6 +582,49 @@ class ClauseSet:
         self.rows  # numbers a set made from clause objects
         return len(self._codes)
 
+    @property
+    def rank(self) -> list[int]:
+        """Per signed atom number x, the signed number of x in canonical
+        order, indexed like a list by x (so -x sits at the end): atom r of
+        ``atoms()`` is the one of rank r.  Computed at most once per set,
+        by one rule for each way a set is born.  A set made from clause
+        objects sorts its atoms by ``literal_key``.  A set read from DIMACS
+        ranks them by variable, read off the reader's integers, which is
+        the same order: digit names sort numerically.  A ``subset`` of a
+        numbered set ranks them by its parent's rank, since a restriction
+        of the canonical order keeps it."""
+        if self._rank is None:
+            self.rows  # numbers the set
+            codes = self._codes
+            if self._of is not None:  # a subset: codes are its parent's numbers
+                parent = self._of[0].rank
+                keys = [0, *map(abs, map(parent.__getitem__, codes))]
+            elif self._source is not None:  # read from DIMACS: codes are variables
+                keys = [0, *map(abs, codes)]
+            else:  # a literal's key minus its sign is its atom's
+                keys = [(), *(literal_key(lit)[1:] for lit in number_atoms(self)[0])]
+            n = len(codes)
+            order = sorted(range(1, n + 1), key=keys.__getitem__)
+            rank = [0] * (2 * n + 1)
+            for r, a in enumerate(order, 1):
+                rank[a], rank[-a] = r, -r
+            self._order, self._rank = order, rank
+        return self._rank
+
+    def canonical_rows(self) -> list[tuple[int, ...]]:
+        """``rows`` renumbered by ``rank``: per clause, its literals as
+        signed canonical numbers, in clause order."""
+        rank = self.rank
+        return [tuple(map(rank.__getitem__, row)) for row in self.rows]
+
+    def atom(self, r: int) -> Literal:
+        """The atom of canonical number r (see ``rank``), as a positive
+        literal: ``literal`` at its first occurrence, made positive."""
+        if self._order is None:
+            self.rank  # orders the set
+        a = self._order[r - 1]
+        return self.literal(a if self._codes[a - 1] > 0 else -a).atom
+
     def is_propositional(self) -> bool:
         """True when the predicate table holds symbols and each has arity
         0: then no atom takes arguments, so every atom is variable-free."""
@@ -583,8 +634,8 @@ class ClauseSet:
         return self.is_propositional() or all(c.is_ground() for c in self.clauses)
 
     def atoms(self) -> list[Literal]:
-        """All atoms of the set, in canonical order."""
-        return encode(self)[0]
+        """All atoms of the set, in canonical order (the held ``rank``)."""
+        return list(map(self.atom, range(1, self.atom_count + 1)))
 
     def max_id(self) -> int:
         return max(self.ids(), default=0)
@@ -646,23 +697,19 @@ def number_atoms(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
     return [literal(a if c > 0 else -a) for a, c in enumerate(cs._codes, 1)], rows
 
 
-def canonical_order(first: list[Literal], rows: list[tuple[int, ...]]
-                    ) -> tuple[list[Literal], list[tuple[int, ...]]]:
-    """A ``number_atoms`` result renumbered in canonical order: the atoms
-    sorted, atom i of the list being number i+1, and the rows renumbered to
-    match."""
-    # a literal's key minus its sign is its atom's
-    order = sorted(range(len(first)), key=lambda i: literal_key(first[i])[1:])
-    rank = [0] * (2 * len(first) + 1)  # indexed by signed literal
-    for r, i in enumerate(order, 1):
-        rank[i + 1], rank[-i - 1] = r, -r
-    return [first[i].atom for i in order], [tuple(map(rank.__getitem__, row)) for row in rows]
-
-
 def encode(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
-    """``number_atoms`` in canonical order: the atoms sorted, atom i of the
-    list being number i+1, and per clause the tuple of its signed numbers."""
-    return canonical_order(*number_atoms(cs))
+    """The set in canonical order: its atoms, atom i of the list being
+    number i+1, and per clause the tuple of its signed numbers
+    (``ClauseSet.rank``)."""
+    return cs.atoms(), cs.canonical_rows()
+
+
+def ground_flags(cs: ClauseSet) -> list[bool]:
+    """Per atom number, item 0 unused, whether the atom is variable-free:
+    every atom of a propositional set is, with no literal read."""
+    if cs.is_propositional():
+        return [True] * (cs.atom_count + 1)
+    return [True, *map(Literal.is_ground, number_atoms(cs)[0])]
 
 
 def check_ground(ground, task: str) -> None:

@@ -38,8 +38,13 @@ counts the atoms of every support-reachable clause instead: never fewer, so
 its 2**k is a looser but still valid bound.
 
 Both solvers read the set once, as the signed atom numbers of
-``clauses.encode``; ``dpll_rel`` renumbers the numbering its relevance graph
-already holds instead.  They delete tautological clauses up front.  That is
+``ClauseSet.canonical_rows``: the set's numbering renumbered by the
+canonical rank it holds, so no atom is named to be ordered.  The search
+runs on these integers alone, and a ``Literal`` is made, through
+``ClauseSet.literal``, only for the atoms of a model that is returned.
+Variables are refused before that, through ``is_propositional`` or the
+relevance graph's ground flags.  The solvers delete tautological clauses
+up front.  That is
 satisfiability preserving and keeps shrunken clauses two-valued, which the
 call bound above relies on; distance computations in the graph module are
 not affected.
@@ -50,8 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from altpath.clauses import (ClauseSet, Literal, canonical_order, check_ground, encode,
-                             number_atoms)
+from altpath.clauses import ClauseSet, Literal, check_ground, ground_flags
 from altpath.graph import (
     INF,
     DistanceMap,
@@ -125,11 +129,11 @@ def _relevance(cs: ClauseSet, support_ids, task: str) -> tuple[RelevanceGraph, D
 
 
 def _buckets(graph: RelevanceGraph, dmap: DistanceMap
-             ) -> tuple[list[Literal], list[tuple[int, ...]], dict[int, int]]:
-    """The graph's numbering in canonical order, as ``clauses.encode`` gives
-    it, and atom number -> stepping bucket (the distance of its closest
-    clause, minus one) for every atom of a reachable clause."""
-    atoms, rows = canonical_order(*number_atoms(graph.clause_set))
+             ) -> tuple[list[tuple[int, ...]], dict[int, int]]:
+    """The set's rows in canonical order (``ClauseSet.canonical_rows``),
+    and canonical atom number -> stepping bucket (the distance of its
+    closest clause, minus one) for every atom of a reachable clause."""
+    rows = graph.clause_set.canonical_rows()
     bucket_of: dict[int, int] = {}
     for cid, row in zip(graph.clause_set.ids(), rows):
         d = dmap.clause_distance[cid]
@@ -140,7 +144,7 @@ def _buckets(graph: RelevanceGraph, dmap: DistanceMap
             a = x if x > 0 else -x
             if bucket_of.get(a, INF) > b:
                 bucket_of[a] = b
-    return atoms, rows, bucket_of
+    return rows, bucket_of
 
 
 def stepping_sequence(cs: ClauseSet, support_ids) -> tuple[tuple[Literal, ...], ...]:
@@ -151,10 +155,10 @@ def stepping_sequence(cs: ClauseSet, support_ids) -> tuple[tuple[Literal, ...], 
     agree by definition).  Bucket positions are meaningful and survive
     restriction to the atoms still occurring during search; atoms of
     unreachable clauses appear in no bucket."""
-    atoms, _, bucket_of = _buckets(*_relevance(cs, support_ids, "a stepping sequence"))
+    _, bucket_of = _buckets(*_relevance(cs, support_ids, "a stepping sequence"))
     buckets: list[list[Literal]] = [[] for _ in range(max(bucket_of.values(), default=-1) + 1)]
-    for a in sorted(bucket_of):  # atom numbers follow the canonical order
-        buckets[bucket_of[a]].append(atoms[a - 1])
+    for r in sorted(bucket_of):  # canonical numbers follow the canonical order
+        buckets[bucket_of[r]].append(cs.atom(r))
     return tuple(map(tuple, buckets))
 
 
@@ -163,26 +167,42 @@ def support_radius(cs: ClauseSet, support_ids) -> float:
     set are already unsatisfiable; INF when no level is (then everything
     reachable from the support set is satisfiable)."""
     _, dmap = _relevance(cs, support_ids, "the support radius")
+    # levels between two finite distances add no clauses
     finite = sorted({int(d) for d in dmap.clause_distance.values() if d < INF})
     cfg = SolverConfig(unit_policy="all")  # the radius is the same under every policy
-    for n in finite:  # levels between two finite distances add no clauses
-        if dpll(cs.subset(dmap.relevant_ids(n)), cfg).verdict == "unsat":
-            return n
-    return INF
+
+    def unsat(i: int) -> bool:
+        return dpll(cs.subset(dmap.relevant_ids(finite[i])), cfg).verdict == "unsat"
+
+    # the levels are nested, so once one is unsatisfiable every deeper one
+    # is: solve the deepest, then bisect for the first unsatisfiable one
+    if not finite or not unsat(len(finite) - 1):
+        return INF
+    lo, hi = 0, len(finite) - 1  # level hi is unsatisfiable
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if unsat(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return finite[hi]
 
 
 # ---------------------------------------------------------------------------
-# Search engine shared by both solvers.  It reads the rows of
-# clauses.encode: atom i of its atom list is number i+1, and a clause is a
-# tuple of signed atom numbers.
+# Search engine shared by both solvers.  It reads a set's canonical rows
+# (ClauseSet.canonical_rows): a clause is a tuple of signed atom numbers,
+# atom r being the set's atom of canonical number r.  The search runs on
+# these numbers alone; a Literal is made only for the atoms of a model
+# that is returned.
 
 
-def _solve(atoms: list[Literal], rows: list[tuple[int, ...]],
+def _solve(cs: ClauseSet, rows: list[tuple[int, ...]],
            bucket_of: dict[int, int], trusted: bool, cfg: SolverConfig) -> SolveResult:
-    """Depth-first splitting search over the rows of ``encode`` less their
-    tautologies, that branches on atoms of ``bucket_of`` (atom number ->
-    stepping bucket), over one mutable state built here and undone literal
-    by literal on backtrack.  Every other atom sits in one last bucket.
+    """Depth-first splitting search over ``rows``, the canonical rows of
+    ``cs``, less their tautologies, that branches on atoms of
+    ``bucket_of`` (atom number -> stepping bucket), over one mutable state
+    built here and undone literal by literal on backtrack.  Every other
+    atom sits in one last bucket.
 
     Each node propagates units, lowest clause first, then splits on the
     leading atom: the first bucket with a live atom, its most frequent
@@ -195,7 +215,7 @@ def _solve(atoms: list[Literal], rows: list[tuple[int, ...]],
     whether it lies in the region, so backtracking out of it leaves it.
     Nodes of both kinds draw on the one ``max_calls`` budget."""
     clauses = [row for row in rows if len(set(map(abs, row))) == len(row)]
-    n, m = len(atoms), len(clauses)
+    n, m = cs.atom_count, len(clauses)
     span = n + 1  # an atom a at count k sits in its bucket's heap as a - k * span
     occ: list[list[int]] = [[] for _ in range(2 * n + 1)]  # indexed by signed literal
     for c, cl in enumerate(clauses):
@@ -371,7 +391,8 @@ def _solve(atoms: list[Literal], rows: list[tuple[int, ...]],
                 heapify(units)
                 continue
         if ok:
-            model = {atoms[abs(l) - 1]: l > 0 for l in trail}
+            atom = cs.atom
+            model = {atom(abs(l)): l > 0 for l in trail}
             return SolveResult("sat", model, stats)
         if not pending:
             return SolveResult("unsat", {}, stats)
@@ -383,9 +404,8 @@ def _solve(atoms: list[Literal], rows: list[tuple[int, ...]],
 
 def dpll(cs: ClauseSet, config: SolverConfig | None = None) -> SolveResult:
     """Plain splitting solver, unrestricted branching."""
-    atoms, rows = encode(cs)
-    check_ground(map(Literal.is_ground, atoms), _SOLVING)
-    return _solve(atoms, rows, dict.fromkeys(range(1, len(atoms) + 1), 0), False,
+    check_ground(ground_flags(cs), _SOLVING)
+    return _solve(cs, cs.canonical_rows(), dict.fromkeys(range(1, cs.atom_count + 1), 0), False,
                   config or SolverConfig())
 
 
@@ -414,15 +434,15 @@ def dpll_rel(cs: ClauseSet, support_ids=None, config: SolverConfig | None = None
         support = frozenset(support_ids)
         if not support:
             raise ValueError("dpll_rel needs a nonempty support set")
-        atoms, rows, bucket_of = _buckets(*_relevance(cs, support, _SOLVING))
+        rows, bucket_of = _buckets(*_relevance(cs, support, _SOLVING))
     else:
-        atoms, rows = encode(cs)
-        check_ground(map(Literal.is_ground, atoms), _SOLVING)
-        index = {atom: i + 1 for i, atom in enumerate(atoms)}
+        check_ground(ground_flags(cs), _SOLVING)
+        rows = cs.canonical_rows()
+        index = {atom: r for r, atom in enumerate(cs.atoms(), 1)}
         # a passed sequence may name atoms the set lacks: nothing to split
         bucket_of = {index[atom]: b for b, bucket in enumerate(step)
                      for atom in bucket if atom in index}
-    result = _solve(atoms, rows, bucket_of, mode == "trusted", config or SolverConfig())
+    result = _solve(cs, rows, bucket_of, mode == "trusted", config or SolverConfig())
     if step is None:
         result.k = len(bucket_of)
     return result

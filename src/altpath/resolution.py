@@ -14,9 +14,10 @@ would meet them, so which duplicate is kept first never depends on the
 index.
 
 Each kept clause is one integer bit mask, literal x at bit 2x and -x at
-bit 2x+1 over the signed atom numbers of clauses.encode, beside its tuple
-of literals.  The resolvent on atom a is the or of the parents' masks with
-the two bits of a cleared, and duplicates are looked up by that mask.
+bit 2x+1 over the signed atom numbers of ClauseSet.canonical_rows, beside
+its tuple of literals.  The resolvent on atom a is the or of the parents'
+masks with the two bits of a cleared, and duplicates are looked up by that
+mask.  Literals are made only for the clauses of a refutation.
 Kept clauses are never tautologies, so a resolvent is one exactly when the
 parents clash on a second atom, that is when some atom has both bits set:
 m & (m >> 1) has an even bit set.  The literal tuple of a resolvent is
@@ -41,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from altpath.clauses import Clause, ClauseSet, Literal, check_ground, encode
+from altpath.clauses import Clause, ClauseSet, Literal, check_ground, ground_flags
 from altpath.graph import (
     FIRST_ORDER,
     AlternatingPath,
@@ -250,8 +251,8 @@ def sos_refute(
     support = cs.check_support(support_ids)
     if not support:
         raise ValueError("sos_refute needs a nonempty support set")
-    atoms, rows = encode(cs)
-    check_ground(map(Literal.is_ground, atoms), "resolution search")
+    check_ground(ground_flags(cs), "resolution search")
+    rows = cs.canonical_rows()
 
     # The kept clauses by record id, inputs first: the literal bit mask
     # (literal x is bit 2x, -x is bit 2x+1), the signed literals, and for
@@ -262,7 +263,7 @@ def sos_refute(
     steps: list[tuple[int, int, int] | None] = []
     cids: list[int] = []
     # signed literal -> ascending ids of the records holding it
-    n = len(atoms)
+    n = cs.atom_count
     occurs: dict[int, list[int]] = {v: [] for a in range(1, n + 1) for v in (a, -a)}
     seen: set[int] = set()  # masks of the supported records
     frontier: list[int] = []
@@ -286,7 +287,7 @@ def sos_refute(
             seen.add(m)
         if not m:
             return SosResult(
-                REFUTED, _emit_sequence(cs, atoms, lits, steps, cids, idx, support), 0, 0, ()
+                REFUTED, _emit_sequence(cs, lits, steps, cids, idx, support), 0, 0, ()
             )
 
     if not frontier:  # every support clause is a tautology
@@ -347,7 +348,7 @@ def sos_refute(
                 if not row:
                     return SosResult(
                         REFUTED,
-                        _emit_sequence(cs, atoms, lits, steps, cids, idx, support),
+                        _emit_sequence(cs, lits, steps, cids, idx, support),
                         level,
                         derived,
                         tuple(per_level),
@@ -364,7 +365,6 @@ def sos_refute(
 
 def _emit_sequence(
     cs: ClauseSet,
-    atoms: list[Literal],
     lits: list[tuple[int, ...]],
     steps: list[tuple[int, int, int] | None],
     cids: list[int],
@@ -387,6 +387,7 @@ def _emit_sequence(
         else:
             stack.extend(steps[idx][:2])
 
+    atoms = cs.atoms()
     sprime = _support_literal_sets(cs, support)
     entries: list[SequenceEntry] = []
     pos: dict[int, int] = {}

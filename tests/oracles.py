@@ -635,6 +635,17 @@ def reference_solve(cs: ClauseSet, config: SolverConfig | None = None,
     return SolveResult(verdict, model, stats)
 
 
+def reference_support_radius(cs: ClauseSet, clause_distance: dict[int, float]) -> float:
+    """The support radius by a linear walk of the levels: the first finite
+    distance whose clauses the copy-based search finds unsatisfiable, INF
+    when no level is."""
+    for n in sorted({d for d in clause_distance.values() if d < INF}):
+        level = [c for c in cs.clauses if clause_distance[c.id] <= n]
+        if reference_solve(ClauseSet.from_clauses(level)).verdict == "unsat":
+            return n
+    return INF
+
+
 # ---------------------------------------------------------------------------
 # Stepping sequences and the reachable atom count, literal by literal
 #

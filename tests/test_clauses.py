@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,10 @@ from altpath.clauses import (
     literal_key,
     term_vars,
 )
-from altpath.generators import random_first_order, random_ground
+from altpath import parsing
+from altpath.dpll import MODES, dpll, dpll_rel
+from altpath.generators import random_3sat, random_first_order, random_ground
+from altpath.parsing import parse_dimacs, parse_tptp, print_dimacs, print_tptp
 from oracles import (
     enumerate_unifiers,
     herbrand_terms,
@@ -423,6 +427,65 @@ def test_encode_matches_reference_order(seed):
                random_first_order(rng, n_clauses=12)):
         atoms = reference_atoms(cs)
         assert encode(cs) == (atoms, reference_rows(cs, atoms))
+
+
+def _sets_of_every_birth(seed: int):
+    """(birth, set) pairs for one seed, each set unread so far: DIMACS from
+    both readers, ``from_groups`` with numeric names past 9 and with text
+    names, TPTP, a subset and a subset of a subset of each (taken after the
+    parent is numbered, so they are born from rows), and a splice."""
+    rng = random.Random(seed)
+    text = print_dimacs(random_3sat(rng, rng.randint(12, 40), rng.randint(10, 60)))
+    padded = re.sub(r"(^| )-(\d)", r"\1-0\2", text, flags=re.M)
+    assert parsing._dimacs_fast(padded) is None  # the line reader's alone
+    ground = [c.literals for c in random_ground(rng, n_atoms=14, n_clauses=30)]
+    names = ("p", "q1", "q10", "r", "2", "10", "9")
+    named = [[lit(names[int(l.pred) % 7], sign=l.positive) for l in c]
+             for c in random_ground(rng, n_atoms=14, n_clauses=20)]
+    tptp = print_tptp(random_first_order(rng, n_clauses=12))
+    makers = {"dimacs": lambda: parse_dimacs(text), "dimacs lines": lambda: parse_dimacs(padded),
+              "groups": lambda: ClauseSet.from_groups(ground),
+              "names": lambda: ClauseSet.from_groups(named), "tptp": lambda: parse_tptp(tptp)}
+    sets = []
+    for birth, make in makers.items():
+        sets.append((birth, make()))
+        parent = make()
+        parent.rows  # numbered, so its subsets are born from rows
+        if rng.random() < 0.5:
+            parent.rank  # and the order is held before the subset asks for it
+        sub = parent.subset(rng.sample(parent.ids(), 2 * len(parent) // 3))
+        sets.append((birth + " subset", sub))
+        sub.rows
+        inner = sub.subset(rng.sample(sub.ids(), len(sub) // 2))
+        sets.append((birth + " subset of a subset", inner))
+    spliced = ClauseSet.from_groups(ground)
+    victim = rng.choice(spliced.ids())
+    sets.append(("splice", spliced.splice({victim: [spliced.by_id(victim).literals + (lit("11"),),
+                                                    (lit("12", sign=False), lit("3"))]})))
+    return sets
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_held_order_matches_reference_for_every_birth(seed):
+    for birth, cs in _sets_of_every_birth(seed):
+        got = encode(cs)  # read before the reference derives any clause object
+        atoms = reference_atoms(cs)
+        assert got == (atoms, reference_rows(cs, atoms)), birth
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dimacs_and_object_sets_solve_alike(seed):
+    rng = random.Random(400 + seed)
+    objects = random_3sat(rng, rng.randint(8, 30), rng.randint(20, 90))
+    text = print_dimacs(objects)
+    padded = re.sub(r"(^| )-(\d)", r"\1-0\2", text, flags=re.M)
+    for read in (parse_dimacs(text), parse_dimacs(padded)):
+        results = [(dpll(read), dpll(objects))]
+        results += [(dpll_rel(read, [1], mode=mode), dpll_rel(objects, [1], mode=mode))
+                    for mode in MODES]
+        for got, want in results:
+            assert got == want
+            assert list(got.model) == list(want.model)
 
 
 def test_clause_set_arity_conflict_rejected():

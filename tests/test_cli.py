@@ -256,6 +256,25 @@ def test_dimacs_filter_and_stats_build_no_clause_objects(tmp_path, capsys, monke
     assert 0 < built["Literal"] <= parse_dimacs(out.read_text()).atom_count
 
 
+def test_dimacs_solve_builds_literals_for_a_model_only(tmp_path, capsys, monkeypatch):
+    # the solvers read integers end to end: an unsatisfiable set makes no
+    # clause or literal object, a satisfiable one at most two literals per
+    # atom of the model it prints (one read off the set, one made positive)
+    unsat, sat = tmp_path / "u.cnf", tmp_path / "s.cnf"
+    unsat.write_text(print_dimacs(random_3sat(random.Random(5), 12, 100)))
+    sat.write_text(print_dimacs(random_3sat(random.Random(5), 40, 100)))
+    built = _count_objects(monkeypatch)
+    for extra in ([], ["--trusted"], ["--no-relevance"]):
+        assert main(["solve", str(unsat), "--json", *extra]) == EXIT_UNSAT
+        assert json.loads(capsys.readouterr().out)["verdict"] == "unsat"
+        assert built == Counter(), extra
+        assert main(["solve", str(sat), "--json", *extra]) == EXIT_SAT
+        model = json.loads(capsys.readouterr().out)["model"]
+        assert built["Clause"] == 0
+        assert 0 < built["Literal"] <= 2 * len(model), extra
+        built.clear()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_filter_with_several_supports_keeps_the_full_search_intersection(tmp_path, capsys, seed):
     rng = random.Random(seed)

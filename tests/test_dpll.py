@@ -14,11 +14,12 @@ from altpath.dpll import (
 )
 from altpath.generators import random_ground
 from altpath.graph import INF, bfs_from_support, build_graph
-from altpath.parsing import parse_dimacs
+from altpath.parsing import parse_dimacs, print_dimacs
 from altpath.resolution import sos_refute
 from tests.test_graph import ground_set
 
 from oracles import (
+    brute_distances,
     clause_set_sat,
     model_satisfies,
     partial_model_covers,
@@ -26,6 +27,7 @@ from oracles import (
     reference_atoms,
     reference_solve,
     reference_stepping_sequence,
+    reference_support_radius,
 )
 
 
@@ -420,6 +422,36 @@ def test_support_radius_ignores_detached_contradiction():
     cs = ground_set("p", "~p q", "x", "~x")
     assert support_radius(cs, [1]) == INF
     assert _neighborhood(cs, [1]).ids() == [1, 2]
+
+
+def _radius_corpus():
+    """Sets with their supports whose radius lies at the first finite
+    level, at the last one, in between, or is infinite, then seeded random
+    sets, each also as read back from DIMACS."""
+    chain = ["a0"] + [f"~a{i} a{i + 1}" for i in range(5)] + ["~a5"]
+    fixed = [(ground_set("p", "~p", "q"), [1, 2]), (ground_set("", "p", "~p"), [2]),
+             (ground_set(*chain), [1]), (ground_set("p", "~p q", "~q r"), [1]),
+             (ground_set("p", "~p q", "~q", "q r", "~r"), [1])]
+    rng = random.Random(4400)
+    for _ in range(40):
+        cs = random_ground(rng, n_atoms=rng.randint(2, 6), n_clauses=rng.randint(3, 14))
+        fixed.append((cs, rng.sample(cs.ids(), rng.randint(1, 2))))
+    for cs, support in fixed:
+        yield cs, support
+        if all(name.isdigit() for name in cs.predicates):
+            yield parse_dimacs(print_dimacs(cs)), support
+
+
+def test_bisected_radius_matches_linear_level_walk():
+    seen = set()
+    for cs, support in _radius_corpus():
+        dist = brute_distances(cs, support)
+        radius = support_radius(cs, support)
+        assert radius == reference_support_radius(cs, dist), (str(cs), support)
+        finite = sorted({d for d in dist.values() if d < INF})
+        seen.add("inf" if radius == INF else "first" if radius == finite[0]
+                 else "last" if radius == finite[-1] else "between")
+    assert seen == {"inf", "first", "last", "between"}
 
 
 def test_satisfies_reports_partial_gaps():
