@@ -7,7 +7,7 @@ zero-arity predicates and everything below degrades to set manipulation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 
 class ArityError(ValueError):
@@ -16,10 +16,50 @@ class ArityError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Terms
+#
+# A term carries what every reader asks of it, so no reader recurses: its
+# hash and ground flag are computed from its children's when it is built,
+# and its printed text and variables are found on first read by a walk with
+# an explicit stack, then kept on the node that was asked (not on the nodes
+# the walk passed, so a term nested n deep costs O(n) memory, not O(n^2)).
+# Terms are immutable and compare by value, like frozen dataclasses.
 
 
-@dataclass(frozen=True)
-class Var:
+class _Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            s, t = todo.pop()
+            if s is t:
+                continue
+            if s.__class__ is not t.__class__ or s._hash != t._hash:
+                return False
+            if s.__class__ is Var:
+                if s.name != t.name or s.allowed != t.allowed:
+                    return False
+            elif s.functor != t.functor or len(s.args) != len(t.args):
+                return False
+            else:
+                todo.extend(zip(s.args, t.args))
+        return True
+
+
+class Var(_Frozen):
     """A variable, scoped to the clause it occurs in.
 
     ``allowed`` optionally restricts the function symbols the variable may be
@@ -28,26 +68,102 @@ class Var:
     them.
     """
 
-    name: str
-    allowed: frozenset[str] | None = None
+    __slots__ = ("name", "allowed", "_hash", "_text")
+    ground = False
+
+    def __init__(self, name: str, allowed: frozenset[str] | None = None):
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "allowed", allowed)
+        put(self, "_hash", hash((name, allowed)))
+        put(self, "_text", name if allowed is None
+            else "%s{%s}" % (name, ",".join(sorted(allowed))))
+
+    @property
+    def variables(self) -> tuple["Var", ...]:
+        return (self,)
 
     def __str__(self) -> str:
-        if self.allowed is not None:
-            return "%s{%s}" % (self.name, ",".join(sorted(self.allowed)))
-        return self.name
+        return self._text
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r}, allowed={self.allowed!r})"
+
+    def __reduce__(self):
+        return Var, (self.name, self.allowed)
 
 
-@dataclass(frozen=True)
-class App:
-    """A function application; constants are zero-arity applications."""
+class App(_Frozen):
+    """A function application; constants are zero-arity applications.
 
-    functor: str
-    args: tuple["Term", ...] = ()
+    ``ground`` says whether the term is variable-free."""
+
+    __slots__ = ("functor", "args", "ground", "_hash", "_text", "_vars")
+
+    def __init__(self, functor: str, args: tuple["Term", ...] = ()):
+        put = object.__setattr__
+        put(self, "functor", functor)
+        put(self, "args", args)
+        ground = True
+        for a in args:
+            if not a.ground:
+                ground = False
+                break
+        put(self, "ground", ground)
+        put(self, "_hash", hash((functor, args)))
+        put(self, "_text", None if args else functor)
+        put(self, "_vars", () if ground else None)
+
+    @property
+    def variables(self) -> tuple[Var, ...]:
+        """Variables in first-occurrence order, one per name."""
+        found = self._vars
+        if found is None:
+            seen: dict[str, Var] = {}
+            todo: list[Term] = [self]
+            while todo:
+                t = todo.pop()
+                if t.__class__ is Var:
+                    seen.setdefault(t.name, t)
+                elif t._vars is not None:  # ground, or asked before
+                    for v in t._vars:
+                        seen.setdefault(v.name, v)
+                else:
+                    todo.extend(reversed(t.args))
+            found = tuple(seen.values())
+            object.__setattr__(self, "_vars", found)
+        return found
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.functor
-        return "%s(%s)" % (self.functor, ",".join(str(a) for a in self.args))
+        text = self._text
+        if text is None:
+            parts = [a._text for a in self.args]
+            if None in parts:  # an argument is not printed yet: walk them all
+                parts = []
+                todo: list[Term | str] = [self]
+                while todo:
+                    t = todo.pop()
+                    if t.__class__ is str:
+                        parts.append(t)
+                    elif t._text is not None:
+                        parts.append(t._text)
+                    else:
+                        parts += (t.functor, "(")
+                        todo.append(")")
+                        for k in range(len(t.args) - 1, 0, -1):
+                            todo += (t.args[k], ",")
+                        todo.append(t.args[0])
+                text = "".join(parts)
+            else:
+                text = "%s(%s)" % (self.functor, ",".join(parts))
+            object.__setattr__(self, "_text", text)
+        return text
+
+    def __repr__(self) -> str:
+        return f"App(functor={self.functor!r}, args={self.args!r})"
+
+    def __reduce__(self):
+        return App, (self.functor, self.args)
 
 
 Term = Var | App
@@ -57,25 +173,37 @@ Term = Var | App
 Substitution = dict[str, Term]
 
 
-def term_vars(t: Term, acc: list[Var] | None = None) -> list[Var]:
+def term_vars(t: Term) -> list[Var]:
     """Variables of ``t`` in first-occurrence order (with duplicates removed)."""
-    if acc is None:
-        acc = []
-    if isinstance(t, Var):
-        if all(v.name != t.name for v in acc):
-            acc.append(t)
-    else:
-        for a in t.args:
-            term_vars(a, acc)
-    return acc
+    return list(t.variables)
 
 
 def apply_term(t: Term, subst: Substitution) -> Term:
-    if isinstance(t, Var):
-        return subst.get(t.name, t)
-    if not t.args:
+    """``t`` with each variable named in ``subst`` replaced by its image; a
+    ground term is returned unchanged."""
+    if t.ground:
         return t
-    return App(t.functor, tuple(apply_term(a, subst) for a in t.args))
+    if t.__class__ is Var:
+        return subst.get(t.name, t)
+    # rebuild bottom-up: a term is pushed under a None marker and its
+    # arguments; when the marker is popped, its arguments' images are the
+    # last items of ``done``
+    done: list[Term] = []
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        if u is None:
+            u = todo.pop()
+            k = len(u.args)
+            done[-k:] = [App(u.functor, tuple(done[-k:]))]
+        elif u.ground:
+            done.append(u)
+        elif u.__class__ is Var:
+            done.append(subst.get(u.name, u))
+        else:
+            todo += (u, None)
+            todo.extend(reversed(u.args))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +223,7 @@ _fresh = itertools.count()
 
 
 def _walk(t: Term, s: int, bind: _Bindings) -> tuple[Term, int]:
-    while isinstance(t, Var):
+    while t.__class__ is Var:
         nxt = bind.get((s, t.name))
         if nxt is None:
             break
@@ -104,18 +232,23 @@ def _walk(t: Term, s: int, bind: _Bindings) -> tuple[Term, int]:
 
 
 def _occurs(name: str, side: int, t: Term, s: int, bind: _Bindings) -> bool:
-    t, s = _walk(t, s, bind)
-    if isinstance(t, Var):
-        return t.name == name and s == side
-    return any(_occurs(name, side, a, s, bind) for a in t.args)
+    todo = [(t, s)]
+    while todo:
+        t, s = _walk(*todo.pop(), bind)
+        if t.__class__ is Var:
+            if t.name == name and s == side:
+                return True
+        elif not t.ground:
+            todo.extend((a, s) for a in t.args)
+    return False
 
 
 def _bind_var(x: Var, xs: int, t: Term, ts: int, bind: _Bindings) -> bool:
     # t is already walked and is not the same variable as x
-    if isinstance(t, App):
+    if t.__class__ is App:
         if x.allowed is not None and t.functor not in x.allowed:
             return False
-        if _occurs(x.name, xs, t, ts, bind):
+        if not t.ground and _occurs(x.name, xs, t, ts, bind):
             return False
         bind[xs, x.name] = (t, ts)
         return True
@@ -139,20 +272,34 @@ def _bind_var(x: Var, xs: int, t: Term, ts: int, bind: _Bindings) -> bool:
     return True
 
 
-def _unify(t1: Term, s1: int, t2: Term, s2: int, bind: _Bindings) -> bool:
-    t1, s1 = _walk(t1, s1, bind)
-    t2, s2 = _walk(t2, s2, bind)
-    if isinstance(t1, Var):
-        if isinstance(t2, Var) and t1.name == t2.name and s1 == s2:
-            return True
-        return _bind_var(t1, s1, t2, s2, bind)
-    if isinstance(t2, Var):
-        return _bind_var(t2, s2, t1, s1, bind)
-    if t1.functor != t2.functor or len(t1.args) != len(t2.args):
-        return False
-    for a, b in zip(t1.args, t2.args):
-        if not _unify(a, s1, b, s2, bind):
+def _unify(todo: list[tuple[Term, int, Term, int]], bind: _Bindings) -> bool:
+    """Whether every pair of ``todo``, each term read in its side, unifies
+    under ``bind``, which it extends.  ``todo`` is a stack: its last pair is
+    taken first, and a pair's arguments are taken left to right."""
+    get = bind.get
+    while todo:
+        t1, s1, t2, s2 = todo.pop()
+        # ``_walk`` on each side, inlined: this loop is the unifier's hot path
+        while t1.__class__ is Var and (nxt := get((s1, t1.name))) is not None:
+            t1, s1 = nxt
+        while t2.__class__ is Var and (nxt := get((s2, t2.name))) is not None:
+            t2, s2 = nxt
+        if t1.__class__ is Var:
+            if t2.__class__ is Var and t1.name == t2.name and s1 == s2:
+                continue
+            if not _bind_var(t1, s1, t2, s2, bind):
+                return False
+        elif t2.__class__ is Var:
+            if not _bind_var(t2, s2, t1, s1, bind):
+                return False
+        elif t1.functor != t2.functor or len(t1.args) != len(t2.args):
             return False
+        elif t1.ground and t2.ground:
+            if t1 != t2:
+                return False
+        else:
+            for k in range(len(t1.args) - 1, -1, -1):
+                todo.append((t1.args[k], s1, t2.args[k], s2))
     return True
 
 
@@ -184,14 +331,15 @@ class Literal:
         return self if self.positive else Literal(True, self.pred, self.args)
 
     def is_ground(self) -> bool:
-        if not self.args:
-            return True
-        return not any(term_vars(a) for a in self.args)
+        for a in self.args:
+            if not a.ground:
+                return False
+        return True
 
     def __str__(self) -> str:
         body = self.pred if not self.args else "%s(%s)" % (
             self.pred,
-            ",".join(str(a) for a in self.args),
+            ",".join(map(str, self.args)),
         )
         return body if self.positive else "~" + body
 
@@ -204,22 +352,21 @@ def literal_key(lit: Literal):
     """
     key = getattr(lit, "_key", None)
     if key is None:
-        key = (0 if lit.positive else 1, _symbol_key(lit.pred), tuple(str(a) for a in lit.args))
+        key = (0 if lit.positive else 1, _symbol_key(lit.pred), tuple(map(str, lit.args)))
     return key
 
 
-def keyed_literal(positive: bool, pred: str, args: tuple[Term, ...] = (),
-                  arg_texts: tuple[str, ...] | None = None) -> Literal:
+def keyed_literal(positive: bool, pred: str, args: tuple[Term, ...] = ()) -> Literal:
     """``Literal(positive, pred, args)`` carrying its canonical key.
 
     The key is kept outside the dataclass fields, so equality, hash and repr
-    do not see it.  ``arg_texts`` is the printed form of each argument, for
-    a caller that has already read it; by default it is built with ``str``.
+    do not see it.  Its argument texts are the terms' own, so each distinct
+    argument is printed once.
     """
     lit = Literal(positive, pred, args)
-    if arg_texts is None:
-        arg_texts = tuple(str(a) for a in args)
-    object.__setattr__(lit, "_key", (0 if positive else 1, _symbol_key(pred), arg_texts))
+    # a variable's or constant's text is always kept, so read it directly
+    key = (0 if positive else 1, _symbol_key(pred), tuple([a._text or str(a) for a in args]))
+    object.__setattr__(lit, "_key", key)
     return lit
 
 
@@ -229,17 +376,31 @@ def complementary_unifiable(l1: Literal, l2: Literal) -> bool:
 
     Each side reads its variables in its own binding environment, so two
     occurrences of the same clause (or the same literal) are treated as
-    variable-disjoint copies without copying either.
+    variable-disjoint copies without copying either.  An argument pair of
+    two applications with different top symbols, or of two unequal ground
+    terms, fails before any binding is made.
     """
     if l1.positive == l2.positive:
         return False
     if l1.pred != l2.pred or len(l1.args) != len(l2.args):
         return False
-    bind: _Bindings = {}
+    todo = []
     for a, b in zip(l1.args, l2.args):
-        if not _unify(a, 1, b, 2, bind):
-            return False
-    return True
+        if a.__class__ is App and b.__class__ is App:
+            if a.functor != b.functor:
+                return False
+            if a.ground and b.ground:
+                if a != b:
+                    return False
+                continue
+        todo.append((a, 1, b, 2))
+    if len(todo) == 1:
+        # renamed apart, a lone unrestricted variable takes any image
+        a, _, b, _ = todo[0]
+        if (a.__class__ is Var and a.allowed is None) or (b.__class__ is Var and b.allowed is None):
+            return True
+    todo.reverse()
+    return _unify(todo, {})
 
 
 def apply_literal(lit: Literal, subst: Substitution) -> Literal:
@@ -289,17 +450,19 @@ class Clause:
         return all(lit.is_ground() for lit in self.literals)
 
     def variables(self) -> list[Var]:
-        """Variables in first-occurrence order."""
-        acc: list[Var] = []
+        """Variables in first-occurrence order, one per name."""
+        seen: dict[str, Var] = {}
         for lit in self.literals:
             for a in lit.args:
-                term_vars(a, acc)
-        return acc
+                if not a.ground:
+                    for v in a.variables:
+                        seen.setdefault(v.name, v)
+        return list(seen.values())
 
     def __str__(self) -> str:
         if not self.literals:
             return "$false"
-        return " | ".join(str(lit) for lit in self.literals)
+        return " | ".join(map(str, self.literals))
 
 
 class ClauseSet:
@@ -351,6 +514,7 @@ class ClauseSet:
         # a subset's parent and positions, whose rows it renumbers on first read
         self._of: tuple[ClauseSet, list[int]] | None = None
         self._literals: dict[int, Literal] = {}  # the literal store
+        self._first: list[Literal] | None = None  # read by ``number_atoms``
         # the canonical order: atom numbers by canonical number, and the
         # signed table of ``rank``
         self._order: list[int] | None = None
@@ -401,10 +565,11 @@ class ClauseSet:
 
     def _check_symbols(self, clauses: list[Clause]) -> None:
         # The symbols of ``clauses``, clauses of this set, are registered in
-        # order of first occurrence.  A literal or term object already walked
-        # cannot conflict again, so the terms of shared (interned) objects are
-        # walked once; every object is held by a clause of the set, so ids
-        # stay unique for the duration of the walk.
+        # order of first occurrence.  A term object already walked cannot
+        # conflict again, so a shared (interned) term is walked once, and an
+        # argument that is a variable or such a term costs one test; every
+        # term is held by a clause of the set, so ids stay unique for the
+        # duration of the walk.
         walked: set[int] = set()
         predicates, functions = self.predicates, self.functions
         for clause in clauses:
@@ -418,24 +583,24 @@ class ClauseSet:
                             f"{len(args)} (clause {clause.id})"
                         )
                     predicates[lit.pred] = len(args)
-                if not args or id(lit) in walked:
-                    continue
-                walked.add(id(lit))
-                todo = list(reversed(args))
-                while todo:
-                    t = todo.pop()
-                    if isinstance(t, Var) or id(t) in walked:
+                for top in args:
+                    if top.__class__ is Var or id(top) in walked:
                         continue
-                    walked.add(id(t))
-                    seen = functions.get(t.functor)
-                    if seen != len(t.args):
-                        if seen is not None:
-                            raise ArityError(
-                                f"function symbol {t.functor!r} used at arity {seen} and "
-                                f"{len(t.args)} (clause {clause.id})"
-                            )
-                        functions[t.functor] = len(t.args)
-                    todo.extend(reversed(t.args))
+                    todo = [top]
+                    while todo:
+                        t = todo.pop()
+                        if t.__class__ is Var or id(t) in walked:
+                            continue
+                        walked.add(id(t))
+                        seen = functions.get(t.functor)
+                        if seen != len(t.args):
+                            if seen is not None:
+                                raise ArityError(
+                                    f"function symbol {t.functor!r} used at arity {seen} and "
+                                    f"{len(t.args)} (clause {clause.id})"
+                                )
+                            functions[t.functor] = len(t.args)
+                        todo.extend(reversed(t.args))
 
     # -- the object view ------------------------------------------------------
 
@@ -450,15 +615,20 @@ class ClauseSet:
         return self._clauses
 
     def literal(self, x: int) -> Literal:
-        """The ``Literal`` of signed atom number x, which must occur in the
-        set: one object per number, held in the set's literal store."""
+        """The ``Literal`` of signed atom number x, whose atom must occur in
+        the set (x itself need not): one object per number, held in the
+        set's literal store."""
         lit = self._literals.get(x)
         if lit is None:
             self.rows  # numbers the set: one made from clause objects fills the store
             lit = self._literals.get(x)
             if lit is None:
-                code = self._codes[abs(x) - 1]
-                lit = self._literals[x] = self._source(code if (code > 0) == (x > 0) else -code)
+                if self._source is None:  # made from clause objects: -x occurs
+                    lit = self._literals[-x].negated()
+                else:
+                    code = self._codes[abs(x) - 1]
+                    lit = self._source(code if (code > 0) == (x > 0) else -code)
+                self._literals[x] = lit
         return lit
 
     def __len__(self) -> int:
@@ -619,11 +789,10 @@ class ClauseSet:
 
     def atom(self, r: int) -> Literal:
         """The atom of canonical number r (see ``rank``), as a positive
-        literal: ``literal`` at its first occurrence, made positive."""
+        literal: ``literal`` of its positive number, so built at most once."""
         if self._order is None:
             self.rank  # orders the set
-        a = self._order[r - 1]
-        return self.literal(a if self._codes[a - 1] > 0 else -a).atom
+        return self.literal(self._order[r - 1])
 
     def is_propositional(self) -> bool:
         """True when the predicate table holds symbols and each has arity
@@ -691,10 +860,13 @@ def number_atoms(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
     literals as signed atom numbers, negated for a negative literal;
     tautologies, empty clauses and variables are kept.
 
-    The set holds the rows and computes them at most once (see
+    The set holds both lists and computes each at most once (see
     ``ClauseSet``), so they are shared: do not mutate them."""
-    rows, literal = cs.rows, cs.literal
-    return [literal(a if c > 0 else -a) for a, c in enumerate(cs._codes, 1)], rows
+    rows = cs.rows
+    if cs._first is None:
+        literal = cs.literal
+        cs._first = [literal(a if c > 0 else -a) for a, c in enumerate(cs._codes, 1)]
+    return cs._first, rows
 
 
 def encode(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
@@ -706,7 +878,8 @@ def encode(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
 
 def ground_flags(cs: ClauseSet) -> list[bool]:
     """Per atom number, item 0 unused, whether the atom is variable-free:
-    every atom of a propositional set is, with no literal read."""
+    every atom of a propositional set is, with no literal read, and any
+    other atom says so in its terms' ground flags."""
     if cs.is_propositional():
         return [True] * (cs.atom_count + 1)
     return [True, *map(Literal.is_ground, number_atoms(cs)[0])]

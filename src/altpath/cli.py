@@ -575,7 +575,7 @@ def cmd_split(cfg: argparse.Namespace) -> int:
     plan = builder(cs, clause_id, var=var, extra_constant=cfg.extra_constant)
     after = split_clause(cs, plan)
     kids = descendants(cs, after)
-    flat = expand_restricted(after)
+    flat = expand_restricted(after, kids)  # parsed input carries no restriction
     header = (
         f"% split c{plan.clause_id} on {plan.var} into {len(kids)} clauses"
         f" ({'binary' if cfg.binary else 'full'})\n"

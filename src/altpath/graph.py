@@ -44,7 +44,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 
-from altpath.clauses import ClauseSet, Literal, complementary_unifiable, number_atoms
+from altpath.clauses import (
+    ClauseSet,
+    Literal,
+    complementary_unifiable,
+    ground_flags,
+    number_atoms,
+)
 
 INF = float("inf")
 
@@ -98,15 +104,11 @@ class RelevanceGraph:
         self.occs: list[list[int]] = [[] for _ in range(2 * n + 1)]
         for i, x in enumerate(self.lit_of):
             self.occs[x].append(i)
-        if cs.is_propositional():
-            self.ground = [True] * (n + 1)  # by atom number
-        else:
-            first = number_atoms(cs)[0]
-            self.ground = [True, *map(Literal.is_ground, first)]
+        self.ground = ground_flags(cs)  # by atom number
         self.by_key: dict[tuple[str, bool], list[int]] = {}
         self.open: dict[tuple[str, bool], list[int]] = {}
         if not all(self.ground):  # else each literal x's partners are occs[-x]
-            for a, lit in enumerate(first, 1):
+            for a, lit in enumerate(number_atoms(cs)[0], 1):
                 for x in (a, -a):
                     if self.occs[x]:
                         key = (lit.pred, x > 0)

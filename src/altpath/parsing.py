@@ -12,7 +12,17 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 
-from altpath.clauses import App, ClauseSet, Literal, Term, Var, keyed_literal, number_atoms
+from altpath.clauses import (
+    App,
+    Clause,
+    ClauseSet,
+    Literal,
+    Term,
+    Var,
+    keyed_literal,
+    literal_key,
+    number_atoms,
+)
 
 
 class ParseError(ValueError):
@@ -427,7 +437,8 @@ class _FastTptp:
     """Reads well-formed CNF-subset TPTP with one regex per statement.
 
     Literal and argument texts are memoised, and every term and literal is
-    interned: one object per distinct value, for this parse only.  Anything
+    interned: one object per distinct value, for this parse only, so each
+    distinct term's hash, ground flag and text are found once.  Anything
     outside the plain statement shape (includes, comments inside a
     statement, syntax errors) raises ``_NotFast`` and the caller re-reads
     the input with ``_TptpParser``, which reports the error.
@@ -435,8 +446,7 @@ class _FastTptp:
 
     def __init__(self):
         self.literal_of: dict[str, Literal | None] = {}
-        # argument text -> (terms, printed text of each term)
-        self.args_of: dict[str, tuple[tuple[Term, ...], tuple[str, ...]]] = {}
+        self.args_of: dict[str, tuple[Term, ...]] = {}  # by argument text
         # keyed by a leaf's text or by the ids of interned parts, so no
         # term is ever hashed
         self.terms: dict[str | tuple, Term] = {}
@@ -480,27 +490,23 @@ class _FastTptp:
                 raise _NotFast
             return None  # $false contributes no literal: the empty clause
         args: tuple[Term, ...] = ()
-        texts: tuple[str, ...] = ()
         if args_text is not None:
-            parsed = self.args_of.get(args_text)
-            if parsed is None:
-                parsed = self.args_of[args_text] = self._args(args_text)
-            args, texts = parsed
+            args = self.args_of.get(args_text)
+            if args is None:
+                args = self.args_of[args_text] = self._args(args_text)
         key = (not negated, pred, *map(id, args))
         lit = self.literals.get(key)
         if lit is None:
-            lit = self.literals[key] = keyed_literal(not negated, pred, args, texts)
+            lit = self.literals[key] = keyed_literal(not negated, pred, args)
         return lit
 
-    def _args(self, text: str) -> tuple[tuple[Term, ...], tuple[str, ...]]:
-        """The comma-separated terms of ``text`` and the printed text of
-        each, read without recursion."""
+    def _args(self, text: str) -> tuple[Term, ...]:
+        """The comma-separated terms of ``text``, read without recursion."""
         toks = _ARG_TOKEN.findall(text)
         terms = self.terms
         open_apps: list[tuple[str, list[Term]]] = []
         args: list[Term] = []
-        texts: list[str] = []
-        i, n, begin = 0, len(toks), 0
+        i, n = 0, len(toks)
         while True:
             # a term
             if i == n:
@@ -526,14 +532,10 @@ class _FastTptp:
                 if i == n:
                     if open_apps:
                         raise _NotFast
-                    texts.append("".join(toks[begin:]))
-                    return tuple(args), tuple(texts)
+                    return tuple(args)
                 tok = toks[i]
                 i += 1
                 if tok == ",":
-                    if not open_apps:
-                        texts.append("".join(toks[begin:i - 1]))
-                        begin = i
                     break
                 if tok != ")" or not open_apps:
                     raise _NotFast
@@ -564,11 +566,14 @@ def parse_tptp(
         triples = _FastTptp().parse(text)
     except _NotFast:
         triples = _TptpParser(text, source, include_base).parse()
-    groups = [lits for (_, _, lits) in triples]
     names = {i + 1: name for i, (name, _, _) in enumerate(triples)}
     roles = {i + 1: role for i, (_, role, _) in enumerate(triples)}
+    # each distinct literal is one object, so a clause's repeats are the
+    # same object, and are merged without hashing a literal
+    clauses = [Clause._canonical(i, tuple(sorted({id(l): l for l in lits}.values(), key=literal_key)))
+               for i, (_, _, lits) in enumerate(triples, 1)]
     try:
-        return ClauseSet.from_groups(groups, roles=roles, names=names)
+        return ClauseSet.from_clauses(clauses, roles=roles, names=names)
     except ValueError as exc:
         raise ParseError(str(exc), None, source) from exc
 

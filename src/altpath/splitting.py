@@ -38,8 +38,13 @@ _SV = re.compile(r"_sv(\d+)$")
 
 
 def _fresh_sv(cs: ClauseSet) -> Iterator[int]:
-    """Numbers N for fresh ``_svN`` variables, above every one in the set."""
-    taken = [int(m[1]) for c in cs.clauses for v in c.variables() if (m := _SV.match(v.name))]
+    """Numbers N for fresh ``_svN`` variables, above every one in the set.
+
+    Reads each argument's variables off the term and matches each distinct
+    name once."""
+    names = {v.name for c in cs.clauses for lit in c.literals for a in lit.args
+             if not a.ground for v in a.variables}
+    taken = [int(m[1]) for name in names if (m := _SV.match(name))]
     return itertools.count(max(taken, default=-1) + 1)
 
 
@@ -141,17 +146,12 @@ def binary_split_plan(
     if len(syms) < 2:
         raise ValueError("binary split needs at least two function symbols")
     counts = {f: 0 for f in syms}
-
-    def visit(t: Term) -> None:
-        if isinstance(t, App):
+    todo: list[Term] = [a for c in cs.clauses for lit in c.literals for a in lit.args]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is App:
             counts[t.functor] += 1
-            for a in t.args:
-                visit(a)
-
-    for c in cs.clauses:
-        for lit in c.literals:
-            for a in lit.args:
-                visit(a)
+            todo.extend(t.args)
     sides: tuple[list[str], list[str]] = ([], [])
     weights = [0, 0]
     for f in sorted(syms, key=lambda f: (-counts[f], f)):
@@ -236,14 +236,18 @@ def choose_split_variable(cs: ClauseSet, clause_id: int) -> Var | None:
     return best
 
 
-def expand_restricted(cs: ClauseSet) -> ClauseSet:
+def expand_restricted(cs: ClauseSet, made=None) -> ClauseSet:
     """Rewrite every restricted variable into one clause per allowed symbol.
 
     The result carries no restrictions and has the same ground instances;
     untouched clauses keep their ids, expansions are spliced in as
     ``ClauseSet.splice`` does.  A set without restrictions is returned as is.
+    ``made``, when given, lists the ids of the only clauses that can hold a
+    restriction, such as those a split of restriction-free input made
+    (``descendants``); the others are not read.
     """
-    todo = [(c, vs) for c in cs.clauses
+    clauses = cs.clauses if made is None else map(cs.by_id, made)
+    todo = [(c, vs) for c in clauses
             if (vs := [v for v in c.variables() if v.allowed is not None])]
     if not todo:
         return cs

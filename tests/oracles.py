@@ -23,10 +23,7 @@ from altpath.clauses import (
     Substitution,
     Term,
     Var,
-    apply_literal,
-    apply_term,
     complementary_unifiable,
-    term_vars,
 )
 from altpath.dpll import SolveResult, SolverConfig, SolveStats
 from altpath.graph import FIRST_ORDER, AlternatingPath, RelevanceGraph
@@ -143,6 +140,46 @@ def reference_print_dimacs(cs: ClauseSet) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Terms walked from their definition
+#
+# The program's terms carry their ground flag, text and variables; these
+# recursive walks read only the functor, arguments, name and restriction.
+
+
+def reference_text(t: Term) -> str:
+    """A term printed as TPTP does, with a restriction as ``X{a,b}``."""
+    if isinstance(t, Var):
+        if t.allowed is None:
+            return t.name
+        return t.name + "{" + ",".join(sorted(t.allowed)) + "}"
+    if not t.args:
+        return t.functor
+    return t.functor + "(" + ",".join(reference_text(a) for a in t.args) + ")"
+
+
+def reference_vars(terms, acc: list[Var] | None = None) -> list[Var]:
+    """The variables of the terms, left to right, the first of each name."""
+    acc = [] if acc is None else acc
+    for t in terms:
+        if isinstance(t, Var):
+            if all(v.name != t.name for v in acc):
+                acc.append(t)
+        else:
+            reference_vars(t.args, acc)
+    return acc
+
+
+def substitute(t: Term, subst: Substitution) -> Term:
+    if isinstance(t, Var):
+        return subst.get(t.name, t)
+    return App(t.functor, tuple(substitute(a, subst) for a in t.args))
+
+
+def substitute_literal(lit: Literal, subst: Substitution) -> Literal:
+    return Literal(lit.positive, lit.pred, tuple(substitute(a, subst) for a in lit.args))
+
+
+# ---------------------------------------------------------------------------
 # Complementary unifiability by renaming apart
 
 
@@ -176,8 +213,8 @@ def naive_unifier(ts1: tuple[Term, ...], ts2: tuple[Term, ...]) -> Substitution 
     def bind(name: str, image: Term) -> None:
         one = {name: image}
         for k in subst:
-            subst[k] = apply_term(subst[k], one)
-        pending[:] = [(apply_term(l, one), apply_term(r, one)) for l, r in pending]
+            subst[k] = substitute(subst[k], one)
+        pending[:] = [(substitute(l, one), substitute(r, one)) for l, r in pending]
         subst[name] = image
 
     while pending:
@@ -466,11 +503,11 @@ def term_depth_of(t: Term) -> int:
 
 def enumerate_unifiers(t1: Term, t2: Term, universe: list[Term]) -> list[Substitution]:
     """All ground substitutions over the universe that make t1 and t2 equal."""
-    names = [v.name for v in term_vars(t1, term_vars(t2, []))]
+    names = [v.name for v in reference_vars((t1,), reference_vars((t2,)))]
     out = []
     for combo in itertools.product(universe, repeat=len(names)):
         sub = dict(zip(names, combo))
-        if apply_term(t1, sub) == apply_term(t2, sub):
+        if substitute(t1, sub) == substitute(t2, sub):
             out.append(sub)
     return out
 
@@ -485,7 +522,7 @@ def ground_instances(
     dropped; applying the same cutoff to a clause and to its split
     replacements makes the two instance sets directly comparable.
     """
-    variables = clause.variables()
+    variables = reference_vars(a for lit in clause.literals for a in lit.args)
     candidates = [
         [t for t in universe
          if v.allowed is None or (isinstance(t, App) and t.functor in v.allowed)]
@@ -494,7 +531,7 @@ def ground_instances(
     out: set[frozenset[Literal]] = set()
     for combo in itertools.product(*candidates):
         subst = {v.name: t for v, t in zip(variables, combo)}
-        lits = frozenset(apply_literal(l, subst) for l in clause.literals)
+        lits = frozenset(substitute_literal(l, subst) for l in clause.literals)
         if max_depth is not None and any(
             term_depth_of(a) > max_depth for lit in lits for a in lit.args
         ):

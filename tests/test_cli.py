@@ -916,12 +916,64 @@ def test_large_easy_set_levels_at_a_low_recursion_limit(big_easy, command, code)
     assert proc.returncode == code, proc.stderr
 
 
-def test_deeply_nested_term_exits_2_without_traceback(tmp_path):
-    term = "a"
-    for _ in range(3000):
-        term = f"f({term})"
+DEEP = 10_000
+
+
+def _nest(inner: str, depth: int = DEEP) -> str:
+    return "f(" * depth + inner + ")" * depth
+
+
+@pytest.fixture(scope="module")
+def deep(tmp_path_factory):
+    """Terms nested 10^4 deep: a ground one, read against a variable, and a
+    non-ground one, whose unifier binds a variable to a deep term and whose
+    split instantiates a variable at the bottom of one."""
+    path = tmp_path_factory.mktemp("deep") / "deep.p"
+    path.write_text(f"cnf(c1, negated_conjecture, p({_nest('a')})).\n"
+                    "cnf(c2, axiom, (~p(X) | q(X))).\n"
+                    f"cnf(c3, axiom, (~q({_nest('Y')}) | r(Y))).\n"
+                    "cnf(c4, axiom, ~r(a)).\n")
+    return str(path)
+
+
+# runs the command and reports the process's peak resident set on stderr
+_PEAK_RSS = (
+    "import resource, sys; from altpath.cli import main; code = main(sys.argv[1:]); "
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+    "sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (["filter", "-n", "4", "--support", "ids:1", "--json"], {"relevant": 4}),
+    (["filter", "-n", "4", "--support", "ids:1"], None),
+    (["path", "--to", "4", "--support", "ids:1", "--json"], {"clauses": [1, 2, 3, 4]}),
+    (["stats", "--json"], {"clauses": 4, "atoms": 6}),
+    (["distance", "--pair", "1", "4", "--json"], [{"distance": 4, "from": 1, "to": 4}]),
+    (["split", "--clause", "3", "--var", "Y", "--json"], {"output_clauses": 5}),
+    (["split", "--clause", "3", "--var", "Y", "--binary", "--json"], {"output_clauses": 5}),
+    (["split", "--json"], {"clause": 2, "var": "X"}),
+], ids=["filter-json", "filter", "path", "stats", "distance", "split", "split-binary", "split-auto"])
+def test_deeply_nested_terms_get_a_verdict_in_little_memory(deep, argv, verdict):
+    proc = _run_cli([argv[0], deep, *argv[1:]], _PEAK_RSS)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    *report, peak_kb = proc.stderr.splitlines()
+    assert int(peak_kb) < 64 * 1024
+    if verdict is None:  # text output: the kept clauses, printed in full
+        assert proc.stdout.count("cnf(") == 4 and _nest("a") in proc.stdout
+    elif isinstance(verdict, dict):
+        got = json.loads(proc.stdout)
+        assert {k: got[k] for k in verdict} == verdict
+    else:
+        assert json.loads(proc.stdout) == verdict
+
+
+def test_deeply_nested_term_in_the_tokenizing_reader_exits_2_without_traceback(tmp_path):
+    # a comment inside a statement sends the input to the tokenizing reader,
+    # which still descends one call per level
     path = tmp_path / "deep.p"
-    path.write_text(f"cnf(c1, axiom, (p({term}))).\ncnf(c2, negated_conjecture, (~p(X))).\n")
+    path.write_text(f"cnf(c1, axiom, (p({_nest('a')}) /* deep */)).\n"
+                    "cnf(c2, negated_conjecture, (~p(X))).\n")
     proc = _run_cli(["filter", str(path), "-n", "2", "--support", "ids:1"])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "nested too deeply" in proc.stderr

@@ -298,6 +298,21 @@ def test_expand_restricted_returns_a_set_without_restrictions_as_is():
     assert expand_restricted(full) is full
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_expand_restricted_reads_only_the_clauses_a_split_made(seed):
+    # a set with fresh _svN names already, split again: the expansion that
+    # reads only the split's clauses prints what the whole-set one prints
+    rng = random.Random(seed)
+    cs = random_first_order(rng, 12)
+    for _ in range(2):
+        clause = rng.choice([c for c in cs.clauses if c.variables()])
+        var = rng.choice(clause.variables()).name
+        after = split_clause(cs, binary_split_plan(cs, clause.id, var=var))
+        made = descendants(cs, after)
+        assert print_tptp(expand_restricted(after, made)) == print_tptp(expand_restricted(after))
+        cs = expand_restricted(after)
+
+
 def test_print_tptp_refuses_restricted_variables():
     cs = counted_set()
     after = split_clause(cs, binary_split_plan(cs, 1, var="X"))
