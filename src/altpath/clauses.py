@@ -7,7 +7,9 @@ zero-arity predicates and everything below degrades to set manipulation.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import FrozenInstanceError, dataclass
+from functools import partial
 
 
 class ArityError(ValueError):
@@ -171,11 +173,6 @@ Term = Var | App
 # A substitution maps variable names to terms; splitting applies them to
 # instantiate a variable.
 Substitution = dict[str, Term]
-
-
-def term_vars(t: Term) -> list[Var]:
-    """Variables of ``t`` in first-occurrence order (with duplicates removed)."""
-    return list(t.variables)
 
 
 def apply_term(t: Term, subst: Substitution) -> Term:
@@ -345,29 +342,8 @@ class Literal:
 
 
 def literal_key(lit: Literal):
-    """Canonical order: sign first (positive before negative), then atom.
-
-    A literal made by ``keyed_literal`` (the readers make theirs so) carries
-    its key; any other literal computes it on each call.
-    """
-    key = getattr(lit, "_key", None)
-    if key is None:
-        key = (0 if lit.positive else 1, _symbol_key(lit.pred), tuple(map(str, lit.args)))
-    return key
-
-
-def keyed_literal(positive: bool, pred: str, args: tuple[Term, ...] = ()) -> Literal:
-    """``Literal(positive, pred, args)`` carrying its canonical key.
-
-    The key is kept outside the dataclass fields, so equality, hash and repr
-    do not see it.  Its argument texts are the terms' own, so each distinct
-    argument is printed once.
-    """
-    lit = Literal(positive, pred, args)
-    # a variable's or constant's text is always kept, so read it directly
-    key = (0 if positive else 1, _symbol_key(pred), tuple([a._text or str(a) for a in args]))
-    object.__setattr__(lit, "_key", key)
-    return lit
+    """Canonical order: sign first (positive before negative), then atom."""
+    return (0 if lit.positive else 1, _symbol_key(lit.pred), tuple(map(str, lit.args)))
 
 
 def complementary_unifiable(l1: Literal, l2: Literal) -> bool:
@@ -430,7 +406,7 @@ class Clause:
     @classmethod
     def _canonical(cls, cid: int, literals: tuple[Literal, ...]) -> "Clause":
         """A clause from literals that are already distinct and in canonical
-        order, kept as given: for a reader that sorts them itself."""
+        order, kept as given: for a set that reads them off its rows."""
         clause = object.__new__(cls)
         object.__setattr__(clause, "id", cid)
         object.__setattr__(clause, "literals", literals)
@@ -471,21 +447,27 @@ class ClauseSet:
     Instances are treated as immutable once built; operations that change
     membership return a new ClauseSet and keep surviving clause ids intact.
 
-    A set is its numbering as much as its clauses: ``rows`` holds, per
-    clause in clause order, its literals as the signed atom numbers of
-    ``number_atoms`` (computed at most once per set).  ``literal(x)`` reads
-    the set's one literal store, indexed by signed number, which is filled
-    by one rule for each way a set is born.  A set made from clause objects
-    fills it in the one pass that numbers them, on first read of ``rows``.
-    A set read from DIMACS fills an entry on first read, from the reader's
-    integer for it, and a ``subset`` of a numbered set from its parent's
-    ``literal``.  Those two start from the rows alone and build ``Clause``
-    objects on read: ``by_id`` the one asked for, ``clauses`` all of them.
-    Next to its numbering a set holds its canonical atom order, ``rank``,
-    also computed at most once and by one rule per birth; ``atoms()``,
-    ``atom`` and ``canonical_rows`` read it, so the solvers order a set's
-    atoms without naming them.  Equality and repr are those of the clause
-    objects and symbol tables.
+    A set is its numbering as much as its clauses, and every set is
+    numbered by one rule.  Its birth gives, per clause, the places of its
+    literals in canonical order (the atom of canonical rank r is place r,
+    its negation place top + r, so sorted places are canonical order), and
+    a ``source`` from a signed place (r, or -r for the negation) to its
+    ``Literal``.  On first read of ``rows`` the atoms are numbered by first
+    occurrence over the places, and each keeps the signed place of its
+    first occurrence, which ``rank`` and ``literal`` read.  The places are:
+
+    - DIMACS: the variables;
+    - ``subset``: the parent's canonical numbers, with its ``atom`` as
+      source;
+    - literal groups (both TPTP readers, clause objects, so
+      ``from_clauses``, ``from_groups`` and ``splice``): each literal's
+      atom's rank among the distinct atoms sorted by atom key, the
+      predicate's ``_symbol_key`` then the argument texts.
+
+    A set made from clause objects keeps them; the other births build
+    ``Clause`` objects on read: ``by_id`` the one asked for, ``clauses``
+    all of them.  Equality and repr are those of the clause objects and
+    symbol tables.
     """
 
     __hash__ = None  # mutable tables, compared by value
@@ -505,14 +487,11 @@ class ClauseSet:
         self.functions = functions if functions is not None else {}
         self._ids: list[int] | None = None  # by position
         self._pos: dict[int, int] | None = None  # by id
+        # the birth: a callable that gives the place rows, top and source
+        self._birth = partial(_literal_places, self._clauses)
         self._rows: list[tuple[int, ...]] | None = None
-        # per atom, the signed number of its first occurrence: the set's own
-        # for a set made from clause objects, else the one ``_source`` turns
-        # into a literal (the complement's is its negation)
-        self._codes: list[int] | None = None
+        self._place: list[int] | None = None  # per atom, its first signed place
         self._source = None
-        # a subset's parent and positions, whose rows it renumbers on first read
-        self._of: tuple[ClauseSet, list[int]] | None = None
         self._literals: dict[int, Literal] = {}  # the literal store
         self._first: list[Literal] | None = None  # read by ``number_atoms``
         # the canonical order: atom numbers by canonical number, and the
@@ -521,17 +500,14 @@ class ClauseSet:
         self._rank: list[int] | None = None
 
     @classmethod
-    def _from_rows(cls, ids: list[int], tables: tuple, rows=None, codes=None, source=None,
-                   of=None, clauses: list[Clause] | None = None) -> "ClauseSet":
-        """A set given by its numbering: clause ids by position, the symbol
-        tables (roles, names, predicates, functions), ``source``, a callable
-        from codes to ``Literal``, and either ``rows`` with, per atom, the
-        code of its first occurrence's literal (``codes``), or ``of``, a
-        parent set and the positions of the rows it takes.  ``clauses`` are
+    def _born(cls, ids: list[int], tables: tuple, birth,
+              clauses: list[Clause] | None = None) -> "ClauseSet":
+        """A set given by clause ids by position, the symbol tables (roles,
+        names, predicates, functions) and its birth, a callable that gives
+        its place rows, top and source (see ``ClauseSet``).  ``clauses`` are
         the clause objects, when they exist already."""
         cs = cls(clauses, *tables)
-        cs._clauses, cs._ids, cs._source = clauses, ids, source
-        cs._rows, cs._codes, cs._of = rows, codes, of
+        cs._clauses, cs._ids, cs._birth = clauses, ids, birth
         return cs
 
     @classmethod
@@ -560,47 +536,61 @@ class ClauseSet:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate clause ids")
         cs = cls(list(clauses), dict(roles or {}), dict(names or {}))
-        cs._check_symbols(cs.clauses)
+        cs._check_atoms()
         return cs
 
     def _check_symbols(self, clauses: list[Clause]) -> None:
-        # The symbols of ``clauses``, clauses of this set, are registered in
-        # order of first occurrence.  A term object already walked cannot
-        # conflict again, so a shared (interned) term is walked once, and an
-        # argument that is a variable or such a term costs one test; every
-        # term is held by a clause of the set, so ids stay unique for the
-        # duration of the walk.
+        # the symbols of ``clauses``, clauses of this set, walked as a set of
+        # their own that registers them in this set's tables
+        ClauseSet(clauses, None, None, self.predicates, self.functions)._check_atoms()
+
+    def _check_atoms(self) -> None:
+        """Registers the set's symbols in its tables, in order of first
+        occurrence; ArityError names the first clause that uses a symbol at
+        a second arity.  Only each atom's first occurrence is walked
+        (``number_atoms``), and no clause object is built: atoms are
+        numbered by first occurrence in canonical clause order, and an atom
+        met again brings no symbol or arity that its first occurrence did
+        not, so this registers and fails as a walk over every literal would.
+        A term object already walked cannot conflict again, so a shared
+        (interned) term is walked once, and an argument that is a variable
+        or such a term costs one test; every term is held by the set, so
+        ids stay unique for the duration of the walk."""
+        first, rows = number_atoms(self)
+
+        def clause_of(a):  # the id of the first clause that holds atom a
+            return next(cid for cid, row in zip(self.ids(), rows) if a in row or -a in row)
+
         walked: set[int] = set()
         predicates, functions = self.predicates, self.functions
-        for clause in clauses:
-            for lit in clause.literals:
-                args = lit.args
-                seen = predicates.get(lit.pred)
-                if seen != len(args):
-                    if seen is not None:
-                        raise ArityError(
-                            f"predicate {lit.pred!r} used at arity {seen} and "
-                            f"{len(args)} (clause {clause.id})"
-                        )
-                    predicates[lit.pred] = len(args)
-                for top in args:
-                    if top.__class__ is Var or id(top) in walked:
+        for a, lit in enumerate(first, 1):
+            args = lit.args
+            seen = predicates.get(lit.pred)
+            if seen != len(args):
+                if seen is not None:
+                    raise ArityError(
+                        f"predicate {lit.pred!r} used at arity {seen} and "
+                        f"{len(args)} (clause {clause_of(a)})"
+                    )
+                predicates[lit.pred] = len(args)
+            for top in args:
+                if top.__class__ is Var or id(top) in walked:
+                    continue
+                todo = [top]
+                while todo:
+                    t = todo.pop()
+                    if t.__class__ is Var or id(t) in walked:
                         continue
-                    todo = [top]
-                    while todo:
-                        t = todo.pop()
-                        if t.__class__ is Var or id(t) in walked:
-                            continue
-                        walked.add(id(t))
-                        seen = functions.get(t.functor)
-                        if seen != len(t.args):
-                            if seen is not None:
-                                raise ArityError(
-                                    f"function symbol {t.functor!r} used at arity {seen} and "
-                                    f"{len(t.args)} (clause {clause.id})"
-                                )
-                            functions[t.functor] = len(t.args)
-                        todo.extend(reversed(t.args))
+                    walked.add(id(t))
+                    seen = functions.get(t.functor)
+                    if seen != len(t.args):
+                        if seen is not None:
+                            raise ArityError(
+                                f"function symbol {t.functor!r} used at arity {seen} and "
+                                f"{len(t.args)} (clause {clause_of(a)})"
+                            )
+                        functions[t.functor] = len(t.args)
+                    todo.extend(reversed(t.args))
 
     # -- the object view ------------------------------------------------------
 
@@ -616,19 +606,14 @@ class ClauseSet:
 
     def literal(self, x: int) -> Literal:
         """The ``Literal`` of signed atom number x, whose atom must occur in
-        the set (x itself need not): one object per number, held in the
-        set's literal store."""
+        the set (x itself need not): the birth's ``source`` of its signed
+        place, built once and held in the set's literal store."""
         lit = self._literals.get(x)
         if lit is None:
-            self.rows  # numbers the set: one made from clause objects fills the store
-            lit = self._literals.get(x)
-            if lit is None:
-                if self._source is None:  # made from clause objects: -x occurs
-                    lit = self._literals[-x].negated()
-                else:
-                    code = self._codes[abs(x) - 1]
-                    lit = self._source(code if (code > 0) == (x > 0) else -code)
-                self._literals[x] = lit
+            if self._place is None:
+                self.rows  # numbers the set
+            p = self._place[abs(x) - 1]
+            lit = self._literals[x] = self._source(p if (p > 0) == (x > 0) else -p)
         return lit
 
     def __len__(self) -> int:
@@ -659,8 +644,8 @@ class ClauseSet:
         return self._pos
 
     def by_id(self, cid: int) -> Clause:
-        """The clause with id ``cid``; a set born from rows builds just that
-        one until its whole object view is read."""
+        """The clause with id ``cid``; a set born without clause objects
+        builds just that one until its whole object view is read."""
         try:
             p = self._positions()[cid]
         except KeyError:
@@ -684,10 +669,9 @@ class ClauseSet:
     def subset(self, keep_ids) -> "ClauseSet":
         """The sub-collection with the given ids, original order and ids kept.
 
-        When this set's numbering is known, the subset's is derived from it
-        on first read, by renumbering the kept rows' atoms by first
-        occurrence, which gives what ``number_atoms`` would over the
-        subset's clauses."""
+        Its places are this set's canonical numbers of the kept rows, and
+        its source this set's ``atom``, so it numbers its atoms as
+        ``number_atoms`` would over its clauses."""
         keep = set(keep_ids)
         unknown = keep - self._positions().keys()
         if unknown:
@@ -698,10 +682,8 @@ class ClauseSet:
                   {i: n for i, n in self.names.items() if i in keep},
                   dict(self.predicates), dict(self.functions))
         clauses = None if self._clauses is None else [self._clauses[p] for p in where]
-        if self._rows is None and self._of is None:  # not numbered yet
-            return ClauseSet(clauses, *tables)
-        return ClauseSet._from_rows([ids[p] for p in where], tables, source=self.literal,
-                                    of=(self, where), clauses=clauses)
+        return ClauseSet._born([ids[p] for p in where], tables,
+                               partial(_subset_places, self, where), clauses)
 
     def splice(self, replacements: dict[int, list[tuple[Literal, ...]]]) -> "ClauseSet":
         """Swap each clause named in ``replacements``, at its position, for new
@@ -736,44 +718,40 @@ class ClauseSet:
 
     @property
     def rows(self) -> list[tuple[int, ...]]:
-        """Per clause, its literals as signed atom numbers (``number_atoms``)."""
+        """Per clause, its literals as signed atom numbers (``number_atoms``):
+        the birth's places, with atoms numbered by first occurrence."""
         if self._rows is None:
-            if self._of is None:
-                self._rows, self._codes, self._literals = _number(self._clauses)
-            else:
-                parent, where = self._of
-                self._rows, self._codes = _renumber([parent.rows[p] for p in where],
-                                                    parent.atom_count)
+            places, top, self._source = self._birth()
+            self._birth = None
+            number = [0] * (top + 1)  # by unsigned place
+            first: list[int] = []
+            for p in dict.fromkeys(itertools.chain.from_iterable(places)):
+                u = p if p <= top else p - top
+                if not number[u]:
+                    first.append(p if p <= top else -u)
+                    number[u] = len(first)
+            signed = number + [-a for a in number[1:]]  # by place
+            self._rows = [tuple(map(signed.__getitem__, row)) for row in places]
+            self._place = first
         return self._rows
 
     @property
     def atom_count(self) -> int:
         """The number of atoms of the numbering."""
-        self.rows  # numbers a set made from clause objects
-        return len(self._codes)
+        self.rows  # numbers the set
+        return len(self._place)
 
     @property
     def rank(self) -> list[int]:
         """Per signed atom number x, the signed number of x in canonical
         order, indexed like a list by x (so -x sits at the end): atom r of
-        ``atoms()`` is the one of rank r.  Computed at most once per set,
-        by one rule for each way a set is born.  A set made from clause
-        objects sorts its atoms by ``literal_key``.  A set read from DIMACS
-        ranks them by variable, read off the reader's integers, which is
-        the same order: digit names sort numerically.  A ``subset`` of a
-        numbered set ranks them by its parent's rank, since a restriction
-        of the canonical order keeps it."""
+        ``atoms()`` is the one of rank r.  The atoms are ordered by the
+        places of their first occurrences, unsigned, which are canonical
+        ranks, so any place left unused only closes up.  Computed at most
+        once per set."""
         if self._rank is None:
-            self.rows  # numbers the set
-            codes = self._codes
-            if self._of is not None:  # a subset: codes are its parent's numbers
-                parent = self._of[0].rank
-                keys = [0, *map(abs, map(parent.__getitem__, codes))]
-            elif self._source is not None:  # read from DIMACS: codes are variables
-                keys = [0, *map(abs, codes)]
-            else:  # a literal's key minus its sign is its atom's
-                keys = [(), *(literal_key(lit)[1:] for lit in number_atoms(self)[0])]
-            n = len(codes)
+            n = self.atom_count
+            keys = [0, *map(abs, self._place)]
             order = sorted(range(1, n + 1), key=keys.__getitem__)
             rank = [0] * (2 * n + 1)
             for r, a in enumerate(order, 1):
@@ -788,11 +766,13 @@ class ClauseSet:
         return [tuple(map(rank.__getitem__, row)) for row in self.rows]
 
     def atom(self, r: int) -> Literal:
-        """The atom of canonical number r (see ``rank``), as a positive
-        literal: ``literal`` of its positive number, so built at most once."""
+        """The literal of signed canonical number r (see ``rank``), so for
+        r > 0 the atom of canonical number r, as a positive literal:
+        ``literal`` of its signed number, so built at most once."""
         if self._order is None:
             self.rank  # orders the set
-        return self.literal(self._order[r - 1])
+        a = self._order[abs(r) - 1]
+        return self.literal(a if r > 0 else -a)
 
     def is_propositional(self) -> bool:
         """True when the predicate table holds symbols and each has arity
@@ -817,39 +797,58 @@ class ClauseSet:
 # Integer encoding
 
 
-def _number(clauses: list[Clause]) -> tuple[list[tuple[int, ...]], list[int], dict[int, Literal]]:
-    # the numbering of clause objects, keyed by predicate and arguments: the
-    # rows, each atom's first signed number, and the literal store, which
-    # keeps the first object met for each signed number
+def _subset_places(parent: ClauseSet, where: list[int]
+                   ) -> tuple[list[tuple[int, ...]], int, Callable[[int], Literal]]:
+    """The birth of the subset of ``parent`` at positions ``where``."""
+    n, rows = parent.atom_count, parent.rows
+    place = [r if r >= 0 else n - r for r in parent.rank]  # by signed atom number
+    return [tuple(map(place.__getitem__, rows[p])) for p in where], n, parent.atom
+
+
+def _literal_places(clauses: list[Clause]
+                    ) -> tuple[list[list[int]], int, Callable[[int], Literal]]:
+    """The birth of clause objects: their distinct atoms, keyed by predicate
+    and arguments and numbered as met, placed by ``_atom_places``."""
     number: dict[tuple, int] = {}
-    codes: list[int] = []
-    store: dict[int, Literal] = {}
+    atoms: list[Literal] = []
     rows = []
     for c in clauses:
         row = []
         for lit in c.literals:
             a = number.get((lit.pred, lit.args))
             if a is None:
-                a = number[lit.pred, lit.args] = len(codes) + 1
-                codes.append(a if lit.positive else -a)
-            x = a if lit.positive else -a
-            store.setdefault(x, lit)
-            row.append(x)
-        rows.append(tuple(row))
-    return rows, codes, store
+                a = number[lit.pred, lit.args] = len(atoms) + 1
+                atoms.append(lit)
+            row.append(a if lit.positive else -a)
+        rows.append(row)
+    return _atom_places(rows, atoms)
 
 
-def _renumber(rows: list[tuple[int, ...]], n: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Rows over atoms 1..n renumbered by first occurrence: the new rows,
-    and per new atom the old signed number of its first occurrence."""
-    tr = [0] * (2 * n + 1)  # old signed number -> new, set at first occurrence
-    codes: list[int] = []
-    for x in dict.fromkeys(itertools.chain.from_iterable(rows)):
-        if not tr[x]:
-            codes.append(x)
-            a, b = abs(x), len(codes)
-            tr[a], tr[-a] = b, -b
-    return [tuple(map(tr.__getitem__, row)) for row in rows], codes
+def _atom_places(rows, atoms: list[Literal]
+                 ) -> tuple[list[list[int]], int, Callable[[int], Literal]]:
+    """The birth of rows of signed numbers into ``atoms``, one literal of
+    either sign per distinct atom (atom a is item a-1): the atoms ranked
+    once by atom key, ``literal_key`` without the sign, each row as the
+    sorted set of its literals' places, and a source that reads ``atoms``."""
+    n = len(atoms)
+    # each predicate stands for its rank by ``_symbol_key``, so comparing
+    # two keys compares one int before the argument texts
+    preds = sorted({lit.pred for lit in atoms}, key=_symbol_key)
+    symbol = {pred: r for r, pred in enumerate(preds)}
+    keys = [(symbol[lit.pred], *map(str, lit.args)) for lit in atoms]
+    order = sorted(range(n), key=keys.__getitem__)
+    place = [0] * (2 * n + 1)  # by signed number, -a at the end
+    for r, i in enumerate(order, 1):
+        place[i + 1], place[-i - 1] = r, n + r
+    ranked = [atoms[i] for i in order]
+    rows = [sorted(set(map(place.__getitem__, row))) for row in rows]
+    return rows, n, partial(_ranked_literal, ranked)
+
+
+def _ranked_literal(ranked: list[Literal], p: int) -> Literal:
+    # the source of ``_atom_places``: the literal of signed place p
+    lit = ranked[abs(p) - 1]
+    return lit if lit.positive == (p > 0) else lit.negated()
 
 
 def number_atoms(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
@@ -865,15 +864,8 @@ def number_atoms(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
     rows = cs.rows
     if cs._first is None:
         literal = cs.literal
-        cs._first = [literal(a if c > 0 else -a) for a, c in enumerate(cs._codes, 1)]
+        cs._first = [literal(a if p > 0 else -a) for a, p in enumerate(cs._place, 1)]
     return cs._first, rows
-
-
-def encode(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
-    """The set in canonical order: its atoms, atom i of the list being
-    number i+1, and per clause the tuple of its signed numbers
-    (``ClauseSet.rank``)."""
-    return cs.atoms(), cs.canonical_rows()
 
 
 def ground_flags(cs: ClauseSet) -> list[bool]:

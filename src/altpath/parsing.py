@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
 
 from altpath.clauses import (
     App,
-    Clause,
+    ArityError,
     ClauseSet,
     Literal,
     Term,
     Var,
-    keyed_literal,
-    literal_key,
+    _atom_places,
     number_atoms,
 )
 
@@ -59,21 +59,26 @@ def parse_dimacs(data: str | bytes, source: str | None = None) -> ClauseSet:
 
     Well-formed input is read in one pass over its integers; anything else
     is read again line by line, which locates the error.  Either way the
-    integers go straight into the set's numbering (``clauses.number_atoms``):
-    each clause's literals in canonical order (positive literals first, then
-    by variable number) as signed atom numbers, atoms numbered by first
-    occurrence, and the predicate table.  No ``Clause`` or ``Literal`` is
+    set is born from the integers (see ``ClauseSet``): a variable is its
+    atom's place, since digit names sort numerically, so each clause is the
+    sorted set of its literals' places, and the predicate table registers
+    the variables in numbering order.  No ``Clause`` or ``Literal`` is
     built until one is read, and then one ``Literal`` per signed number.
     """
     text = _decode(data)
     ints = _dimacs_fast(text)
     if ints is None:
         ints = _dimacs_lines(text, source)
-    return _dimacs_set(ints)
+    cs = ClauseSet._born(list(range(1, ints.count(0) + 1)), ({}, {}, {}, {}),
+                         partial(_dimacs_places, ints))
+    cs.rows  # numbers the set
+    # each symbol has arity 0 and is registered at its first occurrence
+    cs.predicates.update(dict.fromkeys(map(str, map(abs, cs._place)), 0))
+    return cs
 
 
 def _dimacs_literal(v: int) -> Literal:
-    return keyed_literal(v > 0, str(abs(v)))
+    return Literal(v > 0, str(abs(v)))
 
 
 def _dimacs_fast(text: str) -> list[int] | None:
@@ -107,9 +112,10 @@ def _dimacs_fast(text: str) -> list[int] | None:
     return ints
 
 
-def _dimacs_set(ints: list[int]) -> ClauseSet:
-    """The clause set of checked clause integers, each clause ended by a 0.
-    Its lists are sized by the largest variable used, not the declared one."""
+def _dimacs_places(ints: list[int]) -> tuple[list[list[int]], int, Callable[[int], Literal]]:
+    """The birth of checked clause integers: each clause as the sorted set
+    of its literals' places, and the top place.  Its lists are sized by the
+    largest variable used, not the declared one."""
     ends = [i for i, v in enumerate(ints) if not v]
     top = max(max(ints, default=0), -min(ints, default=0))
     # literal v's place in canonical order: v itself when positive, past
@@ -120,21 +126,7 @@ def _dimacs_set(ints: list[int]) -> ClauseSet:
     for end in ends:
         sorted_rows.append(sorted(set(places[begin:end])))
         begin = end + 1
-    # atoms by first occurrence, with the DIMACS literal of each one's first
-    # occurrence, from a list indexed by variable
-    number = [0] * (top + 1)
-    firsts: list[int] = []
-    for p in dict.fromkeys(chain.from_iterable(sorted_rows)):
-        v = p if p <= top else top - p
-        if not number[abs(v)]:
-            firsts.append(v)
-            number[abs(v)] = len(firsts)
-    signed = number + [-a for a in number[1:]]  # by place
-    rows = [tuple(map(signed.__getitem__, row)) for row in sorted_rows]
-    # each symbol has arity 0 and is registered at its first occurrence
-    predicates = dict.fromkeys(map(str, map(abs, firsts)), 0)
-    return ClauseSet._from_rows(list(range(1, len(ends) + 1)), ({}, {}, predicates, {}),
-                                rows=rows, codes=firsts, source=_dimacs_literal)
+    return sorted_rows, top, _dimacs_literal
 
 
 def _dimacs_lines(text: str, source: str | None) -> list[int]:
@@ -253,20 +245,99 @@ def _tokenize(text: str, source: str | None) -> list[_Tok]:
     return out
 
 
+class _Atoms:
+    """The interning tables of one parse, and the one term reader of both
+    TPTP readers.
+
+    Each distinct term is one object, keyed by a leaf's text or by its
+    functor and the ids of its interned arguments, so no term is ever
+    hashed, and built once, so its hash, ground flag and text are found
+    once.  Each distinct atom, keyed alike, gets a number, counting from 1,
+    and keeps the ``Literal`` it was first met in: a literal is read as its
+    atom's number, negated when the literal is.
+    """
+
+    def __init__(self):
+        self.terms: dict[str | tuple, Term] = {}
+        self.numbers: dict[tuple, int] = {}
+        self.atoms: list[Literal] = []  # atom a is item a-1
+
+    def args(self, toks: list[str], i: int, fail) -> tuple[tuple[Term, ...], int]:
+        """The comma-separated terms from token i to the ')' that closes
+        them, and the index past that ')'.  The tokens are read with a stack
+        of the applications still open, each with its arguments so far, so
+        nesting costs no recursion.  ``fail(i, message)`` is the exception
+        to raise for token i (i == len(toks) at the end of the tokens)."""
+        terms = self.terms
+        open_apps: list[tuple[str, list[Term]]] = []
+        args: list[Term] = []
+        n = len(toks)
+        while True:
+            # a term
+            if i == n:
+                raise fail(i, "unexpected end of input")
+            tok = toks[i]
+            first = tok[0]
+            if "a" <= first <= "z":
+                if i + 1 < n and toks[i + 1] == "(":
+                    open_apps.append((tok, args))
+                    args = []
+                    i += 2
+                    continue
+            elif not ("A" <= first <= "Z" or first == "_"):
+                raise fail(i, f"expected a term, got {tok!r}")
+            t = terms.get(tok)
+            if t is None:
+                t = terms[tok] = App(tok) if "a" <= first <= "z" else Var(tok)
+            args.append(t)
+            i += 1
+            # then ',' before the next term, or ')' closing applications
+            while True:
+                if i < n and toks[i] == ",":
+                    i += 1
+                    break
+                if i == n:
+                    raise fail(i, "unexpected end of input")
+                if toks[i] != ")":
+                    raise fail(i, f"expected ')', got {toks[i]!r}")
+                i += 1
+                if not open_apps:
+                    return tuple(args), i
+                functor, outer = open_apps.pop()
+                key = (functor, *map(id, args))
+                t = terms.get(key)
+                if t is None:
+                    t = terms[key] = App(functor, tuple(args))
+                outer.append(t)
+                args = outer
+
+    def literal(self, positive: bool, pred: str, args: tuple[Term, ...]) -> int:
+        """The signed atom number of the literal."""
+        key = (pred, *map(id, args))
+        a = self.numbers.get(key)
+        if a is None:
+            self.atoms.append(Literal(positive, pred, args))
+            a = self.numbers[key] = len(self.atoms)
+        return a if positive else -a
+
+
 class _TptpParser:
     def __init__(self, text: str, source: str | None, include_base: str | None,
-                 seen_files: set[str] | None = None,
-                 interned: dict[Literal, Literal] | None = None):
+                 table: _Atoms, seen_files: set[str] | None = None):
         self.toks = _tokenize(text, source)
+        self.texts = [tok.text for tok in self.toks]
         self.pos = 0
         self.source = source
         self.include_base = include_base
+        self.table = table
         self.seen_files = seen_files if seen_files is not None else set()
-        self.interned = interned if interned is not None else {}
-        self.groups: list[tuple[str, str, list[Literal]]] = []
+        self.groups: list[tuple[str, str, list[int]]] = []
 
-    def error(self, message: str) -> ParseError:
-        line = self.toks[self.pos].line if self.pos < len(self.toks) else None
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """The error at token ``at``, by default the next one; past the last
+        token it has no line."""
+        at = self.pos if at is None else at
+        line = self.toks[at].line if at < len(self.toks) else None
         return ParseError(message, line, self.source)
 
     def peek(self) -> _Tok | None:
@@ -283,7 +354,7 @@ class _TptpParser:
         self.pos += 1
         return tok
 
-    def parse(self) -> list[tuple[str, str, list[Literal]]]:
+    def parse(self) -> list[tuple[str, str, list[int]]]:
         while self.peek() is not None:
             tok = self.peek()
             if tok.text == "include":
@@ -315,7 +386,7 @@ class _TptpParser:
         self.seen_files.add(full)
         with open(full, "r", encoding="utf-8") as handle:
             text = handle.read()
-        sub = _TptpParser(text, full, self.include_base, self.seen_files, self.interned)
+        sub = _TptpParser(text, full, self.include_base, self.table, self.seen_files)
         self.groups.extend(sub.parse())
 
     def _annotated(self) -> None:
@@ -345,7 +416,7 @@ class _TptpParser:
         self.take(".")
         self.groups.append((name, role, lits))
 
-    def _formula(self, name: str) -> list[Literal]:
+    def _formula(self, name: str) -> list[int]:
         # literals never start with '(' in this subset, so a leading
         # parenthesis always wraps the whole disjunction
         tok = self.peek()
@@ -356,14 +427,14 @@ class _TptpParser:
             return lits
         return self._disjunction(name)
 
-    def _disjunction(self, name: str) -> list[Literal]:
+    def _disjunction(self, name: str) -> list[int]:
         lits = self._literal(name)
         while self.peek() is not None and self.peek().text == "|":
             self.take("|")
             lits.extend(self._literal(name))
         return lits
 
-    def _literal(self, name: str) -> list[Literal]:
+    def _literal(self, name: str) -> list[int]:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input", None, self.source)
@@ -383,35 +454,9 @@ class _TptpParser:
         pred = self.take().text
         args: tuple[Term, ...] = ()
         if self.peek() is not None and self.peek().text == "(":
-            args = self._args()
-        lit = Literal(positive, pred, args)
-        known = self.interned.get(lit)
-        if known is None:
-            known = self.interned[lit] = keyed_literal(positive, pred, args)
-        return [known]
-
-    def _args(self) -> tuple[Term, ...]:
-        self.take("(")
-        args = [self._term()]
-        while self.peek() is not None and self.peek().text == ",":
-            self.take(",")
-            args.append(self._term())
-        self.take(")")
-        return tuple(args)
-
-    def _term(self) -> Term:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", None, self.source)
-        if tok.kind == "upper":
-            self.take()
-            return Var(tok.text)
-        if tok.kind != "lower":
-            raise self.error(f"expected a term, got {tok.text!r}")
-        functor = self.take().text
-        if self.peek() is not None and self.peek().text == "(":
-            return App(functor, self._args())
-        return App(functor)
+            args, self.pos = self.table.args(self.texts, self.pos + 1,
+                                             lambda at, message: self.error(message, at))
+        return [self.table.literal(positive, pred, args)]
 
 
 class _NotFast(Exception):
@@ -433,26 +478,22 @@ _FAST_LITERAL = re.compile(
 _ARG_TOKEN = re.compile(r"[A-Za-z0-9_]+|\S")
 
 
-class _FastTptp:
+class _FastTptp(_Atoms):
     """Reads well-formed CNF-subset TPTP with one regex per statement.
 
-    Literal and argument texts are memoised, and every term and literal is
-    interned: one object per distinct value, for this parse only, so each
-    distinct term's hash, ground flag and text are found once.  Anything
-    outside the plain statement shape (includes, comments inside a
-    statement, syntax errors) raises ``_NotFast`` and the caller re-reads
-    the input with ``_TptpParser``, which reports the error.
+    Literal and argument texts are memoised, and terms and atoms are
+    interned in the reader's own tables (``_Atoms``).  Anything outside the
+    plain statement shape (includes, comments inside a statement, syntax
+    errors) raises ``_NotFast`` and the caller re-reads the input with
+    ``_TptpParser``, which reports the error.
     """
 
     def __init__(self):
-        self.literal_of: dict[str, Literal | None] = {}
+        super().__init__()
+        self.literal_of: dict[str, int | None] = {}
         self.args_of: dict[str, tuple[Term, ...]] = {}  # by argument text
-        # keyed by a leaf's text or by the ids of interned parts, so no
-        # term is ever hashed
-        self.terms: dict[str | tuple, Term] = {}
-        self.literals: dict[tuple, Literal] = {}
 
-    def parse(self, text: str) -> list[tuple[str, str, list[Literal]]]:
+    def parse(self, text: str) -> list[tuple[str, str, list[int]]]:
         triples = []
         literal_of = self.literal_of
         skip, statement = _SKIP.match, _CNF.match
@@ -480,7 +521,7 @@ class _FastTptp:
             pos = skip(text, m.end()).end()
         return triples
 
-    def _literal(self, text: str) -> Literal | None:
+    def _literal(self, text: str) -> int | None:
         m = _FAST_LITERAL.fullmatch(text)
         if m is None:
             raise _NotFast
@@ -494,58 +535,16 @@ class _FastTptp:
             args = self.args_of.get(args_text)
             if args is None:
                 args = self.args_of[args_text] = self._args(args_text)
-        key = (not negated, pred, *map(id, args))
-        lit = self.literals.get(key)
-        if lit is None:
-            lit = self.literals[key] = keyed_literal(not negated, pred, args)
-        return lit
+        return self.literal(not negated, pred, args)
 
     def _args(self, text: str) -> tuple[Term, ...]:
-        """The comma-separated terms of ``text``, read without recursion."""
+        """The comma-separated terms of ``text``."""
         toks = _ARG_TOKEN.findall(text)
-        terms = self.terms
-        open_apps: list[tuple[str, list[Term]]] = []
-        args: list[Term] = []
-        i, n = 0, len(toks)
-        while True:
-            # a term
-            if i == n:
-                raise _NotFast
-            tok = toks[i]
-            first = tok[0]
-            if "a" <= first <= "z":
-                if i + 1 < n and toks[i + 1] == "(":
-                    open_apps.append((tok, args))
-                    args = []
-                    i += 2
-                    continue
-            elif not ("A" <= first <= "Z" or first == "_"):
-                raise _NotFast
-            # variables and constants are keyed by their text alone
-            t = terms.get(tok)
-            if t is None:
-                t = terms[tok] = App(tok) if "a" <= first <= "z" else Var(tok)
-            args.append(t)
-            i += 1
-            # then ',' before the next term, or ')' closing applications
-            while True:
-                if i == n:
-                    if open_apps:
-                        raise _NotFast
-                    return tuple(args)
-                tok = toks[i]
-                i += 1
-                if tok == ",":
-                    break
-                if tok != ")" or not open_apps:
-                    raise _NotFast
-                functor, outer = open_apps.pop()
-                key = (functor, *map(id, args))
-                t = terms.get(key)
-                if t is None:
-                    t = terms[key] = App(functor, tuple(args))
-                outer.append(t)
-                args = outer
+        toks.append(")")  # closes them
+        args, end = self.args(toks, 0, lambda at, message: _NotFast())
+        if end != len(toks):
+            raise _NotFast
+        return args
 
 
 def parse_tptp(
@@ -556,26 +555,32 @@ def parse_tptp(
     """Parse the CNF subset of TPTP: cnf(...) formulas and simple includes.
 
     Include paths resolve against ``include_base`` (falling back to the
-    current directory).  Arity consistency is enforced across the whole set.
-    Well-formed input without includes is read by a fast statement reader;
-    anything else is read again by the tokenizing parser, which locates the
-    error.  Each distinct literal is one ``Literal`` object.
+    current directory).  Well-formed input without includes is read by a
+    fast statement reader; anything else is read again by the tokenizing
+    parser, which locates the error.  Both intern each distinct term and
+    atom once (``_Atoms``) and give each clause as its literals' signed
+    atom numbers, from which the set is born (see ``ClauseSet``): the atoms
+    are ranked once by atom key and each literal placed by its atom's
+    rank.  No ``Clause`` is built until one is read.  Arity consistency is
+    enforced across the whole set, over the distinct atoms.
     """
     text = _decode(data)
     try:
-        triples = _FastTptp().parse(text)
+        table = _FastTptp()
+        triples = table.parse(text)
     except _NotFast:
-        triples = _TptpParser(text, source, include_base).parse()
-    names = {i + 1: name for i, (name, _, _) in enumerate(triples)}
-    roles = {i + 1: role for i, (_, role, _) in enumerate(triples)}
-    # each distinct literal is one object, so a clause's repeats are the
-    # same object, and are merged without hashing a literal
-    clauses = [Clause._canonical(i, tuple(sorted({id(l): l for l in lits}.values(), key=literal_key)))
-               for i, (_, _, lits) in enumerate(triples, 1)]
+        table = _Atoms()
+        triples = _TptpParser(text, source, include_base, table).parse()
+    ids = list(range(1, len(triples) + 1))
+    names = {cid: name for cid, (name, _, _) in zip(ids, triples)}
+    roles = {cid: role for cid, (_, role, _) in zip(ids, triples)}
+    rows = [lits for _, _, lits in triples]
+    cs = ClauseSet._born(ids, (roles, names, {}, {}), partial(_atom_places, rows, table.atoms))
     try:
-        return ClauseSet.from_clauses(clauses, roles=roles, names=names)
-    except ValueError as exc:
+        cs._check_atoms()
+    except ArityError as exc:
         raise ParseError(str(exc), None, source) from exc
+    return cs
 
 
 def print_tptp(cs: ClauseSet) -> str:

@@ -687,7 +687,7 @@ def reference_support_radius(cs: ClauseSet, clause_distance: dict[int, float]) -
 # Stepping sequences and the reachable atom count, literal by literal
 #
 # The Literal-level versions that altpath.dpll had before it read the
-# integer rows of clauses.encode.
+# integer rows of ClauseSet.canonical_rows.
 
 
 def reference_stepping_sequence(cs: ClauseSet,

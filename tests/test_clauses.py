@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import re
 
@@ -18,9 +19,7 @@ from altpath.clauses import (
     apply_literal,
     apply_term,
     complementary_unifiable,
-    encode,
     literal_key,
-    term_vars,
 )
 from altpath import parsing
 from altpath.dpll import MODES, dpll, dpll_rel
@@ -76,7 +75,7 @@ def test_atom_drops_sign():
 
 def test_term_vars_first_occurrence_order():
     t = f(g(y, x), y, z)
-    assert [v.name for v in term_vars(t)] == ["Y", "X", "Z"]
+    assert [v.name for v in t.variables] == ["Y", "X", "Z"]
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +246,7 @@ def _assert_restricted_unifier(ts1, ts2):
     variable to an application it allows or to a variable allowing less."""
     s = naive_unifier(ts1, ts2)
     assert [apply_term(t, s) for t in ts1] == [apply_term(t, s) for t in ts2]
-    for v in term_vars(App("", ts1 + ts2)):
+    for v in App("", ts1 + ts2).variables:
         image = s.get(v.name, v)
         if v.allowed is None:
             continue
@@ -413,9 +412,8 @@ def test_encode_keeps_clause_order_tautologies_and_empty_clauses():
         [lit("p", a), lit("p", a, sign=False)],
         [lit("r", Var("X"))],
     ])
-    atoms, rows = encode(cs)
-    assert atoms == cs.atoms() == [lit("p", a), lit("q", b), lit("r", Var("X"))]
-    assert rows == [(2, -1), (), (1, -1), (3,)]
+    assert cs.atoms() == [lit("p", a), lit("q", b), lit("r", Var("X"))]
+    assert cs.canonical_rows() == [(2, -1), (), (1, -1), (3,)]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -426,7 +424,7 @@ def test_encode_matches_reference_order(seed):
     for cs in (random_ground(rng, n_atoms=14, n_clauses=30),
                random_first_order(rng, n_clauses=12)):
         atoms = reference_atoms(cs)
-        assert encode(cs) == (atoms, reference_rows(cs, atoms))
+        assert (cs.atoms(), cs.canonical_rows()) == (atoms, reference_rows(cs, atoms))
 
 
 def _sets_of_every_birth(seed: int):
@@ -468,9 +466,19 @@ def _sets_of_every_birth(seed: int):
 @pytest.mark.parametrize("seed", range(8))
 def test_held_order_matches_reference_for_every_birth(seed):
     for birth, cs in _sets_of_every_birth(seed):
-        got = encode(cs)  # read before the reference derives any clause object
+        got = cs.atoms(), cs.canonical_rows()  # read before the reference derives any clause object
         atoms = reference_atoms(cs)
         assert got == (atoms, reference_rows(cs, atoms)), birth
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_sets_of_every_birth_pickle_before_and_after_numbering(seed):
+    for birth, cs in _sets_of_every_birth(seed):
+        unread = pickle.dumps(cs)
+        cs.canonical_rows()
+        for back in (pickle.loads(unread), pickle.loads(pickle.dumps(cs))):
+            assert (back.rows, back.rank, back.clauses) == (cs.rows, cs.rank, cs.clauses), birth
+            assert back == cs, birth
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -11,12 +11,13 @@ import pytest
 
 import altpath.cli
 import altpath.graph
+import altpath.parsing
 from altpath.cli import EXIT_SAT, EXIT_UNSAT, EXIT_UNKNOWN, _growth_budget, main
 from altpath.clauses import Clause, Literal
 from altpath.dpll import SolveResult, stepping_sequence, support_radius
-from altpath.generators import random_3sat
+from altpath.generators import random_3sat, random_first_order
 from altpath.graph import INF, bfs_from_support, build_graph
-from altpath.parsing import parse_dimacs, parse_tptp, print_dimacs
+from altpath.parsing import parse_dimacs, parse_tptp, print_dimacs, print_tptp
 
 from oracles import model_satisfies, partial_model_covers, reference_atom_count
 
@@ -254,6 +255,28 @@ def test_dimacs_filter_and_stats_build_no_clause_objects(tmp_path, capsys, monke
     assert main(requests[0][:-2] + ["-o", str(out)]) == 0
     assert built["Clause"] == 0
     assert 0 < built["Literal"] <= parse_dimacs(out.read_text()).atom_count
+
+
+def test_tptp_filter_and_stats_build_no_clause_objects(tmp_path, capsys, monkeypatch):
+    # a TPTP set is born numbered from the reader's atoms: the graph, the
+    # searches, purity and the counts read its rows and make literals only
+    path = tmp_path / "fo.p"
+    path.write_text(print_tptp(random_first_order(random.Random(3), 40)))
+    pure = altpath.graph.purity_filter(build_graph(parse_tptp(path.read_text()))).ids()
+    requests = (["filter", str(path), "-n", "2", "--support", "ids:1", "--json"],
+                ["filter", str(path), "-n", "2", "--purity", "--support", f"ids:{pure[0]}",
+                 "--json"],
+                ["stats", str(path), "--json"],
+                ["stats", str(path), "--bound", "2", "--support", "ids:1", "--json"])
+    want = []
+    for argv in requests:
+        assert main(argv) == 0
+        want.append(capsys.readouterr().out)
+    built = _count_objects(monkeypatch)
+    for argv, out in zip(requests, want):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+        assert built["Clause"] == 0, argv
 
 
 def test_dimacs_solve_builds_literals_for_a_model_only(tmp_path, capsys, monkeypatch):
@@ -968,16 +991,22 @@ def test_deeply_nested_terms_get_a_verdict_in_little_memory(deep, argv, verdict)
         assert json.loads(proc.stdout) == verdict
 
 
-def test_deeply_nested_term_in_the_tokenizing_reader_exits_2_without_traceback(tmp_path):
+def test_deeply_nested_term_in_the_tokenizing_reader_filters_like_its_twin(tmp_path):
     # a comment inside a statement sends the input to the tokenizing reader,
-    # which still descends one call per level
-    path = tmp_path / "deep.p"
-    path.write_text(f"cnf(c1, axiom, (p({_nest('a')}) /* deep */)).\n"
-                    "cnf(c2, negated_conjecture, (~p(X))).\n")
-    proc = _run_cli(["filter", str(path), "-n", "2", "--support", "ids:1"])
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:") and "nested too deeply" in proc.stderr
-    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    # which reads terms with a stack of open applications, so it answers as
+    # the fast reader does on the same statements without the comment
+    statements = ("cnf(c1, axiom, (p(%s)%s)).\n"
+                  "cnf(c2, negated_conjecture, (~p(X))).\n")
+    twin, commented = tmp_path / "twin.p", tmp_path / "deep.p"
+    twin.write_text(statements % (_nest("a"), ""))
+    commented.write_text(statements % (_nest("a"), " /* deep */"))
+    with pytest.raises(altpath.parsing._NotFast):
+        altpath.parsing._FastTptp().parse(commented.read_text())
+    runs = [_run_cli(["filter", str(path), "-n", "2", "--support", "ids:1", "--json"])
+            for path in (twin, commented)]
+    assert [proc.returncode for proc in runs] == [0, 0], runs[1].stderr[-500:]
+    assert runs[1].stdout == runs[0].stdout
+    assert json.loads(runs[0].stdout)["relevant"] == 2
 
 
 def test_successive_calls_do_not_share_list_options(tree, capsys):

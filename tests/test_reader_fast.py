@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altpath import parsing
-from altpath.clauses import Clause, ClauseSet, Literal, Var, apply_literal, literal_key
+from altpath.clauses import Clause, ClauseSet, Var, apply_literal, number_atoms
 from altpath.generators import (
     bounded_occurrence,
     horn_tree,
@@ -27,11 +27,11 @@ from altpath.splitting import binary_split_plan, split_clause
 
 
 def _snapshot(cs: ClauseSet):
-    # the canonical key each literal carries, against one computed afresh
-    for c in cs.clauses:
-        for lit in c.literals:
-            assert literal_key(lit) == literal_key(Literal(lit.positive, lit.pred, lit.args))
+    # the numbering first, read before any clause object exists
     return (
+        number_atoms(cs),
+        cs.rank,
+        cs.canonical_rows(),
         [(c.id, c.literals) for c in cs.clauses],
         list(cs.names.items()),
         list(cs.roles.items()),
@@ -307,6 +307,31 @@ def test_token_soup_tptp_reads_the_same_on_both_paths(tokens):
 @given(st.lists(st.sampled_from(_DIMACS_TOKENS), min_size=1, max_size=30))
 def test_token_soup_dimacs_reads_the_same_on_both_paths(tokens):
     _assert_same(parse_dimacs, "".join(tokens))
+
+
+# ---------------------------------------------------------------------------
+# Every birth numbers a set alike
+
+
+def _numbering(cs: ClauseSet):
+    return (cs.rows, cs.rank, [(c.id, c.literals) for c in cs.clauses],
+            list(cs.names.items()), list(cs.roles.items()),
+            list(cs.predicates.items()), list(cs.functions.items()))
+
+
+def test_every_birth_numbers_the_benchmark_sets_alike(fo_filter_texts):
+    """The fast reader, the tokenizing reader, the clause objects and the
+    subset of every clause give equal rows, order, clauses and tables."""
+    assert len(fo_filter_texts) == 22
+    for text in fo_filter_texts:
+        fast = parse_tptp(text)
+        want = _numbering(fast)
+        with _fast_paths_off():
+            assert _numbering(parse_tptp(text)) == want
+        objects = ClauseSet.from_clauses(fast.clauses, roles=fast.roles, names=fast.names)
+        assert _numbering(objects) == want
+        unread = parse_tptp(text)  # its subset derives the clause objects
+        assert _numbering(unread.subset(unread.ids())) == want
 
 
 # ---------------------------------------------------------------------------

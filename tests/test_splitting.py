@@ -6,7 +6,6 @@ the original, and relevance distances between the untouched clauses never
 decrease.
 """
 
-import os
 import random
 
 import pytest
@@ -325,24 +324,6 @@ def test_print_tptp_refuses_restricted_variables():
 
 # ---------------------------------------------------------------------------
 # Derived sets reuse the parent's tables
-
-
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
-
-
-@pytest.fixture(scope="module")
-def fo_filter_sets(tmp_path_factory):
-    """The benchmark's fo-filter inputs of seed 1, read as the CLI reads them."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(PERFBENCH)
-        import workloads
-    inputs = workloads.gen_fo_filter(random.Random(1), str(tmp_path_factory.mktemp("fo")))
-    sets = []
-    for inp in inputs:
-        with open(inp.path) as fh:
-            sets.append(parse_tptp(fh.read()))
-    return sets
 
 
 def _assert_split_tables_match_a_rebuild(cs: ClauseSet) -> None:
