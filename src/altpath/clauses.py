@@ -452,12 +452,13 @@ class ClauseSet:
     literals in canonical order (the atom of canonical rank r is place r,
     its negation place top + r, so sorted places are canonical order), and
     a ``source`` from a signed place (r, or -r for the negation) to its
-    ``Literal``.  On first read of ``rows`` the atoms are numbered by first
-    occurrence over the places, and each keeps the signed place of its
-    first occurrence, which ``rank`` and ``literal`` read.  The places are:
+    ``Literal``.  On first read of ``rows`` the atoms are numbered by rank
+    among the places in use: atom r is the r-th smallest, so atom numbers
+    follow the canonical order and ``literal`` reads the place of its atom.
+    The places are:
 
     - DIMACS: the variables;
-    - ``subset``: the parent's canonical numbers, with its ``atom`` as
+    - ``subset``: the parent's atom numbers, with its ``literal`` as
       source;
     - literal groups (both TPTP readers, clause objects, so
       ``from_clauses``, ``from_groups`` and ``splice``): each literal's
@@ -490,14 +491,10 @@ class ClauseSet:
         # the birth: a callable that gives the place rows, top and source
         self._birth = partial(_literal_places, self._clauses)
         self._rows: list[tuple[int, ...]] | None = None
-        self._place: list[int] | None = None  # per atom, its first signed place
+        self._place: list[int] | None = None  # per atom, its place
         self._source = None
         self._literals: dict[int, Literal] = {}  # the literal store
-        self._first: list[Literal] | None = None  # read by ``number_atoms``
-        # the canonical order: atom numbers by canonical number, and the
-        # signed table of ``rank``
-        self._order: list[int] | None = None
-        self._rank: list[int] | None = None
+        self._atoms: list[Literal] | None = None  # read by ``atoms``
 
     @classmethod
     def _born(cls, ids: list[int], tables: tuple, birth,
@@ -548,22 +545,22 @@ class ClauseSet:
         """Registers the set's symbols in its tables, in order of first
         occurrence; ArityError names the first clause that uses a symbol at
         a second arity.  Only each atom's first occurrence is walked
-        (``number_atoms``), and no clause object is built: atoms are
-        numbered by first occurrence in canonical clause order, and an atom
-        met again brings no symbol or arity that its first occurrence did
-        not, so this registers and fails as a walk over every literal would.
+        (``_first_atoms``), and no clause object is built: an atom met
+        again brings no symbol or arity that its first occurrence did not,
+        so this registers and fails as a walk over every literal would.
         A term object already walked cannot conflict again, so a shared
         (interned) term is walked once, and an argument that is a variable
         or such a term costs one test; every term is held by the set, so
         ids stay unique for the duration of the walk."""
-        first, rows = number_atoms(self)
+        rows, atoms = self.rows, self.atoms()
 
         def clause_of(a):  # the id of the first clause that holds atom a
             return next(cid for cid, row in zip(self.ids(), rows) if a in row or -a in row)
 
         walked: set[int] = set()
         predicates, functions = self.predicates, self.functions
-        for a, lit in enumerate(first, 1):
+        for a in self._first_atoms():
+            lit = atoms[a - 1]
             args = lit.args
             seen = predicates.get(lit.pred)
             if seen != len(args):
@@ -606,14 +603,15 @@ class ClauseSet:
 
     def literal(self, x: int) -> Literal:
         """The ``Literal`` of signed atom number x, whose atom must occur in
-        the set (x itself need not): the birth's ``source`` of its signed
-        place, built once and held in the set's literal store."""
+        the set (x itself need not): the birth's ``source`` of the place of
+        atom |x|, signed like x, built once and held in the set's literal
+        store."""
         lit = self._literals.get(x)
         if lit is None:
             if self._place is None:
                 self.rows  # numbers the set
             p = self._place[abs(x) - 1]
-            lit = self._literals[x] = self._source(p if (p > 0) == (x > 0) else -p)
+            lit = self._literals[x] = self._source(p if x > 0 else -p)
         return lit
 
     def __len__(self) -> int:
@@ -669,9 +667,9 @@ class ClauseSet:
     def subset(self, keep_ids) -> "ClauseSet":
         """The sub-collection with the given ids, original order and ids kept.
 
-        Its places are this set's canonical numbers of the kept rows, and
-        its source this set's ``atom``, so it numbers its atoms as
-        ``number_atoms`` would over its clauses."""
+        Its places are this set's atom numbers of the kept rows, and its
+        source this set's ``literal``, so it numbers its atoms as a set
+        made from its clauses would."""
         keep = set(keep_ids)
         unknown = keep - self._positions().keys()
         if unknown:
@@ -718,21 +716,20 @@ class ClauseSet:
 
     @property
     def rows(self) -> list[tuple[int, ...]]:
-        """Per clause, its literals as signed atom numbers (``number_atoms``):
-        the birth's places, with atoms numbered by first occurrence."""
+        """Per clause, its literals as signed atom numbers in canonical
+        order, negated for a negative literal: the birth's places, atom r
+        being the r-th smallest place in use, so any place left unused only
+        closes up.  Computed at most once per set."""
         if self._rows is None:
             places, top, self._source = self._birth()
             self._birth = None
-            number = [0] * (top + 1)  # by unsigned place
-            first: list[int] = []
-            for p in dict.fromkeys(itertools.chain.from_iterable(places)):
-                u = p if p <= top else p - top
-                if not number[u]:
-                    first.append(p if p <= top else -u)
-                    number[u] = len(first)
-            signed = number + [-a for a in number[1:]]  # by place
-            self._rows = [tuple(map(signed.__getitem__, row)) for row in places]
-            self._place = first
+            used = sorted({p if p <= top else p - top
+                           for p in set(itertools.chain.from_iterable(places))})
+            number = [0] * (2 * top + 1)  # by place
+            for r, p in enumerate(used, 1):
+                number[p], number[top + p] = r, -r
+            self._rows = [tuple(map(number.__getitem__, row)) for row in places]
+            self._place = used
         return self._rows
 
     @property
@@ -741,38 +738,13 @@ class ClauseSet:
         self.rows  # numbers the set
         return len(self._place)
 
-    @property
-    def rank(self) -> list[int]:
-        """Per signed atom number x, the signed number of x in canonical
-        order, indexed like a list by x (so -x sits at the end): atom r of
-        ``atoms()`` is the one of rank r.  The atoms are ordered by the
-        places of their first occurrences, unsigned, which are canonical
-        ranks, so any place left unused only closes up.  Computed at most
-        once per set."""
-        if self._rank is None:
-            n = self.atom_count
-            keys = [0, *map(abs, self._place)]
-            order = sorted(range(1, n + 1), key=keys.__getitem__)
-            rank = [0] * (2 * n + 1)
-            for r, a in enumerate(order, 1):
-                rank[a], rank[-a] = r, -r
-            self._order, self._rank = order, rank
-        return self._rank
-
-    def canonical_rows(self) -> list[tuple[int, ...]]:
-        """``rows`` renumbered by ``rank``: per clause, its literals as
-        signed canonical numbers, in clause order."""
-        rank = self.rank
-        return [tuple(map(rank.__getitem__, row)) for row in self.rows]
-
-    def atom(self, r: int) -> Literal:
-        """The literal of signed canonical number r (see ``rank``), so for
-        r > 0 the atom of canonical number r, as a positive literal:
-        ``literal`` of its signed number, so built at most once."""
-        if self._order is None:
-            self.rank  # orders the set
-        a = self._order[abs(r) - 1]
-        return self.literal(a if r > 0 else -a)
+    def _first_atoms(self):
+        """The atom numbers in order of first occurrence: clause order, then
+        canonical literal order."""
+        # the distinct literals first, so abs runs once per literal, not
+        # once per occurrence
+        literals = dict.fromkeys(itertools.chain.from_iterable(self.rows))
+        return dict.fromkeys(map(abs, literals))
 
     def is_propositional(self) -> bool:
         """True when the predicate table holds symbols and each has arity
@@ -780,11 +752,14 @@ class ClauseSet:
         return bool(self.predicates) and not any(self.predicates.values())
 
     def is_ground(self) -> bool:
-        return self.is_propositional() or all(c.is_ground() for c in self.clauses)
+        return all(ground_flags(self))
 
     def atoms(self) -> list[Literal]:
-        """All atoms of the set, in canonical order (the held ``rank``)."""
-        return list(map(self.atom, range(1, self.atom_count + 1)))
+        """All atoms of the set, as positive literals, in canonical order:
+        atom r is item r-1.  Read off ``literal`` at most once per set."""
+        if self._atoms is None:
+            self._atoms = list(map(self.literal, range(1, self.atom_count + 1)))
+        return list(self._atoms)
 
     def max_id(self) -> int:
         return max(self.ids(), default=0)
@@ -799,10 +774,11 @@ class ClauseSet:
 
 def _subset_places(parent: ClauseSet, where: list[int]
                    ) -> tuple[list[tuple[int, ...]], int, Callable[[int], Literal]]:
-    """The birth of the subset of ``parent`` at positions ``where``."""
+    """The birth of the subset of ``parent`` at positions ``where``: atom r
+    of the parent is place r, its negation place n + r."""
     n, rows = parent.atom_count, parent.rows
-    place = [r if r >= 0 else n - r for r in parent.rank]  # by signed atom number
-    return [tuple(map(place.__getitem__, rows[p])) for p in where], n, parent.atom
+    place = [*range(n + 1), *range(2 * n, n, -1)]  # by signed atom number
+    return [tuple(map(place.__getitem__, rows[p])) for p in where], n, parent.literal
 
 
 def _literal_places(clauses: list[Clause]
@@ -851,30 +827,13 @@ def _ranked_literal(ranked: list[Literal], p: int) -> Literal:
     return lit if lit.positive == (p > 0) else lit.negated()
 
 
-def number_atoms(cs: ClauseSet) -> tuple[list[Literal], list[tuple[int, ...]]]:
-    """The one literal numbering: atoms numbered 1, 2, ... by first
-    occurrence, keyed by predicate and arguments.  Gives the literal at each
-    atom's first occurrence (atom a's is item a-1), read off
-    ``ClauseSet.literal``, and per clause, in clause order, the tuple of its
-    literals as signed atom numbers, negated for a negative literal;
-    tautologies, empty clauses and variables are kept.
-
-    The set holds both lists and computes each at most once (see
-    ``ClauseSet``), so they are shared: do not mutate them."""
-    rows = cs.rows
-    if cs._first is None:
-        literal = cs.literal
-        cs._first = [literal(a if p > 0 else -a) for a, p in enumerate(cs._place, 1)]
-    return cs._first, rows
-
-
 def ground_flags(cs: ClauseSet) -> list[bool]:
     """Per atom number, item 0 unused, whether the atom is variable-free:
     every atom of a propositional set is, with no literal read, and any
     other atom says so in its terms' ground flags."""
     if cs.is_propositional():
         return [True] * (cs.atom_count + 1)
-    return [True, *map(Literal.is_ground, number_atoms(cs)[0])]
+    return [True, *map(Literal.is_ground, cs.atoms())]
 
 
 def check_ground(ground, task: str) -> None:

@@ -27,7 +27,7 @@ from collections import Counter
 from collections.abc import Callable
 from itertools import chain
 
-from altpath.clauses import ClauseSet, Literal, number_atoms
+from altpath.clauses import ClauseSet, Literal
 from altpath.dpll import (
     SolverConfig,
     UNIT_POLICIES,
@@ -482,11 +482,10 @@ def _occurrence_bound(cs: ClauseSet) -> int:
     predicate, so there the signed atom numbers are the keys."""
     rows = cs.rows
     if not cs.is_propositional():
-        first, _ = number_atoms(cs)
         pred: dict[str, int] = {}
-        key = [0] * (2 * len(first) + 1)  # by signed atom number
-        for a, lit in enumerate(first, 1):
-            p = pred.setdefault(lit.pred, len(pred) + 1)
+        key = [0] * (2 * cs.atom_count + 1)  # by signed atom number
+        for a, atom in enumerate(cs.atoms(), 1):
+            p = pred.setdefault(atom.pred, len(pred) + 1)
             key[a], key[-a] = p, -p
         rows = [set(map(key.__getitem__, row)) for row in rows]
     return max(Counter(chain.from_iterable(rows)).values(), default=0)

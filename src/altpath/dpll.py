@@ -38,10 +38,10 @@ counts the atoms of every support-reachable clause instead: never fewer, so
 its 2**k is a looser but still valid bound.
 
 Both solvers read the set once, as the signed atom numbers of
-``ClauseSet.canonical_rows``: the set's numbering renumbered by the
-canonical rank it holds, so no atom is named to be ordered.  The search
-runs on these integers alone, and a ``Literal`` is made, through
-``ClauseSet.literal``, only for the atoms of a model that is returned.
+``ClauseSet.rows``, which number the atoms in canonical order, so no atom
+is named to be ordered.  The search runs on these integers alone, and a
+``Literal`` is made, through ``ClauseSet.literal``, only for the atoms of
+a model that is returned.
 Variables are refused before that, through ``is_propositional`` or the
 relevance graph's ground flags.  The solvers delete tautological clauses
 up front.  That is
@@ -128,14 +128,12 @@ def _relevance(cs: ClauseSet, support_ids, task: str) -> tuple[RelevanceGraph, D
     return graph, bfs_from_support(graph, support_ids)
 
 
-def _buckets(graph: RelevanceGraph, dmap: DistanceMap
-             ) -> tuple[list[tuple[int, ...]], dict[int, int]]:
-    """The set's rows in canonical order (``ClauseSet.canonical_rows``),
-    and canonical atom number -> stepping bucket (the distance of its
-    closest clause, minus one) for every atom of a reachable clause."""
-    rows = graph.clause_set.canonical_rows()
+def _buckets(graph: RelevanceGraph, dmap: DistanceMap) -> dict[int, int]:
+    """Atom number -> stepping bucket (the distance of its closest clause,
+    minus one) for every atom of a reachable clause."""
+    cs = graph.clause_set
     bucket_of: dict[int, int] = {}
-    for cid, row in zip(graph.clause_set.ids(), rows):
+    for cid, row in zip(cs.ids(), cs.rows):
         d = dmap.clause_distance[cid]
         if d == INF:
             continue
@@ -144,7 +142,7 @@ def _buckets(graph: RelevanceGraph, dmap: DistanceMap
             a = x if x > 0 else -x
             if bucket_of.get(a, INF) > b:
                 bucket_of[a] = b
-    return rows, bucket_of
+    return bucket_of
 
 
 def stepping_sequence(cs: ClauseSet, support_ids) -> tuple[tuple[Literal, ...], ...]:
@@ -155,10 +153,10 @@ def stepping_sequence(cs: ClauseSet, support_ids) -> tuple[tuple[Literal, ...], 
     agree by definition).  Bucket positions are meaningful and survive
     restriction to the atoms still occurring during search; atoms of
     unreachable clauses appear in no bucket."""
-    _, bucket_of = _buckets(*_relevance(cs, support_ids, "a stepping sequence"))
+    bucket_of = _buckets(*_relevance(cs, support_ids, "a stepping sequence"))
     buckets: list[list[Literal]] = [[] for _ in range(max(bucket_of.values(), default=-1) + 1)]
-    for r in sorted(bucket_of):  # canonical numbers follow the canonical order
-        buckets[bucket_of[r]].append(cs.atom(r))
+    for a in sorted(bucket_of):  # atom numbers follow the canonical order
+        buckets[bucket_of[a]].append(cs.literal(a))
     return tuple(map(tuple, buckets))
 
 
@@ -189,18 +187,17 @@ def support_radius(cs: ClauseSet, support_ids) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Search engine shared by both solvers.  It reads a set's canonical rows
-# (ClauseSet.canonical_rows): a clause is a tuple of signed atom numbers,
-# atom r being the set's atom of canonical number r.  The search runs on
-# these numbers alone; a Literal is made only for the atoms of a model
-# that is returned.
+# Search engine shared by both solvers.  It reads a set's rows
+# (ClauseSet.rows): a clause is a tuple of signed atom numbers, in
+# canonical order.  The search runs on these numbers alone; a Literal is
+# made only for the atoms of a model that is returned.
 
 
-def _solve(cs: ClauseSet, rows: list[tuple[int, ...]],
-           bucket_of: dict[int, int], trusted: bool, cfg: SolverConfig) -> SolveResult:
-    """Depth-first splitting search over ``rows``, the canonical rows of
-    ``cs``, less their tautologies, that branches on atoms of
-    ``bucket_of`` (atom number -> stepping bucket), over one mutable state
+def _solve(cs: ClauseSet, bucket_of: dict[int, int], trusted: bool,
+           cfg: SolverConfig) -> SolveResult:
+    """Depth-first splitting search over the rows of ``cs``, less their
+    tautologies, that branches on atoms of ``bucket_of`` (atom number ->
+    stepping bucket), over one mutable state
     built here and undone literal by literal on backtrack.  Every other
     atom sits in one last bucket.
 
@@ -214,7 +211,7 @@ def _solve(cs: ClauseSet, rows: list[tuple[int, ...]],
     unit, and they count as ``fallback_calls``.  Each pending branch keeps
     whether it lies in the region, so backtracking out of it leaves it.
     Nodes of both kinds draw on the one ``max_calls`` budget."""
-    clauses = [row for row in rows if len(set(map(abs, row))) == len(row)]
+    clauses = [row for row in cs.rows if len(set(map(abs, row))) == len(row)]
     n, m = cs.atom_count, len(clauses)
     span = n + 1  # an atom a at count k sits in its bucket's heap as a - k * span
     occ: list[list[int]] = [[] for _ in range(2 * n + 1)]  # indexed by signed literal
@@ -391,8 +388,8 @@ def _solve(cs: ClauseSet, rows: list[tuple[int, ...]],
                 heapify(units)
                 continue
         if ok:
-            atom = cs.atom
-            model = {atom(abs(l)): l > 0 for l in trail}
+            literal = cs.literal
+            model = {literal(abs(l)): l > 0 for l in trail}
             return SolveResult("sat", model, stats)
         if not pending:
             return SolveResult("unsat", {}, stats)
@@ -405,7 +402,7 @@ def _solve(cs: ClauseSet, rows: list[tuple[int, ...]],
 def dpll(cs: ClauseSet, config: SolverConfig | None = None) -> SolveResult:
     """Plain splitting solver, unrestricted branching."""
     check_ground(ground_flags(cs), _SOLVING)
-    return _solve(cs, cs.canonical_rows(), dict.fromkeys(range(1, cs.atom_count + 1), 0), False,
+    return _solve(cs, dict.fromkeys(range(1, cs.atom_count + 1), 0), False,
                   config or SolverConfig())
 
 
@@ -434,15 +431,14 @@ def dpll_rel(cs: ClauseSet, support_ids=None, config: SolverConfig | None = None
         support = frozenset(support_ids)
         if not support:
             raise ValueError("dpll_rel needs a nonempty support set")
-        rows, bucket_of = _buckets(*_relevance(cs, support, _SOLVING))
+        bucket_of = _buckets(*_relevance(cs, support, _SOLVING))
     else:
         check_ground(ground_flags(cs), _SOLVING)
-        rows = cs.canonical_rows()
-        index = {atom: r for r, atom in enumerate(cs.atoms(), 1)}
+        index = {atom: a for a, atom in enumerate(cs.atoms(), 1)}
         # a passed sequence may name atoms the set lacks: nothing to split
         bucket_of = {index[atom]: b for b, bucket in enumerate(step)
                      for atom in bucket if atom in index}
-    result = _solve(cs, rows, bucket_of, mode == "trusted", config or SolverConfig())
+    result = _solve(cs, bucket_of, mode == "trusted", config or SolverConfig())
     if step is None:
         result.k = len(bucket_of)
     return result

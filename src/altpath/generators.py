@@ -6,18 +6,18 @@ from __future__ import annotations
 import random
 
 from altpath.clauses import App, ClauseSet, Literal, Term, Var
+from altpath.parsing import _dimacs_set
 
 
 def random_3sat(rng: random.Random, n_vars: int, n_clauses: int, width: int = 3) -> ClauseSet:
     """Uniform random k-SAT with integer-named atoms and no repeated atoms
-    inside a clause."""
-    groups = []
+    inside a clause, born from its integers as a DIMACS set is."""
+    ints: list[int] = []
     for _ in range(n_clauses):
-        atoms = rng.sample(range(1, n_vars + 1), min(width, n_vars))
-        groups.append(
-            [Literal(rng.random() < 0.5, str(v)) for v in atoms]
-        )
-    return ClauseSet.from_groups(groups)
+        for v in rng.sample(range(1, n_vars + 1), min(width, n_vars)):
+            ints.append(v if rng.random() < 0.5 else -v)
+        ints.append(0)
+    return _dimacs_set(ints)
 
 
 def random_ground(

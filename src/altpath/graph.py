@@ -28,7 +28,7 @@ search, the edge counts and purity filtering: purity runs on the graph of
 the whole set, and the search over its survivors runs on the same graph
 with the purged clauses closed off.  The partner relation depends
 only on the two literals, so the index works on distinct literals, named by
-the signed atom numbers of ``clauses.number_atoms``: each one's partners
+the signed atom numbers of ``ClauseSet.rows``: each one's partners
 are found once and shared by all its occurrences, and each distinct pair is
 decided at most once.  Ground literals complement-unify exactly when their
 atoms are equal, so a ground literal x finds its ground partners among the
@@ -49,7 +49,6 @@ from altpath.clauses import (
     Literal,
     complementary_unifiable,
     ground_flags,
-    number_atoms,
 )
 
 INF = float("inf")
@@ -108,10 +107,10 @@ class RelevanceGraph:
         self.by_key: dict[tuple[str, bool], list[int]] = {}
         self.open: dict[tuple[str, bool], list[int]] = {}
         if not all(self.ground):  # else each literal x's partners are occs[-x]
-            for a, lit in enumerate(number_atoms(cs)[0], 1):
+            for a, atom in enumerate(cs.atoms(), 1):
                 for x in (a, -a):
                     if self.occs[x]:
-                        key = (lit.pred, x > 0)
+                        key = (atom.pred, x > 0)
                         self.by_key.setdefault(key, []).append(x)
                         if not self.ground[a]:
                             self.open.setdefault(key, []).append(x)

@@ -21,7 +21,6 @@ from altpath.clauses import (
     Term,
     Var,
     _atom_places,
-    number_atoms,
 )
 
 
@@ -59,21 +58,27 @@ def parse_dimacs(data: str | bytes, source: str | None = None) -> ClauseSet:
 
     Well-formed input is read in one pass over its integers; anything else
     is read again line by line, which locates the error.  Either way the
-    set is born from the integers (see ``ClauseSet``): a variable is its
-    atom's place, since digit names sort numerically, so each clause is the
-    sorted set of its literals' places, and the predicate table registers
-    the variables in numbering order.  No ``Clause`` or ``Literal`` is
-    built until one is read, and then one ``Literal`` per signed number.
+    set is born from the integers (``_dimacs_set``).
     """
     text = _decode(data)
     ints = _dimacs_fast(text)
     if ints is None:
         ints = _dimacs_lines(text, source)
+    return _dimacs_set(ints)
+
+
+def _dimacs_set(ints: list[int]) -> ClauseSet:
+    """The set born from clause integers, each clause ended by a 0 (see
+    ``ClauseSet``): a variable is its atom's place, since digit names sort
+    numerically, so each clause is the sorted set of its literals' places,
+    and the predicate table registers the variables in order of first
+    occurrence.  No ``Clause`` or ``Literal`` is built until one is read,
+    and then one ``Literal`` per signed number."""
     cs = ClauseSet._born(list(range(1, ints.count(0) + 1)), ({}, {}, {}, {}),
                          partial(_dimacs_places, ints))
-    cs.rows  # numbers the set
-    # each symbol has arity 0 and is registered at its first occurrence
-    cs.predicates.update(dict.fromkeys(map(str, map(abs, cs._place)), 0))
+    first = cs._first_atoms()  # numbers the set
+    variable = cs._place  # by atom number
+    cs.predicates.update((str(variable[a - 1]), 0) for a in first)
     return cs
 
 
@@ -182,7 +187,8 @@ def _dimacs_lines(text: str, source: str | None) -> list[int]:
 
 def print_dimacs(cs: ClauseSet) -> str:
     """Serialize a propositional clause set with integer atom names, from
-    its numbering: each clause's signed atom numbers, in order."""
+    its numbering: each clause's signed atom numbers, in order, with one
+    literal read per atom."""
     if not cs.is_ground():
         raise ValueError("DIMACS output requires a variable-free clause set")
     indices: list[int] = []
@@ -193,12 +199,12 @@ def print_dimacs(cs: ClauseSet) -> str:
             )
         indices.append(int(name))
     n_vars = max(indices, default=0)
-    first, rows = number_atoms(cs)
-    text = [""] * (2 * len(first) + 1)  # by signed atom number
-    for a, lit in enumerate(first, 1):
-        text[a], text[-a] = str(int(lit.pred)), str(-int(lit.pred))
+    text = [""] * (2 * cs.atom_count + 1)  # by signed atom number
+    for a, atom in enumerate(cs.atoms(), 1):
+        v = int(atom.pred)
+        text[a], text[-a] = str(v), str(-v)
     lines = [f"p cnf {n_vars} {len(cs)}"]
-    lines += [" ".join([*map(text.__getitem__, row), "0"]) for row in rows]
+    lines += [" ".join([*map(text.__getitem__, row), "0"]) for row in cs.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -253,8 +259,9 @@ class _Atoms:
     functor and the ids of its interned arguments, so no term is ever
     hashed, and built once, so its hash, ground flag and text are found
     once.  Each distinct atom, keyed alike, gets a number, counting from 1,
-    and keeps the ``Literal`` it was first met in: a literal is read as its
-    atom's number, negated when the literal is.
+    and keeps the atom as a positive ``Literal``, the one its set reads
+    most: a literal is read as its atom's number, negated when the literal
+    is.
     """
 
     def __init__(self):
@@ -316,7 +323,7 @@ class _Atoms:
         key = (pred, *map(id, args))
         a = self.numbers.get(key)
         if a is None:
-            self.atoms.append(Literal(positive, pred, args))
+            self.atoms.append(Literal(True, pred, args))
             a = self.numbers[key] = len(self.atoms)
         return a if positive else -a
 

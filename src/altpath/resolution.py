@@ -14,7 +14,7 @@ would meet them, so which duplicate is kept first never depends on the
 index.
 
 Each kept clause is one integer bit mask, literal x at bit 2x and -x at
-bit 2x+1 over the signed atom numbers of ClauseSet.canonical_rows, beside
+bit 2x+1 over the signed atom numbers of ClauseSet.rows, beside
 its tuple of literals.  The resolvent on atom a is the or of the parents'
 masks with the two bits of a cleared, and duplicates are looked up by that
 mask.  Literals are made only for the clauses of a refutation.
@@ -252,7 +252,7 @@ def sos_refute(
     if not support:
         raise ValueError("sos_refute needs a nonempty support set")
     check_ground(ground_flags(cs), "resolution search")
-    rows = cs.canonical_rows()
+    rows = cs.rows
 
     # The kept clauses by record id, inputs first: the literal bit mask
     # (literal x is bit 2x, -x is bit 2x+1), the signed literals, and for

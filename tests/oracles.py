@@ -140,6 +140,46 @@ def reference_print_dimacs(cs: ClauseSet) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Symbol tables
+
+
+class SymbolConflict(Exception):
+    """A symbol used at a second arity, first in the clause with id
+    ``clause``."""
+
+    def __init__(self, clause: int):
+        super().__init__(f"clause {clause}")
+        self.clause = clause
+
+
+def reference_symbol_tables(clauses, predicates=None, functions=None
+                            ) -> tuple[dict[str, int], dict[str, int]]:
+    """The predicate and function arity tables, extending copies of the
+    given ones: every symbol registered at its first use in a walk over the
+    clause objects in clause order, each clause's literals in canonical
+    order and each term in pre-order.  SymbolConflict at the first use of
+    a symbol at a second arity."""
+    predicates, functions = dict(predicates or {}), dict(functions or {})
+
+    def register(table: dict[str, int], name: str, arity: int, cid: int) -> None:
+        if table.setdefault(name, arity) != arity:
+            raise SymbolConflict(cid)
+
+    def walk(t: Term, cid: int) -> None:
+        if isinstance(t, App):
+            register(functions, t.functor, len(t.args), cid)
+            for a in t.args:
+                walk(a, cid)
+
+    for c in clauses:
+        for lit in sorted(c.literals, key=lambda l: (not l.positive, _atom_order(l))):
+            register(predicates, lit.pred, len(lit.args), c.id)
+            for a in lit.args:
+                walk(a, c.id)
+    return predicates, functions
+
+
+# ---------------------------------------------------------------------------
 # Terms walked from their definition
 #
 # The program's terms carry their ground flag, text and variables; these
@@ -687,7 +727,7 @@ def reference_support_radius(cs: ClauseSet, clause_distance: dict[int, float]) -
 # Stepping sequences and the reachable atom count, literal by literal
 #
 # The Literal-level versions that altpath.dpll had before it read the
-# integer rows of ClauseSet.canonical_rows.
+# integer rows of ClauseSet.rows.
 
 
 def reference_stepping_sequence(cs: ClauseSet,

@@ -26,12 +26,14 @@ from altpath.dpll import MODES, dpll, dpll_rel
 from altpath.generators import random_3sat, random_first_order, random_ground
 from altpath.parsing import parse_dimacs, parse_tptp, print_dimacs, print_tptp
 from oracles import (
+    SymbolConflict,
     enumerate_unifiers,
     herbrand_terms,
     is_tautology,
     naive_unifier,
     reference_atoms,
     reference_rows,
+    reference_symbol_tables,
     rename_apart,
     renamed_apart_unifiable,
 )
@@ -413,7 +415,7 @@ def test_encode_keeps_clause_order_tautologies_and_empty_clauses():
         [lit("r", Var("X"))],
     ])
     assert cs.atoms() == [lit("p", a), lit("q", b), lit("r", Var("X"))]
-    assert cs.canonical_rows() == [(2, -1), (), (1, -1), (3,)]
+    assert cs.rows == [(2, -1), (), (1, -1), (3,)]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -424,7 +426,7 @@ def test_encode_matches_reference_order(seed):
     for cs in (random_ground(rng, n_atoms=14, n_clauses=30),
                random_first_order(rng, n_clauses=12)):
         atoms = reference_atoms(cs)
-        assert (cs.atoms(), cs.canonical_rows()) == (atoms, reference_rows(cs, atoms))
+        assert (cs.atoms(), cs.rows) == (atoms, reference_rows(cs, atoms))
 
 
 def _sets_of_every_birth(seed: int):
@@ -450,7 +452,7 @@ def _sets_of_every_birth(seed: int):
         parent = make()
         parent.rows  # numbered, so its subsets are born from rows
         if rng.random() < 0.5:
-            parent.rank  # and the order is held before the subset asks for it
+            parent.atoms()  # and its literals are held before the subset reads them
         sub = parent.subset(rng.sample(parent.ids(), 2 * len(parent) // 3))
         sets.append((birth + " subset", sub))
         sub.rows
@@ -466,18 +468,101 @@ def _sets_of_every_birth(seed: int):
 @pytest.mark.parametrize("seed", range(8))
 def test_held_order_matches_reference_for_every_birth(seed):
     for birth, cs in _sets_of_every_birth(seed):
-        got = cs.atoms(), cs.canonical_rows()  # read before the reference derives any clause object
+        got = cs.atoms(), cs.rows  # read before the reference derives any clause object
         atoms = reference_atoms(cs)
         assert got == (atoms, reference_rows(cs, atoms)), birth
+
+
+def _tables(cs: ClauseSet):
+    return list(cs.predicates.items()), list(cs.functions.items())
+
+
+def _items(tables):
+    return tuple(list(table.items()) for table in tables)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_symbol_tables_keep_first_occurrence_order_for_every_birth(seed):
+    # the oracle walks the clause objects; a subset keeps its parent's
+    # tables, and a splice of the "groups" set registers its new clauses
+    # after the parent's symbols
+    want: dict[str, tuple] = {}
+    sets = _sets_of_every_birth(seed)
+    got = [_tables(cs) for _, cs in sets]  # read before the oracle derives clause objects
+    for (birth, cs), tables in zip(sets, got):
+        parent = birth.split(" subset")[0]
+        if birth == "splice":
+            groups = dict(sets)["groups"]
+            new = [c for c in cs.clauses if c.id > groups.max_id()]
+            assert new
+            expected = _items(reference_symbol_tables(new, *want["groups"]))
+        elif parent != birth:
+            expected = _items(want[parent])
+        else:
+            want[birth] = reference_symbol_tables(cs.clauses)
+            expected = _items(want[birth])
+        assert tables == expected, birth
+
+
+def _with_conflicts(rng: random.Random, clauses: list[Clause]) -> list[Clause]:
+    """The clauses, renumbered from 1, with one to three literals added that
+    may use a symbol at a second arity: a predicate given one more
+    argument, or a function symbol at a random arity under a fresh
+    predicate."""
+    groups = [list(c.literals) for c in clauses]
+    used = [l for c in clauses for l in c.literals] or [lit("p")]
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            old = rng.choice(used)
+            new = Literal(rng.random() < 0.5, old.pred, old.args + (a,))
+        else:
+            term = App(rng.choice(("f", "g", "a", "h")), (b,) * rng.randint(0, 2))
+            new = Literal(rng.random() < 0.5, "z", (term,))
+        rng.choice(groups).append(new)
+    return [Clause(i, tuple(g)) for i, g in enumerate(groups, 1)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_arity_error_names_the_clause_of_the_first_conflict(seed):
+    # the oracle's first conflict is the clause ArityError names, for clause
+    # objects, for TPTP text and for the new clauses of a splice; with no
+    # conflict, the tables are the oracle's in order
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(12):
+        first_order = rng.random() < 0.6
+        base = (random_first_order(rng, n_clauses=rng.randint(1, 12)) if first_order
+                else random_ground(rng, n_atoms=8, n_clauses=rng.randint(1, 12)))
+        clauses = _with_conflicts(rng, base.clauses)
+        parent = ClauseSet.from_clauses(base.clauses)
+        victim = rng.choice(parent.ids())
+        added = clauses[parent.ids().index(victim)].literals
+        births = [(ArityError, lambda: ClauseSet.from_clauses(clauses), clauses, ({}, {})),
+                  (ArityError, lambda: parent.splice({victim: [added]}),
+                   [Clause(parent.max_id() + 1, added)], (parent.predicates, parent.functions))]
+        if first_order:
+            text = print_tptp(ClauseSet(clauses))
+            births.append((parsing.ParseError, lambda: parse_tptp(text), clauses, ({}, {})))
+        for error, make, walked, tables in births:
+            try:
+                want = reference_symbol_tables(walked, *tables)
+            except SymbolConflict as conflict:
+                with pytest.raises(error) as raised:
+                    make()
+                assert str(raised.value).endswith(f"(clause {conflict.clause})"), walked
+                checked += 1
+            else:
+                assert _tables(make()) == _items(want), walked
+    assert checked
 
 
 @pytest.mark.parametrize("seed", range(2))
 def test_sets_of_every_birth_pickle_before_and_after_numbering(seed):
     for birth, cs in _sets_of_every_birth(seed):
         unread = pickle.dumps(cs)
-        cs.canonical_rows()
+        cs.atoms()
         for back in (pickle.loads(unread), pickle.loads(pickle.dumps(cs))):
-            assert (back.rows, back.rank, back.clauses) == (cs.rows, cs.rank, cs.clauses), birth
+            assert (back.rows, back.atoms(), back.clauses) == (cs.rows, cs.atoms(), cs.clauses), birth
             assert back == cs, birth
 
 

@@ -277,6 +277,10 @@ def test_tptp_filter_and_stats_build_no_clause_objects(tmp_path, capsys, monkeyp
         assert main(argv) == 0
         assert capsys.readouterr().out == out
         assert built["Clause"] == 0, argv
+    # groundness is read off the atoms' ground flags, with no clause built
+    assert not parse_tptp(path.read_text()).is_ground()
+    assert parse_tptp("cnf(c1, axiom, p(f(a))). cnf(c2, axiom, (~p(f(a)) | q)).").is_ground()
+    assert built["Clause"] == 0
 
 
 def test_dimacs_solve_builds_literals_for_a_model_only(tmp_path, capsys, monkeypatch):
@@ -959,12 +963,22 @@ def deep(tmp_path_factory):
     return str(path)
 
 
-# runs the command and reports the process's peak resident set on stderr
-_PEAK_RSS = (
-    "import resource, sys; from altpath.cli import main; code = main(sys.argv[1:]); "
-    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
-    "sys.exit(code)"
-)
+# runs the command and reports its peak resident set in KB on stderr: the
+# VmHWM of /proc/self/status, which counts from exec, since ru_maxrss may
+# carry the forking parent's peak across exec (Linux does); ru_maxrss where
+# that file is missing
+_PEAK_RSS = """\
+import resource, sys
+from altpath.cli import main
+code = main(sys.argv[1:])
+try:
+    with open("/proc/self/status") as status:
+        peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak, file=sys.stderr)
+sys.exit(code)
+"""
 
 
 @pytest.mark.parametrize("argv, verdict", [

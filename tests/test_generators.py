@@ -1,6 +1,8 @@
 import random
 
-from altpath.clauses import Literal
+import pytest
+
+from altpath.clauses import ClauseSet, Literal
 from altpath.generators import (
     bounded_occurrence,
     fan_fixture,
@@ -76,3 +78,26 @@ def test_bounded_occurrence_first_order_mode():
     for c in cs.clauses:
         for lit in c:
             assert isinstance(lit, Literal) and lit.args
+
+
+def _random_3sat_from_groups(rng, n_vars, n_clauses, width=3):
+    """``random_3sat`` built from literal groups, with the same draws."""
+    groups = [[Literal(rng.random() < 0.5, str(v))
+               for v in rng.sample(range(1, n_vars + 1), min(width, n_vars))]
+              for _ in range(n_clauses)]
+    return ClauseSet.from_groups(groups)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_3sat_is_the_set_its_literal_groups_make(seed):
+    # born from its integers as a DIMACS set is, it draws as the literal
+    # groups did and equals their set in rows, clauses and tables in order
+    shape = random.Random(seed).choice([(0, 3), (2, 5), (5, 0)] + [(20, 50), (60, 200)] * 3)
+    born, grouped = random.Random(seed), random.Random(seed)
+    got = random_3sat(born, *shape, width=seed % 4 + 1)
+    want = _random_3sat_from_groups(grouped, *shape, width=seed % 4 + 1)
+    assert born.getstate() == grouped.getstate()
+    assert got.rows == want.rows  # read before any clause object exists
+    assert got == want
+    for table in ("predicates", "functions", "roles", "names"):
+        assert list(getattr(got, table).items()) == list(getattr(want, table).items())

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from altpath import parsing
-from altpath.clauses import ClauseSet, Literal, number_atoms
+from altpath.clauses import ClauseSet, Literal
 from altpath.generators import random_3sat, random_first_order, random_ground
 from altpath.parsing import parse_dimacs, parse_tptp, print_dimacs, print_tptp
 from oracles import reference_print_dimacs
@@ -27,9 +27,14 @@ def _line_reader_objects(text: str) -> ClauseSet:
     return ClauseSet.from_groups(groups[:-1])
 
 
+def _numbering(cs: ClauseSet):
+    """The set's atoms in canonical order and its rows."""
+    return cs.atoms(), cs.rows
+
+
 def _object_numbering(cs: ClauseSet):
-    """``number_atoms`` over fresh copies of the set's clause objects."""
-    return number_atoms(ClauseSet.from_clauses(list(cs.clauses)))
+    """``_numbering`` of fresh copies of the set's clause objects."""
+    return _numbering(ClauseSet.from_clauses(list(cs.clauses)))
 
 
 def _random_rows(rng: random.Random, n_vars: int) -> list[list[int]]:
@@ -75,8 +80,8 @@ def test_dimacs_numbering_matches_the_objects_it_derives(seed):
         assert (parsing._dimacs_fast(text) is not None) == fast, text
         cs = parse_dimacs(text)
         # the numbering is read before any clause object exists
-        first, rows = number_atoms(cs)
-        assert (first, rows) == _object_numbering(cs)
+        atoms, rows = _numbering(cs)
+        assert (atoms, rows) == _object_numbering(cs)
         assert len(rows) == len(cs) == len(cs.clauses)
         # the derived clauses are those of the line reader
         assert cs == _line_reader_objects(text)
@@ -99,16 +104,16 @@ def test_subset_numbering_equals_the_numbering_of_its_clauses(seed):
             random_ground(rng, 12, 30),
             random_first_order(rng, 30)]
     for cs in sets:
-        number_atoms(cs)  # the parent's numbering is known
+        cs.rows  # the parent's numbering is known
         for keep in _subsets(rng, cs):
             sub = cs.subset(keep)
             kept = set(keep)
             assert sub.ids() == [cid for cid in cs.ids() if cid in kept]
-            assert number_atoms(sub) == _object_numbering(sub)
+            assert _numbering(sub) == _object_numbering(sub)
             assert sub.clauses == [c for c in cs.clauses if c.id in kept]
             # a subset of a subset renumbers the renumbered rows
             inner = sub.subset(rng.sample(sub.ids(), len(sub) // 2))
-            assert number_atoms(inner) == _object_numbering(inner)
+            assert _numbering(inner) == _object_numbering(inner)
             assert inner.clauses == [c for c in sub.clauses if inner.has_id(c.id)]
             if cs.is_ground():
                 assert print_dimacs(inner) == reference_print_dimacs(inner)
@@ -123,11 +128,11 @@ def test_subset_of_an_unnumbered_set_reads_the_same():
     lazy = cs.subset(keep).subset(keep[:10])  # no rows read before the second subset
     assert len(lazy) == 10
     assert lazy == cs.subset(keep[:10])
-    assert number_atoms(lazy) == _object_numbering(lazy)
+    assert _numbering(lazy) == _object_numbering(lazy)
     fo = parse_tptp(print_tptp(random_first_order(rng, 20)))
     part = fo.subset(fo.ids()[::2])  # numbered by no one: built from the clause objects
     assert part.clauses == fo.clauses[::2]
-    assert number_atoms(part) == _object_numbering(part)
+    assert _numbering(part) == _object_numbering(part)
 
 
 def test_equality_and_repr_are_those_of_the_clause_objects():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altpath import parsing
-from altpath.clauses import Clause, ClauseSet, Var, apply_literal, number_atoms
+from altpath.clauses import Clause, ClauseSet, Var, apply_literal
 from altpath.generators import (
     bounded_occurrence,
     horn_tree,
@@ -29,9 +29,8 @@ from altpath.splitting import binary_split_plan, split_clause
 def _snapshot(cs: ClauseSet):
     # the numbering first, read before any clause object exists
     return (
-        number_atoms(cs),
-        cs.rank,
-        cs.canonical_rows(),
+        cs.rows,
+        cs.atoms(),
         [(c.id, c.literals) for c in cs.clauses],
         list(cs.names.items()),
         list(cs.roles.items()),
@@ -314,7 +313,7 @@ def test_token_soup_dimacs_reads_the_same_on_both_paths(tokens):
 
 
 def _numbering(cs: ClauseSet):
-    return (cs.rows, cs.rank, [(c.id, c.literals) for c in cs.clauses],
+    return (cs.rows, cs.atoms(), [(c.id, c.literals) for c in cs.clauses],
             list(cs.names.items()), list(cs.roles.items()),
             list(cs.predicates.items()), list(cs.functions.items()))
 
