@@ -495,6 +495,7 @@ class ClauseSet:
         self._source = None
         self._literals: dict[int, Literal] = {}  # the literal store
         self._atoms: list[Literal] | None = None  # read by ``atoms``
+        self._ground: list[bool] | None = None  # read by ``ground``
 
     @classmethod
     def _born(cls, ids: list[int], tables: tuple, birth,
@@ -751,8 +752,27 @@ class ClauseSet:
         0: then no atom takes arguments, so every atom is variable-free."""
         return bool(self.predicates) and not any(self.predicates.values())
 
+    @property
+    def ground(self) -> list[bool]:
+        """Per atom number, item 0 unused, whether the atom is variable-free:
+        every atom of a propositional set is, with no literal read, and any
+        other atom says so in its terms' ground flags.  Computed at most once
+        per set; do not mutate it."""
+        if self._ground is None:
+            if self.is_propositional():
+                self._ground = [True] * (self.atom_count + 1)
+            else:
+                self._ground = [True, *map(Literal.is_ground, self.atoms())]
+        return self._ground
+
     def is_ground(self) -> bool:
-        return all(ground_flags(self))
+        return all(self.ground)
+
+    def require_ground(self, task: str) -> None:
+        """ValueError naming ``task`` unless the set is variable-free: the
+        one refusal of every entry point defined for ground sets only."""
+        if not self.is_ground():
+            raise ValueError(f"{task} is defined for variable-free clause sets only")
 
     def atoms(self) -> list[Literal]:
         """All atoms of the set, as positive literals, in canonical order:
@@ -826,18 +846,3 @@ def _ranked_literal(ranked: list[Literal], p: int) -> Literal:
     lit = ranked[abs(p) - 1]
     return lit if lit.positive == (p > 0) else lit.negated()
 
-
-def ground_flags(cs: ClauseSet) -> list[bool]:
-    """Per atom number, item 0 unused, whether the atom is variable-free:
-    every atom of a propositional set is, with no literal read, and any
-    other atom says so in its terms' ground flags."""
-    if cs.is_propositional():
-        return [True] * (cs.atom_count + 1)
-    return [True, *map(Literal.is_ground, cs.atoms())]
-
-
-def check_ground(ground, task: str) -> None:
-    """ValueError unless every flag is true: one per atom of a numbering,
-    saying whether it is variable-free."""
-    if not all(ground):
-        raise ValueError(f"{task} is defined for variable-free clause sets only")

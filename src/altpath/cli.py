@@ -523,6 +523,9 @@ def _growth_budget(n_support: int, b: int, k: int, n: int) -> int | str:
 
 def cmd_stats(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
+    mode = _graph_mode(cfg)
+    if mode == PROPOSITIONAL_HUB:  # refused on input with variables, graph or not
+        cs.require_ground(f"{mode} mode")
     b = _occurrence_bound(cs)
     k = max(map(len, cs.rows), default=0)
     payload = {"clauses": len(cs), "b": b, "k": k, "atoms": cs.atom_count}
@@ -530,8 +533,7 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
         if cfg.bound is None:
             raise ValueError("--bound is needed to print the size budget")
         support = _single_support(cs, cfg, fmt)
-        graph = build_graph(cs, _graph_mode(cfg))
-        dmap = bfs_from_support(graph, support, bound=cfg.bound)
+        dmap = bfs_from_support(build_graph(cs, mode), support, bound=cfg.bound)
         payload["support"] = len(support)
         payload["relevant"] = len(dmap.relevant_ids(cfg.bound))
         payload["budget"] = _growth_budget(len(support), b, k, cfg.bound)
@@ -604,9 +606,7 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
         fmt = "dimacs"
     elif cfg.family == "horn-tree":
         cs = horn_tree(cfg.depth, cfg.branching)
-        cs = ClauseSet.from_clauses(
-            list(cs.clauses), roles={1: "negated_conjecture"}
-        )
+        cs.roles[1] = "negated_conjecture"
         fmt = "tptp"
     elif cfg.family == "bounded":
         cs = bounded_occurrence(

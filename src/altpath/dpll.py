@@ -42,9 +42,8 @@ Both solvers read the set once, as the signed atom numbers of
 is named to be ordered.  The search runs on these integers alone, and a
 ``Literal`` is made, through ``ClauseSet.literal``, only for the atoms of
 a model that is returned.
-Variables are refused before that, through ``is_propositional`` or the
-relevance graph's ground flags.  The solvers delete tautological clauses
-up front.  That is
+Variables are refused before that, by ``ClauseSet.require_ground``.  The
+solvers delete tautological clauses up front.  That is
 satisfiability preserving and keeps shrunken clauses two-valued, which the
 call bound above relies on; distance computations in the graph module are
 not affected.
@@ -55,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from altpath.clauses import ClauseSet, Literal, check_ground, ground_flags
+from altpath.clauses import ClauseSet, Literal
 from altpath.graph import (
     INF,
     DistanceMap,
@@ -109,8 +108,8 @@ class SolveResult:
     verdict: str  # "sat" | "unsat" | "unknown"
     model: dict[Literal, bool] = field(default_factory=dict)
     stats: SolveStats = field(default_factory=SolveStats)
-    # the atoms of every support-reachable clause, set by dpll_rel when it
-    # is given a support set; they include those of the smallest
+    # the atoms of every support-reachable clause, set by dpll_rel (plain
+    # dpll has no support set); they include those of the smallest
     # unsatisfiable neighborhood, so 2**k still bounds the calls
     k: int | None = None
 
@@ -120,11 +119,11 @@ class SolveResult:
 
 
 def _relevance(cs: ClauseSet, support_ids, task: str) -> tuple[RelevanceGraph, DistanceMap]:
-    """The pass each relevance entry point starts with: the partner index,
-    the refusal of variables (named after ``task``) before the search
-    unifies, and the 0-1 BFS from the support set."""
+    """The pass each relevance entry point starts with: the refusal of
+    variables (named after ``task``) before the search unifies, the partner
+    index, and the 0-1 BFS from the support set."""
+    cs.require_ground(task)
     graph = build_graph(cs)
-    check_ground(graph.ground, task)
     return graph, bfs_from_support(graph, support_ids)
 
 
@@ -401,7 +400,7 @@ def _solve(cs: ClauseSet, bucket_of: dict[int, int], trusted: bool,
 
 def dpll(cs: ClauseSet, config: SolverConfig | None = None) -> SolveResult:
     """Plain splitting solver, unrestricted branching."""
-    check_ground(ground_flags(cs), _SOLVING)
+    cs.require_ground(_SOLVING)
     return _solve(cs, dict.fromkeys(range(1, cs.atom_count + 1), 0), False,
                   config or SolverConfig())
 
@@ -410,35 +409,24 @@ def dpll(cs: ClauseSet, config: SolverConfig | None = None) -> SolveResult:
 # Relevance-restricted solving
 
 
-def dpll_rel(cs: ClauseSet, support_ids=None, config: SolverConfig | None = None,
-             mode: str = "fallback",
-             step: tuple[tuple[Literal, ...], ...] | None = None) -> SolveResult:
-    """Splitting solver that branches only on stepping-sequence atoms.
+def dpll_rel(cs: ClauseSet, support_ids, config: SolverConfig | None = None,
+             mode: str = "fallback") -> SolveResult:
+    """Splitting solver that branches only on the atoms of the stepping
+    sequence of ``support_ids`` (see ``stepping_sequence``), and reports
+    their number as ``k``.
 
-    The stepping sequence is computed from ``support_ids`` unless buckets
-    are passed directly as ``step``, which leaves ``k`` unset.  In
-    "trusted" mode a branch whose remaining clauses contain no stepping atom
-    is accepted as satisfiable without inspection; the verdict is then only
-    reliable when the input minus the support clauses is satisfiable.  The
-    default "fallback" mode searches on below such a branch over every atom,
-    and the verdict is unconditional.
+    In "trusted" mode a branch whose remaining clauses contain no stepping
+    atom is accepted as satisfiable without inspection; the verdict is then
+    only reliable when the input minus the support clauses is satisfiable.
+    The default "fallback" mode searches on below such a branch over every
+    atom, and the verdict is unconditional.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if step is None:
-        if support_ids is None:
-            raise ValueError("need either support_ids or a stepping sequence")
-        support = frozenset(support_ids)
-        if not support:
-            raise ValueError("dpll_rel needs a nonempty support set")
-        bucket_of = _buckets(*_relevance(cs, support, _SOLVING))
-    else:
-        check_ground(ground_flags(cs), _SOLVING)
-        index = {atom: a for a, atom in enumerate(cs.atoms(), 1)}
-        # a passed sequence may name atoms the set lacks: nothing to split
-        bucket_of = {index[atom]: b for b, bucket in enumerate(step)
-                     for atom in bucket if atom in index}
+    support = frozenset(support_ids)
+    if not support:
+        raise ValueError("dpll_rel needs a nonempty support set")
+    bucket_of = _buckets(*_relevance(cs, support, _SOLVING))
     result = _solve(cs, bucket_of, mode == "trusted", config or SolverConfig())
-    if step is None:
-        result.k = len(bucket_of)
+    result.k = len(bucket_of)
     return result

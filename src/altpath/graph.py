@@ -39,17 +39,11 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 
-from altpath.clauses import (
-    ClauseSet,
-    Literal,
-    complementary_unifiable,
-    ground_flags,
-)
+from altpath.clauses import ClauseSet, Literal, complementary_unifiable
 
 INF = float("inf")
 
@@ -77,10 +71,9 @@ class RelevanceGraph:
     edges; no edge list is ever built.
 
     ``occs[x]`` lists the occurrences of x in ascending order and
-    ``ground[a]`` says whether atom a is variable-free (every atom of a
-    propositional set is, without a literal made).  Unless the set is
-    ground, literals are listed per ``(pred, sign)`` in ``by_key``, the
-    non-ground ones also in ``open``.  A ground literal x's partners are
+    ``ground[a]``, the set's ``ClauseSet.ground``, says whether atom a is
+    variable-free.  Unless the set is ground, literals are listed per
+    ``(pred, sign)`` in ``by_key``, the non-ground ones also in ``open``.  A ground literal x's partners are
     ``occs[-x]`` plus the opposite non-ground literals it unifies with; a
     non-ground literal checks every opposite literal of its predicate.
     ``partners_of`` builds the list once per distinct literal, ascending,
@@ -103,7 +96,7 @@ class RelevanceGraph:
         self.occs: list[list[int]] = [[] for _ in range(2 * n + 1)]
         for i, x in enumerate(self.lit_of):
             self.occs[x].append(i)
-        self.ground = ground_flags(cs)  # by atom number
+        self.ground = cs.ground  # by atom number
         self.by_key: dict[tuple[str, bool], list[int]] = {}
         self.open: dict[tuple[str, bool], list[int]] = {}
         if not all(self.ground):  # else each literal x's partners are occs[-x]
@@ -190,10 +183,9 @@ def build_graph(cs: ClauseSet, mode: str = FIRST_ORDER) -> RelevanceGraph:
     """The graph of a clause set: its occurrences and partner index."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    graph = RelevanceGraph(cs, mode)
-    if mode == PROPOSITIONAL_HUB and not all(graph.ground):
-        raise ValueError("propositional_hub mode requires a variable-free clause set")
-    return graph
+    if mode == PROPOSITIONAL_HUB:
+        cs.require_ground(f"{mode} mode")
+    return RelevanceGraph(cs, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -268,32 +260,6 @@ def check_alternating_path(cs: ClauseSet, path: AlternatingPath) -> None:
 _UNSET = sys.maxsize
 
 
-class _Reached(Mapping):
-    """Read-only view of a search's distance list: each reached node,
-    ascending, with its distance."""
-
-    __slots__ = ("_values", "_len")
-
-    def __init__(self, values: list[int]):
-        self._values = values
-        self._len: int | None = None
-
-    def __getitem__(self, node: int) -> int:
-        if isinstance(node, int) and 0 <= node < len(self._values):
-            value = self._values[node]
-            if value != _UNSET:
-                return value
-        raise KeyError(node)
-
-    def __iter__(self):
-        return (node for node, value in enumerate(self._values) if value != _UNSET)
-
-    def __len__(self) -> int:
-        if self._len is None:
-            self._len = len(self._values) - self._values.count(_UNSET)
-        return self._len
-
-
 @dataclass
 class DistanceMap:
     """Result of a relevance search from a support set.
@@ -306,10 +272,10 @@ class DistanceMap:
     is none).  They are kept for witness extraction, which reads each
     node's clause and signed atom number from the graph's ``clause_of`` and
     ``lit_of``, and makes a ``Literal`` only for the nodes on the witness,
-    with ``ClauseSet.literal``; ``node_distance`` shows ``dist``
-    as a read-only mapping of the reached nodes.  ``bound`` is set when the
-    map came from a bounded search, in which case distances beyond the
-    bound are reported as INF.
+    with ``ClauseSet.literal``; ``node_distance`` is a dict of the reached
+    nodes, ascending, with their distances, built on first read.  ``bound``
+    is set when the map came from a bounded search, in which case distances
+    beyond the bound are reported as INF.
     """
 
     graph: RelevanceGraph
@@ -320,8 +286,8 @@ class DistanceMap:
     bound: int | None = None
 
     @cached_property
-    def node_distance(self) -> Mapping[int, int]:
-        return _Reached(self.dist)
+    def node_distance(self) -> dict[int, int]:
+        return {node: d for node, d in enumerate(self.dist) if d != _UNSET}
 
     def distance(self, cid: int) -> float:
         try:

@@ -189,8 +189,7 @@ def print_dimacs(cs: ClauseSet) -> str:
     """Serialize a propositional clause set with integer atom names, from
     its numbering: each clause's signed atom numbers, in order, with one
     literal read per atom."""
-    if not cs.is_ground():
-        raise ValueError("DIMACS output requires a variable-free clause set")
+    cs.require_ground("DIMACS output")
     indices: list[int] = []
     for name, arity in cs.predicates.items():
         if arity != 0 or not name.isdigit():

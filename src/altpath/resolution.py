@@ -42,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from altpath.clauses import Clause, ClauseSet, Literal, check_ground, ground_flags
+from altpath.clauses import Clause, ClauseSet, Literal
 from altpath.graph import (
     FIRST_ORDER,
     AlternatingPath,
@@ -251,7 +251,7 @@ def sos_refute(
     support = cs.check_support(support_ids)
     if not support:
         raise ValueError("sos_refute needs a nonempty support set")
-    check_ground(ground_flags(cs), "resolution search")
+    cs.require_ground("resolution search")
     rows = cs.rows
 
     # The kept clauses by record id, inputs first: the literal bit mask
@@ -447,8 +447,7 @@ def linear_sequence_from_path(
     into the running resolvent because it differs from the literal the
     clause was entered through, which is exactly the alternation condition.
     """
-    if not cs.is_ground():
-        raise ValueError("linear resolution requires a variable-free clause set")
+    cs.require_ground("linear resolution")
     if not path.clause_ids:
         raise ValueError("empty path")
     support = cs.check_support(support_ids)
@@ -477,8 +476,7 @@ def hyper_resolution_levels(cs: ClauseSet) -> int | None:
     ground Horn set, or None when forward chaining reaches a fixpoint
     without contradiction.  Facts present as input units are level 0.
     """
-    if not cs.is_ground():
-        raise ValueError("hyper-resolution forward chaining requires a variable-free set")
+    cs.require_ground("hyper-resolution forward chaining")
     for c in cs.clauses:
         if sum(1 for l in c.literals if l.positive) > 1:
             raise ValueError(f"clause c{c.id} has two positive literals; the set is not Horn")

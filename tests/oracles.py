@@ -695,9 +695,10 @@ def _search(clauses: list[tuple[int, ...]], bucket_of: dict[int, int],
 def reference_solve(cs: ClauseSet, config: SolverConfig | None = None,
                     step: tuple[tuple[Literal, ...], ...] | None = None,
                     trusted: bool = False) -> SolveResult:
-    """``dpll(cs, config)`` when ``step`` is None, else ``dpll_rel(cs,
-    step=step, config=config)`` in trusted or fallback mode, by the
-    copy-based search.  The model lists atoms in trail order."""
+    """``dpll(cs, config)`` when ``step`` is None, else the restricted
+    search on the stepping buckets ``step`` (atoms the set lacks skipped) in
+    trusted or fallback mode, by the copy-based search.  The model lists
+    atoms in trail order."""
     atoms, clauses = _reference_encode(cs)
     if step is None:
         bucket_of = dict.fromkeys(range(1, len(atoms) + 1), 0)

@@ -14,10 +14,17 @@ import altpath.graph
 import altpath.parsing
 from altpath.cli import EXIT_SAT, EXIT_UNSAT, EXIT_UNKNOWN, _growth_budget, main
 from altpath.clauses import Clause, Literal
-from altpath.dpll import SolveResult, stepping_sequence, support_radius
+from altpath.dpll import SolveResult, dpll, dpll_rel, stepping_sequence, support_radius
 from altpath.generators import random_3sat, random_first_order
-from altpath.graph import INF, bfs_from_support, build_graph
+from altpath.graph import (
+    INF,
+    PROPOSITIONAL_HUB,
+    AlternatingPath,
+    bfs_from_support,
+    build_graph,
+)
 from altpath.parsing import parse_dimacs, parse_tptp, print_dimacs, print_tptp
+from altpath.resolution import hyper_resolution_levels, linear_sequence_from_path, sos_refute
 
 from oracles import model_satisfies, partial_model_covers, reference_atom_count
 
@@ -589,6 +596,42 @@ def test_ground_commands_reject_first_order_input(fo, capsys, command, hint):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "variable-free" in err[0]
     assert hint in err[0]
+
+
+_SOLVING = "satisfiability solving (use deepen with an external prover for first-order input)"
+
+
+@pytest.mark.parametrize("run,task", [
+    (lambda cs: build_graph(cs, PROPOSITIONAL_HUB), "propositional_hub mode"),
+    (dpll, _SOLVING),
+    (lambda cs: dpll_rel(cs, [2]), _SOLVING),
+    (lambda cs: stepping_sequence(cs, [2]), "a stepping sequence"),
+    (lambda cs: support_radius(cs, [2]), "the support radius"),
+    (lambda cs: sos_refute(cs, [2]), "resolution search"),
+    (lambda cs: linear_sequence_from_path(cs, AlternatingPath((2,), ()), [2]),
+     "linear resolution"),
+    (hyper_resolution_levels, "hyper-resolution forward chaining"),
+    (print_dimacs, "DIMACS output"),
+    (["solve"], _SOLVING),
+    (["solve", "--no-relevance"], _SOLVING),
+    (["radius"], "the support radius"),
+    (["filter", "-n", "2", "--hub"], "propositional_hub mode"),
+    (["path", "--to", "2", "--hub"], "propositional_hub mode"),
+    (["stats", "--hub"], "propositional_hub mode"),
+], ids=["build_graph-hub", "dpll", "dpll_rel", "stepping_sequence", "support_radius",
+        "sos_refute", "linear_sequence_from_path", "hyper_resolution_levels", "print_dimacs",
+        "cli-solve", "cli-solve-no-relevance", "cli-radius", "cli-filter-hub", "cli-path-hub",
+        "cli-stats-hub"])
+def test_ground_only_entry_points_give_the_one_refusal(fo, capsys, run, task):
+    refusal = f"{task} is defined for variable-free clause sets only"
+    if callable(run):
+        with pytest.raises(ValueError) as err:
+            run(parse_tptp(FO))
+        assert str(err.value) == refusal
+    else:
+        assert main([run[0], fo, *run[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {refusal}\n")
 
 
 def test_stats_bounds_and_budget(tmp_path, capsys):

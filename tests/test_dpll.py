@@ -7,6 +7,7 @@ from altpath.dpll import (
     MODES,
     SolveResult,
     SolverConfig,
+    _solve,
     dpll,
     dpll_rel,
     stepping_sequence,
@@ -33,6 +34,17 @@ from oracles import (
 
 def atom(name: str) -> Literal:
     return Literal(True, name)
+
+
+def solve_on_buckets(cs: ClauseSet, step: tuple, config: SolverConfig | None = None,
+                     mode: str = "fallback") -> SolveResult:
+    """The relevance-restricted engine on hand-made stepping buckets of
+    atoms: each atom of the set that bucket m names splits in bucket m, an
+    atom the set lacks is skipped, and every other atom sits in the last
+    bucket."""
+    index = {a: n for n, a in enumerate(cs.atoms(), 1)}
+    bucket_of = {index[a]: b for b, bucket in enumerate(step) for a in bucket if a in index}
+    return _solve(cs, bucket_of, mode == "trusted", config or SolverConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +198,6 @@ def test_dpll_rel_buckets_and_neighborhood_match_literal_reference():
 
 @pytest.mark.parametrize("run", [
     lambda cs: dpll_rel(cs, [1]),
-    lambda cs: dpll_rel(cs, step=()),
     lambda cs: stepping_sequence(cs, [1]),
     lambda cs: sos_refute(cs, [1]),
 ])
@@ -199,7 +210,7 @@ def test_ground_entry_points_reject_variables(run):
 def _split_order(cs: ClauseSet, step: tuple) -> dict[Literal, bool]:
     # without units, trusted mode assigns nothing but its splits, true first,
     # so the model shows which atoms were split and in which order
-    res = dpll_rel(cs, step=step, config=SolverConfig(unit_policy="off"), mode="trusted")
+    res = solve_on_buckets(cs, step, SolverConfig(unit_policy="off"), mode="trusted")
     assert res.verdict == "sat"
     return res.model
 
@@ -232,10 +243,10 @@ def test_leading_literal_max_occurrence_and_ties():
 
 def test_empty_stepping_sequence_has_no_leading_literal():
     cs = ground_set("p", "~p")
-    trusted = dpll_rel(cs, step=(), mode="trusted")
+    trusted = solve_on_buckets(cs, (), mode="trusted")
     assert trusted.verdict == "sat" and trusted.model == {}
     assert (trusted.stats.calls, trusted.stats.splits) == (1, 0)
-    fallback = dpll_rel(cs, step=())
+    fallback = solve_on_buckets(cs, ())
     assert fallback.verdict == "unsat" and fallback.stats.fallback_calls == 1
 
 
@@ -249,12 +260,9 @@ def test_dpll_rel_unit_contradiction_both_modes():
         assert dpll_rel(cs, [2], mode=mode).verdict == "unsat"
 
 
-def test_dpll_rel_needs_support_or_step():
-    cs = ground_set("p")
-    with pytest.raises(ValueError, match="support"):
-        dpll_rel(cs)
+def test_dpll_rel_needs_nonempty_support():
     with pytest.raises(ValueError, match="nonempty"):
-        dpll_rel(cs, [])
+        dpll_rel(ground_set("p"), [])
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -323,8 +331,6 @@ def test_count_calls_and_neighborhood_counts():
     res = dpll_rel(cs, [1])
     assert res.stats.calls >= 1
     assert res.k == 1
-    # a passed sequence leaves k unset
-    assert dpll_rel(cs, step=((atom("p"),),)).k is None
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +566,7 @@ def _same_as_reference(cs: ClauseSet, step: tuple | None = None,
         if step is None:
             got = dpll(cs, cfg)
         else:
-            got = dpll_rel(cs, step=step, config=cfg, mode=mode)
+            got = solve_on_buckets(cs, step, cfg, mode)
         want = reference_solve(cs, cfg, step, trusted=mode == "trusted")
         assert (got.verdict, got.stats, list(got.model.items())) == \
             (want.verdict, want.stats, list(want.model.items())), (str(cs), step, mode, cfg)

@@ -675,10 +675,9 @@ def test_search_matches_reference_bfs(name, cs):
             want, nodes, parents = reference_bfs(graph, wired, support, bound)
             assert got.clause_distance == want, (mode, bound)
             if mode == FIRST_ORDER:
-                assert dict(got.node_distance) == nodes, bound
+                assert got.node_distance == nodes, bound
                 assert {n: p for n, p in enumerate(got.parent) if p >= 0} == parents, bound
-                # the node distance map is a view: it counts and refuses
-                # without a dict
+                # the node distance map holds the reached nodes only
                 assert len(got.node_distance) == len(nodes), bound
                 occ_nodes = 2 * sum(map(len, cs.clauses))
                 unreached = [n for n in range(occ_nodes) if n not in nodes]

@@ -673,3 +673,28 @@ def test_deep_tree_hits_the_limit_while_hyper_finishes():
     assert res.status == LIMIT
     assert res.sequence is None
     assert hyper_resolution_levels(cs) == 5
+
+
+def test_ground_flags_are_read_once_per_set(monkeypatch):
+    # a ground set that is not propositional: its atoms' flags are read off
+    # their terms, once for the set, however many entry points ask
+    from altpath.parsing import parse_tptp
+
+    cs = parse_tptp("cnf(c1, negated_conjecture, ~q(f(a))).\n"
+                    "cnf(c2, axiom, (q(f(a)) | ~p(f(a)))).\n"
+                    "cnf(c3, axiom, p(f(a))).\n")
+    calls = []
+    is_ground = Literal.is_ground
+
+    def counted(self):
+        calls.append(self)
+        return is_ground(self)
+
+    monkeypatch.setattr(Literal, "is_ground", counted)
+    res = sos_refute(cs, [1])
+    assert res.status == REFUTED
+    assert verify_support_path_property(res.sequence, cs, [1])
+    path = bfs_from_support(build_graph(cs), [1]).witness(3)
+    assert linear_sequence_from_path(cs, path, [1]).entries[-1].clause.literals == ()
+    assert hyper_resolution_levels(cs) == 2
+    assert sorted(map(str, calls)) == ["p(f(a))", "q(f(a))"]
