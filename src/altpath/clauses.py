@@ -7,7 +7,7 @@ zero-arity predicates and everything below degrades to set manipulation.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
 
@@ -448,22 +448,28 @@ class ClauseSet:
     membership return a new ClauseSet and keep surviving clause ids intact.
 
     A set is its numbering as much as its clauses, and every set is
-    numbered by one rule.  Its birth gives, per clause, the places of its
-    literals in canonical order (the atom of canonical rank r is place r,
-    its negation place top + r, so sorted places are canonical order), and
-    a ``source`` from a signed place (r, or -r for the negation) to its
-    ``Literal``.  On first read of ``rows`` the atoms are numbered by rank
-    among the places in use: atom r is the r-th smallest, so atom numbers
-    follow the canonical order and ``literal`` reads the place of its atom.
-    The places are:
+    numbered by one rule.  Each literal has a place in canonical order (the
+    atom of canonical rank r is place r, its negation place top + r, so
+    sorted places are canonical order), and atom r is the atom of the r-th
+    smallest place in use, so atom numbers follow the canonical order.  On
+    first read of ``rows`` the set's birth gives, per clause, its literals
+    as signed atom numbers in canonical order, each atom's place, a
+    ``source`` from a signed place (p, or -p for the negation) to its
+    ``Literal``, and the atoms as positive literals when it holds them.
+    ``literal`` reads the source at the place of its atom, and the atoms
+    handed over are its positive literals, read by ``atoms`` as they are;
+    without them ``atoms`` reads ``literal``.  The births are:
 
-    - DIMACS: the variables;
-    - ``subset``: the parent's atom numbers, with its ``literal`` as
-      source;
+    - DIMACS: the places are the variables, numbered by ``_numbered``;
+    - ``subset``: the places are the parent's atom numbers, with its
+      ``literal`` as source, numbered by ``_numbered``;
     - literal groups (both TPTP readers, clause objects, so
       ``from_clauses``, ``from_groups`` and ``splice``): each literal's
-      atom's rank among the distinct atoms sorted by atom key, the
-      predicate's ``_symbol_key`` then the argument texts.
+      place is its atom's rank among the distinct atoms sorted by atom key,
+      the predicate's ``_symbol_key`` then the argument texts.  Every place
+      from 1 to the number of atoms is in use, so ``_atom_places`` hands
+      over its rows already numbered (atom r is place r), and the readers,
+      whose atoms are positive literals, hand over their atoms ranked.
 
     A set made from clause objects keeps them; the other births build
     ``Clause`` objects on read: ``by_id`` the one asked for, ``clauses``
@@ -488,10 +494,11 @@ class ClauseSet:
         self.functions = functions if functions is not None else {}
         self._ids: list[int] | None = None  # by position
         self._pos: dict[int, int] | None = None  # by id
-        # the birth: a callable that gives the place rows, top and source
+        # the birth: a callable that gives the rows, places, source and
+        # atoms (see ``ClauseSet``)
         self._birth = partial(_literal_places, self._clauses)
         self._rows: list[tuple[int, ...]] | None = None
-        self._place: list[int] | None = None  # per atom, its place
+        self._place: Sequence[int] | None = None  # per atom, its place
         self._source = None
         self._literals: dict[int, Literal] = {}  # the literal store
         self._atoms: list[Literal] | None = None  # read by ``atoms``
@@ -502,7 +509,7 @@ class ClauseSet:
               clauses: list[Clause] | None = None) -> "ClauseSet":
         """A set given by clause ids by position, the symbol tables (roles,
         names, predicates, functions) and its birth, a callable that gives
-        its place rows, top and source (see ``ClauseSet``).  ``clauses`` are
+        its rows, places, source and atoms (see ``ClauseSet``).  ``clauses`` are
         the clause objects, when they exist already."""
         cs = cls(clauses, *tables)
         cs._clauses, cs._ids, cs._birth = clauses, ids, birth
@@ -718,19 +725,13 @@ class ClauseSet:
     @property
     def rows(self) -> list[tuple[int, ...]]:
         """Per clause, its literals as signed atom numbers in canonical
-        order, negated for a negative literal: the birth's places, atom r
-        being the r-th smallest place in use, so any place left unused only
-        closes up.  Computed at most once per set."""
+        order, negated for a negative literal, as the birth numbered them.
+        Computed at most once per set."""
         if self._rows is None:
-            places, top, self._source = self._birth()
-            self._birth = None
-            used = sorted({p if p <= top else p - top
-                           for p in set(itertools.chain.from_iterable(places))})
-            number = [0] * (2 * top + 1)  # by place
-            for r, p in enumerate(used, 1):
-                number[p], number[top + p] = r, -r
-            self._rows = [tuple(map(number.__getitem__, row)) for row in places]
-            self._place = used
+            birth, self._birth = self._birth, None
+            self._rows, self._place, self._source, self._atoms = birth()
+            if self._atoms is not None:  # the positive literals ``literal`` would read
+                self._literals.update(zip(range(1, len(self._atoms) + 1), self._atoms))
         return self._rows
 
     @property
@@ -776,7 +777,9 @@ class ClauseSet:
 
     def atoms(self) -> list[Literal]:
         """All atoms of the set, as positive literals, in canonical order:
-        atom r is item r-1.  Read off ``literal`` at most once per set."""
+        atom r is item r-1.  Those the birth handed over, or else read off
+        ``literal``, at most once per set."""
+        self.rows  # numbers the set, and may hand over its atoms
         if self._atoms is None:
             self._atoms = list(map(self.literal, range(1, self.atom_count + 1)))
         return list(self._atoms)
@@ -792,19 +795,36 @@ class ClauseSet:
 # Integer encoding
 
 
-def _subset_places(parent: ClauseSet, where: list[int]
-                   ) -> tuple[list[tuple[int, ...]], int, Callable[[int], Literal]]:
+# what a birth hands over: rows, places, source and atoms (see ``ClauseSet``)
+_Birth = tuple[list[tuple[int, ...]], Sequence[int], Callable[[int], Literal], list[Literal] | None]
+
+
+def _numbered(places, top: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Rows of signed atom numbers, and each atom's place, from rows of
+    places in canonical order in which a place from 1 to top may be unused:
+    atom r is the r-th smallest place in use, so an unused place only
+    closes up."""
+    used = sorted({p if p <= top else p - top for p in set(itertools.chain.from_iterable(places))})
+    number = [0] * (2 * top + 1)  # by place
+    for r, p in enumerate(used, 1):
+        number[p], number[top + p] = r, -r
+    return [tuple(map(number.__getitem__, row)) for row in places], used
+
+
+def _subset_places(parent: ClauseSet, where: list[int]) -> _Birth:
     """The birth of the subset of ``parent`` at positions ``where``: atom r
     of the parent is place r, its negation place n + r."""
     n, rows = parent.atom_count, parent.rows
     place = [*range(n + 1), *range(2 * n, n, -1)]  # by signed atom number
-    return [tuple(map(place.__getitem__, rows[p])) for p in where], n, parent.literal
+    return (*_numbered([tuple(map(place.__getitem__, rows[p])) for p in where], n),
+            parent.literal, None)
 
 
-def _literal_places(clauses: list[Clause]
-                    ) -> tuple[list[list[int]], int, Callable[[int], Literal]]:
+def _literal_places(clauses: list[Clause]) -> _Birth:
     """The birth of clause objects: their distinct atoms, keyed by predicate
-    and arguments and numbered as met, placed by ``_atom_places``."""
+    and arguments and numbered as met, placed by ``_atom_places``.  The
+    literal kept for an atom is the first met, which may be negative, so no
+    atoms are handed over."""
     number: dict[tuple, int] = {}
     atoms: list[Literal] = []
     rows = []
@@ -817,15 +837,17 @@ def _literal_places(clauses: list[Clause]
                 atoms.append(lit)
             row.append(a if lit.positive else -a)
         rows.append(row)
-    return _atom_places(rows, atoms)
+    return (*_atom_places(rows, atoms)[:3], None)
 
 
-def _atom_places(rows, atoms: list[Literal]
-                 ) -> tuple[list[list[int]], int, Callable[[int], Literal]]:
+def _atom_places(rows, atoms: list[Literal]) -> _Birth:
     """The birth of rows of signed numbers into ``atoms``, one literal of
-    either sign per distinct atom (atom a is item a-1): the atoms ranked
-    once by atom key, ``literal_key`` without the sign, each row as the
-    sorted set of its literals' places, and a source that reads ``atoms``."""
+    either sign per distinct atom (atom a is item a-1), each atom's place
+    being its rank by atom key, ``literal_key`` without the sign.  Every
+    place is in use, so atom r is place r: it hands over the rows as the
+    sorted set of their literals' ranks, signed, the places 1 to n, a
+    source that reads the ranked ``atoms``, and the ranked ``atoms``
+    themselves, which are the set's atoms when all are positive."""
     n = len(atoms)
     # each predicate stands for its rank by ``_symbol_key``, so comparing
     # two keys compares one int before the argument texts
@@ -833,16 +855,18 @@ def _atom_places(rows, atoms: list[Literal]
     symbol = {pred: r for r, pred in enumerate(preds)}
     keys = [(symbol[lit.pred], *map(str, lit.args)) for lit in atoms]
     order = sorted(range(n), key=keys.__getitem__)
-    place = [0] * (2 * n + 1)  # by signed number, -a at the end
+    ranked = list(map(atoms.__getitem__, order))
+    rank = [0] * n  # by atom index
     for r, i in enumerate(order, 1):
-        place[i + 1], place[-i - 1] = r, n + r
-    ranked = [atoms[i] for i in order]
-    rows = [sorted(set(map(place.__getitem__, row))) for row in rows]
-    return rows, n, partial(_ranked_literal, ranked)
+        rank[i] = r
+    rank = [0, *rank, *map(int.__neg__, reversed(rank))]  # by signed number
+    # sorting by place sorts signed ranks in canonical order
+    by_place = [*range(n + 1), *range(2 * n, n, -1)].__getitem__  # by signed rank
+    rows = [tuple(sorted({*map(rank.__getitem__, row)}, key=by_place)) for row in rows]
+    return rows, range(1, n + 1), partial(_ranked_literal, ranked), ranked
 
 
 def _ranked_literal(ranked: list[Literal], p: int) -> Literal:
     # the source of ``_atom_places``: the literal of signed place p
     lit = ranked[abs(p) - 1]
     return lit if lit.positive == (p > 0) else lit.negated()
-

@@ -29,6 +29,8 @@ from itertools import chain
 
 from altpath.clauses import ClauseSet, Literal
 from altpath.dpll import (
+    _RADIUS,
+    _SOLVING,
     SolverConfig,
     UNIT_POLICIES,
     dpll,
@@ -257,6 +259,9 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
     if cfg.no_relevance:
         result = dpll(cs, solver_cfg)
     else:
+        # variables are refused before the support spec is read: on
+        # first-order input the default spec may select nothing
+        cs.require_ground(_SOLVING)
         support = _single_support(cs, cfg, fmt)
         result = dpll_rel(
             cs, support, solver_cfg, mode="trusted" if cfg.trusted else "fallback"
@@ -371,15 +376,16 @@ def _finish_deepen(cfg: argparse.Namespace, label: str | None, verdict: str,
 
 def cmd_deepen(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
+    ground = cs.is_ground()
+    if not ground and not cfg.prover:  # asked before the support spec is read
+        raise ValueError(
+            "first-order deepening needs an external prover "
+            "(--prover 'command {file}')"
+        )
     support = _single_support(cs, cfg, fmt)
     stages = _deepen_stages(cs, support)
     lines: list[str] = []
-    if not cs.is_ground():
-        if not cfg.prover:
-            raise ValueError(
-                "first-order deepening needs an external prover "
-                "(--prover 'command {file}')"
-            )
+    if not ground:
         undecided: list[str] = []
         for label, sub in stages:
             verdict, detail = _prover_verdict(cfg.prover, sub, cfg.prover_timeout)
@@ -467,6 +473,7 @@ def cmd_path(cfg: argparse.Namespace) -> int:
 
 def cmd_radius(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
+    cs.require_ground(_RADIUS)  # before the support spec is read, as in solve
     support = _single_support(cs, cfg, fmt)
     radius = support_radius(cs, support)
     if cfg.json_out:

@@ -66,8 +66,10 @@ from altpath.graph import (
 UNIT_POLICIES = ("off", "relevant_only", "all")
 MODES = ("fallback", "trusted")
 
-# the task named when a solver meets variables, with the way out of it
+# the tasks named when a solver or the radius meets variables, the first
+# with the way out of it
 _SOLVING = "satisfiability solving (use deepen with an external prover for first-order input)"
+_RADIUS = "the support radius"
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ def support_radius(cs: ClauseSet, support_ids) -> float:
     """The smallest n for which the distance-n clauses around the support
     set are already unsatisfiable; INF when no level is (then everything
     reachable from the support set is satisfiable)."""
-    _, dmap = _relevance(cs, support_ids, "the support radius")
+    _, dmap = _relevance(cs, support_ids, _RADIUS)
     # levels between two finite distances add no clauses
     finite = sorted({int(d) for d in dmap.clause_distance.values() if d < INF})
     cfg = SolverConfig(unit_policy="all")  # the radius is the same under every policy

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import re
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -21,6 +20,8 @@ from altpath.clauses import (
     Term,
     Var,
     _atom_places,
+    _Birth,
+    _numbered,
 )
 
 
@@ -117,10 +118,10 @@ def _dimacs_fast(text: str) -> list[int] | None:
     return ints
 
 
-def _dimacs_places(ints: list[int]) -> tuple[list[list[int]], int, Callable[[int], Literal]]:
+def _dimacs_places(ints: list[int]) -> _Birth:
     """The birth of checked clause integers: each clause as the sorted set
-    of its literals' places, and the top place.  Its lists are sized by the
-    largest variable used, not the declared one."""
+    of its literals' places, numbered by ``_numbered``.  Its lists are sized
+    by the largest variable used, not the declared one."""
     ends = [i for i, v in enumerate(ints) if not v]
     top = max(max(ints, default=0), -min(ints, default=0))
     # literal v's place in canonical order: v itself when positive, past
@@ -131,7 +132,7 @@ def _dimacs_places(ints: list[int]) -> tuple[list[list[int]], int, Callable[[int
     for end in ends:
         sorted_rows.append(sorted(set(places[begin:end])))
         begin = end + 1
-    return sorted_rows, top, _dimacs_literal
+    return (*_numbered(sorted_rows, top), _dimacs_literal, None)
 
 
 def _dimacs_lines(text: str, source: str | None) -> list[int]:
@@ -257,15 +258,16 @@ class _Atoms:
     Each distinct term is one object, keyed by a leaf's text or by its
     functor and the ids of its interned arguments, so no term is ever
     hashed, and built once, so its hash, ground flag and text are found
-    once.  Each distinct atom, keyed alike, gets a number, counting from 1,
-    and keeps the atom as a positive ``Literal``, the one its set reads
-    most: a literal is read as its atom's number, negated when the literal
-    is.
+    once.  Each distinct argument list is one tuple, keyed alike by the ids
+    of its terms.  Each distinct atom, keyed by its predicate and the id of
+    its argument list, gets a number, counting from 1, and keeps the atom
+    as a positive ``Literal``, the one its set reads most: a literal is
+    read as its atom's number, negated when the literal is.
     """
 
     def __init__(self):
-        self.terms: dict[str | tuple, Term] = {}
-        self.numbers: dict[tuple, int] = {}
+        self.terms: dict[str | tuple, Term | tuple[Term, ...]] = {}
+        self.numbers: dict[tuple[str, int], int] = {}
         self.atoms: list[Literal] = []  # atom a is item a-1
 
     def args(self, toks: list[str], i: int, fail) -> tuple[tuple[Term, ...], int]:
@@ -308,7 +310,11 @@ class _Atoms:
                     raise fail(i, f"expected ')', got {toks[i]!r}")
                 i += 1
                 if not open_apps:
-                    return tuple(args), i
+                    key = tuple(map(id, args))
+                    found = terms.get(key)
+                    if found is None:
+                        found = terms[key] = tuple(args)
+                    return found, i
                 functor, outer = open_apps.pop()
                 key = (functor, *map(id, args))
                 t = terms.get(key)
@@ -318,8 +324,9 @@ class _Atoms:
                 args = outer
 
     def literal(self, positive: bool, pred: str, args: tuple[Term, ...]) -> int:
-        """The signed atom number of the literal."""
-        key = (pred, *map(id, args))
+        """The signed atom number of the literal, whose arguments are an
+        interned argument list (``args``) or ``()``."""
+        key = (pred, id(args))
         a = self.numbers.get(key)
         if a is None:
             self.atoms.append(Literal(True, pred, args))
@@ -496,7 +503,7 @@ class _FastTptp(_Atoms):
 
     def __init__(self):
         super().__init__()
-        self.literal_of: dict[str, int | None] = {}
+        self.literal_of: dict[str, int] = {}  # 0 for $false
         self.args_of: dict[str, tuple[Term, ...]] = {}  # by argument text
 
     def parse(self, text: str) -> list[tuple[str, str, list[int]]]:
@@ -517,17 +524,17 @@ class _FastTptp(_Atoms):
                 body = body[1:-1]
             lits = []
             for part in body.split("|"):
-                try:
-                    lit = literal_of[part]
-                except KeyError:
+                lit = literal_of.get(part)
+                if lit is None:
                     lit = literal_of[part] = self._literal(part)
-                if lit is not None:
+                if lit:
                     lits.append(lit)
             triples.append((name, role, lits))
             pos = skip(text, m.end()).end()
         return triples
 
-    def _literal(self, text: str) -> int | None:
+    def _literal(self, text: str) -> int:
+        """The signed atom number of the literal text, 0 for ``$false``."""
         m = _FAST_LITERAL.fullmatch(text)
         if m is None:
             raise _NotFast
@@ -535,7 +542,7 @@ class _FastTptp(_Atoms):
         if dfalse:
             if negated:
                 raise _NotFast
-            return None  # $false contributes no literal: the empty clause
+            return 0  # $false contributes no literal: the empty clause
         args: tuple[Term, ...] = ()
         if args_text is not None:
             args = self.args_of.get(args_text)
@@ -566,9 +573,10 @@ def parse_tptp(
     parser, which locates the error.  Both intern each distinct term and
     atom once (``_Atoms``) and give each clause as its literals' signed
     atom numbers, from which the set is born (see ``ClauseSet``): the atoms
-    are ranked once by atom key and each literal placed by its atom's
-    rank.  No ``Clause`` is built until one is read.  Arity consistency is
-    enforced across the whole set, over the distinct atoms.
+    are ranked once by atom key, each clause numbered by its atoms' ranks,
+    and the reader's atoms handed over, so no literal is read back.  No
+    ``Clause`` is built until one is read.  Arity consistency is enforced
+    across the whole set, over the distinct atoms.
     """
     text = _decode(data)
     try:

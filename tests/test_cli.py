@@ -634,6 +634,24 @@ def test_ground_only_entry_points_give_the_one_refusal(fo, capsys, run, task):
         assert (out, err) == ("", f"error: {refusal}\n")
 
 
+@pytest.mark.parametrize("command,message", [
+    ("solve", f"{_SOLVING} is defined for variable-free clause sets only"),
+    ("radius", "the support radius is defined for variable-free clause sets only"),
+    ("deepen", "first-order deepening needs an external prover (--prover 'command {file}')"),
+], ids=["solve", "radius", "deepen"])
+def test_first_order_refusal_comes_before_the_support_spec(tmp_path, capsys, command, message):
+    """A generated first-order set has no negated conjecture, so the default
+    support spec selects nothing: the refusal of variables, or deepen's
+    call for a prover, is what the command must say, not the spec's error."""
+    path = str(tmp_path / "fo.p")
+    assert main(["gen", "bounded", "--first-order", "--seed", "2", "-o", path]) == 0
+    assert "negated_conjecture" not in open(path).read()
+    capsys.readouterr()
+    assert main([command, path]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 def test_stats_bounds_and_budget(tmp_path, capsys):
     path = tmp_path / "s.cnf"
     path.write_text("p cnf 3 4\n1 2 3 0\n-1 2 0\n-2 3 0\n1 3 0\n")

@@ -313,7 +313,10 @@ def test_token_soup_dimacs_reads_the_same_on_both_paths(tokens):
 
 
 def _numbering(cs: ClauseSet):
-    return (cs.rows, cs.atoms(), [(c.id, c.literals) for c in cs.clauses],
+    # the literal store is read for both signs of every atom before any
+    # clause object exists, so a birth that fills it its own way shows
+    literals = [cs.literal(x) for a in range(1, cs.atom_count + 1) for x in (a, -a)]
+    return (cs.rows, cs.atoms(), literals, [(c.id, c.literals) for c in cs.clauses],
             list(cs.names.items()), list(cs.roles.items()),
             list(cs.predicates.items()), list(cs.functions.items()))
 
@@ -331,6 +334,35 @@ def test_every_birth_numbers_the_benchmark_sets_alike(fo_filter_texts):
         assert _numbering(objects) == want
         unread = parse_tptp(text)  # its subset derives the clause objects
         assert _numbering(unread.subset(unread.ids())) == want
+
+
+def test_parse_reads_no_literal_back(fo_filter_texts, monkeypatch):
+    """A TPTP set is born holding its reader's atoms: parse_tptp asks
+    ``ClauseSet.literal`` for none, and each item of ``atoms()`` is the
+    literal that the reader interned, on both reader paths."""
+    tables = []
+    init = parsing._Atoms.__init__
+
+    def recorded(self):
+        init(self)
+        tables.append(self)
+
+    def refused(self, x):
+        raise AssertionError("parse_tptp read a literal back")
+
+    monkeypatch.setattr(parsing._Atoms, "__init__", recorded)
+    monkeypatch.setattr(ClauseSet, "literal", refused)
+    small = ["cnf(c1, axiom, (~p(a) | q)). cnf(c2, axiom, (~q | $false)). cnf(c3, axiom, p(X)).",
+             "cnf(c, axiom, (p(f(X), a) | ~p(f(X), a) | r(g(X, Y))))."]
+    for fast, texts in ((True, fo_filter_texts + small), (False, fo_filter_texts[:2] + small)):
+        for text in texts:
+            with contextlib.nullcontext() if fast else _fast_paths_off():
+                cs = parse_tptp(text)
+            interned = {(lit.pred, lit.args): lit for lit in tables[-1].atoms}
+            atoms = cs.atoms()
+            assert len(atoms) == len(interned) == cs.atom_count
+            for atom in atoms:
+                assert atom is interned[atom.pred, atom.args]
 
 
 # ---------------------------------------------------------------------------
