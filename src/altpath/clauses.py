@@ -460,7 +460,9 @@ class ClauseSet:
     handed over are its positive literals, read by ``atoms`` as they are;
     without them ``atoms`` reads ``literal``.  The births are:
 
-    - DIMACS: the places are the variables, numbered by ``_numbered``;
+    - DIMACS (and ``random_3sat``): the places are the variables; the set
+      is numbered when it is made, through a table of the used variables
+      when some are unused, and its birth hands that over (``_held``);
     - ``subset``: the places are the parent's atom numbers, with its
       ``literal`` as source, numbered by ``_numbered``;
     - literal groups (both TPTP readers, clause objects, so
@@ -552,10 +554,10 @@ class ClauseSet:
     def _check_atoms(self) -> None:
         """Registers the set's symbols in its tables, in order of first
         occurrence; ArityError names the first clause that uses a symbol at
-        a second arity.  Only each atom's first occurrence is walked
-        (``_first_atoms``), and no clause object is built: an atom met
-        again brings no symbol or arity that its first occurrence did not,
-        so this registers and fails as a walk over every literal would.
+        a second arity.  Only each atom's first occurrence is walked, and
+        no clause object is built: an atom met again brings no symbol or
+        arity that its first occurrence did not, so this registers and
+        fails as a walk over every literal would.
         A term object already walked cannot conflict again, so a shared
         (interned) term is walked once, and an argument that is a variable
         or such a term costs one test; every term is held by the set, so
@@ -567,7 +569,9 @@ class ClauseSet:
 
         walked: set[int] = set()
         predicates, functions = self.predicates, self.functions
-        for a in self._first_atoms():
+        # the atoms in order of first occurrence: clause order, then
+        # canonical literal order, with abs run once per distinct literal
+        for a in dict.fromkeys(map(abs, dict.fromkeys(itertools.chain.from_iterable(rows)))):
             lit = atoms[a - 1]
             args = lit.args
             seen = predicates.get(lit.pred)
@@ -740,14 +744,6 @@ class ClauseSet:
         self.rows  # numbers the set
         return len(self._place)
 
-    def _first_atoms(self):
-        """The atom numbers in order of first occurrence: clause order, then
-        canonical literal order."""
-        # the distinct literals first, so abs runs once per literal, not
-        # once per occurrence
-        literals = dict.fromkeys(itertools.chain.from_iterable(self.rows))
-        return dict.fromkeys(map(abs, literals))
-
     def is_propositional(self) -> bool:
         """True when the predicate table holds symbols and each has arity
         0: then no atom takes arguments, so every atom is variable-free."""
@@ -809,6 +805,11 @@ def _numbered(places, top: int) -> tuple[list[tuple[int, ...]], list[int]]:
     for r, p in enumerate(used, 1):
         number[p], number[top + p] = r, -r
     return [tuple(map(number.__getitem__, row)) for row in places], used
+
+
+def _held(birth: _Birth) -> _Birth:
+    """The birth of a set numbered when it was made: what that gave."""
+    return birth
 
 
 def _subset_places(parent: ClauseSet, where: list[int]) -> _Birth:

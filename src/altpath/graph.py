@@ -336,10 +336,9 @@ class DistanceMap:
         return AlternatingPath(tuple(clause_ids), tuple(links))
 
     def to_csv(self) -> str:
-        lines = ["clause_id,distance"]
-        for cid, d in self.clause_distance.items():
-            lines.append(f"{cid},{'inf' if d == INF else int(d)}")
-        return "\n".join(lines) + "\n"
+        text = {d: "inf" if d == INF else str(int(d)) for d in {*self.clause_distance.values()}}
+        return "".join(["clause_id,distance\n",
+                        *[f"{cid},{text[d]}\n" for cid, d in self.clause_distance.items()]])
 
 
 def bfs_from_support(graph: RelevanceGraph, support_ids, bound: int | None = None,

@@ -11,6 +11,8 @@ import os
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
+from operator import neg
 
 from altpath.clauses import (
     App,
@@ -20,8 +22,7 @@ from altpath.clauses import (
     Term,
     Var,
     _atom_places,
-    _Birth,
-    _numbered,
+    _held,
 )
 
 
@@ -51,7 +52,7 @@ def _decode(data: str | bytes) -> str:
     return data
 
 
-_PROBLEM_LINE = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)")
+_PROBLEM_LINE = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)")  # ASCII digits only
 
 
 def parse_dimacs(data: str | bytes, source: str | None = None) -> ClauseSet:
@@ -70,17 +71,33 @@ def parse_dimacs(data: str | bytes, source: str | None = None) -> ClauseSet:
 
 def _dimacs_set(ints: list[int]) -> ClauseSet:
     """The set born from clause integers, each clause ended by a 0 (see
-    ``ClauseSet``): a variable is its atom's place, since digit names sort
-    numerically, so each clause is the sorted set of its literals' places,
-    and the predicate table registers the variables in order of first
-    occurrence.  No ``Clause`` or ``Literal`` is built until one is read,
-    and then one ``Literal`` per signed number."""
-    cs = ClauseSet._born(list(range(1, ints.count(0) + 1)), ({}, {}, {}, {}),
-                         partial(_dimacs_places, ints))
-    first = cs._first_atoms()  # numbers the set
-    variable = cs._place  # by atom number
-    cs.predicates.update((str(variable[a - 1]), 0) for a in first)
-    return cs
+    ``ClauseSet``), numbered as it is made.  A variable is its atom's
+    place, since digit names sort numerically, so atom r is the r-th
+    smallest variable used: each variable is its own atom number when all
+    from 1 to the largest are used, and is renumbered through a table of
+    the used ones otherwise.  Each row is its clause's distinct numbers in
+    place order, and the predicate table registers the variables in order
+    of first occurrence.  No ``Clause`` or ``Literal`` is built until one
+    is read, and then one ``Literal`` per signed number."""
+    used = sorted({*map(abs, {*ints})} - {0})
+    n = len(used)
+    if n and used[-1] != n:  # unused variables close up
+        number = dict(zip(used, range(1, n + 1)))
+        number.update(zip(map(neg, used), range(-1, -n - 1, -1)))
+        number[0] = 0
+        ints = list(map(number.__getitem__, ints))
+    place = [*range(n + 1), *range(2 * n, n, -1)].__getitem__  # by signed atom number
+    rows = []
+    begin = 0
+    for _ in range(ints.count(0)):
+        end = ints.index(0, begin)
+        rows.append(tuple(sorted({*ints[begin:end]}, key=place)))
+        begin = end + 1
+    names = [*map(str, used)]
+    name = [None, *names, *reversed(names)].__getitem__  # by signed atom number
+    predicates = dict.fromkeys(map(name, dict.fromkeys(chain.from_iterable(rows))), 0)
+    return ClauseSet._born(list(range(1, len(rows) + 1)), ({}, {}, predicates, {}),
+                           partial(_held, (rows, used, _dimacs_literal, None)))
 
 
 def _dimacs_literal(v: int) -> Literal:
@@ -89,7 +106,7 @@ def _dimacs_literal(v: int) -> Literal:
 
 def _dimacs_fast(text: str) -> list[int] | None:
     """The clause integers of well-formed DIMACS, each clause ended by a 0;
-    None to defer to the line reader."""
+    None to defer to the line reader.  Each distinct token is read once."""
     lines = text.splitlines()
     for start, raw in enumerate(lines):
         line = raw.strip()
@@ -104,35 +121,22 @@ def _dimacs_fast(text: str) -> list[int] | None:
     body = "\n".join(lines[start + 1:])
     if "c" in body:
         body = "\n".join(l for l in lines[start + 1:] if not l.lstrip().startswith("c"))
-    # int() also takes '+1' and '1_0'; any '-0' prefix may be a negative zero
-    if "+" in body or "_" in body or "-0" in body:
+    # int() also takes '+1', '1_0' and digits outside ASCII; any '-0'
+    # prefix may be a negative zero
+    if not body.isascii() or "+" in body or "_" in body or "-0" in body:
         return None
+    tokens = body.split()
+    distinct = {*tokens}
     try:
-        ints = list(map(int, body.split()))
+        value = dict(zip(distinct, map(int, distinct)))
     except ValueError:
         return None
-    if ints and (ints[-1] != 0 or max(ints) > n_vars or -min(ints) > n_vars):
+    if tokens and (value[tokens[-1]] or max(map(abs, value.values())) > n_vars):
         return None
+    ints = list(map(value.__getitem__, tokens))
     if ints.count(0) != declared:
         return None
     return ints
-
-
-def _dimacs_places(ints: list[int]) -> _Birth:
-    """The birth of checked clause integers: each clause as the sorted set
-    of its literals' places, numbered by ``_numbered``.  Its lists are sized
-    by the largest variable used, not the declared one."""
-    ends = [i for i, v in enumerate(ints) if not v]
-    top = max(max(ints, default=0), -min(ints, default=0))
-    # literal v's place in canonical order: v itself when positive, past
-    # every positive one when negative (a zero's place is never read)
-    places = [v if v > 0 else top - v for v in ints]
-    sorted_rows = []
-    begin = 0
-    for end in ends:
-        sorted_rows.append(sorted(set(places[begin:end])))
-        begin = end + 1
-    return (*_numbered(sorted_rows, top), _dimacs_literal, None)
 
 
 def _dimacs_lines(text: str, source: str | None) -> list[int]:
@@ -157,7 +161,7 @@ def _dimacs_lines(text: str, source: str | None) -> list[int]:
         if n_vars is None:
             raise ParseError("clause data before problem line", lineno, source)
         for tok in line.split():
-            if not re.fullmatch(r"-?\d+", tok):
+            if not re.fullmatch(r"-?[0-9]+", tok):
                 raise ParseError(f"invalid token {tok!r}", lineno, source)
             val = int(tok)
             if val == 0 and tok.startswith("-"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pickle
 import random
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -429,11 +430,59 @@ def test_encode_matches_reference_order(seed):
         assert (cs.atoms(), cs.rows) == (atoms, reference_rows(cs, atoms))
 
 
+def _dimacs_rows(rng: random.Random, dense: bool) -> list[list[int]]:
+    """Clause rows with shuffled, repeated and complementary literals and an
+    empty clause, over variables that are every one from 1 to the largest
+    (dense) or leave some unused (sparse)."""
+    n = rng.randint(8, 30)
+    pool = range(1, n + 1) if dense else sorted(rng.sample(range(1, 4 * n), n))
+    v = rng.choice(pool)
+    rows: list[list[int]] = [[], [v, -v, v]]
+    for _ in range(rng.randint(10, 40)):
+        row = [rng.choice((1, -1)) * rng.choice(pool) for _ in range(rng.choice((1, 2, 3, 3, 5)))]
+        if rng.random() < 0.3:
+            row.append(row[0])
+        if rng.random() < 0.2:
+            row.append(-row[-1])
+        rows.append(row)
+    if dense:
+        rows += [[-v] for v in sorted(set(pool) - {abs(v) for row in rows for v in row})]
+    rng.shuffle(rows)
+    used = {abs(v) for row in rows for v in row}
+    assert (max(used) == len(used)) == dense
+    return rows
+
+
+def _dimacs_layout(rng: random.Random, rows: list[list[int]]) -> str:
+    """The rows as DIMACS with CRLF line ends and comment lines, a line
+    broken at random after a literal or a clause's 0, so that some clause
+    spans two lines and some line holds two clauses."""
+    n_vars = max(abs(v) for row in rows for v in row)
+    lines = ["c a seeded layout", f"p cnf {n_vars} {len(rows)}"]
+    line: list[str] = []
+    for row in rows:
+        for token in [*map(str, row), "0"]:
+            line.append(token)
+            if rng.random() < (0.5 if token == "0" else 0.2):
+                lines.append(" ".join(line))
+                line = []
+                if rng.random() < 0.2:
+                    lines.append("c between lines")
+    lines.append(" ".join(line))
+    body = [line.split() for line in lines[2:] if not line.startswith("c")]
+    assert any(line[-1] != "0" for line in body if line)  # a clause over two lines
+    assert any(line.count("0") > 1 for line in body)  # two clauses on one line
+    return "\r\n".join(lines) + "\r\n"
+
+
 def _sets_of_every_birth(seed: int):
     """(birth, set) pairs for one seed, each set unread so far: DIMACS from
     both readers, ``from_groups`` with numeric names past 9 and with text
     names, TPTP, a subset and a subset of a subset of each (taken after the
-    parent is numbered, so they are born from rows), and a splice."""
+    parent is numbered, so they are born from rows), a splice, and DIMACS
+    that uses every variable from 1 to the largest and DIMACS that leaves
+    some unused, with their subsets (drawn from a second generator, so the
+    sets before them stay those of the seed)."""
     rng = random.Random(seed)
     text = print_dimacs(random_3sat(rng, rng.randint(12, 40), rng.randint(10, 60)))
     padded = re.sub(r"(^| )-(\d)", r"\1-0\2", text, flags=re.M)
@@ -447,7 +496,8 @@ def _sets_of_every_birth(seed: int):
               "groups": lambda: ClauseSet.from_groups(ground),
               "names": lambda: ClauseSet.from_groups(named), "tptp": lambda: parse_tptp(tptp)}
     sets = []
-    for birth, make in makers.items():
+
+    def add(birth, make, rng):
         sets.append((birth, make()))
         parent = make()
         parent.rows  # numbered, so its subsets are born from rows
@@ -458,11 +508,37 @@ def _sets_of_every_birth(seed: int):
         sub.rows
         inner = sub.subset(rng.sample(sub.ids(), len(sub) // 2))
         sets.append((birth + " subset of a subset", inner))
+
+    for birth, make in makers.items():
+        add(birth, make, rng)
     spliced = ClauseSet.from_groups(ground)
     victim = rng.choice(spliced.ids())
     sets.append(("splice", spliced.splice({victim: [spliced.by_id(victim).literals + (lit("11"),),
                                                     (lit("12", sign=False), lit("3"))]})))
+    side = random.Random(1000 + seed)
+    for birth, dense in (("dimacs dense", True), ("dimacs sparse", False)):
+        laid_out = _dimacs_layout(side, _dimacs_rows(side, dense))
+        assert parsing._dimacs_fast(laid_out) is not None
+        add(birth, partial(parse_dimacs, laid_out), side)
     return sets
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dimacs_reader_matches_the_reference_on_any_layout(seed):
+    # both readers, against the oracle's numbering and symbol table of the
+    # same rows made into clause objects, read before any clause object
+    rng = random.Random(seed)
+    rows = _dimacs_rows(rng, dense=seed % 2 == 0)
+    text = _dimacs_layout(rng, rows)
+    objects = ClauseSet.from_groups([[lit(str(abs(v)), sign=v > 0) for v in row] for row in rows])
+    atoms = reference_atoms(objects)
+    predicates, _ = reference_symbol_tables(objects.clauses)
+    assert parsing._dimacs_fast(text) is not None
+    for read in (parse_dimacs, lambda t: parsing._dimacs_set(parsing._dimacs_lines(t, None))):
+        cs = read(text)
+        assert (cs.atoms(), cs.rows, list(cs.predicates.items())) == (
+            atoms, reference_rows(objects, atoms), list(predicates.items()))
+        assert cs == objects
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1066,6 +1066,20 @@ def test_deeply_nested_terms_get_a_verdict_in_little_memory(deep, argv, verdict)
         assert json.loads(proc.stdout) == verdict
 
 
+@pytest.mark.parametrize("negative", ["-10000000", "-010000000"], ids=["fast", "lines"])
+def test_sparse_dimacs_is_read_in_little_memory(tmp_path, negative):
+    # two clauses over variables 1 and 10^7, read by either reader: memory
+    # grows with the variables used, not with the largest index (a list
+    # sized by it takes about 160 MB)
+    path = tmp_path / "sparse.cnf"
+    path.write_text(f"p cnf 10000000 2\n1 {negative} 0\n10000000 0\n")
+    proc = _run_cli(["stats", str(path), "--json"], _PEAK_RSS)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    *report, peak_kb = proc.stderr.splitlines()
+    assert int(peak_kb) < 64 * 1024
+    assert json.loads(proc.stdout) == {"atoms": 2, "b": 1, "clauses": 2, "k": 2}
+
+
 def test_deeply_nested_term_in_the_tokenizing_reader_filters_like_its_twin(tmp_path):
     # a comment inside a statement sends the input to the tokenizing reader,
     # which reads terms with a stack of open applications, so it answers as

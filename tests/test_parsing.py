@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from altpath import parsing
 from altpath.clauses import App, Literal, Var
 from altpath.parsing import (
     ParseError,
@@ -76,9 +77,24 @@ def test_dimacs_leading_zero_literal_accepted():
     assert cs.by_id(1).literals == (Literal(True, "1"), Literal(False, "5"))
 
 
+@pytest.mark.parametrize("text, error", [
+    ("p cnf ٣ 1\n1 0\n", "line 1: malformed problem line 'p cnf ٣ 1'"),
+    ("p cnf 3 ١\n1 0\n", "line 1: malformed problem line 'p cnf 3 ١'"),
+    ("p cnf 3 1\n١ -2 0\n", "line 2: invalid token '١'"),
+    ("p cnf 3 2\n1 0\n-٢ 0\n", "line 3: invalid token '-٢'"),
+], ids=["variables", "clauses", "literal", "negative-literal"])
+def test_dimacs_digits_are_ascii(text, error):
+    # int() and \d take the digits of every script ('٣' is 3), and the
+    # fast reader defers these texts to the line reader, which refuses them
+    assert parsing._dimacs_fast(text) is None
+    with pytest.raises(ParseError) as err:
+        parse_dimacs(text, source="in.cnf")
+    assert str(err.value) == f"in.cnf:{error}"
+
+
 @pytest.mark.parametrize("negative", ["-2", "-02"])
 def test_dimacs_declared_variable_count_sizes_nothing(negative):
-    # both readers size their lists by the largest variable used: a list of
+    # both readers size their lists by the variables used: a list of
     # the declared 10**18 entries is refused at once, without being filled
     cs = parse_dimacs(f"p cnf {10 ** 18} 2\n1 {negative} 0\n2 0\n")
     assert (len(cs), cs.atom_count) == (2, 2)
