@@ -653,13 +653,17 @@ class ClauseSet:
             self._pos = {cid: p for p, cid in enumerate(self.ids())}
         return self._pos
 
+    def position(self, cid: int) -> int:
+        """The index in the set of the clause with id ``cid``."""
+        try:
+            return self._positions()[cid]
+        except KeyError:
+            raise KeyError(f"no clause with id {cid}") from None
+
     def by_id(self, cid: int) -> Clause:
         """The clause with id ``cid``; a set born without clause objects
         builds just that one until its whole object view is read."""
-        try:
-            p = self._positions()[cid]
-        except KeyError:
-            raise KeyError(f"no clause with id {cid}") from None
+        p = self.position(cid)
         if self._clauses is not None:
             return self._clauses[p]
         return Clause._canonical(cid, tuple(map(self.literal, self.rows[p])))

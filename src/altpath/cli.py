@@ -432,9 +432,9 @@ def cmd_distance(cfg: argparse.Namespace) -> int:
             if not cs.has_id(cid):
                 raise ValueError(f"no clause with id {cid}")
     graph = build_graph(cs)
-    results = []
-    for from_id, to_id in cfg.pairs:
-        results.append(bfs_from_support(graph, [from_id]).distance(to_id))
+    sources = {from_id for from_id, _ in cfg.pairs}  # each searched once
+    dmaps = {from_id: bfs_from_support(graph, [from_id]) for from_id in sources}
+    results = [dmaps[from_id].distance(to_id) for from_id, to_id in cfg.pairs]
     if cfg.json_out:
         _json_dump(
             [
@@ -453,7 +453,7 @@ def cmd_path(cfg: argparse.Namespace) -> int:
     if cfg.to_id is None:
         raise ValueError("path needs --to CLAUSE_ID")
     support = _single_support(cs, cfg, fmt)
-    dmap = bfs_from_support(build_graph(cs, _graph_mode(cfg)), support)
+    dmap = bfs_from_support(build_graph(cs, _graph_mode(cfg)), support, target=cfg.to_id)
     path = dmap.witness(cfg.to_id)
     check_alternating_path(cs, path)
     if cfg.json_out:

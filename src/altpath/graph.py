@@ -8,13 +8,17 @@ clause from a support set U is the length (number of clauses, endpoints
 included) of the shortest such connection starting in U; members of U are at
 distance 1.
 
-The search runs over a derived graph with one in-node and one out-node per
-literal occurrence.  Linking edges join out-nodes to in-nodes of
-complementary-unifiable occurrences; switching edges join the in-node of a
-literal to the out-nodes of the other literals of its clause, which is what
-enforces the leave-differs-from-enter rule.  The search reads both kinds of
-edge straight from the partner index and the per-clause occurrence lists,
-so it never materializes the graph and runs the same in every mode.
+Distances are those of a 0-1 BFS over a derived graph with one in-node and
+one out-node per literal occurrence.  Linking edges join out-nodes to
+in-nodes of complementary-unifiable occurrences; switching edges join the
+in-node of a literal to the out-nodes of the other literals of its clause,
+which is what enforces the leave-differs-from-enter rule.  The search never
+materializes that graph, nor visits it node by node: it runs level by
+level over distinct literals, expanding each once through the partner
+index, and keeps records by literal and by clause only, of which the
+first two entries of each clause decide its switches.  Witnesses walk back
+on those records; the node view, each node's distance and parent, is
+derived from them when read.  The search runs the same in every mode.
 
 The mode only decides how edges are counted, and the counts are read off
 the same index without wiring anything.  In ``propositional_hub`` mode
@@ -38,6 +42,7 @@ occurrences of -x; only pairs with a non-ground side reach the unifier.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -256,8 +261,11 @@ def check_alternating_path(cs: ClauseSet, path: AlternatingPath) -> None:
 # Distances
 
 
-# a node the search has not reached, in its distance list
+# a node the search has not reached, in the node view's distance list
 _UNSET = sys.maxsize
+# the switch records of a clause the search never switches from: a support
+# clause, or one purged from the searched set
+_CLOSED = -2
 
 
 @dataclass
@@ -266,24 +274,86 @@ class DistanceMap:
 
     ``clause_distance`` maps every clause id of the searched set, the
     graph's set or the survivors the search was given, to its distance
-    (INF when unreachable), in clause order.  ``dist`` and ``parent`` are
-    the search's lists indexed by node: a reached node's number of clause
-    entries and the node it was reached from (``_UNSET`` and -1 where there
-    is none).  They are kept for witness extraction, which reads each
-    node's clause and signed atom number from the graph's ``clause_of`` and
-    ``lit_of``, and makes a ``Literal`` only for the nodes on the witness,
-    with ``ClauseSet.literal``; ``node_distance`` is a dict of the reached
-    nodes, ascending, with their distances, built on first read.  ``bound``
-    is set when the map came from a bounded search, in which case distances
-    beyond the bound are reported as INF.
+    (INF when unreachable), in clause order.  ``bound`` is set when the map
+    came from a bounded search or from one that stopped at its target, in
+    which case distances beyond the bound are reported as INF.
+
+    The rest are the search's records.  By literal: ``expanded`` lists the
+    out-occurrences that expanded their literal, in expansion order, and
+    ``levels`` where each depth's expansions begin in it.  By clause index:
+    ``first`` and ``second`` are the first two in-occurrences the clause
+    was entered through, -1 where there is none and ``_CLOSED`` for a
+    support or purged clause.  An entry at depth bound-1, which a search
+    stopped at its target records in its last level, switches nothing.
+
+    ``witness`` walks back on the records.  ``dist``, ``parent`` and
+    ``node_distance`` are the node view of the search, in the graph's node
+    layout, derived from the records on first read; only tests and tracing
+    read it.  ``dist`` and ``parent`` are lists indexed by node, a reached
+    node's number of clause entries and the node it was reached from
+    (``_UNSET`` and -1 where there is none), and ``node_distance`` a dict
+    of the reached nodes, ascending, with their distances.  A support
+    clause's out-nodes are at 0.  An in-node is one entry deeper than the
+    first expansion whose partner list holds it, whose out-node is its
+    parent.  A clause's out-nodes are at the depth of its first switch,
+    which is their parent, but for the first switch's own out-node, which
+    the second switch sets.
     """
 
     graph: RelevanceGraph
     support: frozenset[int]
     clause_distance: dict[int, float]
-    dist: list[int]
-    parent: list[int]
-    bound: int | None = None
+    bound: int | None
+    expanded: list[int]
+    levels: list[int]
+    first: list[int]
+    second: list[int]
+
+    @cached_property
+    def _rank(self) -> list[int]:
+        """By signed literal number: its place in ``expanded``, counted
+        from 1, or 0 when it was not expanded."""
+        rank = [0] * len(self.graph.occs)
+        for r, k in enumerate(self.expanded, 1):
+            rank[self.graph.lit_of[k]] = r
+        return rank
+
+    @cached_property
+    def _node_view(self) -> tuple[list[int], list[int]]:
+        graph = self.graph
+        lit_of, clause_of, clause_occs = graph.lit_of, graph.clause_of, graph.clause_occs
+        ids, searched = graph.clause_set.ids(), self.clause_distance
+        dist = [_UNSET] * (2 * len(lit_of))
+        parent = [-1] * len(dist)
+        for cid in self.support:
+            for i in clause_occs[graph.clause_set.position(cid)]:
+                dist[2 * i + 1] = 0
+        ends = [*self.levels[1:], len(self.expanded)]
+        for depth, (begin, end) in enumerate(zip(self.levels, ends), 1):
+            for k in self.expanded[begin:end]:
+                for j in graph.partners_of(k):
+                    if dist[2 * j] == _UNSET and ids[clause_of[j]] in searched:
+                        dist[2 * j] = depth
+                        parent[2 * j] = 2 * k + 1
+        # a search stopped at its target records the entries of its last
+        # level, which switch nothing
+        deepest = INF if self.bound is None else self.bound - 2
+        for occs, f, s in zip(clause_occs, self.first, self.second):
+            if f >= 0 and dist[2 * f] <= deepest:
+                for i in occs:
+                    if i != f:
+                        dist[2 * i + 1], parent[2 * i + 1] = dist[2 * f], 2 * f
+            if s >= 0 and dist[2 * s] <= deepest:
+                dist[2 * f + 1], parent[2 * f + 1] = dist[2 * s], 2 * s
+        return dist, parent
+
+    @property
+    def dist(self) -> list[int]:
+        return self._node_view[0]
+
+    @property
+    def parent(self) -> list[int]:
+        return self._node_view[1]
 
     @cached_property
     def node_distance(self) -> dict[int, int]:
@@ -302,38 +372,62 @@ class DistanceMap:
             raise ValueError(f"bounded search stopped at {self.bound}, cannot answer {n}")
         return [cid for cid, d in self.clause_distance.items() if d <= n]
 
+    def _entry(self, j: int) -> int:
+        """The rank of the first expansion whose partner list holds
+        in-occurrence j, or 0 when none does.
+
+        The partner relation is one of literals and symmetric, so only the
+        opposite literals of j's predicate can hold it, only the expanded
+        ones did, and their partner lists are built: nothing is unified."""
+        graph = self.graph
+        x = graph.lit_of[j]
+        if graph.by_key:
+            candidates = graph.by_key.get((graph.clause_set.literal(x).pred, x < 0), ())
+        else:  # a ground set: x's partners are the occurrences of -x
+            candidates = (-x,)
+        best = 0
+        for y in candidates:
+            r = self._rank[y]
+            if r and (not best or r < best):
+                held = graph.partners_of(self.expanded[r - 1])
+                i = bisect_left(held, j)
+                if i < len(held) and held[i] == j:
+                    best = r
+        return best
+
     def witness(self, cid: int) -> AlternatingPath:
-        """A shortest connection from the support set to the clause."""
+        """A shortest connection from the support set to the clause: back
+        from the first of its in-occurrences at its least depth, through
+        the expansion that entered each clause and the switch that set the
+        expanded out-occurrence, to a support clause."""
         d = self.distance(cid)
         if d == INF:
             raise ValueError(f"clause c{cid} is unreachable from the support set")
         if cid in self.support:
             return AlternatingPath((cid,), ())
-        graph, dist, parent = self.graph, self.dist, self.parent
-        ids, clause_of, lit_of = graph.clause_set.ids(), graph.clause_of, graph.lit_of
-        literal = graph.clause_set.literal
-        # the first of the clause's in-nodes at its least distance
-        best = min((2 * i for i in graph.occs_by_clause[cid]), key=dist.__getitem__)
-        assert dist[best] != _UNSET, "finite distance but no reached in-node"
-        chain = [best]
-        while parent[chain[-1]] >= 0:
-            chain.append(parent[chain[-1]])
-        chain.reverse()
-        clause_ids: list[int] = []
+        graph = self.graph
+        ids, literal = graph.clause_set.ids(), graph.clause_set.literal
+        lit_of, clause_of = graph.lit_of, graph.clause_of
+        # the clause's nearest in-occurrences, d - 1 deep, were entered by
+        # the expansions of the level before, whose ranks lie in (low, high]
+        level = int(d) - 2
+        low = self.levels[level]
+        high = self.levels[level + 1] if level + 1 < len(self.levels) else len(self.expanded)
+        j, r = next((j, r) for j in graph.occs_by_clause[cid] if low < (r := self._entry(j)) <= high)
+        clause_ids = [cid]
         links: list[tuple[Literal, Literal]] = []
-        pending_exit: Literal | None = None
-        for node in chain:
-            occ_cid, lit = ids[clause_of[node // 2]], literal(lit_of[node // 2])
-            if node % 2 == 1:  # out-node
-                if not clause_ids:
-                    clause_ids.append(occ_cid)
-                pending_exit = lit
-            else:  # in-node
-                assert pending_exit is not None
-                links.append((pending_exit, lit))
-                clause_ids.append(occ_cid)
-                pending_exit = None
-        return AlternatingPath(tuple(clause_ids), tuple(links))
+        while True:
+            k = self.expanded[r - 1]
+            links.append((literal(lit_of[k]), literal(lit_of[j])))
+            clause_ids.append(ids[clause_of[k]])
+            if clause_ids[-1] in self.support:
+                break
+            # the switch that set out-occurrence k: its clause's first, or
+            # the second for the first's own occurrence
+            f = self.first[clause_of[k]]
+            j = self.second[clause_of[k]] if f == k else f
+            r = self._entry(j)
+        return AlternatingPath(tuple(reversed(clause_ids)), tuple(reversed(links)))
 
     def to_csv(self) -> str:
         text = {d: "inf" if d == INF else str(int(d)) for d in {*self.clause_distance.values()}}
@@ -342,7 +436,8 @@ class DistanceMap:
 
 
 def bfs_from_support(graph: RelevanceGraph, support_ids, bound: int | None = None,
-                     survivors: ClauseSet | None = None) -> DistanceMap:
+                     survivors: ClauseSet | None = None, target: int | None = None
+                     ) -> DistanceMap:
     """Distances of every clause from the support set, or of those within
     ``bound`` when one is given.
 
@@ -354,104 +449,122 @@ def bfs_from_support(graph: RelevanceGraph, support_ids, bound: int | None = Non
     so the distances and witnesses are those of a search on
     ``build_graph(survivors)``.
 
-    0/1-weighted search from the support clauses' out-nodes: an edge into an
-    in-node costs one step (a clause is entered), a switch within a clause
-    costs nothing, so a node's distance is the number of clauses entered.
-    Successors come from the partner index and the clause's occurrences, so
-    no edge is formed outside the part of the graph the search reaches.
-    Distances and parents sit in lists indexed by node, the expanded
-    literals in one indexed by signed literal number, and the clause state
-    in lists indexed by clause.
+    With a ``target`` clause id, the search ends after the level in which
+    the target first gets a distance D, and the map is the one a search
+    bounded at D returns.  The whole level runs, since a later expansion
+    in it can still enter a lower in-occurrence of the target, and the
+    witness starts at the lowest one at the least depth.
 
-    Nodes are popped in nondecreasing distance.  In-nodes are only reached
-    at cost one and out-nodes at cost zero, so the first distance a node
-    gets is final and each node is queued once.  That prunes twice:
+    The search is the 0-1 BFS of the graph's nodes, where entering a clause
+    costs one and a switch within a clause nothing, so a node's distance is
+    the number of clauses entered.  It runs level by level over distinct
+    literals, and two pruning rules shape the loop:
 
-    - All occurrences of a literal share one partner list, so only the
-      first out-node popped per distinct literal is expanded: the others
-      could only tie.
-    - Once a clause has been switched from two of its in-nodes, each of its
-      out-nodes is as near as it can get: the first switch settles all but
-      the first in-node's own out-node, the second settles that one.  So no
-      later in-node of the clause is expanded, and a support clause, whose
-      out-nodes start at 0, counts as switched twice.
+    - All occurrences of a literal share one partner list, so a literal is
+      expanded once, from the first of its out-occurrences in the order the
+      node search pops them; the others could only tie.  So each level is a
+      queue of out-occurrences with distinct literals never queued before,
+      and every one of them is expanded.
+    - Once a clause has been switched from two in-occurrences, each of its
+      out-occurrences is as near as it can get: the first switch settles
+      all but its own, the second settles that one.  So an in-occurrence an
+      expansion reaches only updates its clause's state: the first one
+      gives the clause its distance and the first two are recorded, and a
+      support clause, whose out-occurrences start at 0, records none.
 
-    A clause's distance is fixed at the first pop of one of its in-nodes,
-    which is at its least in-node distance.  With a bound k, nothing is
-    expanded past nodes k-1 clause entries deep, and distances beyond k are
-    reported as INF.
+    Level 0 queues the support clauses' out-occurrences in ascending order.
+    An expansion at depth d walks its partners in ascending order; a
+    clause's first entry there queues the clause's other out-occurrences
+    for depth d + 1 in descending order, and its second entry the first's
+    own out-occurrence.  That is the order in which a deque pops the nodes
+    (a switch pushes its out-nodes to the front), so the records, and the
+    node view derived from them, are the node search's.  With a bound k,
+    nothing is expanded from depth k-1 on and no clause is switched from
+    an in-occurrence that deep, so the last level sets distances only;
+    distances beyond k are reported as INF.
 
-    A purged clause's nodes start at distance -1, below any the search
-    gives, so no edge enters them and the loop needs no test of its own.
-    They are unset again before the map is returned.
+    A purged clause's records start closed, so no expansion enters it.
     """
     lit_of, clause_of, clause_occs = graph.lit_of, graph.clause_of, graph.clause_occs
-    ids = graph.clause_set.ids()
-    purged: list[range] = []  # the occurrences of each clause not searched
+    partners_of = graph.partners_of
+    cs = graph.clause_set
+    ids = cs.ids()
+    first = [-1] * len(ids)
     if survivors is None:
-        support = graph.clause_set.check_support(support_ids)
+        support = cs.check_support(support_ids)
         alive = bytearray([1]) * len(ids)
     else:
         support = survivors.check_support(support_ids)
         alive = bytearray(map(survivors.has_id, ids))
         if sum(alive) != len(survivors):
             raise ValueError("the survivors are not a subset of the graph's clause set")
-        purged = [occs for occs, live in zip(clause_occs, alive) if not live]
+        for ci, live in enumerate(alive):
+            if not live:
+                first[ci] = _CLOSED
     if bound is not None and bound < 1:
         raise ValueError("relevance level must be >= 1")
+    goal = None if target is None else cs.position(target)
     stop = INF if bound is None else bound - 1
-    dist = [_UNSET] * (2 * len(lit_of))
-    for occs in purged:
-        dist[2 * occs.start:2 * occs.stop] = [-1] * (2 * len(occs))
-    parent = [-1] * len(dist)
-    expanded = bytearray(len(graph.occs))  # by signed literal number
-    clause_distance: list[float] = [INF] * len(ids)
-    switches = bytearray(len(ids))  # in-nodes each clause was switched from
-    queue: deque[int] = deque()
-    for ci, cid in enumerate(ids):
-        if cid in support:
-            clause_distance[ci] = 1
-            switches[ci] = 2
-            for i in clause_occs[ci]:
-                dist[2 * i + 1] = 0
-                queue.append(2 * i + 1)
-    while queue:
-        node = queue.popleft()
-        d = dist[node]
-        occ = node >> 1
-        if node & 1:  # out-node: enter the clauses of the literal's partners
-            x = lit_of[occ]
-            if d >= stop or expanded[x]:
-                continue
-            expanded[x] = 1
-            d += 1
-            for j in graph.partners_of(occ):
-                succ = 2 * j
-                if d < dist[succ]:
-                    dist[succ] = d
-                    parent[succ] = node
-                    queue.append(succ)
-        else:  # in-node: switch to the clause's other literals
-            ci = clause_of[occ]
-            if clause_distance[ci] == INF:
-                # the in-node level counts clauses entered after the support
-                # clause, so the connection holds one more clause than that
-                clause_distance[ci] = d + 1
-            # in-nodes this deep belong to level-k clauses and anything
-            # reached from here would lie beyond the bound
-            if d >= stop or switches[ci] == 2:
-                continue
-            switches[ci] += 1
-            for j in clause_occs[ci]:
-                succ = 2 * j + 1
-                if j != occ and d < dist[succ]:
-                    dist[succ] = d
-                    parent[succ] = node
-                    queue.appendleft(succ)
-    for occs in purged:
-        dist[2 * occs.start:2 * occs.stop] = [_UNSET] * (2 * len(occs))
-    return DistanceMap(graph, support, dict(compress(zip(ids, clause_distance), alive)),
-                       dist, parent, bound=bound)
+    distance: list[float] = [INF] * len(ids)
+    second = first.copy()
+    # a level's out-occurrences to expand, in the order they pop: each
+    # literal is queued once, at its first out-occurrence in that order
+    queued = bytearray(len(graph.occs))  # by signed literal number
+    queue: list[int] = []
+    for ci in sorted(map(cs.position, support)):
+        distance[ci] = 1
+        first[ci] = second[ci] = _CLOSED
+        for k in clause_occs[ci]:
+            if not queued[lit_of[k]]:
+                queued[lit_of[k]] = 1
+                queue.append(k)
+    if goal is not None and distance[goal] == 1:
+        queue, bound = [], 1
+    # read the partner lists the graph holds, by signed literal number, and
+    # call partners_of only to build one
+    partners = graph._partners
+    expanded: list[int] = []
+    levels: list[int] = []
+    depth = 0
+    while queue and depth < stop:
+        levels.append(len(expanded))
+        expanded += queue
+        reach = depth + 2  # the distance of a clause entered from this level
+        nxt: list[int] = []
+        enter = nxt.append
+        if depth + 1 >= stop:  # what this level enters switches nothing
+            for k in queue:
+                for j in partners[lit_of[k]] or partners_of(k):
+                    ci = clause_of[j]
+                    if first[ci] == -1:
+                        distance[ci] = reach
+        else:
+            for k in queue:
+                for j in partners[lit_of[k]] or partners_of(k):
+                    ci = clause_of[j]
+                    if second[ci] != -1:
+                        continue
+                    f = first[ci]
+                    if f == -1:  # the first switch: the other occurrences, descending
+                        first[ci] = j
+                        distance[ci] = reach
+                        for i in reversed(clause_occs[ci]):
+                            x = lit_of[i]
+                            if not queued[x] and i != j:
+                                queued[x] = 1
+                                enter(i)
+                    elif f != j:  # the second: the first's own occurrence
+                        second[ci] = j
+                        if not queued[lit_of[f]]:
+                            queued[lit_of[f]] = 1
+                            enter(f)
+        if goal is not None and distance[goal] != INF:
+            bound = reach
+            break
+        queue = nxt
+        depth += 1
+    return DistanceMap(graph, support, dict(compress(zip(ids, distance), alive)), bound,
+                       expanded, levels, first, second)
 
 
 # ---------------------------------------------------------------------------

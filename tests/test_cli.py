@@ -1122,3 +1122,48 @@ def test_out_of_memory_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_distance_runs_one_search_per_source(tree, capsys, monkeypatch):
+    pairs = [("1", "2"), ("2", "3"), ("1", "6"), ("1", "1"), ("2", "7")]
+    argv = ["distance", tree, "--json"] + [a for pair in pairs for a in ("--pair", *pair)]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    searches = []
+
+    def counted(graph, support_ids, *args, **kwargs):
+        searches.append(list(support_ids))
+        return bfs_from_support(graph, support_ids, *args, **kwargs)
+
+    monkeypatch.setattr(altpath.cli, "bfs_from_support", counted)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert sorted(searches) == [[1], [2]]
+    graph = build_graph(parse_tptp(TREE))
+    assert [r["distance"] for r in json.loads(want)] == [
+        bfs_from_support(graph, [int(f)]).distance(int(t)) for f, t in pairs]
+
+
+def test_clause_distances_never_build_the_node_view(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "s.cnf"
+    path.write_text(print_dimacs(random_3sat(random.Random(5), 40, 170)))
+    csv = str(tmp_path / "d.csv")
+    requests = (["filter", str(path), "-n", "3", "--support", "ids:1", "--json", "--csv", csv],
+                ["filter", str(path), "-n", "2", "--purity", "--support", "neg", "--json"],
+                ["stats", str(path), "--bound", "3", "--support", "ids:1,2", "--json"],
+                ["path", str(path), "--to", "40", "--support", "ids:1", "--json"],
+                ["radius", str(path), "--support", "ids:1"],
+                ["solve", str(path), "--support", "ids:1"])
+    want = []
+    for argv in requests:
+        want.append((main(argv), capsys.readouterr().out))
+    assert [code for code, _ in want] == [0, 0, 0, 0, 0, EXIT_UNSAT]
+
+    def refused(self):
+        raise AssertionError("the node view was built")
+
+    monkeypatch.setattr(altpath.graph.DistanceMap, "_node_view", property(refused))
+    for argv, (code, out) in zip(requests, want):
+        assert (main(argv), capsys.readouterr().out) == (code, out), argv
+    with pytest.raises(AssertionError, match="node view"):
+        bfs_from_support(build_graph(parse_dimacs(path.read_text())), [1]).node_distance

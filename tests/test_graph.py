@@ -689,3 +689,140 @@ def test_search_matches_reference_bfs(name, cs):
                 if d < INF:
                     ref = reference_witness(graph, support, nodes, parents, cid)
                     assert str(got.witness(cid)) == str(ref), (mode, bound, cid)
+
+
+@pytest.mark.parametrize("name,cs", DIFFERENTIAL, ids=[n for n, _ in DIFFERENTIAL])
+def test_search_stopped_at_its_target_gives_the_full_witness(name, cs):
+    """Stopped after the level that reaches the target, the search is the
+    one bounded at the target's distance: same distances, node view and
+    refusals, and the full search's witness."""
+    support = random.Random(name).sample(cs.ids(), 2)
+    modes = (FIRST_ORDER, PROPOSITIONAL_HUB) if cs.is_ground() else (FIRST_ORDER,)
+    for mode in modes:
+        graph = build_graph(cs, mode)
+        full = bfs_from_support(graph, support)
+        for cid, d in full.clause_distance.items():
+            if d == INF:
+                continue
+            early = bfs_from_support(graph, support, target=cid)
+            assert early.bound == d, (mode, cid)
+            assert early.witness(cid) == full.witness(cid), (mode, cid)
+            bounded = bfs_from_support(graph, support, bound=d)
+            assert early.clause_distance == bounded.clause_distance, (mode, cid)
+            if mode == FIRST_ORDER:
+                assert early.node_distance == bounded.node_distance, cid
+                assert early.parent == bounded.parent, cid
+            with pytest.raises(ValueError, match="bounded search stopped"):
+                early.relevant_ids(int(d) + 1)
+
+
+def test_search_for_an_unreachable_target_runs_to_the_end():
+    cs = ground_set("p", "~p q", "~q", "s ~t")
+    graph = build_graph(cs)
+    dmap = bfs_from_support(graph, [1], target=4)
+    assert dmap.bound is None
+    assert dmap.clause_distance == bfs_from_support(graph, [1]).clause_distance
+    with pytest.raises(ValueError, match="unreachable"):
+        dmap.witness(4)
+    with pytest.raises(KeyError, match="no clause with id 9"):
+        bfs_from_support(graph, [1], target=9)
+    # a support clause is its own answer: nothing is expanded
+    at_support = bfs_from_support(graph, [1], target=1)
+    assert at_support.bound == 1 and at_support.expanded == []
+    assert at_support.witness(1) == AlternatingPath((1,), ())
+
+
+# ---------------------------------------------------------------------------
+# Hand-made cases of the search against the 0-1 BFS over the wired graph
+
+
+def _assert_search_matches_reference(cs, support, survivors=None):
+    """Clause distances, node distances, parents and every witness of the
+    search over ``cs`` (or its survivors) against ``reference_bfs``, at
+    each bound up to one past the farthest level and with none.  A purged
+    clause's nodes are cut out of the reference wiring."""
+    graph = build_graph(cs)
+    wired = reference_adjacency(cs, FIRST_ORDER)
+    searched = set(cs.ids() if survivors is None else survivors.ids())
+    cut = {node for cid, occs in zip(cs.ids(), graph.clause_occs) if cid not in searched
+           for i in occs for node in (2 * i, 2 * i + 1)}
+    wired = [[succ for succ in succs if succ not in cut] for succs in wired]
+    full = bfs_from_support(graph, support, survivors=survivors).clause_distance
+    far = int(max(d for d in full.values() if d < INF))
+    for bound in (None, *range(1, far + 2)):
+        got = bfs_from_support(graph, support, bound=bound, survivors=survivors)
+        want, nodes, parents = reference_bfs(graph, wired, support, bound)
+        assert got.clause_distance == {c: d for c, d in want.items() if c in searched}, bound
+        assert got.node_distance == nodes, bound
+        assert {n: p for n, p in enumerate(got.parent) if p >= 0} == parents, bound
+        for cid, d in got.clause_distance.items():
+            if d < INF:
+                ref = reference_witness(graph, support, nodes, parents, cid)
+                assert str(got.witness(cid)) == str(ref), (bound, cid)
+
+
+def _occurrence(graph, cid, text):
+    """The occurrence of the literal written ``text`` in clause cid."""
+    literal = graph.clause_set.literal
+    return next(i for i in graph.occs_by_clause[cid] if str(literal(graph.lit_of[i])) == text)
+
+
+def test_second_entry_at_the_bound_switches_nothing():
+    # c2 is entered through ~p at depth 1 and through ~q at depth 2, from
+    # the q that c3's first switch sets; only that second switch reaches
+    # c2's own ~p out-node, so a search bounded at 3 leaves it unreached
+    cs = ground_set("p", "~p ~q r", "~p q", "~r")
+    graph = build_graph(cs)
+    out = 2 * _occurrence(graph, 2, "~p") + 1
+    second = 2 * _occurrence(graph, 2, "~q")
+    assert bfs_from_support(graph, [1], bound=3).node_distance.get(second) == 2
+    assert out not in bfs_from_support(graph, [1], bound=3).node_distance
+    deeper = bfs_from_support(graph, [1], bound=4)
+    assert (deeper.node_distance[out], deeper.parent[out]) == (2, second)
+    for support in cs.ids():
+        _assert_search_matches_reference(cs, [support])
+
+
+def test_first_order_entry_reached_by_two_literals_takes_the_earlier_expansion():
+    # p(a) and p(b) both unify with ~p(X) and are expanded at depth 1; c3
+    # is switched first, as c1's q1 is expanded before its q2, so p(b) of
+    # c3 enters c4 though c2 comes first in clause order
+    cs = parse_tptp(
+        "cnf(c1, negated_conjecture, (q1 | q2)).\n"
+        "cnf(c2, axiom, (~q2 | p(a))).\n"
+        "cnf(c3, axiom, (~q1 | p(b))).\n"
+        "cnf(c4, axiom, (~p(X) | r)).\n"
+        "cnf(c5, axiom, (~r)).\n")
+    graph = build_graph(cs)
+    dmap = bfs_from_support(graph, [1])
+    entry = 2 * _occurrence(graph, 4, "~p(X)")
+    assert dmap.node_distance[entry] == 2
+    assert dmap.parent[entry] == 2 * _occurrence(graph, 3, "p(b)") + 1
+    assert dmap.witness(5).clause_ids == (1, 3, 4, 5)
+    for support in cs.ids():
+        _assert_search_matches_reference(cs, [support])
+
+
+def test_clause_holding_a_literal_and_its_complement():
+    # c2 holds p and ~p: it is entered through ~p from c1 and through p
+    # from c4's ~p, and each switch may leave through the other one
+    cs = ground_set("p", "~p p q", "~q", "~p r", "~r s", "~s")
+    for support in cs.ids():
+        _assert_search_matches_reference(cs, [support])
+    for support in ([1, 3], [3, 6]):
+        _assert_search_matches_reference(cs, support)
+
+
+def test_survivors_search_beside_a_purged_shortcut():
+    # c2 would take c5 at distance 3, but its z has no partner: among the
+    # survivors c5 is reached the long way, through c3 and c4
+    cs = ground_set("p", "~p q z", "~p r", "~r q", "~q")
+    graph = build_graph(cs)
+    survivors = purity_filter(graph)
+    assert survivors.ids() == [1, 3, 4, 5]
+    assert bfs_from_support(graph, [1]).distance(5) == 3
+    dmap = bfs_from_support(graph, [1], survivors=survivors)
+    assert dmap.distance(5) == 4
+    assert dmap.witness(5).clause_ids == (1, 3, 4, 5)
+    for support in survivors.ids():
+        _assert_search_matches_reference(cs, [support], survivors)
