@@ -10,6 +10,7 @@ import itertools
 from collections.abc import Callable, Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
+from operator import neg
 
 
 class ArityError(ValueError):
@@ -451,32 +452,31 @@ class ClauseSet:
     numbered by one rule.  Each literal has a place in canonical order (the
     atom of canonical rank r is place r, its negation place top + r, so
     sorted places are canonical order), and atom r is the atom of the r-th
-    smallest place in use, so atom numbers follow the canonical order.  On
-    first read of ``rows`` the set's birth gives, per clause, its literals
-    as signed atom numbers in canonical order, each atom's place, a
-    ``source`` from a signed place (p, or -p for the negation) to its
-    ``Literal``, and the atoms as positive literals when it holds them.
+    smallest place in use, so atom numbers follow the canonical order.  A
+    set's birth gives, per clause, its literals as signed atom numbers in
+    canonical order, each atom's place, a ``source`` from a signed place
+    (p, or -p for the negation) to its ``Literal``, and the atoms as
+    positive literals when it holds them, and ``_hold`` keeps them.
     ``literal`` reads the source at the place of its atom, and the atoms
     handed over are its positive literals, read by ``atoms`` as they are;
-    without them ``atoms`` reads ``literal``.  The births are:
+    without them ``atoms`` reads ``literal``.  Every birth is in this
+    module, and a reader hands over clause integers or rows only:
 
-    - DIMACS (and ``random_3sat``): the places are the variables; the set
-      is numbered when it is made, through a table of the used variables
-      when some are unused, and its birth hands that over (``_held``);
-    - ``subset``: the places are the parent's atom numbers, with its
-      ``literal`` as source, numbered by ``_numbered``;
-    - literal groups (both TPTP readers, clause objects, so
-      ``from_clauses``, ``from_groups`` and ``splice``): each literal's
-      place is its atom's rank among the distinct atoms sorted by atom key,
-      the predicate's ``_symbol_key`` then the argument texts.  Every place
-      from 1 to the number of atoms is in use, so ``_atom_places`` hands
-      over its rows already numbered (atom r is place r), and the readers,
-      whose atoms are positive literals, hand over their atoms ranked.
+    - DIMACS integers (``_dimacs_set``): the places are the variables,
+      closed up through a table of the used ones when some are unused;
+    - rows into a reader's positive atoms (``_atom_set``) and clause
+      objects (``from_clauses``, ``from_groups``, ``splice``): each atom's
+      place is its rank among the distinct atoms sorted by atom key, the
+      predicate's ``_symbol_key`` then the argument texts, so every place
+      from 1 to the number of atoms is in use (``_atom_places``);
+    - ``subset``: the places are the parent's atom numbers its rows use,
+      with its ``literal`` as source.
 
-    A set made from clause objects keeps them; the other births build
-    ``Clause`` objects on read: ``by_id`` the one asked for, ``clauses``
-    all of them.  Equality and repr are those of the clause objects and
-    symbol tables.
+    DIMACS and reader sets are numbered when they are made, the others on
+    first read of ``rows``.  A set made from clause objects keeps them; the
+    other births build ``Clause`` objects on read: ``by_id`` the one asked
+    for, ``clauses`` all of them.  Equality and repr are those of the
+    clause objects and symbol tables.
     """
 
     __hash__ = None  # mutable tables, compared by value
@@ -507,12 +507,13 @@ class ClauseSet:
         self._ground: list[bool] | None = None  # read by ``ground``
 
     @classmethod
-    def _born(cls, ids: list[int], tables: tuple, birth,
+    def _born(cls, ids: list[int], tables: tuple, birth=None,
               clauses: list[Clause] | None = None) -> "ClauseSet":
         """A set given by clause ids by position, the symbol tables (roles,
         names, predicates, functions) and its birth, a callable that gives
-        its rows, places, source and atoms (see ``ClauseSet``).  ``clauses`` are
-        the clause objects, when they exist already."""
+        its rows, places, source and atoms (see ``ClauseSet``), or None for
+        a set numbered as it is made (``_hold``).  ``clauses`` are the
+        clause objects, when they exist already."""
         cs = cls(clauses, *tables)
         cs._clauses, cs._ids, cs._birth = clauses, ids, birth
         return cs
@@ -697,7 +698,7 @@ class ClauseSet:
                   dict(self.predicates), dict(self.functions))
         clauses = None if self._clauses is None else [self._clauses[p] for p in where]
         return ClauseSet._born([ids[p] for p in where], tables,
-                               partial(_subset_places, self, where), clauses)
+                               partial(_subset_rows, self, where), clauses)
 
     def splice(self, replacements: dict[int, list[tuple[Literal, ...]]]) -> "ClauseSet":
         """Swap each clause named in ``replacements``, at its position, for new
@@ -736,11 +737,16 @@ class ClauseSet:
         order, negated for a negative literal, as the birth numbered them.
         Computed at most once per set."""
         if self._rows is None:
-            birth, self._birth = self._birth, None
-            self._rows, self._place, self._source, self._atoms = birth()
-            if self._atoms is not None:  # the positive literals ``literal`` would read
-                self._literals.update(zip(range(1, len(self._atoms) + 1), self._atoms))
+            self._hold(*self._birth())
         return self._rows
+
+    def _hold(self, rows, place, source, atoms) -> None:
+        """Keeps the numbering a birth gives (see ``ClauseSet``), on first
+        read of ``rows`` or when the set is made."""
+        self._birth = None
+        self._rows, self._place, self._source, self._atoms = rows, place, source, atoms
+        if atoms is not None:  # the positive literals ``literal`` would read
+            self._literals.update(zip(range(1, len(atoms) + 1), atoms))
 
     @property
     def atom_count(self) -> int:
@@ -792,37 +798,75 @@ class ClauseSet:
 
 
 # ---------------------------------------------------------------------------
-# Integer encoding
+# Births: every way a set gets its numbering (see ``ClauseSet``)
 
 
-# what a birth hands over: rows, places, source and atoms (see ``ClauseSet``)
+# what a birth gives: rows, places, source and atoms (see ``ClauseSet``)
 _Birth = tuple[list[tuple[int, ...]], Sequence[int], Callable[[int], Literal], list[Literal] | None]
 
 
-def _numbered(places, top: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Rows of signed atom numbers, and each atom's place, from rows of
-    places in canonical order in which a place from 1 to top may be unused:
-    atom r is the r-th smallest place in use, so an unused place only
-    closes up."""
-    used = sorted({p if p <= top else p - top for p in set(itertools.chain.from_iterable(places))})
-    number = [0] * (2 * top + 1)  # by place
-    for r, p in enumerate(used, 1):
-        number[p], number[top + p] = r, -r
-    return [tuple(map(number.__getitem__, row)) for row in places], used
+def _dimacs_set(ints: list[int]) -> ClauseSet:
+    """The set born from clause integers, each clause ended by a 0 (see
+    ``ClauseSet``), numbered as it is made.  A variable is its atom's
+    place, since digit names sort numerically, so atom r is the r-th
+    smallest variable used: each variable is its own atom number when all
+    from 1 to the largest are used, and is renumbered through a table of
+    the used ones otherwise.  Each row is its clause's distinct numbers in
+    place order, and the predicate table registers the variables in order
+    of first occurrence.  No ``Clause`` or ``Literal`` is built until one
+    is read, and then one ``Literal`` per signed number."""
+    used = sorted({*map(abs, {*ints})} - {0})
+    n = len(used)
+    if n and used[-1] != n:  # unused variables close up
+        number = dict(zip(used, range(1, n + 1)))
+        number.update(zip(map(neg, used), range(-1, -n - 1, -1)))
+        number[0] = 0
+        ints = list(map(number.__getitem__, ints))
+    place = [*range(n + 1), *range(2 * n, n, -1)].__getitem__  # by signed atom number
+    rows = []
+    begin = 0
+    for _ in range(ints.count(0)):
+        end = ints.index(0, begin)
+        rows.append(tuple(sorted({*ints[begin:end]}, key=place)))
+        begin = end + 1
+    names = [*map(str, used)]
+    name = [None, *names, *reversed(names)].__getitem__  # by signed atom number
+    predicates = dict.fromkeys(map(name, dict.fromkeys(itertools.chain.from_iterable(rows))), 0)
+    cs = ClauseSet._born(list(range(1, len(rows) + 1)), ({}, {}, predicates, {}))
+    cs._hold(rows, used, _dimacs_literal, None)
+    return cs
 
 
-def _held(birth: _Birth) -> _Birth:
-    """The birth of a set numbered when it was made: what that gave."""
-    return birth
+def _dimacs_literal(v: int) -> Literal:
+    return Literal(v > 0, str(abs(v)))
 
 
-def _subset_places(parent: ClauseSet, where: list[int]) -> _Birth:
-    """The birth of the subset of ``parent`` at positions ``where``: atom r
-    of the parent is place r, its negation place n + r."""
+def _atom_set(rows, atoms: list[Literal], roles: dict[int, str],
+              names: dict[int, str]) -> ClauseSet:
+    """The set of a reader's rows of signed numbers into its interned
+    positive ``atoms`` (atom a is item a-1), with ids from 1: ranked by
+    ``_atom_places`` as it is made, then its symbols checked in
+    (``_check_atoms``, which raises ArityError)."""
+    cs = ClauseSet._born(list(range(1, len(rows) + 1)), (roles, names, {}, {}))
+    cs._hold(*_atom_places(rows, atoms))
+    cs._check_atoms()
+    return cs
+
+
+def _subset_rows(parent: ClauseSet, where: list[int]) -> _Birth:
+    """The birth of the subset of ``parent`` at positions ``where``: its
+    places are the parent atoms its rows use, so atom r is the r-th
+    smallest of them.  A table by the parent's signed atom number
+    renumbers each row; it keeps their order, so the rows stay canonical."""
     n, rows = parent.atom_count, parent.rows
-    place = [*range(n + 1), *range(2 * n, n, -1)]  # by signed atom number
-    return (*_numbered([tuple(map(place.__getitem__, rows[p])) for p in where], n),
-            parent.literal, None)
+    rows = [rows[p] for p in where]
+    used = sorted({*map(abs, {*itertools.chain.from_iterable(rows)})})
+    if len(used) < n:  # unused atoms close up
+        number = [0] * (2 * n + 1)  # by signed atom number
+        for r, a in enumerate(used, 1):
+            number[a], number[-a] = r, -r
+        rows = [tuple(map(number.__getitem__, row)) for row in rows]
+    return rows, used, parent.literal, None
 
 
 def _literal_places(clauses: list[Clause]) -> _Birth:

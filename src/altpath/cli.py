@@ -47,13 +47,7 @@ from altpath.graph import (
     check_alternating_path,
     purity_filter,
 )
-from altpath.parsing import (
-    parse_auto,
-    parse_dimacs,
-    parse_tptp,
-    print_format,
-    print_tptp,
-)
+from altpath.parsing import parse_auto, print_format, print_tptp
 from altpath.splitting import (
     binary_split_plan,
     choose_split_variable,
@@ -86,14 +80,11 @@ _COUNTING_NOTE = (
 
 
 def _load(cfg: argparse.Namespace) -> tuple[ClauseSet, str]:
+    """The input set and its detected format; TPTP includes resolve against
+    $TPTP, or the current directory when it is unset."""
     with open(cfg.input, "rb") as fh:
         data = fh.read()
-    base = cfg.include_base or os.environ.get("TPTP")
-    if cfg.fmt == "auto":
-        return parse_auto(data, path=cfg.input, include_base=base)
-    if cfg.fmt == "dimacs":
-        return parse_dimacs(data, source=cfg.input), "dimacs"
-    return parse_tptp(data, source=cfg.input, include_base=base), "tptp"
+    return parse_auto(data, path=cfg.input, include_base=os.environ.get("TPTP"))
 
 
 def resolve_support(cs: ClauseSet, spec: str | None, fmt: str) -> list[int]:
@@ -358,6 +349,8 @@ def _finish_deepen(cfg: argparse.Namespace, label: str | None, verdict: str,
                 + f" undecided; the support radius is at most {label}"
             )
         lines.append("c " + _COUNTING_NOTE)
+    elif pending:  # the levels an unknown verdict leaves
+        lines.append("c levels " + ", ".join(pending) + " undecided")
     lines.append(_VERDICT_LINE[verdict])
     if cfg.json_out:
         _json_dump(
@@ -385,31 +378,23 @@ def cmd_deepen(cfg: argparse.Namespace) -> int:
     support = _single_support(cs, cfg, fmt)
     stages = _deepen_stages(cs, support)
     lines: list[str] = []
-    if not ground:
-        undecided: list[str] = []
-        for label, sub in stages:
-            verdict, detail = _prover_verdict(cfg.prover, sub, cfg.prover_timeout)
-            lines.append(f"c level {label}: {verdict} ({detail})")
-            if verdict == "unsat":
-                return _finish_deepen(cfg, label, "unsat", undecided, lines)
-            if verdict == "unknown":
-                undecided.append(label)
-        if undecided:
-            return _finish_deepen(cfg, None, "unknown", undecided, lines)
-        return _finish_deepen(cfg, stages[-1][0], "sat", [], lines)
-
     resolved: dict[str, str] = {}
-    for rnd in range(1, cfg.max_rounds + 1):
+    # a prover decides each level once; the solver's budget doubles per round
+    for rnd in range(1, cfg.max_rounds + 1 if ground else 2):
         budget = cfg.slice_calls * 2 ** (rnd - 1)
         for idx, (label, sub) in enumerate(stages):
             if label in resolved:
                 continue
-            run_cfg = SolverConfig(unit_policy=cfg.unit_policy, max_calls=budget)
-            verdict = dpll(sub, run_cfg).verdict
+            if ground:
+                run_cfg = SolverConfig(unit_policy=cfg.unit_policy, max_calls=budget)
+                verdict, detail = dpll(sub, run_cfg).verdict, f"round {rnd}, budget {budget}"
+            else:
+                verdict, detail = _prover_verdict(cfg.prover, sub, cfg.prover_timeout)
+            if verdict != "unknown" or not ground:  # every prover answer is shown
+                lines.append(f"c level {label}: {verdict} ({detail})")
             if verdict == "unknown":
                 continue
             resolved[label] = verdict
-            lines.append(f"c level {label}: {verdict} (round {rnd}, budget {budget})")
             if verdict == "unsat":
                 pending = [l for l, _ in stages[:idx] if l not in resolved]
                 return _finish_deepen(cfg, label, "unsat", pending, lines)
@@ -681,9 +666,8 @@ def _add_common(p: argparse.ArgumentParser, support: bool = True,
                 hub: bool = True) -> None:
     """The input options, plus --support and --hub for the commands that
     read them."""
-    p.add_argument("input", help="input file (DIMACS or TPTP CNF)")
-    p.add_argument("--format", dest="fmt", choices=("auto", "dimacs", "tptp"),
-                   default="auto", help="input format (default: detect)")
+    p.add_argument("input", help="input file (DIMACS or TPTP CNF, detected; "
+                                 "TPTP includes resolve against $TPTP)")
     if support:
         p.add_argument("--support", dest="supports", action="append", default=[],
                        metavar="SPEC",
@@ -692,8 +676,6 @@ def _add_common(p: argparse.ArgumentParser, support: bool = True,
         p.add_argument("--hub", action="store_true",
                        help="count edges with shared hub nodes (variable-free input "
                             "only); distances and witnesses do not change")
-    p.add_argument("--include-base", dest="include_base",
-                   help="directory for TPTP includes (default: $TPTP)")
     p.add_argument("--json", dest="json_out", action="store_true",
                    help="machine-readable summary on stdout")
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import random
 
-from altpath.clauses import App, ClauseSet, Literal, Term, Var
-from altpath.parsing import _dimacs_set
+from altpath.clauses import App, ClauseSet, Literal, Term, Var, _dimacs_set
 
 
 def random_3sat(rng: random.Random, n_vars: int, n_clauses: int, width: int = 3) -> ClauseSet:

@@ -10,9 +10,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
-from operator import neg
 
 from altpath.clauses import (
     App,
@@ -21,8 +18,8 @@ from altpath.clauses import (
     Literal,
     Term,
     Var,
-    _atom_places,
-    _held,
+    _atom_set,
+    _dimacs_set,
 )
 
 
@@ -60,48 +57,13 @@ def parse_dimacs(data: str | bytes, source: str | None = None) -> ClauseSet:
 
     Well-formed input is read in one pass over its integers; anything else
     is read again line by line, which locates the error.  Either way the
-    set is born from the integers (``_dimacs_set``).
+    set is born from the integers (``clauses._dimacs_set``).
     """
     text = _decode(data)
     ints = _dimacs_fast(text)
     if ints is None:
         ints = _dimacs_lines(text, source)
     return _dimacs_set(ints)
-
-
-def _dimacs_set(ints: list[int]) -> ClauseSet:
-    """The set born from clause integers, each clause ended by a 0 (see
-    ``ClauseSet``), numbered as it is made.  A variable is its atom's
-    place, since digit names sort numerically, so atom r is the r-th
-    smallest variable used: each variable is its own atom number when all
-    from 1 to the largest are used, and is renumbered through a table of
-    the used ones otherwise.  Each row is its clause's distinct numbers in
-    place order, and the predicate table registers the variables in order
-    of first occurrence.  No ``Clause`` or ``Literal`` is built until one
-    is read, and then one ``Literal`` per signed number."""
-    used = sorted({*map(abs, {*ints})} - {0})
-    n = len(used)
-    if n and used[-1] != n:  # unused variables close up
-        number = dict(zip(used, range(1, n + 1)))
-        number.update(zip(map(neg, used), range(-1, -n - 1, -1)))
-        number[0] = 0
-        ints = list(map(number.__getitem__, ints))
-    place = [*range(n + 1), *range(2 * n, n, -1)].__getitem__  # by signed atom number
-    rows = []
-    begin = 0
-    for _ in range(ints.count(0)):
-        end = ints.index(0, begin)
-        rows.append(tuple(sorted({*ints[begin:end]}, key=place)))
-        begin = end + 1
-    names = [*map(str, used)]
-    name = [None, *names, *reversed(names)].__getitem__  # by signed atom number
-    predicates = dict.fromkeys(map(name, dict.fromkeys(chain.from_iterable(rows))), 0)
-    return ClauseSet._born(list(range(1, len(rows) + 1)), ({}, {}, predicates, {}),
-                           partial(_held, (rows, used, _dimacs_literal, None)))
-
-
-def _dimacs_literal(v: int) -> Literal:
-    return Literal(v > 0, str(abs(v)))
 
 
 def _dimacs_fast(text: str) -> list[int] | None:
@@ -576,11 +538,11 @@ def parse_tptp(
     fast statement reader; anything else is read again by the tokenizing
     parser, which locates the error.  Both intern each distinct term and
     atom once (``_Atoms``) and give each clause as its literals' signed
-    atom numbers, from which the set is born (see ``ClauseSet``): the atoms
-    are ranked once by atom key, each clause numbered by its atoms' ranks,
-    and the reader's atoms handed over, so no literal is read back.  No
-    ``Clause`` is built until one is read.  Arity consistency is enforced
-    across the whole set, over the distinct atoms.
+    atom numbers, from which ``clauses._atom_set`` makes the set (see
+    ``ClauseSet``): the atoms are ranked once by atom key, each clause
+    numbered by its atoms' ranks, and the reader's atoms handed over, so no
+    literal is read back.  No ``Clause`` is built until one is read.  Arity
+    consistency is enforced across the whole set, over the distinct atoms.
     """
     text = _decode(data)
     try:
@@ -589,16 +551,12 @@ def parse_tptp(
     except _NotFast:
         table = _Atoms()
         triples = _TptpParser(text, source, include_base, table).parse()
-    ids = list(range(1, len(triples) + 1))
-    names = {cid: name for cid, (name, _, _) in zip(ids, triples)}
-    roles = {cid: role for cid, (_, role, _) in zip(ids, triples)}
-    rows = [lits for _, _, lits in triples]
-    cs = ClauseSet._born(ids, (roles, names, {}, {}), partial(_atom_places, rows, table.atoms))
+    names = {cid: name for cid, (name, _, _) in enumerate(triples, 1)}
+    roles = {cid: role for cid, (_, role, _) in enumerate(triples, 1)}
     try:
-        cs._check_atoms()
+        return _atom_set([lits for _, _, lits in triples], table.atoms, roles, names)
     except ArityError as exc:
         raise ParseError(str(exc), None, source) from exc
-    return cs
 
 
 def print_tptp(cs: ClauseSet) -> str:

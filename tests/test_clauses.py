@@ -17,6 +17,7 @@ from altpath.clauses import (
     ClauseSet,
     Literal,
     Var,
+    _dimacs_set,
     apply_literal,
     apply_term,
     complementary_unifiable,
@@ -534,7 +535,7 @@ def test_dimacs_reader_matches_the_reference_on_any_layout(seed):
     atoms = reference_atoms(objects)
     predicates, _ = reference_symbol_tables(objects.clauses)
     assert parsing._dimacs_fast(text) is not None
-    for read in (parse_dimacs, lambda t: parsing._dimacs_set(parsing._dimacs_lines(t, None))):
+    for read in (parse_dimacs, lambda t: _dimacs_set(parsing._dimacs_lines(t, None))):
         cs = read(text)
         assert (cs.atoms(), cs.rows, list(cs.predicates.items())) == (
             atoms, reference_rows(objects, atoms), list(predicates.items()))

@@ -436,6 +436,15 @@ def test_solve_count_calls_k_counts_every_reachable_atom(tmp_path, capsys):
     )
 
 
+def test_solve_prints_a_tptp_model_sorted_by_text(tmp_path, capsys):
+    path = tmp_path / "m.p"
+    path.write_text("cnf(a, axiom, (s | ~r)).\n"
+                    "cnf(b, negated_conjecture, (~r | ~q)).\n"
+                    "cnf(c, axiom, (q | p)).\n")
+    assert main(["solve", str(path)]) == EXIT_SAT
+    assert capsys.readouterr().out.splitlines()[1:] == ["s SATISFIABLE", "v q ~r"]
+
+
 def test_solve_rejects_first_order_input(fo, capsys):
     assert main(["solve", fo]) == 2
     assert "variable-free" in capsys.readouterr().err
@@ -476,6 +485,20 @@ def test_deepen_succeeds_at_the_radius(tree, capsys):
 def test_deepen_exhausts_levels_on_sat_input(sat_cnf, capsys):
     assert main(["deepen", sat_cnf, "--support", "ids:2"]) == EXIT_SAT
     assert "s SATISFIABLE" in capsys.readouterr().out
+
+
+def test_deepen_unknown_lists_the_undecided_levels(tmp_path, capsys):
+    # one round of one call decides no level: the text names them as the
+    # JSON does
+    path = str(tmp_path / "g.cnf")
+    assert main(["gen", "3sat", "--vars", "60", "--clauses", "300", "--seed", "3",
+                 "-o", path]) == 0
+    argv = ["deepen", path, "--support", "ids:1", "--slice", "1", "--max-rounds", "1"]
+    assert main(argv) == EXIT_UNKNOWN
+    assert capsys.readouterr().out == "c levels 1, 2, 3, 4 undecided\ns UNKNOWN\n"
+    assert main(argv + ["--json"]) == EXIT_UNKNOWN
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "unknown", "level": None, "undecided": ["1", "2", "3", "4"], "note": None}
 
 
 def _stub(tmp_path, body: str) -> str:
@@ -562,6 +585,16 @@ def test_distance_names_an_unknown_id_in_either_place(tree, capsys, pair):
     assert main(["distance", tree, "--pair", "1", "2", "--pair", *pair]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: no clause with id 99\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["path", "--to", "99"], "no clause with id 99"),
+    (["path"], "path needs --to CLAUSE_ID"),
+    (["distance"], "distance needs at least one --pair FROM TO"),
+], ids=" ".join)
+def test_a_missing_or_unknown_target_exits_2(tree, capsys, argv, message):
+    assert main([argv[0], tree, *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_path_prints_a_validating_witness(tree, capsys):
@@ -677,6 +710,10 @@ def test_growth_budget_exact_while_it_prints():
     exact = 6 * 6**4999 * 2**4998
     assert 10 ** int(exponent) <= exact < 10 ** (int(exponent) + 1)
     assert abs(exact // 10 ** (int(exponent) - 3) - round(float(mantissa) * 1000)) <= 1
+
+
+def test_sized_carries_a_mantissa_that_rounds_to_ten():
+    assert altpath.cli._sized(5000.99999, lambda: 1 / 0) == "1.000e+5001"
 
 
 @pytest.fixture(scope="module")
@@ -867,6 +904,10 @@ def test_single_support_commands_reject_a_second_spec(tree, capsys, argv):
     ["split", "--support", "ids:1"],
     ["radius", "--unit-policy", "all"],
     ["filter", "--intersect"],
+    # the format is detected, and includes resolve against $TPTP
+    *([command, *option]
+      for command in ("filter", "solve", "deepen", "distance", "path", "radius", "stats", "split")
+      for option in (["--format", "tptp"], ["--include-base", "."])),
 ], ids=lambda argv: f"{argv[0]}{argv[1]}")
 def test_options_a_command_does_not_read_are_refused(tree, capsys, argv):
     command, *rest = argv
@@ -882,9 +923,9 @@ def test_settable_options_per_command():
                     if isinstance(a, argparse._SubParsersAction)).choices
     counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
               for name, p in commands.items()}
-    assert counts == {"filter": 10, "solve": 10, "deepen": 10, "distance": 5, "path": 7,
-                      "radius": 5, "stats": 7, "split": 9, "gen": 11}
-    assert sum(counts.values()) == 74
+    assert counts == {"filter": 8, "solve": 8, "deepen": 8, "distance": 3, "path": 5,
+                      "radius": 3, "stats": 5, "split": 7, "gen": 11}
+    assert sum(counts.values()) == 58
 
 
 @pytest.mark.parametrize("argv", [
@@ -935,6 +976,43 @@ def test_zero_generator_counts_still_generate(capsys):
     assert main(["gen", "horn-tree", "--depth", "0"]) == 0
     assert capsys.readouterr().out == (
         "cnf(c1, negated_conjecture, (~g0)).\ncnf(c2, axiom, (g0)).\n")
+
+
+def test_tptp_includes_resolve_against_the_tptp_variable(tmp_path, capsys, monkeypatch):
+    axioms, goal = TREE.split("\n", 1)[1], TREE.split("\n", 1)[0] + "\n"
+    (tmp_path / "ax.p").write_text(axioms)
+    flat = tmp_path / "flat.p"
+    flat.write_text(axioms + goal)
+    wrapped = tmp_path / "sub" / "wrapped.p"
+    wrapped.parent.mkdir()
+    wrapped.write_text("include('ax.p').\n" + goal)
+    assert main(["filter", str(flat), "-n", "3"]) == 0
+    want = capsys.readouterr()
+    monkeypatch.setenv("TPTP", str(tmp_path))
+    assert main(["filter", str(wrapped), "-n", "3"]) == 0
+    assert capsys.readouterr() == want
+    monkeypatch.delenv("TPTP")
+    monkeypatch.chdir(wrapped.parent)
+    assert main(["filter", str(wrapped), "-n", "3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {wrapped}:line 1: cannot resolve include "
+                                       "'ax.p' (looked at ax.p)\n")
+
+
+@pytest.mark.parametrize("argv, suffix", [
+    (["3sat", "--vars", "30", "--clauses", "120"], ".cnf"),
+    (["bounded", "--first-order"], ".p"),
+], ids=["dimacs", "tptp"])
+def test_a_file_without_an_extension_is_read_by_its_content(tmp_path, capsys, argv, suffix):
+    plain = tmp_path / "plain"
+    assert main(["gen", *argv, "--seed", "2", "-o", str(plain)]) == 0
+    named = tmp_path / f"named{suffix}"
+    named.write_text(plain.read_text())
+    outputs = []
+    for path in (plain, named):
+        assert main(["filter", str(path), "-n", "2", "--support", "ids:1"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert "relevant at 2:" in outputs[0].err
 
 
 def test_tptp_with_space_before_the_parenthesis_is_read_as_tptp(tmp_path, capsys):
