@@ -31,8 +31,6 @@ from altpath.clauses import ClauseSet, Literal
 from altpath.dpll import (
     _RADIUS,
     _SOLVING,
-    SolverConfig,
-    UNIT_POLICIES,
     dpll,
     dpll_rel,
     support_radius,
@@ -246,16 +244,15 @@ def _model_lines(cs: ClauseSet, model: dict[Literal, bool], fmt: str) -> list[st
 
 def cmd_solve(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
-    solver_cfg = SolverConfig(unit_policy=cfg.unit_policy, max_calls=cfg.max_calls)
     if cfg.no_relevance:
-        result = dpll(cs, solver_cfg)
+        result = dpll(cs, cfg.max_calls)
     else:
         # variables are refused before the support spec is read: on
         # first-order input the default spec may select nothing
         cs.require_ground(_SOLVING)
         support = _single_support(cs, cfg, fmt)
         result = dpll_rel(
-            cs, support, solver_cfg, mode="trusted" if cfg.trusted else "fallback"
+            cs, support, cfg.max_calls, mode="trusted" if cfg.trusted else "fallback"
         )
     stats = result.stats
     lines = [
@@ -332,7 +329,7 @@ def _deepen_stages(cs: ClauseSet, support: list[int]):
     """Level slices in ascending order, ending with the full set if the
     reachable part does not already cover it."""
     dmap = bfs_from_support(build_graph(cs), support)
-    levels = sorted({int(d) for d in dmap.clause_distance.values() if d < INF})
+    levels = sorted({int(d) for d in dmap.distances if d < INF})
     stages = [(str(n), cs.subset(dmap.relevant_ids(n))) for n in levels]
     if not stages or len(stages[-1][1]) < len(cs):
         stages.append(("full", cs))
@@ -386,8 +383,7 @@ def cmd_deepen(cfg: argparse.Namespace) -> int:
             if label in resolved:
                 continue
             if ground:
-                run_cfg = SolverConfig(unit_policy=cfg.unit_policy, max_calls=budget)
-                verdict, detail = dpll(sub, run_cfg).verdict, f"round {rnd}, budget {budget}"
+                verdict, detail = dpll(sub, budget).verdict, f"round {rnd}, budget {budget}"
             else:
                 verdict, detail = _prover_verdict(cfg.prover, sub, cfg.prover_timeout)
             if verdict != "unknown" or not ground:  # every prover answer is shown
@@ -703,8 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accept stepping-free leftovers as satisfied")
     p.add_argument("--no-relevance", dest="no_relevance", action="store_true",
                    help="plain DPLL without a support set")
-    p.add_argument("--unit-policy", dest="unit_policy", choices=UNIT_POLICIES,
-                   default="relevant_only")
     p.add_argument("--max-calls", dest="max_calls", type=_positive,
                    help="cap on search nodes, fallback nodes included; past it "
                         "the verdict is unknown (exit 0)")
@@ -715,8 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deepen", help="grow neighborhood levels until one refutes")
     _add_common(p, hub=False)
-    p.add_argument("--unit-policy", dest="unit_policy", choices=UNIT_POLICIES,
-                   default="relevant_only")
     p.add_argument("--slice", dest="slice_calls", type=_positive, default=256,
                    help="call budget of the first round (doubles per round)")
     p.add_argument("--max-rounds", dest="max_rounds", type=_positive, default=16)

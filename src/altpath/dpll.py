@@ -30,9 +30,9 @@ Restricting the splits this way bounds the work.  On an unsatisfiable input
 whose non-support part is satisfiable, the number of search nodes stays
 below 2**k, where k counts the distinct atoms of the smallest unsatisfiable
 relevance neighborhood of the support set, however many atoms the whole set
-has.  The bound needs unit propagation over stepping atoms (the default
-policy): once a single stepping atom remains, the neighborhood clauses have
-shrunk to units over it, and propagation closes the branch without a split.
+has.  The bound needs unit propagation over stepping atoms: once a single
+stepping atom remains, the neighborhood clauses have shrunk to units over
+it, and propagation closes the branch without a split.
 The ``k`` that ``dpll_rel`` reports, and ``solve --count-calls`` prints,
 counts the atoms of every support-reachable clause instead: never fewer, so
 its 2**k is a looser but still valid bound.
@@ -63,38 +63,12 @@ from altpath.graph import (
     build_graph,
 )
 
-UNIT_POLICIES = ("off", "relevant_only", "all")
 MODES = ("fallback", "trusted")
 
 # the tasks named when a solver or the radius meets variables, the first
 # with the way out of it
 _SOLVING = "satisfiability solving (use deepen with an external prover for first-order input)"
 _RADIUS = "the support radius"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs shared by both solvers.
-
-    unit_policy: "off" disables unit propagation, "all" propagates every
-    unit clause, "relevant_only" propagates only units over atoms of the
-    restricted stepping sequence (plain ``dpll`` has no stepping sequence
-    and treats it like "all").
-    max_calls: abort with verdict "unknown" past this many search nodes,
-    counting ``calls`` and ``fallback_calls`` together.
-
-    Splits pick the most frequent atom of the first live bucket, the
-    smallest index on ties, and try it true first.
-    """
-
-    unit_policy: str = "relevant_only"
-    max_calls: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.unit_policy not in UNIT_POLICIES:
-            raise ValueError(
-                f"unit_policy must be one of {UNIT_POLICIES}, got {self.unit_policy!r}"
-            )
 
 
 @dataclass
@@ -132,10 +106,8 @@ def _relevance(cs: ClauseSet, support_ids, task: str) -> tuple[RelevanceGraph, D
 def _buckets(graph: RelevanceGraph, dmap: DistanceMap) -> dict[int, int]:
     """Atom number -> stepping bucket (the distance of its closest clause,
     minus one) for every atom of a reachable clause."""
-    cs = graph.clause_set
     bucket_of: dict[int, int] = {}
-    for cid, row in zip(cs.ids(), cs.rows):
-        d = dmap.clause_distance[cid]
+    for row, d in zip(graph.clause_set.rows, dmap.distances):
         if d == INF:
             continue
         b = d - 1
@@ -167,11 +139,10 @@ def support_radius(cs: ClauseSet, support_ids) -> float:
     reachable from the support set is satisfiable)."""
     _, dmap = _relevance(cs, support_ids, _RADIUS)
     # levels between two finite distances add no clauses
-    finite = sorted({int(d) for d in dmap.clause_distance.values() if d < INF})
-    cfg = SolverConfig(unit_policy="all")  # the radius is the same under every policy
+    finite = sorted({int(d) for d in dmap.distances if d < INF})
 
     def unsat(i: int) -> bool:
-        return dpll(cs.subset(dmap.relevant_ids(finite[i])), cfg).verdict == "unsat"
+        return dpll(cs.subset(dmap.relevant_ids(finite[i]))).verdict == "unsat"
 
     # the levels are nested, so once one is unsatisfiable every deeper one
     # is: solve the deepest, then bisect for the first unsatisfiable one
@@ -195,23 +166,26 @@ def support_radius(cs: ClauseSet, support_ids) -> float:
 
 
 def _solve(cs: ClauseSet, bucket_of: dict[int, int], trusted: bool,
-           cfg: SolverConfig) -> SolveResult:
+           max_calls: int | None) -> SolveResult:
     """Depth-first splitting search over the rows of ``cs``, less their
     tautologies, that branches on atoms of ``bucket_of`` (atom number ->
     stepping bucket), over one mutable state
     built here and undone literal by literal on backtrack.  Every other
     atom sits in one last bucket.
 
-    Each node propagates units, lowest clause first, then splits on the
-    leading atom: the first bucket with a live atom, its most frequent
-    atom, the smallest index on ties, true first; the false branch is kept
-    on an explicit stack of pending branches.  The last bucket is split on
-    only in the fallback region.  A node whose unsatisfied clauses hold no
-    stepping atom is accepted when ``trusted``; otherwise the search enters
-    that region: the next nodes may split on the last bucket and take every
-    unit, and they count as ``fallback_calls``.  Each pending branch keeps
-    whether it lies in the region, so backtracking out of it leaves it.
-    Nodes of both kinds draw on the one ``max_calls`` budget."""
+    Each node propagates the units over atoms it may split on, lowest
+    clause first, then splits on the leading atom: the first bucket with a
+    live atom, its most frequent atom, the smallest index on ties, true
+    first; the false branch is kept on an explicit stack of pending
+    branches.  Plain ``dpll`` puts every atom in bucket 0, so it takes
+    every unit.  The last bucket is split on only in the fallback region.
+    A node whose unsatisfied clauses hold no stepping atom is accepted
+    when ``trusted``; otherwise the search enters that region: the next
+    nodes may split on the last bucket and take every unit, and they count
+    as ``fallback_calls``.  Each pending branch keeps whether it lies in
+    the region, so backtracking out of it leaves it.  Nodes of both kinds
+    draw on the one ``max_calls`` budget; past it the verdict is
+    "unknown"."""
     clauses = [row for row in cs.rows if len(set(map(abs, row))) == len(row)]
     n, m = cs.atom_count, len(clauses)
     span = n + 1  # an atom a at count k sits in its bucket's heap as a - k * span
@@ -227,10 +201,9 @@ def _solve(cs: ClauseSet, bucket_of: dict[int, int], trusted: bool,
     assigned = [False] * (2 * n + 1)  # indexed by signed literal
     trail: list[int] = []
     unsat_left, empty = m, free.count(0)
-    units_on = cfg.unit_policy != "off"
     # lazy min-heap of clause ids that may be unit; units over atoms a node
     # may not split on are parked until the fallback region takes every unit
-    units = [c for c in range(m) if free[c] == 1] if units_on else []
+    units = [c for c in range(m) if free[c] == 1]
     parked: set[int] = set()
     # per bucket, a lazy heap of its atoms by count and the number of them
     # still occurring; atoms whose count moved wait in touched until a split
@@ -274,7 +247,7 @@ def _solve(cs: ClauseSet, bucket_of: dict[int, int], trusted: bool,
                 free[c] = f
                 if not f:
                     empty += 1
-                elif f == 1 and units_on:
+                elif f == 1:
                     heappush(units, c)
 
     def undo(mark: int) -> None:
@@ -290,8 +263,7 @@ def _solve(cs: ClauseSet, bucket_of: dict[int, int], trusted: bool,
                     free[c] = f
                     if f == 1:
                         empty -= 1
-                        if units_on:
-                            heappush(units, c)
+                        heappush(units, c)
             for c in occ[lit]:
                 if sat[c] == lit:
                     sat[c] = 0
@@ -307,7 +279,7 @@ def _solve(cs: ClauseSet, bucket_of: dict[int, int], trusted: bool,
                             if k == 1:
                                 live[bkt[a]] += 1
                     free[c] = f
-                    if f == 1 and units_on:
+                    if f == 1:
                         heappush(units, c)
             assigned[lit] = assigned[-lit] = False
             cnt[v] = kv
@@ -326,9 +298,8 @@ def _solve(cs: ClauseSet, bucket_of: dict[int, int], trusted: bool,
                 heapify(h)
 
     stats = SolveStats()
-    all_units = cfg.unit_policy == "all"
     fallback = False
-    reach = last  # splits, and units under relevant_only, take buckets below this
+    reach = last  # splits and units take the atoms of buckets below this
     pending: list[tuple[int, int, int, bool]] = []
     prev_size = len(bucket_of) + 1
     while True:
@@ -336,7 +307,7 @@ def _solve(cs: ClauseSet, bucket_of: dict[int, int], trusted: bool,
             stats.fallback_calls += 1
         else:
             stats.calls += 1
-        if cfg.max_calls is not None and stats.calls + stats.fallback_calls > cfg.max_calls:
+        if max_calls is not None and stats.calls + stats.fallback_calls > max_calls:
             return SolveResult("unknown", {}, stats)
         ok = None
         while True:
@@ -354,7 +325,7 @@ def _solve(cs: ClauseSet, bucket_of: dict[int, int], trusted: bool,
                 for unit in clauses[c]:
                     if not assigned[unit]:
                         break
-                if all_units or bkt[abs(unit)] < reach:
+                if bkt[abs(unit)] < reach:
                     break
                 parked.add(c)
                 unit = 0
@@ -400,18 +371,18 @@ def _solve(cs: ClauseSet, bucket_of: dict[int, int], trusted: bool,
         assign(lit)
 
 
-def dpll(cs: ClauseSet, config: SolverConfig | None = None) -> SolveResult:
-    """Plain splitting solver, unrestricted branching."""
+def dpll(cs: ClauseSet, max_calls: int | None = None) -> SolveResult:
+    """Plain splitting solver, unrestricted branching, that takes every
+    unit; past ``max_calls`` search nodes the verdict is "unknown"."""
     cs.require_ground(_SOLVING)
-    return _solve(cs, dict.fromkeys(range(1, cs.atom_count + 1), 0), False,
-                  config or SolverConfig())
+    return _solve(cs, dict.fromkeys(range(1, cs.atom_count + 1), 0), False, max_calls)
 
 
 # ---------------------------------------------------------------------------
 # Relevance-restricted solving
 
 
-def dpll_rel(cs: ClauseSet, support_ids, config: SolverConfig | None = None,
+def dpll_rel(cs: ClauseSet, support_ids, max_calls: int | None = None,
              mode: str = "fallback") -> SolveResult:
     """Splitting solver that branches only on the atoms of the stepping
     sequence of ``support_ids`` (see ``stepping_sequence``), and reports
@@ -421,7 +392,8 @@ def dpll_rel(cs: ClauseSet, support_ids, config: SolverConfig | None = None,
     atom is accepted as satisfiable without inspection; the verdict is then
     only reliable when the input minus the support clauses is satisfiable.
     The default "fallback" mode searches on below such a branch over every
-    atom, and the verdict is unconditional.
+    atom, and the verdict is unconditional.  Past ``max_calls`` search
+    nodes, fallback nodes included, the verdict is "unknown".
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -429,6 +401,6 @@ def dpll_rel(cs: ClauseSet, support_ids, config: SolverConfig | None = None,
     if not support:
         raise ValueError("dpll_rel needs a nonempty support set")
     bucket_of = _buckets(*_relevance(cs, support, _SOLVING))
-    result = _solve(cs, bucket_of, mode == "trusted", config or SolverConfig())
+    result = _solve(cs, bucket_of, mode == "trusted", max_calls)
     result.k = len(bucket_of)
     return result

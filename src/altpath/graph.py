@@ -69,11 +69,10 @@ class RelevanceGraph:
     no clause object read: ``lit_of`` gives each occurrence's signed atom
     number, the rows concatenated, and ``clause_of`` its clause index (its
     position in the set).  ``clause_occs`` gives each clause index's range
-    of occurrences, and ``occs_by_clause`` the same range by clause id.
-    The graph holds no literal objects: witnesses and the partner lookups
-    of a set with variables read them off ``ClauseSet.literal``.  The mode
-    only decides how ``edge_count`` and ``node_count`` count the linking
-    edges; no edge list is ever built.
+    of occurrences.  The graph holds no literal objects: witnesses and the
+    partner lookups of a set with variables read them off
+    ``ClauseSet.literal``.  The mode only decides how ``edge_count`` and
+    ``node_count`` count the linking edges; no edge list is ever built.
 
     ``occs[x]`` lists the occurrences of x in ascending order and
     ``ground[a]``, the set's ``ClauseSet.ground``, says whether atom a is
@@ -114,10 +113,6 @@ class RelevanceGraph:
                             self.open.setdefault(key, []).append(x)
         self._partners: list[list[int] | None] = [None] * len(self.occs)
         self._unifies: dict[tuple[int, int], bool] = {}
-
-    @cached_property
-    def occs_by_clause(self) -> dict[int, range]:
-        return dict(zip(self.clause_set.ids(), self.clause_occs))
 
     def partners_of(self, i: int) -> list[int]:
         """The occurrences whose literal complement-unifies with that of
@@ -272,11 +267,15 @@ _CLOSED = -2
 class DistanceMap:
     """Result of a relevance search from a support set.
 
-    ``clause_distance`` maps every clause id of the searched set, the
-    graph's set or the survivors the search was given, to its distance
-    (INF when unreachable), in clause order.  ``bound`` is set when the map
-    came from a bounded search or from one that stopped at its target, in
-    which case distances beyond the bound are reported as INF.
+    ``distances`` gives each clause of the graph's set, by clause index,
+    its distance (INF when unreachable), and ``searched`` says by clause
+    index whether the search ran over it: every clause, or the survivors
+    the search was given.  ``clause_distance`` maps the id of every
+    searched clause to its distance, in clause order; it is derived from
+    the two on first read, and ``distance`` and ``relevant_ids`` read the
+    list.  ``bound`` is set when the map came from a bounded search or
+    from one that stopped at its target, in which case distances beyond
+    the bound are reported as INF.
 
     The rest are the search's records.  By literal: ``expanded`` lists the
     out-occurrences that expanded their literal, in expansion order, and
@@ -302,12 +301,18 @@ class DistanceMap:
 
     graph: RelevanceGraph
     support: frozenset[int]
-    clause_distance: dict[int, float]
+    distances: list[float]
+    searched: bytearray
     bound: int | None
     expanded: list[int]
     levels: list[int]
     first: list[int]
     second: list[int]
+
+    @cached_property
+    def clause_distance(self) -> dict[int, float]:
+        ids = self.graph.clause_set.ids()
+        return dict(compress(zip(ids, self.distances), self.searched))
 
     @cached_property
     def _rank(self) -> list[int]:
@@ -322,7 +327,7 @@ class DistanceMap:
     def _node_view(self) -> tuple[list[int], list[int]]:
         graph = self.graph
         lit_of, clause_of, clause_occs = graph.lit_of, graph.clause_of, graph.clause_occs
-        ids, searched = graph.clause_set.ids(), self.clause_distance
+        searched = self.searched
         dist = [_UNSET] * (2 * len(lit_of))
         parent = [-1] * len(dist)
         for cid in self.support:
@@ -332,7 +337,7 @@ class DistanceMap:
         for depth, (begin, end) in enumerate(zip(self.levels, ends), 1):
             for k in self.expanded[begin:end]:
                 for j in graph.partners_of(k):
-                    if dist[2 * j] == _UNSET and ids[clause_of[j]] in searched:
+                    if dist[2 * j] == _UNSET and searched[clause_of[j]]:
                         dist[2 * j] = depth
                         parent[2 * j] = 2 * k + 1
         # a search stopped at its target records the entries of its last
@@ -360,17 +365,18 @@ class DistanceMap:
         return {node: d for node, d in enumerate(self.dist) if d != _UNSET}
 
     def distance(self, cid: int) -> float:
-        try:
-            return self.clause_distance[cid]
-        except KeyError:
-            raise KeyError(f"no clause with id {cid}") from None
+        ci = self.graph.clause_set.position(cid)
+        if not self.searched[ci]:
+            raise KeyError(f"no clause with id {cid}")
+        return self.distances[ci]
 
     def relevant_ids(self, n: int) -> list[int]:
         if n < 1:
             raise ValueError("relevance level must be >= 1")
         if self.bound is not None and n > self.bound:
             raise ValueError(f"bounded search stopped at {self.bound}, cannot answer {n}")
-        return [cid for cid, d in self.clause_distance.items() if d <= n]
+        # a clause the search did not run over is at INF
+        return [cid for cid, d in zip(self.graph.clause_set.ids(), self.distances) if d <= n]
 
     def _entry(self, j: int) -> int:
         """The rank of the first expansion whose partner list holds
@@ -413,7 +419,8 @@ class DistanceMap:
         level = int(d) - 2
         low = self.levels[level]
         high = self.levels[level + 1] if level + 1 < len(self.levels) else len(self.expanded)
-        j, r = next((j, r) for j in graph.occs_by_clause[cid] if low < (r := self._entry(j)) <= high)
+        occs = graph.clause_occs[graph.clause_set.position(cid)]
+        j, r = next((j, r) for j in occs if low < (r := self._entry(j)) <= high)
         clause_ids = [cid]
         links: list[tuple[Literal, Literal]] = []
         while True:
@@ -563,8 +570,7 @@ def bfs_from_support(graph: RelevanceGraph, support_ids, bound: int | None = Non
             break
         queue = nxt
         depth += 1
-    return DistanceMap(graph, support, dict(compress(zip(ids, distance), alive)), bound,
-                       expanded, levels, first, second)
+    return DistanceMap(graph, support, distance, alive, bound, expanded, levels, first, second)
 
 
 # ---------------------------------------------------------------------------

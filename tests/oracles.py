@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: exhaustive enumeration and direct
 definitions, no shared data structures with the code under test beyond the
-basic term/literal types, the solver's config and result records, the
-resolution result records, and the graph's occurrence numbering.  The
+basic term/literal types, the solver and resolution result records, and
+the graph's occurrence numbering.  The
 oracle orders atoms, tells tautologies apart and checks models by its own
 definitions, not by the program's sort keys, encoding or result methods.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from altpath.clauses import (
     App,
@@ -25,7 +25,7 @@ from altpath.clauses import (
     Var,
     complementary_unifiable,
 )
-from altpath.dpll import SolveResult, SolverConfig, SolveStats
+from altpath.dpll import SolveResult, SolveStats
 from altpath.graph import FIRST_ORDER, AlternatingPath, RelevanceGraph
 from altpath.resolution import (
     LIMIT,
@@ -621,17 +621,15 @@ def _assign(clauses: list[tuple[int, ...]], lit: int) -> list[tuple[int, ...]]:
 
 
 def _search(clauses: list[tuple[int, ...]], bucket_of: dict[int, int],
-            trusted: bool, cfg: SolverConfig, stats: SolveStats,
+            trusted: bool, max_calls: int | None, stats: SolveStats,
             trail: list[int]) -> str:
     base = len(trail)
-    units_on = cfg.unit_policy != "off"
-    all_units = cfg.unit_policy == "all"
     pending: list[tuple[list[tuple[int, ...]], int, int, int]] = []
     prev_size = len(bucket_of) + 1
     node = clauses
     while True:
         stats.calls += 1
-        if cfg.max_calls is not None and stats.calls + stats.fallback_calls > cfg.max_calls:
+        if max_calls is not None and stats.calls + stats.fallback_calls > max_calls:
             return "unknown"
         ok = None
         while True:
@@ -641,9 +639,8 @@ def _search(clauses: list[tuple[int, ...]], bucket_of: dict[int, int],
             if not node:
                 ok = True
                 break
-            unit = next((cl[0] for cl in node if len(cl) == 1
-                         and (all_units or abs(cl[0]) in bucket_of)), None) \
-                if units_on else None
+            unit = next((cl[0] for cl in node if len(cl) == 1 and abs(cl[0]) in bucket_of),
+                        None)
             if unit is None:
                 break
             trail.append(unit)
@@ -669,12 +666,9 @@ def _search(clauses: list[tuple[int, ...]], bucket_of: dict[int, int],
             else:
                 # a nested plain solve on what is left of the budget
                 sub = SolveStats()
-                left = None if cfg.max_calls is None else \
-                    cfg.max_calls - stats.calls - stats.fallback_calls
-                verdict = _search(node, dict.fromkeys(counts, 0), False,
-                                  replace(cfg, unit_policy="all" if units_on else "off",
-                                          max_calls=left),
-                                  sub, trail)
+                left = None if max_calls is None else \
+                    max_calls - stats.calls - stats.fallback_calls
+                verdict = _search(node, dict.fromkeys(counts, 0), False, left, sub, trail)
                 stats.fallback_calls += sub.calls
                 stats.splits += sub.splits
                 stats.unit_props += sub.unit_props
@@ -692,10 +686,10 @@ def _search(clauses: list[tuple[int, ...]], bucket_of: dict[int, int],
         node = _assign(node, lit)
 
 
-def reference_solve(cs: ClauseSet, config: SolverConfig | None = None,
+def reference_solve(cs: ClauseSet, max_calls: int | None = None,
                     step: tuple[tuple[Literal, ...], ...] | None = None,
                     trusted: bool = False) -> SolveResult:
-    """``dpll(cs, config)`` when ``step`` is None, else the restricted
+    """``dpll(cs, max_calls)`` when ``step`` is None, else the restricted
     search on the stepping buckets ``step`` (atoms the set lacks skipped) in
     trusted or fallback mode, by the copy-based search.  The model lists
     atoms in trail order."""
@@ -708,7 +702,7 @@ def reference_solve(cs: ClauseSet, config: SolverConfig | None = None,
                      for atom in bucket if atom in index}
     stats = SolveStats()
     trail: list[int] = []
-    verdict = _search(clauses, bucket_of, trusted, config or SolverConfig(), stats, trail)
+    verdict = _search(clauses, bucket_of, trusted, max_calls, stats, trail)
     model = {atoms[abs(l) - 1]: l > 0 for l in trail} if verdict == "sat" else {}
     return SolveResult(verdict, model, stats)
 

@@ -21,7 +21,6 @@ import pytest
 
 from altpath.clauses import App, Clause, ClauseSet, Literal, Var
 from altpath.dpll import (
-    SolverConfig,
     dpll,
     dpll_rel,
     support_radius,

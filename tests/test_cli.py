@@ -903,6 +903,9 @@ def test_single_support_commands_reject_a_second_spec(tree, capsys, argv):
     ["distance", "--support", "ids:1"],
     ["split", "--support", "ids:1"],
     ["radius", "--unit-policy", "all"],
+    # the solver has one unit rule
+    ["solve", "--unit-policy", "all"],
+    ["deepen", "--unit-policy", "off"],
     ["filter", "--intersect"],
     # the format is detected, and includes resolve against $TPTP
     *([command, *option]
@@ -923,9 +926,9 @@ def test_settable_options_per_command():
                     if isinstance(a, argparse._SubParsersAction)).choices
     counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
               for name, p in commands.items()}
-    assert counts == {"filter": 8, "solve": 8, "deepen": 8, "distance": 3, "path": 5,
+    assert counts == {"filter": 8, "solve": 7, "deepen": 7, "distance": 3, "path": 5,
                       "radius": 3, "stats": 5, "split": 7, "gen": 11}
-    assert sum(counts.values()) == 58
+    assert sum(counts.values()) == 56
 
 
 @pytest.mark.parametrize("argv", [
@@ -1245,3 +1248,32 @@ def test_clause_distances_never_build_the_node_view(tmp_path, capsys, monkeypatc
         assert (main(argv), capsys.readouterr().out) == (code, out), argv
     with pytest.raises(AssertionError, match="node view"):
         bfs_from_support(build_graph(parse_dimacs(path.read_text())), [1]).node_distance
+
+
+def test_bounded_and_solving_searches_never_build_the_clause_distances(
+        tmp_path, capsys, monkeypatch):
+    # they read the search's distance list; only a histogram, a CSV or a
+    # single-support JSON reads the dict by clause id
+    path = tmp_path / "s.cnf"
+    path.write_text(print_dimacs(random_3sat(random.Random(5), 40, 170)))
+    requests = (["filter", str(path), "-n", "2", "--support", "ids:1", "--support", "ids:2"],
+                ["filter", str(path), "-n", "3", "--purity", "--support", "ids:1",
+                 "--support", "neg", "--json"],
+                ["stats", str(path), "--bound", "3", "--support", "ids:1,2", "--json"],
+                ["radius", str(path), "--support", "ids:1"],
+                ["solve", str(path), "--support", "ids:1", "--json"],
+                ["deepen", str(path), "--support", "ids:1", "--max-rounds", "2"])
+    want = []
+    for argv in requests:
+        want.append((main(argv), capsys.readouterr()))
+    assert [code for code, _ in want] == [0, 0, 0, 0, EXIT_UNSAT, EXIT_UNSAT]
+    assert "relevant at 2: " in want[0][1].err
+
+    def refused(self):
+        raise AssertionError("the clause distances were built")
+
+    monkeypatch.setattr(altpath.graph.DistanceMap, "clause_distance", property(refused))
+    for argv, (code, captured) in zip(requests, want):
+        assert (main(argv), capsys.readouterr()) == (code, captured), argv
+    with pytest.raises(AssertionError, match="clause distances"):
+        bfs_from_support(build_graph(parse_dimacs(path.read_text())), [1]).clause_distance

@@ -6,7 +6,6 @@ from altpath.clauses import ClauseSet, Literal, Var
 from altpath.dpll import (
     MODES,
     SolveResult,
-    SolverConfig,
     _solve,
     dpll,
     dpll_rel,
@@ -36,7 +35,7 @@ def atom(name: str) -> Literal:
     return Literal(True, name)
 
 
-def solve_on_buckets(cs: ClauseSet, step: tuple, config: SolverConfig | None = None,
+def solve_on_buckets(cs: ClauseSet, step: tuple, max_calls: int | None = None,
                      mode: str = "fallback") -> SolveResult:
     """The relevance-restricted engine on hand-made stepping buckets of
     atoms: each atom of the set that bucket m names splits in bucket m, an
@@ -44,7 +43,7 @@ def solve_on_buckets(cs: ClauseSet, step: tuple, config: SolverConfig | None = N
     bucket."""
     index = {a: n for n, a in enumerate(cs.atoms(), 1)}
     bucket_of = {index[a]: b for b, bucket in enumerate(step) for a in bucket if a in index}
-    return _solve(cs, bucket_of, mode == "trusted", config or SolverConfig())
+    return _solve(cs, bucket_of, mode == "trusted", max_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +86,7 @@ def test_dpll_rejects_variables():
 
 def test_dpll_call_limit_gives_unknown():
     cs = ground_set("p q", "~p q", "p ~q", "~p ~q")
-    res = dpll(cs, SolverConfig(unit_policy="off", max_calls=1))
+    res = dpll(cs, max_calls=1)
     assert res.verdict == "unknown"
 
 
@@ -114,24 +113,6 @@ def test_dpll_matches_truth_table_oracle(seed):
     assert (res.verdict == "sat") == want
     if want:
         assert model_satisfies(cs, res.model)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_dpll_config_variants_agree(seed):
-    rng = random.Random(50 + seed)
-    from altpath.generators import random_ground
-
-    cs = random_ground(rng, n_atoms=5, n_clauses=14)
-    verdicts = {
-        dpll(cs, SolverConfig(unit_policy=u)).verdict
-        for u in ("off", "relevant_only", "all")
-    }
-    assert len(verdicts) == 1
-
-
-def test_config_validation():
-    with pytest.raises(ValueError, match="unit_policy"):
-        SolverConfig(unit_policy="sometimes")
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +189,11 @@ def test_ground_entry_points_reject_variables(run):
 
 
 def _split_order(cs: ClauseSet, step: tuple) -> dict[Literal, bool]:
-    # without units, trusted mode assigns nothing but its splits, true first,
-    # so the model shows which atoms were split and in which order
-    res = solve_on_buckets(cs, step, SolverConfig(unit_policy="off"), mode="trusted")
-    assert res.verdict == "sat"
+    # on a set where no unit over a stepping atom arises, trusted mode
+    # assigns nothing but its splits, true first, so the model shows which
+    # atoms were split and in which order
+    res = solve_on_buckets(cs, step, mode="trusted")
+    assert res.verdict == "sat" and res.stats.unit_props == 0
     return res.model
 
 
@@ -219,7 +201,7 @@ def test_restrict_by_clause_set():
     # once p is true, bucket 0 has no live atom left and the split moves to
     # bucket 1 (q) although r, deeper down, occurs more often
     step = ((atom("p"),), (atom("q"),), (atom("r"),))
-    cs = ground_set("p q", "~p q r", "~p ~q r", "~p r")
+    cs = ground_set("p q", "~p q r", "~p ~q r s", "~p r t")
     assert list(_split_order(cs, step).items()) == [
         (atom("p"), True), (atom("q"), True), (atom("r"), True)]
 
@@ -227,7 +209,7 @@ def test_restrict_by_clause_set():
 def test_leading_literal_first_nonempty_bucket():
     # splitting on r first would satisfy both clauses at once
     step = ((), (atom("q"),), (atom("r"),))
-    cs = ground_set("q r", "r")
+    cs = ground_set("q r", "r s")
     assert _split_order(cs, step) == {atom("q"): True, atom("r"): True}
 
 
@@ -236,9 +218,11 @@ def test_leading_literal_max_occurrence_and_ties():
     # b occurs 3 times, a twice: b alone satisfies everything
     cs = ground_set("a b", "b ~a", "b x")
     assert _split_order(cs, step) == {atom("b"): True}
-    # a tie goes to the smaller index, then ~b is forced by backtracking
-    tied = ground_set("a b", "~a ~b")
-    assert list(_split_order(tied, step).items()) == [(atom("a"), True), (atom("b"), False)]
+    # a tie goes to the smaller index: the one split sets a, and then ~b is
+    # a unit
+    tied = solve_on_buckets(ground_set("a b", "~a ~b"), step, mode="trusted")
+    assert list(tied.model.items()) == [(atom("a"), True), (atom("b"), False)]
+    assert (tied.stats.splits, tied.stats.unit_props) == (1, 1)
 
 
 def test_empty_stepping_sequence_has_no_leading_literal():
@@ -381,12 +365,11 @@ def test_call_bound_on_unsat_instances(mode):
 
 
 def test_call_bound_needs_unit_propagation():
-    # with units off, one atom already costs three calls
-    cs = ground_set("p", "~p")
-    off = dpll_rel(cs, [2], SolverConfig(unit_policy="off"))
-    assert off.verdict == "unsat" and off.stats.calls == 3
-    on = dpll_rel(cs, [2])
-    assert on.verdict == "unsat" and on.stats.calls == 1
+    # the units over the one stepping atom close the search in one call,
+    # without a split
+    res = dpll_rel(ground_set("p", "~p"), [2])
+    assert res.verdict == "unsat"
+    assert (res.stats.calls, res.stats.splits) == (1, 0)
 
 
 def test_call_bound_ignores_satisfiable_tail():
@@ -474,8 +457,7 @@ def test_satisfies_reports_partial_gaps():
 # Verdict, call/split/unit/fallback counts and the sorted model of every run
 # below were recorded once and are pinned as one digest per family.  The
 # counts carry the 2**k call-bound meaning, so any engine change must leave
-# them untouched.  Without unit propagation the search can visit 2**n
-# nodes, so those runs take a 2000-call budget in place of none.
+# them untouched.
 
 
 def _pigeonhole(pigeons: int) -> ClauseSet:
@@ -515,24 +497,22 @@ def _golden_rows(instances) -> list:
     rows = []
     for cs, support in instances:
         for solver in ("dpll", "fallback", "trusted"):
-            for policy in ("off", "relevant_only", "all"):
-                for cap in ((2000, 7) if policy == "off" else (None, 7)):
-                    cfg = SolverConfig(unit_policy=policy, max_calls=cap)
-                    res = dpll(cs, cfg) if solver == "dpll" else \
-                        dpll_rel(cs, support, cfg, mode=solver)
-                    s = res.stats
-                    model = sorted((str(a), v) for a, v in res.model.items())
-                    rows.append([solver, policy, cap, res.verdict, s.calls, s.splits,
-                                 s.unit_props, s.fallback_calls, model])
+            for cap in (None, 7):
+                res = dpll(cs, cap) if solver == "dpll" else \
+                    dpll_rel(cs, support, cap, mode=solver)
+                s = res.stats
+                model = sorted((str(a), v) for a, v in res.model.items())
+                rows.append([solver, cap, res.verdict, s.calls, s.splits,
+                             s.unit_props, s.fallback_calls, model])
     return rows
 
 
 GOLDEN_DIGESTS = {
-    "3sat": "71b97476bbaf1e54",
-    "horn": "fe479004aae2f1f3",
-    "pigeonhole": "8617afe6e640aaeb",
-    "tail": "1a5a7292497d927b",
-    "valid": "a5071ec6d4b5f982",
+    "3sat": "00d4f78b2d33651d",
+    "horn": "4079a208f05c2823",
+    "pigeonhole": "094c103310f33f2c",
+    "tail": "54699f13aa7355e2",
+    "valid": "f24207b217b949d1",
 }
 
 
@@ -551,26 +531,24 @@ def test_golden_solver_stats(family):
 #
 # The incremental engine must reproduce the reference node for node: the
 # same verdict, counters and trail (the model lists atoms in the order they
-# were assigned), under every unit policy, with and without a call budget,
-# for plain, fallback and trusted solving.
+# were assigned), with and without a call budget, for plain, fallback and
+# trusted solving.
 
-_DIFF_CONFIGS = [SolverConfig(unit_policy=policy, max_calls=cap)
-                 for policy in ("off", "relevant_only", "all")
-                 for cap in (None, 1, 3, 9, 40)]
+_DIFF_CAPS = (None, 1, 3, 9, 40)
 
 
 def _same_as_reference(cs: ClauseSet, step: tuple | None = None,
-                       mode: str = "fallback") -> list[tuple[SolverConfig, SolveResult]]:
+                       mode: str = "fallback") -> list[tuple[int | None, SolveResult]]:
     runs = []
-    for cfg in _DIFF_CONFIGS:
+    for cap in _DIFF_CAPS:
         if step is None:
-            got = dpll(cs, cfg)
+            got = dpll(cs, cap)
         else:
-            got = solve_on_buckets(cs, step, cfg, mode)
-        want = reference_solve(cs, cfg, step, trusted=mode == "trusted")
+            got = solve_on_buckets(cs, step, cap, mode)
+        want = reference_solve(cs, cap, step, trusted=mode == "trusted")
         assert (got.verdict, got.stats, list(got.model.items())) == \
-            (want.verdict, want.stats, list(want.model.items())), (str(cs), step, mode, cfg)
-        runs.append((cfg, got))
+            (want.verdict, want.stats, list(want.model.items())), (str(cs), step, mode, cap)
+        runs.append((cap, got))
     return runs
 
 
@@ -635,7 +613,7 @@ def test_engine_matches_reference_on_horn_trees(shape):
 
 def test_engine_matches_reference_on_fallback_leaves():
     # a core around the support plus a detached part with its own units:
-    # under relevant_only those units wait for the fallback sub-solve,
+    # those units wait for the fallback sub-solve,
     # which must take them lowest clause first, interleaved with the core's
     rng = random.Random(3300)
     runs = []
@@ -650,10 +628,9 @@ def test_engine_matches_reference_on_fallback_leaves():
         support = [cid for cid, (row, in_core) in zip(cs.ids(), rows) if in_core and row][:1]
         runs += _all_solvers(cs, support or [cs.ids()[0]], rng)
     assert any(res.stats.fallback_calls for _, res in runs)
-    assert any(cfg.unit_policy == "relevant_only" and res.stats.fallback_calls
-               and res.verdict == "sat"
+    assert any(res.stats.fallback_calls and res.verdict == "sat"
                and any(a.pred.startswith("x") for a in res.model)
-               for cfg, res in runs)
+               for _, res in runs)
 
 
 def test_engine_matches_reference_when_a_subsolve_hits_the_cap():
@@ -662,12 +639,11 @@ def test_engine_matches_reference_when_a_subsolve_hits_the_cap():
     core = ground_set("p q", "~p q")
     cs = ClauseSet.from_groups([c.literals for c in core.clauses + _pigeonhole(4).clauses])
     runs = _same_as_reference(cs, stepping_sequence(cs, [1]))
-    assert any(res.verdict == "unknown" and res.stats.calls <= cfg.max_calls
-               for cfg, res in runs)
+    assert any(res.verdict == "unknown" and res.stats.calls <= cap for cap, res in runs)
     # one budget for both kinds of node: the node past it ends the search
-    for cfg, res in runs:
+    for cap, res in runs:
         if res.verdict == "unknown":
-            assert res.stats.calls + res.stats.fallback_calls == cfg.max_calls + 1
+            assert res.stats.calls + res.stats.fallback_calls == cap + 1
 
 
 def test_fallback_nodes_draw_on_the_call_budget():
@@ -675,7 +651,7 @@ def test_fallback_nodes_draw_on_the_call_budget():
     # detached pigeonhole part then needs more nodes than the budget
     core = ground_set("p", "~p q", "~q r s", "~s")
     cs = ClauseSet.from_groups([c.literals for c in core.clauses + _pigeonhole(6).clauses])
-    res = dpll_rel(cs, [1], SolverConfig(max_calls=30))
+    res = dpll_rel(cs, [1], max_calls=30)
     assert res.verdict == "unknown"
     assert res.stats.calls + res.stats.fallback_calls == 31
     assert res.stats.fallback_calls > 0

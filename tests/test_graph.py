@@ -367,6 +367,11 @@ def test_search_over_survivors_refuses_purged_supports():
     assert {graph.clause_of[node // 2] for node in dmap.node_distance} == {0, 1}
     with pytest.raises(KeyError, match="no clause with id 3"):
         dmap.witness(3)
+    # a purged clause is as unknown as an id the set lacks
+    assert dmap.relevant_ids(4) == [1, 2]
+    for cid in (3, 99):
+        with pytest.raises(KeyError, match=f"no clause with id {cid}"):
+            dmap.distance(cid)
     with pytest.raises(ValueError, match="not a subset"):
         bfs_from_support(graph, [1], survivors=ground_set("p ~q", "~p q", "q r", "~s", "t"))
 
@@ -764,7 +769,8 @@ def _assert_search_matches_reference(cs, support, survivors=None):
 def _occurrence(graph, cid, text):
     """The occurrence of the literal written ``text`` in clause cid."""
     literal = graph.clause_set.literal
-    return next(i for i in graph.occs_by_clause[cid] if str(literal(graph.lit_of[i])) == text)
+    occs = graph.clause_occs[graph.clause_set.position(cid)]
+    return next(i for i in occs if str(literal(graph.lit_of[i])) == text)
 
 
 def test_second_entry_at_the_bound_switches_nothing():
