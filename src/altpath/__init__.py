@@ -3,114 +3,6 @@
 Distances and bounded neighborhoods over propositional and first-order
 clause sets, a relevance-restricted splitting solver, a set-of-support
 resolution checker, clause splitting, and parsing/generation utilities.
+The package root defines no names: import each from the module that
+defines it, e.g. ``from altpath.dpll import dpll_rel``.
 """
-
-from altpath.clauses import (
-    App,
-    ArityError,
-    Clause,
-    ClauseSet,
-    Literal,
-    Var,
-    complementary_unifiable,
-)
-from altpath.graph import (
-    FIRST_ORDER,
-    INF,
-    PROPOSITIONAL_HUB,
-    AlternatingPath,
-    DistanceMap,
-    RelevanceGraph,
-    bfs_from_support,
-    build_graph,
-    check_alternating_path,
-    purity_filter,
-)
-from altpath.dpll import (
-    SolveResult,
-    SolveStats,
-    dpll,
-    dpll_rel,
-    stepping_sequence,
-    support_radius,
-)
-from altpath.resolution import (
-    ResolutionSequence,
-    SequenceEntry,
-    SosResult,
-    hyper_resolution_levels,
-    linear_sequence_from_path,
-    resolve,
-    sos_refute,
-    validate_sequence,
-    verify_support_path_property,
-)
-from altpath.splitting import (
-    SplitPlan,
-    binary_split_plan,
-    choose_split_variable,
-    descendants,
-    expand_restricted,
-    full_split_plan,
-    split_clause,
-)
-from altpath.parsing import (
-    ParseError,
-    detect_format,
-    parse_auto,
-    parse_dimacs,
-    parse_tptp,
-    print_dimacs,
-    print_format,
-    print_tptp,
-)
-
-__all__ = [
-    "App",
-    "ArityError",
-    "Clause",
-    "ClauseSet",
-    "Literal",
-    "Var",
-    "complementary_unifiable",
-    "FIRST_ORDER",
-    "INF",
-    "PROPOSITIONAL_HUB",
-    "AlternatingPath",
-    "DistanceMap",
-    "RelevanceGraph",
-    "bfs_from_support",
-    "build_graph",
-    "check_alternating_path",
-    "purity_filter",
-    "SolveResult",
-    "SolveStats",
-    "dpll",
-    "dpll_rel",
-    "stepping_sequence",
-    "support_radius",
-    "ResolutionSequence",
-    "SequenceEntry",
-    "SosResult",
-    "hyper_resolution_levels",
-    "linear_sequence_from_path",
-    "resolve",
-    "sos_refute",
-    "validate_sequence",
-    "verify_support_path_property",
-    "SplitPlan",
-    "binary_split_plan",
-    "choose_split_variable",
-    "descendants",
-    "expand_restricted",
-    "full_split_plan",
-    "split_clause",
-    "ParseError",
-    "detect_format",
-    "parse_auto",
-    "parse_dimacs",
-    "parse_tptp",
-    "print_dimacs",
-    "print_format",
-    "print_tptp",
-]

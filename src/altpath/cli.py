@@ -19,10 +19,7 @@ import math
 import os
 import random
 import re
-import shlex
-import subprocess
 import sys
-import tempfile
 from collections import Counter
 from collections.abc import Callable
 from itertools import chain
@@ -127,6 +124,15 @@ def _clause_ids(spec: str, tokens: list[str]) -> list[int]:
         except ValueError:
             raise ValueError(f"support spec {spec!r}: {tok!r} is not a clause id") from None
     return ids
+
+
+def _refuse_unread(options: dict[str, object], why: str) -> None:
+    """Raise ValueError naming each flag of ``options`` (flag to parsed
+    value) that was given, a value other than None or False: the caller
+    passes the options that its chosen route does not read."""
+    given = [flag for flag, value in options.items() if value is not None and value is not False]
+    if given:
+        raise ValueError(f"{', '.join(given)}: {why}")
 
 
 def _single_support(cs: ClauseSet, cfg: argparse.Namespace, fmt: str) -> list[int]:
@@ -243,6 +249,9 @@ def _model_lines(cs: ClauseSet, model: dict[Literal, bool], fmt: str) -> list[st
 
 
 def cmd_solve(cfg: argparse.Namespace) -> int:
+    if cfg.no_relevance:
+        _refuse_unread({"--trusted": cfg.trusted, "--count-calls": cfg.count_calls},
+                       "read only by relevance solving, which --no-relevance turns off")
     cs, fmt = _load(cfg)
     if cfg.no_relevance:
         result = dpll(cs, cfg.max_calls)
@@ -260,7 +269,7 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
         f"fallback={stats.fallback_calls}"
     ]
     budget, k = None, result.k
-    if cfg.count_calls and k is not None:
+    if cfg.count_calls:
         budget = _sized(k * math.log10(2), lambda: 2**k)
         lines.append(f"c calls={stats.calls} k={k} budget={budget}")
     lines.append(_VERDICT_LINE[result.verdict])
@@ -301,6 +310,10 @@ _SZS_VERDICT = {
 
 def _prover_verdict(template: str, cs: ClauseSet, timeout: float) -> tuple[str, str]:
     """Run the external prover on a temp TPTP file; (verdict, detail)."""
+    import shlex  # the prover's modules load only when a prover runs
+    import subprocess
+    import tempfile
+
     fd, path = tempfile.mkstemp(suffix=".p")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -364,28 +377,43 @@ def _finish_deepen(cfg: argparse.Namespace, label: str | None, verdict: str,
     return _VERDICT_CODE[verdict]
 
 
+# deepen's defaults, filled in where a backend reads them, so that an option
+# given to the other backend shows as given
+_SLICE, _MAX_ROUNDS, _PROVER_TIMEOUT = 256, 16, 5.0
+
+
 def cmd_deepen(cfg: argparse.Namespace) -> int:
     cs, fmt = _load(cfg)
     ground = cs.is_ground()
-    if not ground and not cfg.prover:  # asked before the support spec is read
+    # each backend refuses the other's options before the support spec is read
+    if ground:
+        _refuse_unread({"--prover": cfg.prover, "--prover-timeout": cfg.prover_timeout},
+                       "read only on first-order input; variable-free input "
+                       "is deepened by the built-in solver")
+    elif not cfg.prover:
         raise ValueError(
             "first-order deepening needs an external prover "
             "(--prover 'command {file}')"
         )
+    else:
+        _refuse_unread({"--slice": cfg.slice_calls, "--max-rounds": cfg.max_rounds},
+                       "read only by the built-in solver; a prover decides "
+                       "each level of first-order input once")
     support = _single_support(cs, cfg, fmt)
     stages = _deepen_stages(cs, support)
     lines: list[str] = []
     resolved: dict[str, str] = {}
     # a prover decides each level once; the solver's budget doubles per round
-    for rnd in range(1, cfg.max_rounds + 1 if ground else 2):
-        budget = cfg.slice_calls * 2 ** (rnd - 1)
+    for rnd in range(1, (cfg.max_rounds or _MAX_ROUNDS) + 1 if ground else 2):
+        budget = (cfg.slice_calls or _SLICE) * 2 ** (rnd - 1)
         for idx, (label, sub) in enumerate(stages):
             if label in resolved:
                 continue
             if ground:
                 verdict, detail = dpll(sub, budget).verdict, f"round {rnd}, budget {budget}"
             else:
-                verdict, detail = _prover_verdict(cfg.prover, sub, cfg.prover_timeout)
+                verdict, detail = _prover_verdict(cfg.prover, sub,
+                                                  cfg.prover_timeout or _PROVER_TIMEOUT)
             if verdict != "unknown" or not ground:  # every prover answer is shown
                 lines.append(f"c level {label}: {verdict} ({detail})")
             if verdict == "unknown":
@@ -696,25 +724,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="relevance-restricted DPLL on ground input")
     _add_common(p, hub=False)
     p.add_argument("--trusted", action="store_true",
-                   help="accept stepping-free leftovers as satisfied")
+                   help="accept stepping-free leftovers as satisfied (relevance "
+                        "solving only)")
     p.add_argument("--no-relevance", dest="no_relevance", action="store_true",
-                   help="plain DPLL without a support set")
+                   help="plain DPLL without a support set; refuses --trusted and "
+                        "--count-calls")
     p.add_argument("--max-calls", dest="max_calls", type=_positive,
                    help="cap on search nodes, fallback nodes included; past it "
                         "the verdict is unknown (exit 0)")
     p.add_argument("--count-calls", dest="count_calls", action="store_true",
                    help="print the call count against the 2^k budget, k counting "
                         "the atoms of every support-reachable clause (a valid, "
-                        "if loose, bound)")
+                        "if loose, bound; relevance solving only)")
 
     p = sub.add_parser("deepen", help="grow neighborhood levels until one refutes")
     _add_common(p, hub=False)
-    p.add_argument("--slice", dest="slice_calls", type=_positive, default=256,
-                   help="call budget of the first round (doubles per round)")
-    p.add_argument("--max-rounds", dest="max_rounds", type=_positive, default=16)
-    p.add_argument("--prover", help="external prover command, {file} is the TPTP path")
+    p.add_argument("--slice", dest="slice_calls", type=_positive,
+                   help=f"variable-free input: the built-in solver's call budget in "
+                        f"the first round, doubling per round (default {_SLICE})")
+    p.add_argument("--max-rounds", dest="max_rounds", type=_positive,
+                   help=f"variable-free input: rounds of the built-in solver "
+                        f"(default {_MAX_ROUNDS})")
+    p.add_argument("--prover", help="first-order input: external prover command, "
+                                    "{file} is the TPTP path; it decides each level once")
     p.add_argument("--prover-timeout", dest="prover_timeout", type=_seconds,
-                   default=5.0)
+                   help=f"first-order input: seconds per prover run "
+                        f"(default {_PROVER_TIMEOUT:g})")
 
     p = sub.add_parser("distance", help="relevance distance between clause pairs")
     _add_common(p, support=False, hub=False)

@@ -920,6 +920,50 @@ def test_options_a_command_does_not_read_are_refused(tree, capsys, argv):
     assert f"unrecognized arguments: {' '.join(rest)}" in capsys.readouterr().err
 
 
+_UNREAD_BY_DPLL = "read only by relevance solving, which --no-relevance turns off"
+_UNREAD_BY_SOLVER = ("read only on first-order input; variable-free input is deepened "
+                     "by the built-in solver")
+_UNREAD_BY_PROVER = ("read only by the built-in solver; a prover decides each level of "
+                     "first-order input once")
+_UNREAD_ON_VARIABLE_FREE_INPUT = [
+    (["solve", "--no-relevance", "--trusted"], f"--trusted: {_UNREAD_BY_DPLL}"),
+    (["solve", "--no-relevance", "--count-calls"], f"--count-calls: {_UNREAD_BY_DPLL}"),
+    (["solve", "--count-calls", "--no-relevance", "--trusted", "--json"],
+     f"--trusted, --count-calls: {_UNREAD_BY_DPLL}"),
+    (["deepen", "--prover", "false {file}"], f"--prover: {_UNREAD_BY_SOLVER}"),
+    (["deepen", "--prover-timeout", "2"], f"--prover-timeout: {_UNREAD_BY_SOLVER}"),
+    (["deepen", "--prover", "false {file}", "--prover-timeout", "2", "--json"],
+     f"--prover, --prover-timeout: {_UNREAD_BY_SOLVER}"),
+]
+
+
+@pytest.mark.parametrize("fixture", ["sat_cnf", "tree"], ids=["dimacs", "tptp"])
+@pytest.mark.parametrize("argv, message", _UNREAD_ON_VARIABLE_FREE_INPUT,
+                         ids=[" ".join(argv) for argv, _ in _UNREAD_ON_VARIABLE_FREE_INPUT])
+def test_options_the_chosen_route_does_not_read_are_refused(request, capsys, fixture,
+                                                            argv, message):
+    """The option is parsed, but solving without relevance, or deepening
+    variable-free input with the built-in solver, would ignore it."""
+    command, *rest = argv
+    assert main([command, request.getfixturevalue(fixture), *rest]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["--slice", "4"], "--slice"),
+    (["--max-rounds", "2", "--json"], "--max-rounds"),
+    (["--max-rounds", "2", "--slice", "4"], "--slice, --max-rounds"),
+], ids=["slice", "max-rounds", "both"])
+def test_solver_budgets_are_refused_on_first_order_input(fo, tmp_path, capsys, argv, given):
+    # without --prover, the call for one comes first
+    assert main(["deepen", fo, *argv]) == 2
+    assert capsys.readouterr() == (
+        "", "error: first-order deepening needs an external prover (--prover 'command {file}')\n")
+    prover = _stub(tmp_path, "print('% SZS status Unsatisfiable')\n")
+    assert main(["deepen", fo, "--prover", prover, *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {given}: {_UNREAD_BY_PROVER}\n")
+
+
 def test_settable_options_per_command():
     """Optional and positional arguments of each subcommand, -h aside."""
     commands = next(a for a in altpath.cli.build_parser()._actions
